@@ -32,7 +32,7 @@ from .model import (
     validate_model,
 )
 from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
-from .strategies import STRATEGIES, SimulationResult, run_strategy
+from .strategies import STRATEGIES, SimulationResult, resolve_channel_rate, run_strategy
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -153,25 +153,16 @@ def cmd_rate(args) -> int:
 def cmd_kc(args) -> int:
     model = _load(args)
     stats = compute_stats(model)
-    c, eta = _resolve_eta_c(stats, args)
+    try:
+        c, eta = resolve_channel_rate(stats, args.eta, args.c)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     exact = k_c(model, c, args.epsilon)
     cher = k_c_chernoff(stats, eta, args.epsilon)
     print(_fmt(exact))
     print(_fmt(cher.value))
     print(_fmt(cher.k_int))
     return EXIT_OK
-
-
-def _resolve_eta_c(stats, args) -> tuple[float, float]:
-    eta = getattr(args, "eta", None)
-    c = getattr(args, "c", None)
-    if (eta is None) == (c is None):
-        raise CliError("give exactly one of --eta or --c")
-    if eta is not None:
-        if not 0 < eta < 1:
-            raise CliError(f"eta must be in (0, 1), got {eta}")
-        return stats.e_h / (1 - eta), eta
-    return c, 1 - stats.e_h / c
 
 
 def cmd_bounds(args) -> int:

@@ -12,9 +12,15 @@ Internally the distribution lives on an arithmetic lattice.  When every
 entropy value in the model is a multiple of a common step (up to 1e-9) the
 lattice is exact and the support is the exact value list; otherwise values
 are rounded *up* to a coarse 1e-3-bit grid, which can only overestimate the
-quantile and therefore preserves the outage guarantee.  If the exact lattice
-would ever exceed ``max_points`` support points the accumulator falls back
-to the coarse grid on the fly.
+quantile and therefore preserves the outage guarantee.  ``max_points`` caps
+the *exact* lattice only: if it would ever exceed that many support points
+the accumulator falls back to the coarse grid on the fly, once; the coarse
+grid itself is not capped.
+
+Each push is a direct convolution with the group's pmf on the lattice (its
+kernel).  On the coarse grid a kernel spans hundreds of cells but holds only
+as many atoms as the group has members, so a sparse kernel is convolved by
+shifted adds over its atoms instead of through its zero cells.
 """
 
 from __future__ import annotations
@@ -34,6 +40,15 @@ MAX_POINTS = 1_000_000
 # index-space slack when locating a strict-exceedance threshold on the
 # lattice: absorbs float rounding of K*c without ever crossing a full step
 _IDX_EPS = 1e-6
+
+# A kernel is convolved over its atoms when its span is at least this many
+# cells per atom.  Measured on a 2-core Xeon (numpy 2.4.6), the atom path
+# overtakes np.convolve above 7.5 cells per atom for a 3 000-point sum and a
+# 128-cell kernel, and above 57 cells per atom for a 300-point sum and a
+# 512-cell kernel (each atom costs about 1.5 us of call overhead).  Coarse
+# kernels of ingested models have 60-240 cells per atom; the demo model's
+# kernels have no empty cell and always take np.convolve.
+_CELLS_PER_ATOM = 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,26 @@ def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
     return step
 
 
+class _Kernel(NamedTuple):
+    """A group pmf on the lattice: offset index, dense cells, and its
+    ``(cell, prob)`` atoms when sparse enough to convolve over (else None)."""
+
+    off: int
+    dense: np.ndarray
+    atoms: tuple[tuple[int, float], ...] | None
+
+
+def _convolve_atoms(
+    dense: np.ndarray, atoms: tuple[tuple[int, float], ...], span: int
+) -> np.ndarray:
+    """np.convolve(dense, kernel) for a kernel of ``span`` cells given by its atoms."""
+    n = len(dense)
+    out = np.zeros(n + span - 1)
+    for j, p in atoms:
+        out[j:j + n] += p * dense
+    return out
+
+
 class RateAccumulator:
     """Running distribution of the conditional entropy sum, one push per block.
 
@@ -111,12 +146,8 @@ class RateAccumulator:
             self.exact = True
         self._step = step
 
-        # per-group pmfs as dense lattice segments (offset index + prob array);
-        # in coarse mode entry values are rounded up, never down
-        self._gpmf: dict[int, tuple[int, np.ndarray]] = {}
-        for g in range(1, model.m + 1):
-            vals, probs = model.conditional_pmf(g)
-            self._gpmf[g] = self._densify(vals, probs)
+        # per-group kernels; in coarse mode entry values are rounded up, never down
+        self._build_kernels()
 
         self._dense = np.ones(1)
         self._off = 0
@@ -128,12 +159,22 @@ class RateAccumulator:
             return int(round(q))
         return int(math.ceil(q - _IDX_EPS))  # round up: conservative
 
-    def _densify(self, vals: np.ndarray, probs: np.ndarray) -> tuple[int, np.ndarray]:
+    def _densify(self, vals: np.ndarray, probs: np.ndarray) -> _Kernel:
         idx = np.array([self._index_of(v) for v in vals], dtype=np.int64)
         off = int(idx.min())
         dense = np.zeros(int(idx.max()) - off + 1)
         np.add.at(dense, idx - off, probs)
-        return off, dense
+        nz = np.flatnonzero(dense)
+        atoms = None
+        if len(dense) >= _CELLS_PER_ATOM * len(nz):
+            atoms = tuple(zip(nz.tolist(), dense[nz].tolist()))
+        return _Kernel(off, dense, atoms)
+
+    def _build_kernels(self) -> None:
+        self._gpmf: dict[int, _Kernel] = {
+            g: self._densify(*self.model.conditional_pmf(g))
+            for g in range(1, self.model.m + 1)
+        }
 
     def _to_coarse(self) -> None:
         """Reproject the current lattice onto the coarse grid (round up)."""
@@ -146,10 +187,7 @@ class RateAccumulator:
         dense = np.zeros(int(idx.max()) - off + 1)
         np.add.at(dense, idx - off, self._dense[nz])
         self._off, self._dense = off, dense
-        self._gpmf = {}
-        for g in range(1, self.model.m + 1):
-            vals, probs = self.model.conditional_pmf(g)
-            self._gpmf[g] = self._densify(vals, probs)
+        self._build_kernels()
 
     def reset(self) -> None:
         self._dense = np.ones(1)
@@ -159,14 +197,18 @@ class RateAccumulator:
     def push_block(self, group: int) -> "RateAccumulator":
         """Convolve in the conditional entropy pmf of the observed group."""
         try:
-            goff, gdense = self._gpmf[group]
+            off, kernel, atoms = self._gpmf[group]
         except KeyError:
             raise ModelError(f"unknown group index {group}") from None
-        if len(self._dense) + len(gdense) - 1 > self.max_points:
+        # coarse onto coarse is the identity, so only the exact lattice reprojects
+        if self.exact and len(self._dense) + len(kernel) - 1 > self.max_points:
             self._to_coarse()
-            goff, gdense = self._gpmf[group]
-        self._dense = np.convolve(self._dense, gdense)
-        self._off += goff
+            off, kernel, atoms = self._gpmf[group]
+        if atoms is None:
+            self._dense = np.convolve(self._dense, kernel)
+        else:
+            self._dense = _convolve_atoms(self._dense, atoms, len(kernel))
+        self._off += off
         self.k += 1
         return self
 
@@ -203,16 +245,6 @@ class RateAccumulator:
             probs=self._dense[nz].copy(),
             resolution=self.h_res if self.exact else self.h_res_coarse,
         )
-
-
-def rate_quantile(acc: RateAccumulator, epsilon: float) -> float:
-    """Functional form of RateAccumulator.rate_quantile."""
-    return acc.rate_quantile(epsilon)
-
-
-def push_block(acc: RateAccumulator, group: int) -> RateAccumulator:
-    """Functional form of RateAccumulator.push_block."""
-    return acc.push_block(group)
 
 
 def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:

@@ -69,6 +69,16 @@ def test_rate_and_kc(model_file):
     assert float(ktilde) == pytest.approx(11.293047120341381, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_kc_nonpositive_channel_rate_is_usage_error(model_file, c):
+    code, out, err = run_cli(
+        "kc", "--model", model_file, "--epsilon", "0.01", "--c", c
+    )
+    assert code == 1 and out == ""
+    assert "channel rate must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_csv(model_file):
     code, out, _ = run_cli(
         "bounds", "--model", model_file, "--epsilon", "0.01",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swdelay import rate as rate_mod
 from swdelay import (
     CdfEntry,
     ModelError,
@@ -13,6 +14,7 @@ from swdelay import (
     k_c_chernoff,
     rate_unconditional,
 )
+from swdelay.strategies import run_wait_to_decode, run_wait_to_encode
 
 from conftest import enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model
 
@@ -219,3 +221,99 @@ def test_lattice_switch_to_coarse_grid():
     exact = enum_quantile([prior_pmf(model)] * 12, 0.3)
     got = acc.rate_quantile(0.3)
     assert exact <= got <= exact + 12e-3
+
+
+def test_coarse_pushes_past_cap_build_kernels_once(monkeypatch):
+    """Once coarse, pushes past max_points neither reproject nor rebuild."""
+    built = []
+    densify = RateAccumulator._densify
+
+    def counted(self, vals, probs):
+        built.append(len(vals))
+        return densify(self, vals, probs)
+
+    monkeypatch.setattr(RateAccumulator, "_densify", counted)
+    model = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 2, 0.5, 2.0)))
+    acc = RateAccumulator(model, max_points=8)
+    assert acc.exact and len(built) == 1
+    for _ in range(40):
+        acc.push_block(1)
+    assert not acc.exact
+    assert len(built) == 2  # at construction and at the one switch
+    assert len(acc.distribution().support) > 8  # the coarse grid is not capped
+    # the sum is 40 + Binomial(40, 1/2); integers lie on the coarse grid
+    tails = [sum(math.comb(40, i) for i in range(k + 1, 41)) / 2**40 for k in range(41)]
+    exact = 40.0 + next(k for k in range(41) if tails[k] <= 0.3)
+    assert exact <= acc.rate_quantile(0.3) <= exact + 1e-9
+
+
+def _random_offlattice_model(rng: np.random.Generator) -> SourceModel:
+    """Several groups of 1-16 members with uniform random entropies in [0, 1).
+
+    The first group has one member, so its one-cell kernel keeps np.convolve.
+    """
+    sizes = rng.integers(1, 17, size=int(rng.integers(2, 5)))
+    sizes[0] = 1
+    weights = rng.random(int(sizes.sum())) + 0.05
+    weights /= weights.sum()
+    entries = []
+    pos = 0
+    for g, size in enumerate(sizes, start=1):
+        for j in range(1, int(size) + 1):
+            entries.append(CdfEntry(g, j, float(weights[pos]), float(rng.random())))
+            pos += 1
+    return SourceModel(tuple(entries))
+
+
+def _coarse_kernel(model: SourceModel, group: int) -> tuple[int, np.ndarray]:
+    """Group pmf rounded up onto the 1e-3 grid, as (offset index, dense cells)."""
+    vals, probs = model.conditional_pmf(group)
+    idx = np.ceil(vals / 1e-3 - 1e-6).astype(np.int64)
+    dense = np.zeros(int(idx.max() - idx.min()) + 1)
+    np.add.at(dense, idx - idx.min(), probs)
+    return int(idx.min()), dense
+
+
+def test_atom_convolution_matches_dense_reference():
+    """Sparse coarse kernels convolved over their atoms equal np.convolve."""
+    rng = np.random.default_rng(2024)
+    paths = set()
+    for _ in range(6):
+        model = _random_offlattice_model(rng)
+        acc = RateAccumulator(model)
+        assert not acc.exact
+        paths |= {k.atoms is None for k in acc._gpmf.values()}
+        kernels = {g: _coarse_kernel(model, g) for g in range(1, model.m + 1)}
+        K = int(rng.integers(1, 61))
+        ref_off, ref = 0, np.ones(1)
+        for g in rng.integers(1, model.m + 1, size=K):
+            acc.push_block(int(g))
+            off, dense = kernels[int(g)]
+            ref_off, ref = ref_off + off, np.convolve(ref, dense)
+        nz = np.flatnonzero(ref)
+        support = (ref_off + nz) * 1e-3
+        d = acc.distribution()
+        np.testing.assert_array_equal(d.support, support)
+        np.testing.assert_allclose(d.probs, ref[nz], rtol=0, atol=1e-15)
+
+        c = compute_stats(model).e_h / (1 - float(rng.uniform(0.05, 0.5)))
+        ref_tail = float(ref[nz][support > K * c].sum())
+        tails = ref[nz][::-1].cumsum()[::-1] - ref[nz]
+        for eps in (0.01, 0.1):
+            assert (acc.tail_above(K * c) <= eps) == (ref_tail <= eps)
+            assert acc.rate_quantile(eps) == support[np.argmax(tails <= eps)]
+    assert paths == {True, False}  # both convolution paths were exercised
+
+
+def test_atom_convolution_simulation_matches_dense(monkeypatch):
+    """we/wd runs on an off-lattice model equal runs with dense kernels only."""
+    model = _random_offlattice_model(np.random.default_rng(7))
+    runs = [
+        (run, dict(model=model, epsilon=0.01, T=200, seed=3, eta=eta))
+        for run in (run_wait_to_decode, run_wait_to_encode)
+        for eta in (0.5, 0.25)
+    ]
+    got = [run(**kw) for run, kw in runs]
+    monkeypatch.setattr(rate_mod, "_CELLS_PER_ATOM", math.inf)
+    assert all(k.atoms is None for k in RateAccumulator(model)._gpmf.values())
+    assert got == [run(**kw) for run, kw in runs]
