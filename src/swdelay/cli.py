@@ -102,6 +102,16 @@ def _parse_ints(text: str) -> list[int]:
         raise CliError(f"bad integer list {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -430,12 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swdelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p, model=True, seed=False, workers=False):
         if model:
             p.add_argument("--model", help="model config file (YAML)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
-        p.add_argument("--workers", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=_positive_int, default=1,
+                           help="worker processes for the runs")
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the timestamp header line")
 
@@ -470,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="one strategy run")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
@@ -487,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over strategies/etas/seeds")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--strategies", required=True,
                    help=f"comma list from {','.join(STRATEGIES)}")
     p.add_argument("--eta-grid", required=True)
@@ -502,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-fig4",
                        help="bundled six-cdf example: bounds vs simulation")
-    common(p, model=False)
+    common(p, model=False, workers=True)
     p.add_argument("--eta-grid", default="0.5,0.25,0.1,0.05")
     p.add_argument("--blocks", type=int, default=20000)
     p.add_argument("--seeds", default="1,2,3")
     p.set_defaults(func=cmd_example_fig4)
 
     p = sub.add_parser("codec", help="random-binning codec Monte Carlo trials")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--bsc", type=float, default=None,
                    help="binary symmetric pair with this crossover")
     p.add_argument("--n", type=int, required=True)
@@ -518,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet-y", type=int, default=2)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rates", required=True, help="comma list of rate_bits")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--kind", choices=(codec_mod.BATCH, codec_mod.SEQUENTIAL),
                    default=codec_mod.BATCH)
     p.add_argument("--groups", default=None,
@@ -526,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_codec)
 
     p = sub.add_parser("ingest", help="build a model from a paired symbol trace")
-    common(p, model=False)
+    common(p, model=False, seed=True)
     p.add_argument("--input", required=True, help="CSV of integer (x, y) pairs")
     p.add_argument("--n", type=int, required=True, help="symbols per block")
     p.add_argument("--joint-levels", type=int, default=128)
@@ -546,7 +559,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ModelError, ValueError) as exc:
+    except (CliError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

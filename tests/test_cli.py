@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from swdelay import demo_model, save_model
+from swdelay import cli, demo_model, save_model
 from swdelay.cli import SweepSpec, run_sweep
 
 from test_ingest import PMF_A, PMF_B, synth_trace
@@ -236,3 +236,56 @@ def test_ingest_cli_roundtrip(tmp_path):
     rows = assign_out.read_text().strip().splitlines()
     assert rows[0] == "t,i,j,d_to_ref"
     assert len(rows) == 61
+
+
+def test_malformed_yaml_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("groups: [\n  - {members: [\n")
+    code, _, err = run_cli("stats", "--model", bad.as_posix())
+    assert code == 1
+    assert "malformed YAML" in err and "Traceback" not in err
+
+
+def test_unwritable_out_is_usage_error(model_file, tmp_path):
+    missing = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(
+        "sweep", "--model", model_file, "--strategies", "wd", "--eta-grid", "0.5",
+        "--epsilon", "0.01", "--blocks", "20", "--seeds", "1",
+        "--out", missing.as_posix(),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
+    missing = tmp_path / "missing" / "t.csv"
+    code, _, err = run_cli(
+        "simulate", "--model", model_file, "--strategy", "wd", "--epsilon", "0.01",
+        "--eta", "0.5", "--blocks", "20", "--trace-out", missing.as_posix(),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--strategies", "wd", "--eta-grid", "0.5", "--epsilon", "0.01",
+      "--blocks", "20", "--seeds", "1", "--workers", "-3"], "--workers: must be >= 1"),
+    (["example-fig4", "--blocks", "20", "--workers", "0"], "--workers: must be >= 1"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--trials", "0"], "--trials: must be >= 1"),
+    (["stats", "--seed", "3"], "unrecognized arguments: --seed"),
+    (["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
+      "--blocks", "20", "--workers", "2"], "unrecognized arguments: --workers"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--workers", "2"],
+     "unrecognized arguments: --workers"),
+])
+def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
+    """Rejected while parsing: exit 1 with a message and no worker process."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    if argv[0] not in ("example-fig4", "ingest"):
+        argv = [*argv, "--model", model_file]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from swdelay import (
     CdfEntry,
@@ -16,7 +17,11 @@ from swdelay import (
     validate_model,
 )
 
+from swdelay import blockify, quantize_model
+from swdelay import model as model_mod
+
 from conftest import random_dyadic_model
+from test_ingest import synth_trace
 
 
 def test_demo_model_valid(six_cdf_model):
@@ -190,4 +195,38 @@ def test_model_file_rejects_unknown_keys(tmp_path):
         load_model(path)
     path.write_text("groups: []\nbogus: true\n")
     with pytest.raises(ModelError, match="unknown keys"):
+        load_model(path)
+
+
+def _learned_model():
+    """A model learned by ingest: 4-ary pmfs, full-precision floats, pmf tables."""
+    rng = np.random.default_rng(11)
+    pmfs = [rng.dirichlet(np.ones(16)).reshape(4, 4) for _ in range(4)]
+    trace = synth_trace(pmfs, [0.25] * 4, n=200, blocks=80, seed=12)
+    blocks = blockify(trace, n=200, alphabet_x=4, alphabet_y=4)
+    return quantize_model(blocks, joint_levels=6, marginal_levels=2).model
+
+
+@pytest.mark.parametrize("which", ["demo", "learned"])
+def test_model_file_same_under_both_yaml_libraries(tmp_path, monkeypatch, which):
+    """libyaml and the pure-Python PyYAML write the same bytes and read the same tree."""
+    model = demo_model() if which == "demo" else _learned_model()
+    fast, slow = tmp_path / "fast.yaml", tmp_path / "slow.yaml"
+    save_model(model, fast)
+    monkeypatch.setattr(model_mod, "_YAML_DUMPER", yaml.SafeDumper)
+    save_model(model, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    text = fast.read_text()
+    assert yaml.load(text, Loader=model_mod._YAML_LOADER) == yaml.safe_load(text)
+    for a, b in zip(load_model(fast).entries, model.entries, strict=True):
+        assert (a.group, a.member, a.prob, a.cond_entropy) == (
+            b.group, b.member, b.prob, b.cond_entropy)
+        assert (a.joint_pmf is None) == (b.joint_pmf is None)
+        assert a.joint_pmf is None or np.array_equal(a.joint_pmf, b.joint_pmf)
+
+
+def test_malformed_yaml_is_model_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("groups: [\n  - {members: [\n")
+    with pytest.raises(ModelError, match="malformed YAML"):
         load_model(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swdelay import (
+    BatchOutcome,
     CdfEntry,
     Message,
     RateAccumulator,
@@ -20,7 +21,9 @@ from swdelay import (
     sample_trace,
 )
 
-from conftest import lindley_wc
+from swdelay.strategies import OUTAGE_TOL
+
+from conftest import lindley_wc, random_dyadic_model
 
 
 def test_message_invariants():
@@ -258,3 +261,141 @@ def test_message_streams(six_cdf_model):
     assert len(wd.messages) == T
     assert all(m.bits == pytest.approx(wd.c) for m in wd.messages)
     assert wd.messages[0].covers == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the shared we/wd stopping rule against a push-every-block reference
+# ---------------------------------------------------------------------------
+
+def _offlattice_model(rng: np.random.Generator) -> SourceModel:
+    """1-3 groups of 2-4 members with uniform random entropies in [0, 4)."""
+    entries = []
+    for g in range(1, int(rng.integers(1, 4)) + 1):
+        for j in range(1, int(rng.integers(2, 5)) + 1):
+            entries.append((g, j, float(rng.integers(1, 20)), float(rng.uniform(0, 4))))
+    total = sum(w for _, _, w, _ in entries)
+    return SourceModel(tuple(CdfEntry(g, j, w / total, h) for g, j, w, h in entries))
+
+
+def _reference_batches(model, trace, c, epsilon, quantile):
+    """Batches of the stop rule, pushing and querying the accumulator every block.
+
+    Returns (BatchOutcomes, lattice mode at each flush).
+    """
+    acc = RateAccumulator(model)
+    batches, exact = [], []
+    lo, ent = 1, 0.0
+    for t, (g, h) in enumerate(zip(trace.groups.tolist(), trace.h.tolist()), start=1):
+        acc.push_block(g)
+        ent += h
+        K = acc.k
+        if acc.tail_above(K * c) > epsilon:
+            continue
+        rate = acc.rate_quantile(epsilon) if quantile else K * c
+        batches.append(BatchOutcome((lo, t), rate, ent, ent > rate + OUTAGE_TOL))
+        exact.append(acc.exact)
+        acc.reset()
+        lo, ent = t + 1, 0.0
+    return batches, exact
+
+
+def _check_against_reference(model, *, epsilon, T, seed, eta):
+    """we and wd runs equal the reference: batches, records, messages, summary."""
+    modes = set()
+    for run, quantile in ((run_wait_to_encode, True), (run_wait_to_decode, False)):
+        res = run(model, epsilon=epsilon, T=T, seed=seed, eta=eta,
+                  collect_records=True, collect_batches=True)
+        trace = sample_trace(model, T, seed)
+        batches, exact = _reference_batches(model, trace, res.c, epsilon, quantile)
+        modes.update(exact)
+        assert res.batch_log == tuple(batches)
+        sizes = np.array([b.covers[1] - b.covers[0] + 1 for b in batches])
+        blocks = [tau for b in batches for tau in range(b.covers[0], b.covers[1] + 1)]
+        n = model.block_len_n
+        assert (res.batches, res.decoded_blocks) == (len(batches), int(sizes.sum()))
+        assert res.records.block.tolist() == blocks
+        assert res.outage_rate == pytest.approx(
+            sizes[[b.outage for b in batches]].sum() / sizes.sum(), abs=1e-15)
+        rec = res.records
+        assert (res.mean_w_e, res.mean_w_c, res.mean_w_d) == pytest.approx(
+            (rec.w_e.mean(), rec.w_c.mean(), rec.w_d.mean()), rel=1e-12)
+        if quantile:
+            bits = [n * b.rate_total for b in batches]
+            assert res.messages == tuple(
+                Message(emitted_at=b.covers[1], bits=n * b.rate_total,
+                        covers=b.covers, blank=False) for b in batches
+            )
+            w_c = np.repeat(lindley_wc(bits, [float(b.covers[1]) for b in batches],
+                                       n * res.c), sizes)
+            assert res.records.w_e.tolist() == [
+                float(b.covers[1] - tau + 1) for b in batches
+                for tau in range(b.covers[0], b.covers[1] + 1)
+            ]
+            assert np.allclose(res.records.w_c, w_c, rtol=1e-12, atol=1e-9)
+            assert not res.records.w_d.any()
+            assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T))
+        else:
+            starts = {1} | {b.covers[1] + 1 for b in batches}
+            expect, lo = [], 1
+            for t in range(1, T + 1):
+                lo = t if t in starts else lo
+                expect.append(Message(emitted_at=t, bits=n * res.c,
+                                      covers=(lo, t), blank=False))
+            assert res.messages == tuple(expect)
+            assert res.records.w_d.tolist() == [
+                float(b.covers[1] - tau) for b in batches
+                for tau in range(b.covers[0], b.covers[1] + 1)
+            ]
+            assert (res.records.w_e == 1.0).all() and (res.records.w_c == 1.0).all()
+    return modes
+
+
+def test_stopping_rule_matches_reference_dyadic():
+    rng = np.random.default_rng(41)
+    for i in range(8):
+        model = random_dyadic_model(rng, max_groups=4, max_total=8)
+        for eta in (0.3, 0.12):
+            _check_against_reference(model, epsilon=0.02, T=1500, seed=i, eta=eta)
+
+
+def test_stopping_rule_matches_reference_offlattice():
+    rng = np.random.default_rng(43)
+    for i in range(4):
+        model = _offlattice_model(rng)
+        assert not RateAccumulator(model).exact
+        _check_against_reference(model, epsilon=0.05, T=300, seed=i, eta=0.2)
+
+
+def test_stopping_rule_matches_reference_across_coarse_switch(monkeypatch):
+    """The exact -> coarse switch inside a run leaves the batches unchanged.
+
+    Thirds are exact on their own lattice but round up on the coarse grid, so
+    a decision kept from the exact lattice would show in the batch rates.
+    """
+    thirds = SourceModel((
+        CdfEntry(1, 1, 0.2, 1 / 3), CdfEntry(1, 2, 0.1, 4 / 3),
+        CdfEntry(2, 1, 0.15, 2 / 3), CdfEntry(2, 2, 0.15, 5 / 3),
+        CdfEntry(2, 3, 0.1, 7 / 3), CdfEntry(3, 1, 0.3, 3.0),
+    ))
+    assert RateAccumulator(thirds).exact
+    defaults = RateAccumulator.__init__.__defaults__
+    monkeypatch.setattr(RateAccumulator.__init__, "__defaults__",
+                        defaults[:-1] + (32,))  # max_points
+    for eta in (0.3, 0.15):
+        modes = _check_against_reference(thirds, epsilon=0.02, T=1500, seed=5, eta=eta)
+        assert modes == {True, False}  # flushes on both lattices
+
+
+def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
+    """At eta = 0.5 every block flushes alone: three groups, three pushes."""
+    calls = []
+    push = RateAccumulator.push_block
+
+    def counted(self, group):
+        calls.append(group)
+        return push(self, group)
+
+    monkeypatch.setattr(RateAccumulator, "push_block", counted)
+    res = run_wait_to_encode(six_cdf_model, epsilon=0.01, T=1000, seed=3, eta=0.5)
+    assert res.batches == 1000
+    assert len(calls) <= 3
