@@ -14,7 +14,6 @@ class ChannelQueue:
             raise ValueError(f"channel rate must be positive, got {rate_bits_per_block}")
         self.rate_bits_per_block = float(rate_bits_per_block)
         self.busy_until = 0.0
-        self.served_bits = 0.0
         self._last_arrival = float("-inf")
 
     def enqueue(self, bits: float, arrival: float) -> float:
@@ -32,10 +31,4 @@ class ChannelQueue:
         start = self.busy_until if self.busy_until > arrival else arrival
         departure = start + bits / self.rate_bits_per_block
         self.busy_until = departure
-        self.served_bits += bits
         return departure
-
-    def backlog_bits(self, time: float) -> float:
-        """Bits still in the system at a given time (enqueued work not yet sent)."""
-        remaining = self.busy_until - time
-        return remaining * self.rate_bits_per_block if remaining > 0 else 0.0

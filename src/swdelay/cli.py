@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +33,8 @@ from .model import (
     validate_model,
 )
 from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
-from .strategies import STRATEGIES, SimulationResult, resolve_channel_rate, run_strategy
+from .strategies import (ACCUMULATE, STRATEGIES, SimulationResult, resolve_channel_rate,
+                         run_strategy)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,6 +79,18 @@ def _write_csv(out_path, header, rows, timestamp: bool) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             _emit(fh)
+
+
+def _check_writable(*paths) -> None:
+    """Rejects an output path that could not be opened, before any computation;
+    an existing file is left untouched until the results are written."""
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        target = path if os.path.exists(path) else folder
+        if not os.path.isdir(folder) or os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise CliError(f"cannot write {path}: not a writable file in an existing directory")
 
 
 def _load(args) -> SourceModel:
@@ -217,6 +231,7 @@ def _delay_scale(model: SourceModel, seconds: bool) -> float:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out, args.trace_out)
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
     res = run_strategy(
@@ -267,6 +282,8 @@ class SweepSpec:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
+        if ACCUMULATE in self.strategies and self.batch_size is None:
+            raise ValueError("the accumulate baseline needs a batch size")
 
     def tasks(self) -> list[tuple[str, float, int]]:
         return [
@@ -298,6 +315,7 @@ def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
 
 
 def cmd_sweep(args) -> int:
+    _check_writable(args.out)
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
     spec = SweepSpec(
@@ -327,6 +345,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_example_fig4(args) -> int:
     """Bundled six-cdf model: bounds vs simulated delays, bracketing checked."""
+    _check_writable(args.out)
     model = demo_model()
     stats = compute_stats(model)
     epsilon = 0.01
@@ -401,6 +420,9 @@ def cmd_codec(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.out is None:
+        raise CliError("an output model path is required (--out)")
+    _check_writable(args.out, args.assign_out)
     try:
         trace = np.loadtxt(args.input, delimiter=",", dtype=np.int64, skiprows=args.skip_header)
     except (OSError, ValueError) as exc:
@@ -417,8 +439,6 @@ def cmd_ingest(args) -> int:
         )
     except Exception as exc:
         raise CliError(str(exc)) from exc
-    if args.out is None:
-        raise CliError("an output model path is required (--out)")
     save_model(result.model, args.out)
     print(f"model written to {args.out} "
           f"(marginal repair distortion {_fmt(result.marginal_distortion)}, "

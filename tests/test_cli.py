@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from swdelay import cli, demo_model, save_model
 from swdelay.cli import SweepSpec, run_sweep
+from swdelay.strategies import STRATEGIES
 
 from test_ingest import PMF_A, PMF_B, synth_trace
 
@@ -289,3 +291,82 @@ def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, messag
         argv = [*argv, "--model", model_file]
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+# sha256 of the output bytes, recorded when the five strategies still ran
+# their own per-block loops; a changed simulated number changes a digest
+FROZEN_SWEEP = "0336c2214fcf5dc49d1c4f19877bf01da33ca46ccb59e1e6196d183df03c9584"
+FROZEN_TRACES = {
+    "we": "72413708597c726ccdb649c7879b81cccf80ec4f6366896c7a1f31c22349383a",
+    "wd": "beb3d9e6764b373a47fb70bd01314610b773bde97b4ab7aa436ae25fe7d8c756",
+}
+
+
+def test_frozen_outputs(model_file, tmp_path):
+    code, out, err = run_cli(
+        "sweep", "--model", model_file, "--strategies", ",".join(STRATEGIES),
+        "--eta-grid", "0.5,0.2,0.08", "--epsilon", "0.01", "--blocks", "400",
+        "--seeds", "1,2", "--batch-size", "4", "--no-timestamp",
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SWEEP
+    for strategy, digest in FROZEN_TRACES.items():
+        trace = tmp_path / f"{strategy}.csv"
+        code, out, err = run_cli(
+            "simulate", "--model", model_file, "--strategy", strategy,
+            "--epsilon", "0.01", "--eta", "0.15", "--blocks", "500", "--seed", "4",
+            "--trace-out", trace.as_posix(), "--no-timestamp",
+        )
+        assert code == 0, err
+        data = out.encode() + trace.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, strategy
+
+
+_SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
+        "--blocks", "20"]
+_SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
+          "--seeds", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_SWEEP, "--strategies", "we,wd", "--out", "{missing}"], "cannot write"),
+    ([*_SWEEP, "--strategies", "we,wd,accumulate", "--out", "{existing}"],
+     "needs a batch size"),
+    (["example-fig4", "--blocks", "20", "--seeds", "1", "--out", "{missing}"],
+     "cannot write"),
+    ([*_SIM, "--out", "{missing}"], "cannot write"),
+    ([*_SIM, "--out", "{folder}"], "cannot write"),
+    ([*_SIM, "--out", "{existing}/x.csv"], "cannot write"),
+    ([*_SIM, "--out", "{existing}", "--trace-out", "{missing}"], "cannot write"),
+    ([*_SIM, "--trace-out", "{missing}"], "cannot write"),
+    (["ingest", "--input", "{trace}", "--n", "4", "--out", "{missing}"], "cannot write"),
+    (["ingest", "--input", "{trace}", "--n", "4", "--out", "{existing}",
+      "--assign-out", "{missing}"], "cannot write"),
+    (["ingest", "--input", "{trace}", "--n", "4"], "output model path is required"),
+])
+def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
+    """Bad outputs and missing arguments exit 1 before any run, and leave an
+    existing output file as it was."""
+    calls = []
+
+    def never(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("computation started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "run_strategy", never)
+    monkeypatch.setattr(cli, "quantize_model", never)
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    trace = tmp_path / "trace.csv"
+    np.savetxt(trace, np.zeros((8, 2), dtype=int), fmt="%d", delimiter=",")
+    paths = dict(missing=(tmp_path / "missing" / "x.csv").as_posix(),
+                 existing=existing.as_posix(), folder=tmp_path.as_posix(),
+                 trace=trace.as_posix())
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] in ("simulate", "sweep"):
+        argv += ["--model", model_file]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+    assert not calls
+    assert existing.read_text() == "kept\n"

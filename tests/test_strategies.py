@@ -9,7 +9,9 @@ from swdelay import (
     Message,
     RateAccumulator,
     SourceModel,
+    bsc_pair_model,
     compute_stats,
+    demo_model,
     k_c,
     rate_unconditional,
     run_baseline_accumulate,
@@ -399,3 +401,136 @@ def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
     res = run_wait_to_encode(six_cdf_model, epsilon=0.01, T=1000, seed=3, eta=0.5)
     assert res.batches == 1000
     assert len(calls) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the three baselines against a per-block replay
+# ---------------------------------------------------------------------------
+
+def _replay_fixed_batches(trace, N, rate_of_batch):
+    """Every full N-block batch of the trace; rate_of_batch(lo, t) gives its rate."""
+    batches, lo, ent = [], 1, 0.0
+    for t, h in enumerate(trace.h.tolist(), start=1):
+        ent += h
+        if t % N == 0:
+            rate = rate_of_batch(lo, t)
+            batches.append(BatchOutcome((lo, t), rate, ent, ent > rate + OUTAGE_TOL))
+            lo, ent = t + 1, 0.0
+    return batches
+
+
+def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon,
+                        proxy=None, logged=True):
+    """A baseline run equals the replayed batches: W_E(tau) = t - tau + 1, W_C
+    by the Lindley recursion on the batch messages, W_D = 0."""
+    n = model.block_len_n
+    sizes = [b.covers[1] - b.covers[0] + 1 for b in batches]
+    ends = [float(b.covers[1]) for b in batches]
+    bits = [n * b.rate_total for b in batches]
+    wc = lindley_wc(bits, ends, n * res.c)
+    decoded = sum(sizes)
+
+    rec = res.records
+    assert rec.block.tolist() == [
+        tau for b in batches for tau in range(b.covers[0], b.covers[1] + 1)]
+    assert rec.w_e.tolist() == [
+        float(b.covers[1] - tau + 1) for b in batches
+        for tau in range(b.covers[0], b.covers[1] + 1)]
+    assert np.allclose(rec.w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
+    assert not rec.w_d.any()
+    if logged:
+        assert res.batch_log == tuple(batches)
+        assert res.messages == tuple(
+            Message(emitted_at=b.covers[1], bits=n * b.rate_total, covers=b.covers,
+                    blank=False) for b in batches)
+    else:
+        assert res.batch_log is None and res.messages is None
+
+    assert (res.strategy, res.seed, res.blocks, res.epsilon) == (strategy, seed, T, epsilon)
+    assert (res.batches, res.decoded_blocks) == (len(batches), decoded)
+    busy = ends[-1] + wc[-1] if batches else 0.0
+    assert res.unstable == ((busy - T) > max(5.0, 0.02 * T))
+    assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T), rel=1e-12)
+    if proxy is None:
+        assert res.compression_ratio is None
+    else:
+        assert res.compression_ratio == pytest.approx(res.mean_encoding_rate / proxy)
+    if not decoded:
+        assert all(math.isnan(v) for v in (res.mean_delay, res.mean_w_e, res.mean_w_c,
+                                          res.mean_w_d, res.outage_rate))
+        return
+    out = sum(k for k, b in zip(sizes, batches) if b.outage)
+    assert res.outage_rate == out / decoded
+    assert res.mean_w_e == pytest.approx(sum(k * (k + 1) / 2 for k in sizes) / decoded,
+                                         rel=1e-12)
+    assert res.mean_w_c == pytest.approx(
+        sum(w * k for w, k in zip(wc, sizes)) / decoded, rel=1e-12, abs=1e-12)
+    assert res.mean_w_d == 0.0
+    assert res.mean_delay == res.mean_w_e + res.mean_w_c + res.mean_w_d
+
+
+def _baseline_models():
+    rng = np.random.default_rng(47)
+    models = [demo_model(), _offlattice_model(rng)]
+    models += [random_dyadic_model(rng, max_groups=3, max_total=6) for _ in range(3)]
+    bsc = bsc_pair_model(0.1)
+    models.append(SourceModel(bsc.entries, block_len_n=3))  # n > 1, marginal pmfs
+    return models
+
+
+def _proxy(model):
+    return 1.0 if model.entries[0].joint_pmf is not None else None  # uniform X
+
+
+@pytest.mark.parametrize("use_marginals", [True, False])
+def test_accumulate_matches_reference(use_marginals):
+    eps = 0.05
+    unstable = set()
+    for i, model in enumerate(_baseline_models()):
+        c = 1.02 * compute_stats(model).e_h
+        for N, T, kw in ((1, 600, dict(eta=0.3)), (3, 600, dict(eta=0.1)),
+                         (7, 600, dict(eta=0.2)), (5, 600, dict(c=c)),
+                         (41, 40, dict(eta=0.3))):  # no batch completes
+            trace = sample_trace(model, T, seed=i)
+            res = run_baseline_accumulate(
+                model, epsilon=eps, N=N, T=T, seed=i, use_marginals=use_marginals,
+                collect_records=True, collect_batches=True, **kw)
+            if use_marginals:
+                acc = RateAccumulator(model)
+
+                def rate_of_batch(lo, t):
+                    acc.reset()
+                    for g in trace.groups[lo - 1:t].tolist():
+                        acc.push_block(g)
+                    return acc.rate_quantile(eps)
+            else:
+                fixed = rate_unconditional(model, N, eps)
+
+                def rate_of_batch(lo, t):
+                    return fixed
+            batches = _replay_fixed_batches(trace, N, rate_of_batch)
+            _check_encoder_side(res, model, batches, strategy="accumulate", T=T,
+                                seed=i, epsilon=eps, proxy=_proxy(model))
+            unstable.add(res.unstable)
+    assert unstable == {True, False}
+
+
+@pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
+def test_known_joint_and_blockwise_match_reference():
+    T = 800
+    unstable = set()
+    for i, model in enumerate(_baseline_models()):
+        stats = compute_stats(model)
+        trace = sample_trace(model, T, seed=i)
+        for kw in (dict(eta=0.3), dict(eta=0.05), dict(c=0.9 * stats.h_max)):
+            kj = run_baseline_known_joint(model, T=T, seed=i, collect_records=True, **kw)
+            batches = _replay_fixed_batches(trace, 1, lambda lo, t: float(trace.h[t - 1]))
+            assert not any(b.outage for b in batches)
+            _check_encoder_side(kj, model, batches, strategy="known-joint", T=T, seed=i,
+                                epsilon=None, proxy=_proxy(model), logged=False)
+            bw = run_baseline_blockwise(model, T=T, seed=i, collect_records=True, **kw)
+            batches = _replay_fixed_batches(trace, 1, lambda lo, t: stats.h_max)
+            _check_encoder_side(bw, model, batches, strategy="blockwise", T=T, seed=i,
+                                epsilon=None, proxy=_proxy(model), logged=False)
+            unstable.update((kj.unstable, bw.unstable))
+    assert unstable == {True, False}
