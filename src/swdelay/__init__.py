@@ -7,7 +7,7 @@ delay bounds, provides a desk-scale random-binning codec, and builds models
 from paired symbol traces.
 """
 
-from .bounds import BoundsReport, LowerBound, bounds_report, gamma_coefficient, lb_delay, ub_delay
+from .bounds import LowerBound, bounds_report, gamma_coefficient, lb_delay, ub_delay
 from .channel import ChannelQueue
 from .codec import (
     Codebook,
@@ -22,7 +22,6 @@ from .codec import (
 )
 from .ingest import IngestResult, TraceBlock, blockify, quantize_model
 from .model import (
-    BlockDraw,
     BlockTrace,
     CdfEntry,
     EntropyStats,
@@ -39,8 +38,6 @@ from .model import (
 from .rate import ChernoffBatch, RateAccumulator, SumDistribution, k_c, k_c_chernoff, rate_unconditional
 from .strategies import (
     BatchOutcome,
-    DelayRecord,
-    Message,
     SimulationResult,
     run_baseline_accumulate,
     run_baseline_blockwise,

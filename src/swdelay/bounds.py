@@ -19,7 +19,10 @@ WE = "WE"
 WD = "WD"
 
 
-def _check_params(eta: float, epsilon: float) -> None:
+def _check_params(stats: EntropyStats, eta: float, epsilon: float) -> None:
+    if stats.e_h <= 0:
+        raise ModelError("the mean conditional entropy is 0: the channel rate "
+                         "E[H]/(1 - eta) is 0 and the bounds are undefined")
     if not 0 < eta < 1:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     if not 0 < epsilon < 1:
@@ -32,7 +35,7 @@ def gamma_coefficient(stats: EntropyStats, eta: float, epsilon: float) -> float:
     Written with the variance distributed through the bracket so the
     zero-variance model degenerates to 0 instead of 0/0.
     """
-    _check_params(eta, epsilon)
+    _check_params(stats, eta, epsilon)
     e = stats.e_h
     return (-2.0 * math.log(epsilon) / (e * e)) * (
         stats.var_h * (1.0 - eta) ** 2 + (stats.m_h * e / 3.0) * (eta - eta * eta)
@@ -66,7 +69,7 @@ class LowerBound(NamedTuple):
 
 def lb_delay(stats: EntropyStats, eta: float, epsilon: float, which: str) -> LowerBound:
     """Genie lower bound: maximum over groups with more than one member."""
-    _check_params(eta, epsilon)
+    _check_params(stats, eta, epsilon)
     if which not in (WE, WD):
         raise ValueError(f"which must be {WE!r} or {WD!r}, got {which!r}")
     # a group is a candidate exactly when it has several members
@@ -84,7 +87,9 @@ def lb_delay(stats: EntropyStats, eta: float, epsilon: float, which: str) -> Low
     out: list[BoundCandidate] = []
     for i in candidates_idx:
         e_i = stats.e_hi[i]
-        gamma_i = (-2.0 * math.log(epsilon) / (e_i * e_i)) * (
+        # a zero-entropy group has no variance and no spread: gamma_i = 0, as
+        # for the zero-variance model in gamma_coefficient
+        gamma_i = 0.0 if e_i == 0 else (-2.0 * math.log(epsilon) / (e_i * e_i)) * (
             stats.var_hi[i] * (1.0 - eta) ** 2
             + (stats.m_hi[i] * e_i / 3.0) * (eta - eta * eta)
         )
@@ -114,39 +119,27 @@ class BoundsRow:
     lb_wd: float
     gamma: float
     argmax_istar: int
-    lb_we_detail: tuple[BoundCandidate, ...]
-    lb_wd_detail: tuple[BoundCandidate, ...]
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    epsilon: float
-    degenerate: bool
-    rows: tuple[BoundsRow, ...]
 
 
 def bounds_report(
     stats: EntropyStats, eta_grid: Iterable[float], epsilon: float
-) -> BoundsReport:
+) -> tuple[BoundsRow, ...]:
     """Evaluate both bounds over an eta grid (argmax column follows the WE bound)."""
     rows = []
     for eta in eta_grid:
         lwe = lb_delay(stats, eta, epsilon, WE)
-        lwd = lb_delay(stats, eta, epsilon, WD)
         row = BoundsRow(
             eta=eta,
             ub_we=ub_delay(stats, eta, epsilon, WE),
             ub_wd=ub_delay(stats, eta, epsilon, WD),
             lb_we=lwe.value,
-            lb_wd=lwd.value,
+            lb_wd=lb_delay(stats, eta, epsilon, WD).value,
             gamma=gamma_coefficient(stats, eta, epsilon),
             argmax_istar=lwe.argmax,
-            lb_we_detail=lwe.candidates,
-            lb_wd_detail=lwd.candidates,
         )
         if row.ub_we < row.lb_we or row.ub_wd < row.lb_wd:
             raise AssertionError(
                 f"bound bracketing violated at eta={eta}: {row}"
             )
         rows.append(row)
-    return BoundsReport(epsilon=epsilon, degenerate=stats.var_h == 0, rows=tuple(rows))
+    return tuple(rows)

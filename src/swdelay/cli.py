@@ -199,7 +199,7 @@ def cmd_bounds(args) -> int:
         raise CliError(str(exc)) from exc
     rows = [
         (r.eta, r.ub_we, r.ub_wd, r.lb_we, r.lb_wd, r.gamma, r.argmax_istar)
-        for r in report.rows
+        for r in report
     ]
     _write_csv(
         args.out,
@@ -251,10 +251,9 @@ def cmd_simulate(args) -> int:
     _write_csv(args.out, SWEEP_COLUMNS, [_result_row(res, scale)],
                not args.no_timestamp)
     if args.trace_out is not None:
-        rows = [
-            (r.block, r.w_e * scale, r.w_c * scale, r.w_d * scale)
-            for r in res.records
-        ]
+        rec = res.records
+        rows = zip(rec.block.tolist(), (rec.w_e * scale).tolist(),
+                   (rec.w_c * scale).tolist(), (rec.w_d * scale).tolist())
         _write_csv(args.trace_out, ("t", "w_e", "w_c", "w_d"), rows,
                    not args.no_timestamp)
     return EXIT_OK
@@ -275,6 +274,8 @@ class SweepSpec:
     def __post_init__(self):
         if not all(0 < e < 1 for e in self.eta_grid):
             raise ValueError("every eta must be in (0, 1)")
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.blocks < 1:
             raise ValueError("block count must be >= 1")
         if not self.seeds:
@@ -369,7 +370,7 @@ def cmd_example_fig4(args) -> int:
     rows = []
     all_ok = True
     for strategy, which in (("we", "WE"), ("wd", "WD")):
-        for row in report.rows:
+        for row in report:
             sims = [
                 r.mean_delay for r in results
                 if r.strategy == strategy and r.eta == row.eta

@@ -14,7 +14,6 @@ never materialised as symbols here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import yaml
@@ -81,22 +80,11 @@ class SourceModel:
         """Number of groups whose marginals pin down the joint cdf (size 1)."""
         return sum(1 for l in self.group_sizes if l == 1)
 
-    @property
-    def nontrivial(self) -> bool:
-        """True when at least one group has several members."""
-        return any(l > 1 for l in self.group_sizes)
-
     def group_entries(self, group: int) -> tuple[CdfEntry, ...]:
         found = tuple(e for e in self.entries if e.group == group)
         if not found:
             raise ModelError(f"unknown group index {group}")
         return found
-
-    def entry(self, group: int, member: int) -> CdfEntry:
-        for e in self.entries:
-            if e.group == group and e.member == member:
-                return e
-        raise ModelError(f"unknown cdf index ({group}, {member})")
 
     def conditional_pmf(self, group: int) -> tuple[np.ndarray, np.ndarray]:
         """Entropy values and probabilities of the group, normalised to 1."""
@@ -116,10 +104,12 @@ class SourceModel:
         """Merge every group into one, i.e. forget the marginal information.
 
         The collapsed model has m = 1 and the same prior over conditional
-        entropies, which is exactly the worst case of the delay analysis.
+        entropies, which is exactly the worst case of the delay analysis.  It
+        is an entropy-level model: the joint pmfs are dropped, since members
+        of different groups do not share marginals.
         """
         merged = tuple(
-            CdfEntry(1, j + 1, e.prob, e.cond_entropy, e.joint_pmf)
+            CdfEntry(1, j + 1, e.prob, e.cond_entropy)
             for j, e in enumerate(self.entries)
         )
         return SourceModel(merged, self.block_len_n, self.slot_seconds)
@@ -146,18 +136,8 @@ class EntropyStats:
         return len(self.phi)
 
 
-@dataclass(frozen=True)
-class BlockDraw:
-    """One realisation of the per-block joint-cdf choice."""
-
-    t: int
-    group: int
-    member: int
-    h: float
-
-
 class BlockTrace:
-    """Array-backed i.i.d. sample of block draws (sequence of BlockDraw)."""
+    """I.i.d. per-block joint-cdf draws: group, member and H(X|Y) arrays."""
 
     __slots__ = ("groups", "members", "h")
 
@@ -168,18 +148,6 @@ class BlockTrace:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def __getitem__(self, t0: int) -> BlockDraw:
-        return BlockDraw(
-            t=t0 + 1,
-            group=int(self.groups[t0]),
-            member=int(self.members[t0]),
-            h=float(self.h[t0]),
-        )
-
-    def __iter__(self) -> Iterator[BlockDraw]:
-        for t0 in range(len(self)):
-            yield self[t0]
 
 
 def validate_model(model: SourceModel) -> list[str]:

@@ -57,21 +57,6 @@ class SumDistribution:
 
     support: np.ndarray
     probs: np.ndarray
-    resolution: float
-
-    def validate(self) -> list[str]:
-        bad = []
-        if self.support.shape != self.probs.shape or self.support.ndim != 1:
-            bad.append("support and probs must be 1-D arrays of equal length")
-            return bad
-        if abs(float(self.probs.sum()) - 1.0) > 1e-10:
-            bad.append(f"probabilities sum to {float(self.probs.sum())!r}")
-        if np.any(self.support < 0):
-            bad.append("support contains negative values")
-        gaps = np.diff(self.support)
-        if np.any(gaps < self.resolution / 2):
-            bad.append("support gaps smaller than half the merge resolution")
-        return bad
 
 
 def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
@@ -121,26 +106,14 @@ class RateAccumulator:
     Single-owner mutable state; all queries are pure given the pushed groups.
     """
 
-    def __init__(
-        self,
-        model: SourceModel,
-        epsilon: float | None = None,
-        h_res: float = H_RES_EXACT,
-        h_res_coarse: float = H_RES_COARSE,
-        max_points: int = MAX_POINTS,
-    ):
-        if epsilon is not None and not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    def __init__(self, model: SourceModel, max_points: int = MAX_POINTS):
         self.model = model
-        self.epsilon = epsilon
-        self.h_res = h_res
-        self.h_res_coarse = h_res_coarse
         self.max_points = max_points
 
         values = np.array([e.cond_entropy for e in model.entries], dtype=float)
-        step = _lattice_step(values, tol=h_res)
+        step = _lattice_step(values)
         if step is None:
-            step = h_res_coarse
+            step = H_RES_COARSE
             self.exact = False
         else:
             self.exact = True
@@ -179,7 +152,7 @@ class RateAccumulator:
     def _to_coarse(self) -> None:
         """Reproject the current lattice onto the coarse grid (round up)."""
         values = (self._off + np.arange(len(self._dense))) * self._step
-        self._step = self.h_res_coarse
+        self._step = H_RES_COARSE
         self.exact = False
         nz = np.flatnonzero(self._dense)
         idx = np.ceil(values[nz] / self._step - _IDX_EPS).astype(np.int64)
@@ -222,18 +195,17 @@ class RateAccumulator:
             return 0.0
         return float(dense[i:].sum())
 
-    def rate_quantile(self, epsilon: float | None = None) -> float:
+    def rate_quantile(self, epsilon: float) -> float:
         """Smallest support value R with P{sum > R} <= epsilon (bits, cumulative)."""
-        eps = self.epsilon if epsilon is None else epsilon
-        if eps is None or not 0 < eps < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {eps}")
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         if self.k < 1:
             raise ValueError("empty accumulator: push at least one block first")
         dense = self._dense
         cdf = np.cumsum(dense)
         tails = cdf[-1] - cdf
         nz = np.flatnonzero(dense)
-        ok = nz[tails[nz] <= eps]
+        ok = nz[tails[nz] <= epsilon]
         # the largest support point always has zero tail, so ok is non-empty
         return float((self._off + int(ok[0])) * self._step)
 
@@ -243,7 +215,6 @@ class RateAccumulator:
         return SumDistribution(
             support=support.astype(float),
             probs=self._dense[nz].copy(),
-            resolution=self.h_res if self.exact else self.h_res_coarse,
         )
 
 

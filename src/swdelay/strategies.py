@@ -50,34 +50,6 @@ STRATEGIES = (WAIT_TO_ENCODE, WAIT_TO_DECODE, KNOWN_JOINT, BLOCKWISE, ACCUMULATE
 
 
 @dataclass(frozen=True)
-class Message:
-    """Per-block encoder output: payload size and the block range it covers."""
-
-    emitted_at: int
-    bits: float
-    covers: tuple[int, int] | None  # inclusive block range, None when blank
-    blank: bool
-
-    def __post_init__(self):
-        if self.blank != (self.bits == 0) or self.blank != (self.covers is None):
-            raise ValueError("blank <=> zero bits <=> empty cover range")
-        if self.bits < 0:
-            raise ValueError("message size must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DelayRecord:
-    block: int
-    w_e: float
-    w_c: float
-    w_d: float
-
-    @property
-    def total(self) -> float:
-        return self.w_e + self.w_c + self.w_d
-
-
-@dataclass(frozen=True)
 class BatchOutcome:
     """Accounting for one jointly decoded batch."""
 
@@ -88,7 +60,7 @@ class BatchOutcome:
 
 
 class DelayRecords:
-    """Array-backed per-block delay stream (sequence of DelayRecord)."""
+    """Per-block delays of the decoded blocks, as four parallel arrays."""
 
     __slots__ = ("block", "w_e", "w_c", "w_d")
 
@@ -100,15 +72,6 @@ class DelayRecords:
 
     def __len__(self):
         return len(self.block)
-
-    def __getitem__(self, i: int) -> DelayRecord:
-        return DelayRecord(
-            int(self.block[i]), float(self.w_e[i]), float(self.w_c[i]), float(self.w_d[i])
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -131,7 +94,6 @@ class SimulationResult:
     unstable: bool = False
     records: DelayRecords | None = None
     batch_log: tuple[BatchOutcome, ...] | None = None
-    messages: tuple[Message, ...] | None = None
 
 
 def resolve_channel_rate(
@@ -330,7 +292,7 @@ def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: in
         unstable = (strategy != WAIT_TO_ENCODE
                     and (queue.busy_until - T) > max(5.0, 0.02 * T))
 
-    records = batch_log = messages = None
+    records = batch_log = None
     if collect_records:
         k = np.asarray(sizes, dtype=np.int64)
         block = np.arange(1, d + 1, dtype=np.int64)
@@ -344,13 +306,6 @@ def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: in
         ends = list(itertools.accumulate(sizes))
         covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
         batch_log = tuple(map(BatchOutcome, covers, rates, ents, outage))
-        if strategy == WAIT_TO_DECODE:  # one message per block, covering the pending batch
-            starts = [lo for lo, hi in covers for _ in range(lo, hi + 1)] + [d + 1] * (T - d)
-            messages = tuple(Message(emitted_at=t, bits=n * c, covers=(lo, t), blank=False)
-                             for t, lo in enumerate(starts, start=1))
-        else:
-            messages = tuple(Message(emitted_at=cover[1], bits=n * rate, covers=cover,
-                                     blank=False) for cover, rate in zip(covers, rates))
 
     mean_we, mean_wc, mean_wd = (s / d if d else math.nan for s in (sum_we, sum_wc, sum_wd))
     mean_rate = bits_emitted / (n * T)
@@ -374,7 +329,6 @@ def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: in
         unstable=unstable,
         records=records,
         batch_log=batch_log,
-        messages=messages,
     )
 
 
@@ -392,9 +346,9 @@ def run_wait_to_encode(
     """Defer encoding until the quantile rate per block drops to the channel rate.
 
     Each block's marginal group is pushed into the rate accumulator; while
-    quantile/K exceeds c only blank messages are emitted and the blocks wait
-    at the encoder.  At a flush the whole batch ships as one message sized at
-    the quantile, and the accumulator starts afresh.
+    quantile/K exceeds c the blocks wait at the encoder.  At a flush the whole
+    batch ships as one message sized at the quantile, and the accumulator
+    starts afresh.
     """
     return _simulate(WAIT_TO_ENCODE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
                      collect_records=collect_records, collect_batches=collect_batches)
@@ -503,7 +457,7 @@ def run_strategy(
             use_marginals=use_marginals and model.m > 1,
             collect_records=collect_records,
         )
-    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE) and not use_marginals:
+    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE) and not use_marginals and model.m > 1:
         model = model.collapse_marginals()
     return _simulate(strategy, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
                      collect_records=collect_records)

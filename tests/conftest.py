@@ -91,6 +91,17 @@ def lindley_wc(bits: list[float], arrivals: list[float], rate: float) -> list[fl
     return out
 
 
+def two_group_pmf_model(with_pmfs: bool = True) -> SourceModel:
+    """Two one-member groups whose 2x2 joint pmfs have different marginals
+    (optionally without the pmfs, at the entropy level only)."""
+    entries = []
+    for g, table in enumerate(([[0.4, 0.1], [0.1, 0.4]], [[0.6, 0.1], [0.1, 0.2]]), 1):
+        p = np.array(table)
+        h = float(-(p * np.log2(p / p.sum(axis=0))).sum())  # H(X|Y), rows = x
+        entries.append(CdfEntry(g, 1, 0.5, h, p if with_pmfs else None))
+    return SourceModel(tuple(entries))
+
+
 def random_dyadic_model(rng: np.random.Generator, max_groups: int = 3,
                         max_total: int = 6) -> SourceModel:
     """Random model whose entropies are exact dyadics (sums stay exact)."""

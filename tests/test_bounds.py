@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,32 @@ def test_lb_zero_group_variance():
     assert cand.term == pytest.approx(head + 0.8 * 0.5, abs=1e-12)
 
 
+def test_lb_zero_entropy_group():
+    """A group whose members all have zero entropy has no variance and no
+    spread: gamma_i = 0, beta = inf, and the bound stays finite."""
+    model = SourceModel(
+        (CdfEntry(1, 1, 0.5, 1.0), CdfEntry(2, 1, 0.25, 0.0), CdfEntry(2, 2, 0.25, 0.0))
+    )
+    s = compute_stats(model)
+    for which, const in (("WE", 1 / 6), ("WD", 0.5)):
+        lb = lb_delay(s, 0.25, 0.01, which)
+        (cand,) = lb.candidates
+        assert (cand.group, cand.gamma, cand.beta) == (2, 0.0, math.inf)
+        assert lb.value == pytest.approx((1 - 0.25) * 0.5 / 0.5 + 0.5 * const, abs=1e-12)
+    for row in bounds_report(s, [0.5, 0.1], 0.01):
+        assert math.isfinite(row.lb_we) and math.isfinite(row.lb_wd)
+
+
+def test_bounds_reject_zero_mean_entropy():
+    model = SourceModel((CdfEntry(1, 1, 0.5, 0.0), CdfEntry(1, 2, 0.5, 0.0)))
+    s = compute_stats(model)
+    for bound in (lambda: bounds_report(s, [0.5], 0.01),
+                  lambda: lb_delay(s, 0.5, 0.01, "WD"),
+                  lambda: ub_delay(s, 0.5, 0.01, "WE")):
+        with pytest.raises(ModelError, match="mean conditional entropy is 0"):
+            bound()
+
+
 def test_bounds_bracket_each_other(six_cdf_model):
     s = compute_stats(six_cdf_model)
     for eta in (0.5, 0.25, 0.1, 0.05, 0.02):
@@ -141,10 +169,9 @@ def test_lb_scaling_slope_deep_heavy_traffic(six_cdf_model):
 
 def test_report_rows_and_argmax(six_cdf_model):
     s = compute_stats(six_cdf_model)
-    report = bounds_report(s, [0.5, 0.25, 0.1], 0.01)
-    assert [r.eta for r in report.rows] == [0.5, 0.25, 0.1]
-    for r in report.rows:
+    rows = bounds_report(s, [0.5, 0.25, 0.1], 0.01)
+    assert [r.eta for r in rows] == [0.5, 0.25, 0.1]
+    for r in rows:
         assert r.lb_we <= r.ub_we and r.lb_wd <= r.ub_wd
         assert r.gamma > 0
-    assert report.rows[0].argmax_istar == 2
-    assert not report.degenerate
+    assert rows[0].argmax_istar == 2

@@ -9,6 +9,7 @@ from swdelay import cli, demo_model, save_model
 from swdelay.cli import SweepSpec, run_sweep
 from swdelay.strategies import STRATEGIES
 
+from conftest import two_group_pmf_model
 from test_ingest import PMF_A, PMF_B, synth_trace
 
 
@@ -105,6 +106,32 @@ def test_bounds_trivial_model_fails(tmp_path):
     assert "trivial model" in err
 
 
+def test_bounds_zero_entropy_group_and_zero_mean(tmp_path):
+    zero_group = tmp_path / "zero-group.yaml"
+    zero_group.write_text(
+        "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 1.0}\n"
+        "- members:\n  - {prob: 0.25, cond_entropy: 0.0}\n"
+        "  - {prob: 0.25, cond_entropy: 0.0}\n"
+    )
+    code, out, err = run_cli(
+        "bounds", "--model", zero_group.as_posix(), "--epsilon", "0.01",
+        "--eta-grid", "0.5,0.1", "--no-timestamp",
+    )
+    assert code == 0 and "Traceback" not in err
+    assert len(out.strip().splitlines()) == 3
+    zero_mean = tmp_path / "zero-mean.yaml"
+    zero_mean.write_text(
+        "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 0.0}\n"
+        "  - {prob: 0.5, cond_entropy: 0.0}\n"
+    )
+    code, out, err = run_cli(
+        "bounds", "--model", zero_mean.as_posix(), "--epsilon", "0.01",
+        "--eta-grid", "0.5",
+    )
+    assert code == 1 and out == ""
+    assert "mean conditional entropy is 0" in err and "Traceback" not in err
+
+
 def test_simulate_with_trace(model_file, tmp_path):
     out_csv = tmp_path / "run.csv"
     trace_csv = tmp_path / "trace.csv"
@@ -139,6 +166,26 @@ def test_simulate_no_marginals_exact_cycle(model_file):
     assert code == 0
     mean_delay = float(out.strip().splitlines()[1].split(",")[5])
     assert mean_delay == pytest.approx(3.5, abs=1e-9)  # K_c/2 + 3/2 at K_c = 4
+
+
+def test_simulate_no_marginals_on_pmf_model(tmp_path):
+    """Blind runs on a saved multi-group model with joint pmfs (as ingest
+    writes them) print the same rows as on the model without its pmfs."""
+    paths = []
+    for with_pmfs in (True, False):
+        paths.append(tmp_path / f"model-{with_pmfs}.yaml")
+        save_model(two_group_pmf_model(with_pmfs), paths[-1])
+    for strategy in ("we", "wd"):
+        outs = []
+        for path in paths:
+            code, out, err = run_cli(
+                "simulate", "--model", path.as_posix(), "--strategy", strategy,
+                "--epsilon", "0.05", "--eta", "0.3", "--blocks", "300", "--seed", "3",
+                "--no-marginals", "--no-timestamp",
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_simulate_seconds_flag(tmp_path):
@@ -297,8 +344,12 @@ def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, messag
 # their own per-block loops; a changed simulated number changes a digest
 FROZEN_SWEEP = "0336c2214fcf5dc49d1c4f19877bf01da33ca46ccb59e1e6196d183df03c9584"
 FROZEN_TRACES = {
-    "we": "72413708597c726ccdb649c7879b81cccf80ec4f6366896c7a1f31c22349383a",
-    "wd": "beb3d9e6764b373a47fb70bd01314610b773bde97b4ab7aa436ae25fe7d8c756",
+    ("we", False): "72413708597c726ccdb649c7879b81cccf80ec4f6366896c7a1f31c22349383a",
+    ("wd", False): "beb3d9e6764b373a47fb70bd01314610b773bde97b4ab7aa436ae25fe7d8c756",
+    # blind runs (--no-marginals), recorded while the per-block delay rows were
+    # still written through per-record objects
+    ("we", True): "41264b004a551a799ced885dc8d07922490a2747f6ebaed2addd9d85a4ad26c4",
+    ("wd", True): "38a2cde4dfe8dda9bf0ae2a9b159be1c59346b92afefc63aec47df40eaa06132",
 }
 
 
@@ -310,16 +361,17 @@ def test_frozen_outputs(model_file, tmp_path):
     )
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SWEEP
-    for strategy, digest in FROZEN_TRACES.items():
+    for (strategy, blind), digest in FROZEN_TRACES.items():
         trace = tmp_path / f"{strategy}.csv"
         code, out, err = run_cli(
             "simulate", "--model", model_file, "--strategy", strategy,
             "--epsilon", "0.01", "--eta", "0.15", "--blocks", "500", "--seed", "4",
             "--trace-out", trace.as_posix(), "--no-timestamp",
+            *(["--no-marginals"] if blind else []),
         )
         assert code == 0, err
         data = out.encode() + trace.read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, strategy
+        assert hashlib.sha256(data).hexdigest() == digest, (strategy, blind)
 
 
 _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
@@ -343,6 +395,8 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["ingest", "--input", "{trace}", "--n", "4", "--out", "{existing}",
       "--assign-out", "{missing}"], "cannot write"),
     (["ingest", "--input", "{trace}", "--n", "4"], "output model path is required"),
+    ([*_SWEEP, "--strategies", "known-joint,we", "--epsilon", "1.5"],
+     "epsilon must be in (0, 1)"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs and missing arguments exit 1 before any run, and leave an

@@ -29,12 +29,12 @@ def test_demo_model_valid(six_cdf_model):
     assert six_cdf_model.m == 3
     assert six_cdf_model.group_sizes == (1, 2, 3)
     assert six_cdf_model.m_star == 1
-    assert six_cdf_model.nontrivial
+    assert max(six_cdf_model.group_sizes) > 1
 
 
 def test_single_entry_valid(single_cdf_model):
     assert validate_model(single_cdf_model) == []
-    assert not single_cdf_model.nontrivial
+    assert single_cdf_model.group_sizes == (1,)
 
 
 def test_prior_must_sum_to_one():
@@ -128,7 +128,8 @@ def test_sample_trace_deterministic(six_cdf_model):
 
 def test_sample_trace_degenerate(single_cdf_model):
     tr = sample_trace(single_cdf_model, 5, seed=0)
-    assert [(d.group, d.member, d.h) for d in tr] == [(1, 1, 2.0)] * 5
+    assert list(zip(tr.groups.tolist(), tr.members.tolist(), tr.h.tolist())) == [
+        (1, 1, 2.0)] * 5
 
 
 def test_sample_trace_frequencies(six_cdf_model):
@@ -150,8 +151,10 @@ def test_sample_trace_rejects_zero_blocks(six_cdf_model):
 
 def test_trace_entropy_matches_entry(six_cdf_model):
     tr = sample_trace(six_cdf_model, 200, seed=9)
-    for draw in tr:
-        assert draw.h == six_cdf_model.entry(draw.group, draw.member).cond_entropy
+    declared = {(e.group, e.member): e.cond_entropy for e in six_cdf_model.entries}
+    assert len(tr) == 200
+    for g, j, h in zip(tr.groups.tolist(), tr.members.tolist(), tr.h.tolist()):
+        assert h == declared[(g, j)]
 
 
 def test_collapse_marginals(six_cdf_model):

@@ -49,7 +49,11 @@ def test_distribution_validates(six_cdf_model):
     acc = RateAccumulator(six_cdf_model)
     for g in (1, 2, 3, 3, 2):
         acc.push_block(g)
-    assert acc.distribution().validate() == []
+    d = acc.distribution()
+    assert d.support.ndim == 1 and d.support.shape == d.probs.shape
+    assert abs(float(d.probs.sum()) - 1.0) <= 1e-10
+    assert (d.support >= 0).all() and (d.probs > 0).all()
+    assert (np.diff(d.support) >= rate_mod.H_RES_EXACT / 2).all()
 
 
 def test_quantile_examples(six_cdf_model):

@@ -6,7 +6,6 @@ import pytest
 from swdelay import (
     BatchOutcome,
     CdfEntry,
-    Message,
     RateAccumulator,
     SourceModel,
     bsc_pair_model,
@@ -25,16 +24,7 @@ from swdelay import (
 
 from swdelay.strategies import OUTAGE_TOL
 
-from conftest import lindley_wc, random_dyadic_model
-
-
-def test_message_invariants():
-    Message(emitted_at=3, bits=8.0, covers=(1, 3), blank=False)
-    Message(emitted_at=3, bits=0.0, covers=None, blank=True)
-    with pytest.raises(ValueError):
-        Message(emitted_at=3, bits=0.0, covers=(1, 3), blank=False)
-    with pytest.raises(ValueError):
-        Message(emitted_at=3, bits=4.0, covers=None, blank=True)
+from conftest import lindley_wc, random_dyadic_model, two_group_pmf_model
 
 
 def test_we_single_entry_hand_trace(single_cdf_model):
@@ -78,6 +68,25 @@ def test_we_collapsed_deterministic_cycle(six_cdf_model):
         expected = (kc + 1) / 2 + rx / c
         assert res.mean_delay == pytest.approx(expected, abs=1e-9)
         assert res.mean_delay <= 1.5 * kc + 0.5 + 1e-9
+
+
+def test_blind_run_on_multigroup_pmf_model():
+    """Without marginals, a multi-group model with joint pmfs runs at the
+    entropy level: exactly as the same model without its pmfs."""
+    kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
+    for strategy in ("we", "wd"):
+        blind = run_strategy(strategy, two_group_pmf_model(), **kw)
+        assert blind == run_strategy(strategy, two_group_pmf_model(with_pmfs=False), **kw)
+
+
+def test_blind_run_leaves_one_group_model_as_is():
+    """A one-group model has no marginal information to forget."""
+    bsc = bsc_pair_model(0.1)
+    kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3)
+    for strategy in ("we", "wd"):
+        blind = run_strategy(strategy, bsc, use_marginals=False, **kw)
+        assert blind == run_strategy(strategy, bsc, use_marginals=True, **kw)
+        assert blind.compression_ratio is not None
 
 
 def test_we_quantile_degenerates_at_large_epsilon(single_cdf_model):
@@ -202,13 +211,13 @@ def test_records_stream(six_cdf_model):
         six_cdf_model, epsilon=0.05, T=300, seed=19, eta=0.25,
         collect_records=True,
     )
-    recs = list(res.records)
-    assert len(recs) == res.decoded_blocks
-    assert all(r.w_e == 1.0 and r.w_c == 1.0 and r.w_d >= 0.0 for r in recs)
-    mean = float(np.mean([r.total for r in recs]))
+    rec = res.records
+    assert len(rec) == res.decoded_blocks
+    assert (rec.w_e == 1.0).all() and (rec.w_c == 1.0).all() and (rec.w_d >= 0.0).all()
+    mean = float(np.mean(rec.w_e + rec.w_c + rec.w_d))
     assert mean == pytest.approx(res.mean_delay, abs=1e-9)
     # covered blocks are contiguous from the start
-    assert [r.block for r in recs] == sorted(r.block for r in recs)
+    assert rec.block.tolist() == list(range(1, res.decoded_blocks + 1))
 
 
 def test_overload_warns(six_cdf_model):
@@ -241,28 +250,20 @@ def test_compression_ratio_only_with_pmfs(six_cdf_model):
     assert res.compression_ratio == pytest.approx(res.mean_encoding_rate / 1.0)
 
 
-def test_message_streams(six_cdf_model):
+def test_encoding_rate_matches_batch_log(six_cdf_model):
     T = 200
     we = run_wait_to_encode(
         six_cdf_model, epsilon=0.05, T=T, seed=29, eta=0.25, collect_batches=True
     )
-    # one non-blank message per batch, sized n * quantile, covering the batch
-    assert len(we.messages) == we.batches
-    for msg, batch in zip(we.messages, we.batch_log):
-        assert not msg.blank
-        assert msg.covers == batch.covers
-        assert msg.emitted_at == batch.covers[1]
-        assert msg.bits == pytest.approx(batch.rate_total * 1.0)
-    total_bits = sum(m.bits for m in we.messages)
-    assert we.mean_encoding_rate == pytest.approx(total_bits / T, abs=1e-12)
+    # one message per batch, sized n * quantile
+    assert len(we.batch_log) == we.batches
+    n = six_cdf_model.block_len_n
+    total_bits = sum(n * b.rate_total for b in we.batch_log)
+    assert we.mean_encoding_rate == pytest.approx(total_bits / (n * T), abs=1e-12)
 
-    wd = run_wait_to_decode(
-        six_cdf_model, epsilon=0.05, T=T, seed=29, eta=0.25, collect_batches=True
-    )
+    wd = run_wait_to_decode(six_cdf_model, epsilon=0.05, T=T, seed=29, eta=0.25)
     # the saturated encoder ships one channel-rate message every block
-    assert len(wd.messages) == T
-    assert all(m.bits == pytest.approx(wd.c) for m in wd.messages)
-    assert wd.messages[0].covers == (1, 1)
+    assert wd.mean_encoding_rate == pytest.approx(wd.c)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def _reference_batches(model, trace, c, epsilon, quantile):
 
 
 def _check_against_reference(model, *, epsilon, T, seed, eta):
-    """we and wd runs equal the reference: batches, records, messages, summary."""
+    """we and wd runs equal the reference: batches, records, summary."""
     modes = set()
     for run, quantile in ((run_wait_to_encode, True), (run_wait_to_decode, False)):
         res = run(model, epsilon=epsilon, T=T, seed=seed, eta=eta,
@@ -323,10 +324,6 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
             (rec.w_e.mean(), rec.w_c.mean(), rec.w_d.mean()), rel=1e-12)
         if quantile:
             bits = [n * b.rate_total for b in batches]
-            assert res.messages == tuple(
-                Message(emitted_at=b.covers[1], bits=n * b.rate_total,
-                        covers=b.covers, blank=False) for b in batches
-            )
             w_c = np.repeat(lindley_wc(bits, [float(b.covers[1]) for b in batches],
                                        n * res.c), sizes)
             assert res.records.w_e.tolist() == [
@@ -337,18 +334,12 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
             assert not res.records.w_d.any()
             assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T))
         else:
-            starts = {1} | {b.covers[1] + 1 for b in batches}
-            expect, lo = [], 1
-            for t in range(1, T + 1):
-                lo = t if t in starts else lo
-                expect.append(Message(emitted_at=t, bits=n * res.c,
-                                      covers=(lo, t), blank=False))
-            assert res.messages == tuple(expect)
             assert res.records.w_d.tolist() == [
                 float(b.covers[1] - tau) for b in batches
                 for tau in range(b.covers[0], b.covers[1] + 1)
             ]
             assert (res.records.w_e == 1.0).all() and (res.records.w_c == 1.0).all()
+            assert res.mean_encoding_rate == pytest.approx(res.c)  # n*c bits every block
     return modes
 
 
@@ -438,13 +429,7 @@ def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon,
         for tau in range(b.covers[0], b.covers[1] + 1)]
     assert np.allclose(rec.w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
     assert not rec.w_d.any()
-    if logged:
-        assert res.batch_log == tuple(batches)
-        assert res.messages == tuple(
-            Message(emitted_at=b.covers[1], bits=n * b.rate_total, covers=b.covers,
-                    blank=False) for b in batches)
-    else:
-        assert res.batch_log is None and res.messages is None
+    assert res.batch_log == (tuple(batches) if logged else None)
 
     assert (res.strategy, res.seed, res.blocks, res.epsilon) == (strategy, seed, T, epsilon)
     assert (res.batches, res.decoded_blocks) == (len(batches), decoded)
