@@ -397,11 +397,11 @@ def cmd_example_fig4(args) -> int:
 def cmd_codec(args) -> int:
     if (args.model is None) == (args.bsc is None):
         raise CliError("give exactly one of --model or --bsc CROSSOVER")
+    _check_writable(args.out)
     model = bsc_pair_model(args.bsc) if args.bsc is not None else _load(args)
     groups = tuple(_parse_ints(args.groups)) if args.groups else (1,) * args.k
-    rows = []
-    for rate in _parse_floats(args.rates):
-        config = codec_mod.CodecConfig(
+    configs = [
+        codec_mod.CodecConfig(
             alphabet_x=args.alphabet_x,
             alphabet_y=args.alphabet_y,
             n=args.n,
@@ -410,11 +410,18 @@ def cmd_codec(args) -> int:
             rate_bits=rate,
             seed=args.seed,
         )
+        for rate in _parse_floats(args.rates)
+    ]
+    for config in configs:  # checks the groups and pmf shapes before any trial
+        codec_mod.Codebook(model, config, groups, args.kind)
+    rows = []
+    for config in configs:
         report = codec_mod.run_codec_trials(
             model, groups, config, kind=args.kind,
             trials=args.trials, seed=args.seed + 1,
         )
-        rows.append((rate, report.err_rate, report.eps1, report.eps2, report.eps3))
+        rows.append((config.rate_bits, report.err_rate, report.eps1, report.eps2,
+                     report.eps3))
     _write_csv(args.out, ("rate_bits", "err_rate", "eps1", "eps2", "eps3"),
                rows, not args.no_timestamp)
     return EXIT_OK

@@ -33,7 +33,8 @@ import numpy as np
 
 from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
-from .model import BlockTrace, EntropyStats, SourceModel, compute_stats, sample_trace
+from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, compute_stats,
+                    sample_trace)
 from .rate import RateAccumulator, rate_unconditional
 
 # absorbs float accumulation noise when comparing realised entropy sums
@@ -105,6 +106,9 @@ def resolve_channel_rate(
     if eta is not None:
         if not 0 < eta < 1:
             raise ValueError(f"eta must be in (0, 1), got {eta}")
+        if stats.e_h <= 0:
+            raise ModelError("the mean conditional entropy is 0: the channel rate "
+                             "E[H]/(1 - eta) is 0")
         return stats.e_h / (1.0 - eta), eta
     if c <= 0:
         raise ValueError(f"channel rate must be positive, got {c}")

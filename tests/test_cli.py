@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from swdelay import cli, demo_model, save_model
+from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
+from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay.cli import SweepSpec, run_sweep
 from swdelay.strategies import STRATEGIES
 
@@ -353,6 +354,16 @@ FROZEN_TRACES = {
 }
 
 
+# sha256 of `codec --no-timestamp` on the benchmark's codec model, recorded
+# while every trial still ran through the per-sequence encode/decode calls
+FROZEN_CODEC = {
+    ("batch", "12", "1", "6,9,12"):
+        "f9ab88ca85391a7aa8ebcb63db8e85589787fcb2dfd4e522e06fbcde52ae6c9f",
+    ("sequential", "7", "2", "8,11,14"):
+        "ba844a1b85feb64f18c4e9f040f8ea9771b7e318f7306d12a32ec27bd0ebaac5",
+}
+
+
 def test_frozen_outputs(model_file, tmp_path):
     code, out, err = run_cli(
         "sweep", "--model", model_file, "--strategies", ",".join(STRATEGIES),
@@ -372,6 +383,20 @@ def test_frozen_outputs(model_file, tmp_path):
         assert code == 0, err
         data = out.encode() + trace.read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, (strategy, blind)
+    codec_model = tmp_path / "codec.yaml"
+    save_model(SourceModel(tuple(
+        CdfEntry(1, j, 0.5, cond_entropy_x_given_y_bits(p), p)
+        for j, p in enumerate((np.array([[0.45, 0.05], [0.05, 0.45]]),
+                               np.full((2, 2), 0.25)), start=1)
+    )), codec_model)
+    for (kind, n, k, rates), digest in FROZEN_CODEC.items():
+        code, out, err = run_cli(
+            "codec", "--model", codec_model.as_posix(), "--kind", kind, "--n", n,
+            "--k", k, "--rates", rates, "--delta", "0.5", "--trials", "200",
+            "--seed", "11", "--no-timestamp",
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
 
 
 _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
@@ -397,6 +422,10 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["ingest", "--input", "{trace}", "--n", "4"], "output model path is required"),
     ([*_SWEEP, "--strategies", "known-joint,we", "--epsilon", "1.5"],
      "epsilon must be in (0, 1)"),
+    (["codec", "--bsc", "0.1", "--n", "12", "--delta", "0.5", "--rates", "9,-1",
+      "--trials", "3000"], "rate_bits must be nonnegative"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2,4",
+      "--trials", "10", "--out", "{missing}"], "cannot write"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs and missing arguments exit 1 before any run, and leave an
@@ -409,6 +438,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
 
     monkeypatch.setattr(cli, "run_strategy", never)
     monkeypatch.setattr(cli, "quantize_model", never)
+    monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
     existing = tmp_path / "existing.csv"
     existing.write_text("kept\n")
     trace = tmp_path / "trace.csv"
@@ -424,3 +454,21 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
     assert message in err and out == ""
     assert not calls
     assert existing.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_mean_entropy_with_eta_is_rejected(tmp_path, capsys, recwarn, strategy):
+    """E[H] = 0 makes the channel rate E[H]/(1 - eta) zero: every strategy
+    exits 1 with the message bounds gives, before any warning."""
+    path = tmp_path / "zero-mean.yaml"
+    path.write_text(
+        "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 0.0}\n"
+        "  - {prob: 0.5, cond_entropy: 0.0}\n"
+    )
+    code = cli.main(["simulate", "--model", path.as_posix(), "--strategy", strategy,
+                     "--epsilon", "0.01", "--eta", "0.5", "--blocks", "20",
+                     "--batch-size", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "mean conditional entropy is 0" in err
+    assert not recwarn.list

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,7 +16,8 @@ from swdelay import (
     jointly_typical,
     run_codec_trials,
 )
-from swdelay.codec import error_breakdown
+from swdelay import codec
+from swdelay.codec import CodecTrialReport, error_breakdown
 
 
 def _uniform_pair_entry() -> CdfEntry:
@@ -219,3 +222,138 @@ def test_sequential_hashed_trials():
                               trials=150, seed=3)
     assert 0 <= report.err_rate < 1.0
     assert report.eps1 + report.eps2 + report.eps3 == report.errors
+
+
+# ---------------------------------------------------------------------------
+# reference: the trials replayed one at a time through the public functions
+# ---------------------------------------------------------------------------
+
+def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
+    """Random model whose members share their group's X and Y marginals
+    (and may have zero cells)."""
+    entries = []
+    prior = rng.dirichlet(np.ones(groups * members))
+    for g in range(groups):
+        base = np.outer(rng.dirichlet(np.ones(ax)), rng.dirichlet(np.ones(ay)))
+        for j in range(members):
+            i0, i1 = rng.choice(ax, 2, replace=False)
+            j0, j1 = rng.choice(ay, 2, replace=False)
+            move = np.zeros((ax, ay))
+            move[i0, j0] = move[i1, j1] = 1.0
+            move[i0, j1] = move[i1, j0] = -1.0
+            lo, hi = -min(base[i0, j0], base[i1, j1]), min(base[i0, j1], base[i1, j0])
+            pmf = np.clip(base + rng.choice([lo, hi, rng.uniform(lo, hi)]) * move, 0, None)
+            entries.append(CdfEntry(g + 1, j + 1, float(prior[g * members + j]), 0.5,
+                                    pmf / pmf.sum()))
+    return SourceModel(tuple(entries))
+
+
+def _replay_trials(model, groups, cfg, kind, trials, seed) -> CodecTrialReport:
+    """Each trial drawn with choice() per block, coded with the public
+    encode/decode, and a collision found by scanning the received bin."""
+    book = Codebook(model, cfg, groups, kind)
+    K, n = cfg.blocks, cfg.n
+    in_bin = {}  # message -> X-typical sequences with that raw bin
+    for seq in itertools.product(range(cfg.alphabet_x), repeat=K * n):
+        s = np.array(seq).reshape(K, n)
+        if is_typical(s, book.marginal_entries(), cfg.delta):
+            in_bin.setdefault(book.bin_of(s), []).append(s)
+    rng = np.random.default_rng(seed)
+    member_lists = [model.group_entries(g) for g in groups]
+    errors = failures = eps1 = eps2 = eps3 = 0
+    for _ in range(trials):
+        xs, ys, truth = [], [], []
+        for mem in member_lists:
+            probs = np.array([e.prob for e in mem])
+            e = mem[rng.choice(len(mem), p=probs / probs.sum())]
+            truth.append(e)
+            pmf = e.joint_pmf
+            flat = rng.choice(pmf.size, size=n, p=pmf.ravel() / pmf.sum())
+            xs.append(flat // cfg.alphabet_y)
+            ys.append(flat % cfg.alphabet_y)
+        x, y = np.array(xs), np.array(ys)
+        bins = encode(book, x)
+        got = decode(book, bins, y)
+        if got is not None and np.array_equal(got, x):
+            continue
+        errors += 1
+        failures += got is None
+        if not jointly_typical(x, y, truth, cfg.delta):
+            eps1 += 1
+        elif any(not np.array_equal(s, x) and jointly_typical(s, y, truth, cfg.delta)
+                 for s in in_bin.get(bins, [])):
+            eps2 += 1
+        else:
+            eps3 += 1
+    return CodecTrialReport(trials, errors, failures, eps1, eps2, eps3)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(14):
+        ax, ay = (int(a) for a in rng.choice([2, 3], 2))
+        K = 1 + i % 2
+        width = int(rng.integers(2, (7 if ax == 2 else 5) + 1))
+        n = max(1, width // K)
+        G, M = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        model = _shared_marginal_model(rng, ax, ay, G, M)
+        full = n * K * np.log2(ax)
+        rate = [0.0, full * K, float(rng.uniform(0, full))][i % 3]  # all, injective, hashed
+        cfg = CodecConfig(ax, ay, n, K, float(rng.choice([0.4, 0.8, 1.5])), rate,
+                          seed=int(rng.integers(0, 50)))
+        groups = tuple(int(g) for g in rng.integers(1, G + 1, size=K))
+        cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
+    # no sequence is typical: P(x=1) = 0.7, n = 3 and delta 0.01
+    pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
+    model = SourceModel((CdfEntry(1, 1, 1.0, 1.0, pmf),))
+    cases.append((model, (1,), CodecConfig(2, 2, 3, 1, 0.01, 2.0, seed=1), "batch"))
+    return cases
+
+
+def test_trials_match_one_at_a_time_reference():
+    totals = np.zeros(4, dtype=int)
+    for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
+        report = run_codec_trials(model, groups, cfg, kind=kind, trials=60, seed=i)
+        assert report == _replay_trials(model, groups, cfg, kind, 60, i), (i, cfg, kind)
+        totals += (report.failures, report.eps1, report.eps2, report.eps3)
+    assert np.all(totals > 0), totals  # every error event occurs somewhere
+
+
+@pytest.mark.parametrize("cells", [1, 10**12])
+def test_trials_independent_of_chunking(monkeypatch, cells):
+    """At 64 candidates of 12 cells per trial the default chunk holds about
+    85 trials; one cell per chunk means one trial per chunk."""
+    model = bsc_pair_model(0.1)
+    cfg = CodecConfig(2, 2, 12, 1, delta=0.5, rate_bits=6.0, seed=2)
+    default = run_codec_trials(model, (1,), cfg, trials=200, seed=5)
+    assert default == _replay_trials(model, (1,), cfg, "batch", 200, 5)
+    monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)
+    assert run_codec_trials(model, (1,), cfg, trials=200, seed=5) == default
+
+
+def test_typicality_adds_block_sums_in_order():
+    """Deviations add per-block log-likelihood sums block by block; a sum over
+    the whole width can differ in the last bit, which decides a pair lying
+    exactly on the delta boundary."""
+    rng = np.random.default_rng(11)
+    entries = [CdfEntry(1, 1, 1.0, 0.5, np.array([[a, 0.5 - a], [0.5 - a, a]]))
+               for a in (0.41, 0.07)]  # uniform marginals: X and Y deviations are 0
+    logs = [np.log2(e.joint_pmf) for e in entries]
+    h = sum(-(e.joint_pmf * lg).sum() for e, lg in zip(entries, logs))
+    for _ in range(1000):
+        x, y = rng.integers(0, 2, (2, 16)), rng.integers(0, 2, (2, 16))
+        blocks = [lg[xk, yk] for lg, xk, yk in zip(logs, x, y)]
+        dev = abs(-(float(blocks[0].sum()) + float(blocks[1].sum())) / 32 - h / 2)
+        whole = abs(-float(np.concatenate(blocks).sum()) / 32 - h / 2)
+        delta = dev - codec._TYP_TOL
+        while np.nextafter(delta, 0) + codec._TYP_TOL >= dev:
+            delta = np.nextafter(delta, 0)
+        while delta + codec._TYP_TOL < dev:
+            delta = np.nextafter(delta, 1)
+        if whole != dev and delta + codec._TYP_TOL == dev:
+            break
+    else:
+        pytest.fail("no pair whose block-order and whole-width sums differ")
+    assert jointly_typical(x, y, entries, delta)
+    assert not jointly_typical(x, y, entries, np.nextafter(delta, 0))
