@@ -42,6 +42,7 @@ from .strategies import (
     run_baseline_accumulate,
     run_baseline_blockwise,
     run_baseline_known_joint,
+    run_adaptive,
     run_strategy,
     run_wait_to_decode,
     run_wait_to_encode,

@@ -33,8 +33,8 @@ from .model import (
     validate_model,
 )
 from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
-from .strategies import (ACCUMULATE, STRATEGIES, SimulationResult, resolve_channel_rate,
-                         run_strategy)
+from .strategies import (ACCUMULATE, ADAPTIVE, STRATEGIES, SimulationResult,
+                         resolve_channel_rate, run_adaptive, run_strategy)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -261,7 +261,8 @@ def cmd_simulate(args) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One Monte Carlo sweep: every (strategy, eta, seed) is one run."""
+    """One Monte Carlo sweep: every (strategy, eta, seed) is one run; the
+    ``we`` and ``wd`` runs of one (eta, seed) share one segmentation pass."""
 
     strategies: tuple[str, ...]
     eta_grid: tuple[float, ...]
@@ -286,33 +287,38 @@ class SweepSpec:
         if ACCUMULATE in self.strategies and self.batch_size is None:
             raise ValueError("the accumulate baseline needs a batch size")
 
-    def tasks(self) -> list[tuple[str, float, int]]:
-        return [
-            (strategy, eta, seed)
-            for strategy in self.strategies
-            for eta in self.eta_grid
-            for seed in self.seeds
-        ]
+    def tasks(self) -> list[tuple[tuple[str, ...], float, int]]:
+        """One task per (strategy, eta, seed), with ``we`` and ``wd`` in one."""
+        paired = set(ADAPTIVE) <= set(self.strategies)
+        groups = dict.fromkeys(ADAPTIVE if paired and s in ADAPTIVE else (s,)
+                               for s in self.strategies)
+        return [(group, eta, seed) for group in groups
+                for eta in self.eta_grid for seed in self.seeds]
 
 
-def _sweep_task(payload) -> SimulationResult:
-    model, spec, task = payload
-    strategy, eta, seed = task
-    return run_strategy(
-        strategy, model,
-        epsilon=spec.epsilon, T=spec.blocks, seed=seed, eta=eta,
-        batch_size=spec.batch_size, use_marginals=spec.use_marginals,
-    )
+def _sweep_task(payload) -> tuple[SimulationResult, ...]:
+    model, spec, (group, eta, seed) = payload
+    kw = dict(epsilon=spec.epsilon, T=spec.blocks, seed=seed, eta=eta,
+              use_marginals=spec.use_marginals)
+    if group == ADAPTIVE:
+        return run_adaptive(model, **kw)
+    return (run_strategy(group[0], model, batch_size=spec.batch_size, **kw),)
 
 
 def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
               ) -> list[SimulationResult]:
     """All sweep runs, merged back in spec order regardless of completion."""
     tasks = spec.tasks()
+    payloads = [(model, spec, t) for t in tasks]
     if workers <= 1:
-        return [_sweep_task((model, spec, t)) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_task, [(model, spec, t) for t in tasks]))
+        done = map(_sweep_task, payloads)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_sweep_task, payloads))
+    by_run = {(res.strategy, eta, seed): res
+              for (_, eta, seed), results in zip(tasks, done) for res in results}
+    return [by_run[strategy, eta, seed] for strategy in spec.strategies
+            for eta in spec.eta_grid for seed in spec.seeds]
 
 
 def cmd_sweep(args) -> int:
@@ -517,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--blocks", type=int, required=True, help="simulated blocks T")
-    p.add_argument("--batch-size", type=int, default=None,
+    p.add_argument("--batch-size", type=_positive_int, default=None,
                    help="N for the accumulate baseline")
     p.add_argument("--no-marginals", action="store_true",
                    help="collapse the marginal groups (blind encoder/decoder)")
@@ -535,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--seeds", required=True, help="comma list of seeds")
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--no-marginals", action="store_true")
     p.add_argument("--seconds", action="store_true",
                    help="report delays in seconds (needs slot_seconds)")

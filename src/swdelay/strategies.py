@@ -7,13 +7,14 @@ is covered), and three reference baselines.  Messages carry sizes, never
 symbols: a decoded batch is in outage exactly when its realised entropy sum
 exceeds the bits delivered for it, the idealised large-block decoding model.
 
-A run is one segmentation pass, then one accounting pass.  Segmentation cuts
-the trace into batches: ``we`` and ``wd`` on the same test, tail(K*c) <=
-epsilon, memoized per run by the batch's group-count vector (a memo hit could
-flip a decision only for a tail within rounding of epsilon); ``accumulate``
-every N blocks; ``known-joint`` and ``blockwise`` every block.  Accounting
-charges the delays on one of two sides, following the closed-form cycle
-analysis so that the deterministic worst cases are exact:
+A run is one segmentation pass, then one accounting pass per strategy.
+Segmentation cuts the trace into batches: ``we`` and ``wd`` on the same test,
+tail(K*c) <= epsilon, memoized per run by the batch's group-count vector (a
+memo hit could flip a decision only for a tail within rounding of epsilon), so
+``run_adaptive`` segments one trace once for both; ``accumulate`` every N
+blocks; ``known-joint`` and ``blockwise`` every block.  Accounting charges the
+delays on one of two sides, following the closed-form cycle analysis so that
+the deterministic worst cases are exact:
 
 * encoder side (deferred encoding, the baselines): the batch closing at t
   ships as one message into the FIFO channel queue, W_E(tau) = t - tau + 1,
@@ -48,6 +49,7 @@ BLOCKWISE = "blockwise"
 ACCUMULATE = "accumulate"
 
 STRATEGIES = (WAIT_TO_ENCODE, WAIT_TO_DECODE, KNOWN_JOINT, BLOCKWISE, ACCUMULATE)
+ADAPTIVE = (WAIT_TO_ENCODE, WAIT_TO_DECODE)  # the pair that shares one segmentation
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,8 @@ _MISS = object()  # memo sentinel: stored values are None or a rate, which can b
 class _StoppingRule:
     """The shared ``we``/``wd`` batch stop, tail(K*c) <= epsilon, memoized per run.
 
+    A flush returns the batch's epsilon-quantile, the ``we`` message size;
+    ``wd`` ships K*c instead and reads only where the batch closed.
     Convolution commutes, so the stop decision and the quantile depend only on
     the batch's group-count vector, packed here into one integer key (one count
     field of ``T.bit_length() + 1`` bits per group, so no collisions for
@@ -138,12 +142,10 @@ class _StoppingRule:
     most T entries.
     """
 
-    def __init__(self, model: SourceModel, *, c: float, epsilon: float, T: int,
-                 quantile: bool):
+    def __init__(self, model: SourceModel, *, c: float, epsilon: float, T: int):
         self.acc = RateAccumulator(model)
         self.c = c
         self.epsilon = epsilon
-        self.quantile = quantile
         width = T.bit_length() + 1
         self._bit = {g: 1 << (width * (g - 1)) for g in range(1, model.m + 1)}
         self._k = 0
@@ -153,9 +155,8 @@ class _StoppingRule:
         self._exact = self.acc.exact  # lattice mode at the start of the batch
 
     def push(self, group: int) -> float | None:
-        """Adds one block: None while the batch waits, else the batch's rate at
-        the flush (the epsilon-quantile with ``quantile``, else K*c); the next
-        push then starts a new batch."""
+        """Adds one block: None while the batch waits, else the batch's
+        epsilon-quantile at the flush; the next push then starts a new batch."""
         self._k += 1
         self._key += self._bit[group]
         rate = self._memo.get(self._key, _MISS)
@@ -177,10 +178,8 @@ class _StoppingRule:
         # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
         if acc.tail_above(K * self.c) > self.epsilon:
             rate = None
-        elif self.quantile:
-            rate = acc.rate_quantile(self.epsilon)
         else:
-            rate = K * self.c
+            rate = acc.rate_quantile(self.epsilon)
         self._memo[self._key] = rate
         return rate
 
@@ -235,12 +234,18 @@ def _segment(trace: BlockTrace, stop) -> tuple[list[int], list[float], list[floa
     return sizes, ents, rates
 
 
-def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: int,
-              seed: int, eta: float | None, c: float | None, N: int = 1,
-              use_marginals: bool = False, collect_records: bool = False,
-              collect_batches: bool = False) -> SimulationResult:
-    """One run of any strategy: prologue, segmentation, accounting."""
-    if strategy in (KNOWN_JOINT, BLOCKWISE):
+def _simulate(strategies: tuple[str, ...], model: SourceModel, *, epsilon: float | None,
+              T: int, seed: int, eta: float | None, c: float | None, N: int = 1,
+              use_marginals: bool = True, collect_records: bool = False,
+              collect_batches: bool = False) -> list[SimulationResult]:
+    """Runs of one strategy, or of both ``ADAPTIVE`` strategies on one trace:
+    one prologue and one segmentation pass, then one accounting pass each.
+    Without ``use_marginals`` the adaptive strategies run blind, on the
+    collapsed model."""
+    first = strategies[0]
+    if first in ADAPTIVE and not use_marginals and model.m > 1:
+        model = model.collapse_marginals()
+    if first in (KNOWN_JOINT, BLOCKWISE):
         epsilon = None  # never in outage, so no outage target
     elif epsilon is None or not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -248,7 +253,7 @@ def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: in
         epsilon = float(epsilon)
     stats = compute_stats(model)
     c, eta = resolve_channel_rate(stats, eta, c)
-    if c <= stats.e_h and strategy != BLOCKWISE:  # blockwise reports `unstable`
+    if c <= stats.e_h and first != BLOCKWISE:  # blockwise reports `unstable`
         warnings.warn(
             f"channel rate {c!r} does not exceed the mean conditional entropy "
             f"{stats.e_h!r}; delay may diverge",
@@ -257,83 +262,88 @@ def _simulate(strategy: str, model: SourceModel, *, epsilon: float | None, T: in
         )
     trace = sample_trace(model, T, seed)
 
-    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE):
-        rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T,
-                             quantile=strategy == WAIT_TO_ENCODE)
+    if first in ADAPTIVE:
+        rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T)
         sizes, ents, rates = _segment(trace, rule.push)
-    elif strategy == ACCUMULATE:
+    elif first == ACCUMULATE:
         sizes, ents, rates = _segment(trace, _fixed_stop(model, N, epsilon, use_marginals))
     else:  # one block per batch, shipped at its own entropy or at H_max
         ents = trace.h.tolist()
         sizes = [1] * T
-        rates = ents if strategy == KNOWN_JOINT else [stats.h_max] * T
+        rates = ents if first == KNOWN_JOINT else [stats.h_max] * T
 
     n = model.block_len_n
     d = sum(sizes)
-    outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, rates)]
-    outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
-    wcs: list[float] | None = [] if collect_records else None
-    if strategy == WAIT_TO_DECODE:
-        sum_we = sum_wc = float(d)
-        sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
-        bits_emitted = n * c * T
-        unstable = False
-    else:
-        queue = ChannelQueue(rate_bits_per_block=n * c)
-        enqueue = queue.enqueue
-        sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
-        sum_wc = sum_wd = bits_emitted = 0.0
-        t = 0
-        for K, rate in zip(sizes, rates):
-            t += K
-            bits = n * rate
-            w_c = enqueue(bits, float(t)) - t
-            sum_wc += w_c * K
-            bits_emitted += bits
-            if wcs is not None:
-                wcs.append(w_c)
-        # superlinear queue growth: the backlog at the end never drained
-        unstable = (strategy != WAIT_TO_ENCODE
-                    and (queue.busy_until - T) > max(5.0, 0.02 * T))
-
-    records = batch_log = None
-    if collect_records:
-        k = np.asarray(sizes, dtype=np.int64)
-        block = np.arange(1, d + 1, dtype=np.int64)
-        lag = np.repeat(np.cumsum(k), k) - block  # t - tau
-        if strategy == WAIT_TO_DECODE:
-            records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
-        else:
-            records = DelayRecords(block, (lag + 1).astype(float),
-                                   np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
-    if collect_batches:
-        ends = list(itertools.accumulate(sizes))
-        covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
-        batch_log = tuple(map(BatchOutcome, covers, rates, ents, outage))
-
-    mean_we, mean_wc, mean_wd = (s / d if d else math.nan for s in (sum_we, sum_wc, sum_wd))
-    mean_rate = bits_emitted / (n * T)
     proxy = _entropy_x_proxy(model)
-    return SimulationResult(
-        strategy=strategy,
-        eta=eta,
-        epsilon=epsilon,
-        seed=seed,
-        blocks=T,
-        decoded_blocks=d,
-        batches=len(sizes),
-        mean_delay=mean_we + mean_wc + mean_wd,
-        mean_w_e=mean_we,
-        mean_w_c=mean_wc,
-        mean_w_d=mean_wd,
-        outage_rate=outage_blocks / d if d else math.nan,
-        mean_encoding_rate=mean_rate,
-        compression_ratio=(mean_rate / proxy) if proxy else None,
-        c=c,
-        unstable=unstable,
-        records=records,
-        batch_log=batch_log,
-    )
+    results = []
+    for strategy in strategies:
+        # the wd decoder holds K*c bits at a close, whatever the batch's quantile
+        batch_rates = [K * c for K in sizes] if strategy == WAIT_TO_DECODE else rates
+        outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
+        outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
+        wcs: list[float] | None = [] if collect_records else None
+        if strategy == WAIT_TO_DECODE:
+            sum_we = sum_wc = float(d)
+            sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
+            bits_emitted = n * c * T
+            unstable = False
+        else:
+            queue = ChannelQueue(rate_bits_per_block=n * c)
+            enqueue = queue.enqueue
+            sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
+            sum_wc = sum_wd = bits_emitted = 0.0
+            t = 0
+            for K, rate in zip(sizes, batch_rates):
+                t += K
+                bits = n * rate
+                w_c = enqueue(bits, float(t)) - t
+                sum_wc += w_c * K
+                bits_emitted += bits
+                if wcs is not None:
+                    wcs.append(w_c)
+            # superlinear queue growth: the backlog at the end never drained
+            unstable = (strategy != WAIT_TO_ENCODE
+                        and (queue.busy_until - T) > max(5.0, 0.02 * T))
+
+        records = batch_log = None
+        if collect_records:
+            k = np.asarray(sizes, dtype=np.int64)
+            block = np.arange(1, d + 1, dtype=np.int64)
+            lag = np.repeat(np.cumsum(k), k) - block  # t - tau
+            if strategy == WAIT_TO_DECODE:
+                records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
+            else:
+                records = DelayRecords(block, (lag + 1).astype(float),
+                                       np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
+        if collect_batches:
+            ends = list(itertools.accumulate(sizes))
+            covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
+            batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage))
+
+        mean_we, mean_wc, mean_wd = (s / d if d else math.nan
+                                     for s in (sum_we, sum_wc, sum_wd))
+        mean_rate = bits_emitted / (n * T)
+        results.append(SimulationResult(
+            strategy=strategy,
+            eta=eta,
+            epsilon=epsilon,
+            seed=seed,
+            blocks=T,
+            decoded_blocks=d,
+            batches=len(sizes),
+            mean_delay=mean_we + mean_wc + mean_wd,
+            mean_w_e=mean_we,
+            mean_w_c=mean_wc,
+            mean_w_d=mean_wd,
+            outage_rate=outage_blocks / d if d else math.nan,
+            mean_encoding_rate=mean_rate,
+            compression_ratio=(mean_rate / proxy) if proxy else None,
+            c=c,
+            unstable=unstable,
+            records=records,
+            batch_log=batch_log,
+        ))
+    return results
 
 
 def run_wait_to_encode(
@@ -354,8 +364,8 @@ def run_wait_to_encode(
     batch ships as one message sized at the quantile, and the accumulator
     starts afresh.
     """
-    return _simulate(WAIT_TO_ENCODE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records, collect_batches=collect_batches)
+    return _simulate((WAIT_TO_ENCODE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records, collect_batches=collect_batches)[0]
 
 
 def run_wait_to_decode(
@@ -377,8 +387,31 @@ def run_wait_to_decode(
     quantile fits within K*c bits; the batch is in outage when the realised
     entropy sum exceeds K*c.
     """
-    return _simulate(WAIT_TO_DECODE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records, collect_batches=collect_batches)
+    return _simulate((WAIT_TO_DECODE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records, collect_batches=collect_batches)[0]
+
+
+def run_adaptive(
+    model: SourceModel,
+    *,
+    epsilon: float,
+    T: int,
+    seed: int,
+    eta: float,
+    use_marginals: bool = True,
+    collect_records: bool = False,
+    collect_batches: bool = False,
+) -> tuple[SimulationResult, SimulationResult]:
+    """The (``we``, ``wd``) results of one trace, from one segmentation pass.
+
+    Both strategies stop on the same test, so they cut the trace into the same
+    batches; each result equals its ``run_wait_to_encode`` or
+    ``run_wait_to_decode`` run.  Without ``use_marginals`` a multi-group model
+    is collapsed once for both (blind encoder and decoder).
+    """
+    return tuple(_simulate(ADAPTIVE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=None,
+                           use_marginals=use_marginals, collect_records=collect_records,
+                           collect_batches=collect_batches))
 
 
 def run_baseline_known_joint(
@@ -395,8 +428,8 @@ def run_baseline_known_joint(
     Zero outage by construction; the only random delay component is the FIFO
     queue fed by the per-block entropies.
     """
-    return _simulate(KNOWN_JOINT, model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records)
+    return _simulate((KNOWN_JOINT,), model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records)[0]
 
 
 def run_baseline_blockwise(
@@ -412,8 +445,8 @@ def run_baseline_blockwise(
 
     Zero outage; unstable (diverging delay) whenever c < H_max.
     """
-    return _simulate(BLOCKWISE, model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records)
+    return _simulate((BLOCKWISE,), model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
+                     collect_records=collect_records)[0]
 
 
 def run_baseline_accumulate(
@@ -432,9 +465,9 @@ def run_baseline_accumulate(
     """Fixed-size batching: flush every N blocks at the N-block quantile rate."""
     if N < 1:
         raise ValueError(f"batch size must be >= 1, got {N}")
-    return _simulate(ACCUMULATE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+    return _simulate((ACCUMULATE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
                      N=N, use_marginals=use_marginals,
-                     collect_records=collect_records, collect_batches=collect_batches)
+                     collect_records=collect_records, collect_batches=collect_batches)[0]
 
 
 def run_strategy(
@@ -461,7 +494,5 @@ def run_strategy(
             use_marginals=use_marginals and model.m > 1,
             collect_records=collect_records,
         )
-    if strategy in (WAIT_TO_ENCODE, WAIT_TO_DECODE) and not use_marginals and model.m > 1:
-        model = model.collapse_marginals()
-    return _simulate(strategy, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records)
+    return _simulate((strategy,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
+                     use_marginals=use_marginals, collect_records=collect_records)[0]

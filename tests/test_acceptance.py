@@ -67,14 +67,15 @@ C4_SEEDS = (1, 2, 3)
 def bracketing_sweep():
     """Criterion 3 workload; rows are reused by the outage criterion."""
     model = sw.demo_model()
-    runs = {"we": sw.run_wait_to_encode, "wd": sw.run_wait_to_decode}
     t0 = time.perf_counter()
+    pairs = {
+        eta: [sw.run_adaptive(model, epsilon=EPS, T=C3_BLOCKS, seed=seed, eta=eta)
+              for seed in C3_SEEDS]
+        for eta in C3_ETAS
+    }
     results = {
-        (name, eta): [
-            run(model, epsilon=EPS, T=C3_BLOCKS, seed=seed, eta=eta)
-            for seed in C3_SEEDS
-        ]
-        for name, run in runs.items()
+        (name, eta): [pair[i] for pair in pairs[eta]]
+        for i, name in enumerate(("we", "wd"))
         for eta in C3_ETAS
     }
     return results, time.perf_counter() - t0
@@ -87,12 +88,13 @@ def scaling_runs():
     t0 = time.perf_counter()
     out: dict[str, list[sw.SimulationResult]] = {"we": [], "wd": [], "known-joint": []}
     means: dict[str, list[float]] = {"we": [], "wd": [], "known-joint": []}
-    for name, run in (("we", sw.run_wait_to_encode), ("wd", sw.run_wait_to_decode)):
-        for eta in C4_ETAS:
-            T = 1_000_000 if eta == min(C4_ETAS) else 200_000
-            batch = [
-                run(model, epsilon=EPS, T=T, seed=seed, eta=eta) for seed in C4_SEEDS
-            ]
+    for eta in C4_ETAS:
+        T = 1_000_000 if eta == min(C4_ETAS) else 200_000
+        pairs = [
+            sw.run_adaptive(model, epsilon=EPS, T=T, seed=seed, eta=eta) for seed in C4_SEEDS
+        ]
+        for i, name in enumerate(("we", "wd")):
+            batch = [pair[i] for pair in pairs]
             out[name].extend(batch)
             means[name].append(float(np.mean([r.mean_delay for r in batch])))
     for eta in C4_ETAS:

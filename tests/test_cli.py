@@ -8,6 +8,7 @@ import pytest
 from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
 from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay.cli import SweepSpec, run_sweep
+from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
 
 from conftest import two_group_pmf_model
@@ -208,27 +209,54 @@ def test_simulate_seconds_flag(tmp_path):
 
 
 def test_sweep_row_count_and_order(model_file):
-    code, out, _ = run_cli(
-        "sweep", "--model", model_file, "--strategies", "we,wd",
-        "--eta-grid", "0.5,0.25", "--epsilon", "0.01", "--blocks", "300",
-        "--seeds", "1,2,3", "--no-timestamp",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 1 + 2 * 2 * 3
-    strategies = [line.split(",")[0] for line in lines[1:]]
-    assert strategies == ["we"] * 6 + ["wd"] * 6
+    """Rows come strategy-major in the order asked, also when the we and wd
+    runs of one (eta, seed) come from one shared task."""
+    for names in (["we", "wd"], ["wd", "known-joint", "we"]):
+        code, out, _ = run_cli(
+            "sweep", "--model", model_file, "--strategies", ",".join(names),
+            "--eta-grid", "0.5,0.25", "--epsilon", "0.01", "--blocks", "300",
+            "--seeds", "1,2,3", "--no-timestamp",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + len(names) * 2 * 3
+        rows = [tuple(line.split(",")[i] for i in (0, 1, 3)) for line in lines[1:]]
+        assert rows == [(s, eta, seed) for s in names
+                        for eta in ("0.5", "0.25") for seed in ("1", "2", "3")]
 
 
 def test_sweep_workers_match_sequential():
     model = demo_model()
-    spec = SweepSpec(
-        strategies=("we", "wd"), eta_grid=(0.5, 0.25), epsilon=0.01,
-        blocks=400, seeds=(1, 2),
-    )
-    seq = run_sweep(model, spec, workers=1)
-    par = run_sweep(model, spec, workers=3)
-    assert seq == par
+    for strategies, workers in ((("we", "wd"), 3), (("wd", "known-joint", "we"), 2)):
+        spec = SweepSpec(
+            strategies=strategies, eta_grid=(0.5, 0.25), epsilon=0.01,
+            blocks=400, seeds=(1, 2),
+        )
+        seq = run_sweep(model, spec, workers=1)
+        par = run_sweep(model, spec, workers=workers)
+        assert seq == par
+        assert [r.strategy for r in seq] == [s for s in strategies for _ in range(4)]
+
+
+def test_sweep_segments_each_eta_and_seed_once(model_file, monkeypatch, capsys):
+    """we and wd of one (eta, seed) share one trace and one segmentation."""
+    calls = []
+
+    def counting(name):
+        original = getattr(strategies_mod, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("sample_trace", "_segment"):
+        monkeypatch.setattr(strategies_mod, name, counting(name))
+    assert cli.main(["sweep", "--model", model_file, "--strategies", "we,wd",
+                     "--eta-grid", "0.5,0.25", "--epsilon", "0.01", "--blocks", "300",
+                     "--seeds", "1,2", "--no-timestamp"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2 * 2 * 2
+    assert sorted(calls) == ["_segment"] * 4 + ["sample_trace"] * 4
 
 
 def test_determinism_byte_identical(model_file):
@@ -328,6 +356,8 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
       "--blocks", "20", "--workers", "2"], "unrecognized arguments: --workers"),
     (["ingest", "--input", "x.csv", "--n", "4", "--workers", "2"],
      "unrecognized arguments: --workers"),
+    (["simulate", "--strategy", "accumulate", "--epsilon", "0.01", "--eta", "0.5",
+      "--blocks", "20", "--batch-size", "0"], "--batch-size: must be >= 1"),
 ])
 def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
     """Rejected while parsing: exit 1 with a message and no worker process."""
@@ -364,6 +394,11 @@ FROZEN_CODEC = {
 }
 
 
+# sha256 of `example-fig4 --no-timestamp`, recorded while every we and wd run
+# still segmented its own trace
+FROZEN_FIG4 = "98ea9b1326af72f8fb46c06a4e80d855ee25642a728ad4991eaa23956ab2c55e"
+
+
 def test_frozen_outputs(model_file, tmp_path):
     code, out, err = run_cli(
         "sweep", "--model", model_file, "--strategies", ",".join(STRATEGIES),
@@ -397,6 +432,10 @@ def test_frozen_outputs(model_file, tmp_path):
         )
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
+    code, out, err = run_cli("example-fig4", "--blocks", "2000", "--seeds", "1,2",
+                             "--eta-grid", "0.5,0.25,0.1", "--no-timestamp")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FIG4
 
 
 _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
@@ -426,6 +465,9 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
       "--trials", "3000"], "rate_bits must be nonnegative"),
     (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2,4",
       "--trials", "10", "--out", "{missing}"], "cannot write"),
+    (["sweep", "--strategies", "we,wd,accumulate", "--eta-grid", "0.1,0.05",
+      "--epsilon", "0.01", "--blocks", "100000", "--seeds", "1", "--batch-size", "0"],
+     "--batch-size: must be >= 1"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs and missing arguments exit 1 before any run, and leave an
@@ -437,6 +479,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
         raise AssertionError("computation started before the arguments were checked")
 
     monkeypatch.setattr(cli, "run_strategy", never)
+    monkeypatch.setattr(cli, "run_adaptive", never)
     monkeypatch.setattr(cli, "quantize_model", never)
     monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
     existing = tmp_path / "existing.csv"

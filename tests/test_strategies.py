@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from swdelay import (
     run_baseline_accumulate,
     run_baseline_blockwise,
     run_baseline_known_joint,
+    run_adaptive,
     run_strategy,
     run_wait_to_decode,
     run_wait_to_encode,
@@ -77,6 +79,22 @@ def test_blind_run_on_multigroup_pmf_model():
     for strategy in ("we", "wd"):
         blind = run_strategy(strategy, two_group_pmf_model(), **kw)
         assert blind == run_strategy(strategy, two_group_pmf_model(with_pmfs=False), **kw)
+
+
+def test_blind_pair_run_equals_single_runs(monkeypatch):
+    """run_adaptive without marginals collapses the model once for both."""
+    collapse = SourceModel.collapse_marginals
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return collapse(self)
+
+    kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
+    singles = tuple(run_strategy(s, two_group_pmf_model(), **kw) for s in ("we", "wd"))
+    monkeypatch.setattr(SourceModel, "collapse_marginals", counted)
+    assert run_adaptive(two_group_pmf_model(), **kw) == singles
+    assert len(calls) == 1
 
 
 def test_blind_run_leaves_one_group_model_as_is():
@@ -303,12 +321,19 @@ def _reference_batches(model, trace, c, epsilon, quantile):
 
 
 def _check_against_reference(model, *, epsilon, T, seed, eta):
-    """we and wd runs equal the reference: batches, records, summary."""
+    """we and wd runs, alone and as the two halves of one run_adaptive pass,
+    equal the reference: batches, records, summary."""
+    kw = dict(epsilon=epsilon, T=T, seed=seed, eta=eta,
+              collect_records=True, collect_batches=True)
+    pair = run_adaptive(model, **kw)
+    trace = sample_trace(model, T, seed)
     modes = set()
-    for run, quantile in ((run_wait_to_encode, True), (run_wait_to_decode, False)):
-        res = run(model, epsilon=epsilon, T=T, seed=seed, eta=eta,
-                  collect_records=True, collect_batches=True)
-        trace = sample_trace(model, T, seed)
+    for run, quantile, half in ((run_wait_to_encode, True, pair[0]),
+                                (run_wait_to_decode, False, pair[1])):
+        res = run(model, **kw)
+        assert dataclasses.replace(half, records=None) == dataclasses.replace(res, records=None)
+        for field in ("block", "w_e", "w_c", "w_d"):
+            assert getattr(half.records, field).tolist() == getattr(res.records, field).tolist()
         batches, exact = _reference_batches(model, trace, res.c, epsilon, quantile)
         modes.update(exact)
         assert res.batch_log == tuple(batches)
