@@ -102,18 +102,15 @@ def _load(args) -> SourceModel:
         raise CliError(f"cannot load model: {exc}") from exc
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type) -> list:
+    """A comma list flag: at least one value, each parsed by ``kind``."""
+    values = [v for v in text.split(",") if v != ""]
+    if not values:
+        raise CliError(f"empty list {text!r}")
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in values]
     except ValueError as exc:
-        raise CliError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise CliError(f"bad integer list {text!r}") from exc
+        raise CliError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -167,7 +164,7 @@ def cmd_rate(args) -> int:
         value = rate_unconditional(model, args.blocks, args.epsilon)
     else:
         acc = RateAccumulator(model)
-        for g in _parse_ints(args.groups):
+        for g in _parse_list(args.groups, int):
             acc.push_block(g)
         value = acc.rate_quantile(args.epsilon)
     print(_fmt(value))
@@ -192,7 +189,7 @@ def cmd_kc(args) -> int:
 def cmd_bounds(args) -> int:
     model = _load(args)
     stats = compute_stats(model)
-    etas = _parse_floats(args.eta_grid)
+    etas = _parse_list(args.eta_grid, float)
     try:
         report = bounds_mod.bounds_report(stats, etas, args.epsilon)
     except ModelError as exc:
@@ -279,8 +276,8 @@ class SweepSpec:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.blocks < 1:
             raise ValueError("block count must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not (self.strategies and self.eta_grid and self.seeds):
+            raise ValueError("a sweep needs at least one strategy, eta and seed")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
@@ -327,10 +324,10 @@ def cmd_sweep(args) -> int:
     scale = _delay_scale(model, args.seconds)
     spec = SweepSpec(
         strategies=tuple(args.strategies.split(",")),
-        eta_grid=tuple(_parse_floats(args.eta_grid)),
+        eta_grid=tuple(_parse_list(args.eta_grid, float)),
         epsilon=args.epsilon,
         blocks=args.blocks,
-        seeds=tuple(_parse_ints(args.seeds)),
+        seeds=tuple(_parse_list(args.seeds, int)),
         batch_size=args.batch_size,
         use_marginals=not args.no_marginals,
     )
@@ -356,8 +353,8 @@ def cmd_example_fig4(args) -> int:
     model = demo_model()
     stats = compute_stats(model)
     epsilon = 0.01
-    etas = tuple(_parse_floats(args.eta_grid))
-    seeds = tuple(_parse_ints(args.seeds))
+    etas = tuple(_parse_list(args.eta_grid, float))
+    seeds = tuple(_parse_list(args.seeds, int))
     report = bounds_mod.bounds_report(stats, etas, epsilon)
     spec = SweepSpec(
         strategies=("we", "wd"),
@@ -405,7 +402,7 @@ def cmd_codec(args) -> int:
         raise CliError("give exactly one of --model or --bsc CROSSOVER")
     _check_writable(args.out)
     model = bsc_pair_model(args.bsc) if args.bsc is not None else _load(args)
-    groups = tuple(_parse_ints(args.groups)) if args.groups else (1,) * args.k
+    groups = tuple(_parse_list(args.groups, int)) if args.groups is not None else (1,) * args.k
     configs = [
         codec_mod.CodecConfig(
             alphabet_x=args.alphabet_x,
@@ -416,7 +413,7 @@ def cmd_codec(args) -> int:
             rate_bits=rate,
             seed=args.seed,
         )
-        for rate in _parse_floats(args.rates)
+        for rate in _parse_list(args.rates, float)
     ]
     for config in configs:  # checks the groups and pmf shapes before any trial
         codec_mod.Codebook(model, config, groups, args.kind)

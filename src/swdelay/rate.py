@@ -8,14 +8,14 @@ convolution and answers the quantile of the outage constraint: the smallest
 rate R with P{sum > R} <= epsilon (outage is strict exceedance, which makes
 the quantile attainable on discrete support).
 
-Internally the distribution lives on an arithmetic lattice.  When every
-entropy value in the model is a multiple of a common step (up to 1e-9) the
-lattice is exact and the support is the exact value list; otherwise values
-are rounded *up* to a coarse 1e-3-bit grid, which can only overestimate the
-quantile and therefore preserves the outage guarantee.  ``max_points`` caps
-the *exact* lattice only: if it would ever exceed that many support points
-the accumulator falls back to the coarse grid on the fly, once; the coarse
-grid itself is not capped.
+Internally the distribution lives on an arithmetic lattice, chosen once per
+model.  When every entropy value in the model is a multiple (up to 1e-9) of a
+common step of at least 1e-3 bit, the lattice is exact and the support is the
+exact value list; otherwise values are rounded *up* to a coarse 1e-3-bit
+grid, which can only overestimate the quantile and therefore preserves the
+outage guarantee.  Either way the lattice is never finer than the coarse
+grid, so the support grows linearly in the number of pushes; it is not
+capped.
 
 Each push is a direct convolution with the group's pmf on the lattice (its
 kernel).  On the coarse grid a kernel spans hundreds of cells but holds only
@@ -35,7 +35,6 @@ from .model import EntropyStats, ModelError, SourceModel, compute_stats
 
 H_RES_EXACT = 1e-9
 H_RES_COARSE = 1e-3
-MAX_POINTS = 1_000_000
 
 # index-space slack when locating a strict-exceedance threshold on the
 # lattice: absorbs float rounding of K*c without ever crossing a full step
@@ -60,22 +59,24 @@ class SumDistribution:
 
 
 def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
-    """Common arithmetic step of the values (approximate gcd), or None."""
+    """Common arithmetic step of the values (approximate gcd), or None when
+    there is none of at least ``H_RES_COARSE`` (a finer lattice would hold more
+    cells than the coarse grid)."""
     step = 0.0
     for v in np.abs(np.asarray(values, dtype=float)):
         a, b = step, float(v)
         while b > tol:
             a, b = b, math.fmod(a, b)
         step = a
-    if step <= 1e-7:
-        return None
     # snap to a round value when one fits (keeps exact decimal lattices exact)
     rounded = round(step, 9)
     if rounded > 0 and all(
         abs(v / rounded - round(v / rounded)) * rounded <= tol for v in values
     ):
         step = rounded
-    if any(abs(v / step - round(v / step)) * step > tol for v in values):
+    if step < H_RES_COARSE or any(
+        abs(v / step - round(v / step)) * step > tol for v in values
+    ):
         return None
     return step
 
@@ -106,21 +107,14 @@ class RateAccumulator:
     Single-owner mutable state; all queries are pure given the pushed groups.
     """
 
-    def __init__(self, model: SourceModel, max_points: int = MAX_POINTS):
-        self.model = model
-        self.max_points = max_points
+    def __init__(self, model: SourceModel):
+        step = _lattice_step(np.array([e.cond_entropy for e in model.entries], dtype=float))
+        self.exact = step is not None
+        self._step = step if self.exact else H_RES_COARSE
 
-        values = np.array([e.cond_entropy for e in model.entries], dtype=float)
-        step = _lattice_step(values)
-        if step is None:
-            step = H_RES_COARSE
-            self.exact = False
-        else:
-            self.exact = True
-        self._step = step
-
-        # per-group kernels; in coarse mode entry values are rounded up, never down
-        self._build_kernels()
+        # per-group kernels; on the coarse grid entry values are rounded up, never down
+        self._gpmf = {g: self._densify(*model.conditional_pmf(g))
+                      for g in range(1, model.m + 1)}
 
         self._dense = np.ones(1)
         self._off = 0
@@ -143,25 +137,6 @@ class RateAccumulator:
             atoms = tuple(zip(nz.tolist(), dense[nz].tolist()))
         return _Kernel(off, dense, atoms)
 
-    def _build_kernels(self) -> None:
-        self._gpmf: dict[int, _Kernel] = {
-            g: self._densify(*self.model.conditional_pmf(g))
-            for g in range(1, self.model.m + 1)
-        }
-
-    def _to_coarse(self) -> None:
-        """Reproject the current lattice onto the coarse grid (round up)."""
-        values = (self._off + np.arange(len(self._dense))) * self._step
-        self._step = H_RES_COARSE
-        self.exact = False
-        nz = np.flatnonzero(self._dense)
-        idx = np.ceil(values[nz] / self._step - _IDX_EPS).astype(np.int64)
-        off = int(idx.min())
-        dense = np.zeros(int(idx.max()) - off + 1)
-        np.add.at(dense, idx - off, self._dense[nz])
-        self._off, self._dense = off, dense
-        self._build_kernels()
-
     def reset(self) -> None:
         self._dense = np.ones(1)
         self._off = 0
@@ -173,10 +148,6 @@ class RateAccumulator:
             off, kernel, atoms = self._gpmf[group]
         except KeyError:
             raise ModelError(f"unknown group index {group}") from None
-        # coarse onto coarse is the identity, so only the exact lattice reprojects
-        if self.exact and len(self._dense) + len(kernel) - 1 > self.max_points:
-            self._to_coarse()
-            off, kernel, atoms = self._gpmf[group]
         if atoms is None:
             self._dense = np.convolve(self._dense, kernel)
         else:

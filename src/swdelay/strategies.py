@@ -152,7 +152,6 @@ class _StoppingRule:
         self._key = 0
         self._pending: list[int] = []
         self._memo: dict[int, float | None] = {}
-        self._exact = self.acc.exact  # lattice mode at the start of the batch
 
     def push(self, group: int) -> float | None:
         """Adds one block: None while the batch waits, else the batch's
@@ -189,17 +188,13 @@ class _StoppingRule:
         self._k = 0
         self._key = 0
         self._pending.clear()
-        if self.acc.exact != self._exact:
-            # the coarse grid is sticky across reset(): entries from the exact
-            # lattice, and from the batch that crossed over, no longer hold
-            self._memo.clear()
-            self._exact = self.acc.exact
 
 
 def _fixed_stop(model: SourceModel, N: int, epsilon: float, use_marginals: bool):
     """The accumulate stop: every N blocks, at the epsilon-quantile of the batch's
-    own groups with ``use_marginals``, else at the unconditional N-block one."""
-    if not use_marginals:
+    own groups with ``use_marginals``, else at the unconditional N-block one (the
+    same rate when the model has one group)."""
+    if not use_marginals or model.m == 1:
         fixed = rate_unconditional(model, N, epsilon)
         count = itertools.count(1)
         return lambda group: None if next(count) % N else fixed
@@ -491,7 +486,7 @@ def run_strategy(
             raise ValueError("the accumulate baseline needs a batch size")
         return run_baseline_accumulate(
             model, epsilon=epsilon, N=batch_size, T=T, seed=seed, eta=eta, c=c,
-            use_marginals=use_marginals and model.m > 1,
+            use_marginals=use_marginals,
             collect_records=collect_records,
         )
     return _simulate((strategy,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,

@@ -468,10 +468,20 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["sweep", "--strategies", "we,wd,accumulate", "--eta-grid", "0.1,0.05",
       "--epsilon", "0.01", "--blocks", "100000", "--seeds", "1", "--batch-size", "0"],
      "--batch-size: must be >= 1"),
+    ([*_SWEEP, "--strategies", "we,wd", "--eta-grid", ",", "--out", "{existing}"],
+     "empty list"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", ",",
+      "--trials", "10", "--out", "{existing}"], "empty list"),
+    (["bounds", "--epsilon", "0.01", "--eta-grid", ",", "--out", "{existing}"],
+     "empty list"),
+    (["example-fig4", "--blocks", "20", "--eta-grid", ",", "--out", "{existing}"],
+     "empty list"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--groups", "", "--trials", "10", "--out", "{existing}"], "empty list"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
-    """Bad outputs and missing arguments exit 1 before any run, and leave an
-    existing output file as it was."""
+    """Bad outputs, missing arguments and empty list flags exit 1 before any
+    run, and leave an existing output file as it was."""
     calls = []
 
     def never(*args, **kwargs):
@@ -490,13 +500,20 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
                  existing=existing.as_posix(), folder=tmp_path.as_posix(),
                  trace=trace.as_posix())
     argv = [a.format(**paths) for a in argv]
-    if argv[0] in ("simulate", "sweep"):
+    if argv[0] in ("simulate", "sweep", "bounds"):
         argv += ["--model", model_file]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert message in err and out == ""
     assert not calls
     assert existing.read_text() == "kept\n"
+
+
+def test_sweep_spec_rejects_empty_grids():
+    kw = dict(strategies=("we",), eta_grid=(0.5,), epsilon=0.01, blocks=10, seeds=(1,))
+    for field in ("strategies", "eta_grid", "seeds"):
+        with pytest.raises(ValueError, match="at least one"):
+            SweepSpec(**{**kw, field: ()})
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

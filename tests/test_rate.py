@@ -141,15 +141,18 @@ def test_quantile_monotone_in_pushes_and_epsilon(six_cdf_model):
         assert grid == sorted(grid, reverse=True)
 
 
-def test_coarse_mode_is_conservative():
-    """Non-lattice entropies fall back to the round-up grid."""
-    entries = (
-        CdfEntry(1, 1, 0.5, math.log2(3)),       # irrational-ish values
-        CdfEntry(1, 2, 0.5, math.log2(5) / 7),
-    )
-    model = SourceModel(entries)
+@pytest.mark.parametrize("values", [
+    (math.log2(3), math.log2(5) / 7),  # irrational-ish values
+    (1.0, 3.000001),  # a common step of 1e-6 bit: finer than the coarse grid
+], ids=["irrational", "fine-step"])
+def test_coarse_mode_is_conservative(values):
+    """Entropies without a common step of at least 1e-3 bit fall back to the
+    round-up grid, whose kernels span no more cells than the grid needs."""
+    model = SourceModel(tuple(CdfEntry(1, j, 0.5, h) for j, h in enumerate(values, 1)))
     acc = RateAccumulator(model)
     assert not acc.exact
+    span = (max(values) - min(values)) / rate_mod.H_RES_COARSE + 2
+    assert all(len(kernel.dense) <= span for kernel in acc._gpmf.values())
     for _ in range(3):
         acc.push_block(1)
     exact = enum_quantile([prior_pmf(model)] * 3, 0.2)
@@ -213,42 +216,6 @@ def test_k_c_below_chernoff_ceiling(six_cdf_model):
         for eps in (0.01, 0.05, 0.2):
             c = s.e_h / (1 - eta)
             assert k_c(six_cdf_model, c, eps) <= k_c_chernoff(s, eta, eps).k_int
-
-
-def test_lattice_switch_to_coarse_grid():
-    """Exceeding the exact-support cap reprojects onto the coarse grid."""
-    model = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 2, 0.5, 2.0)))
-    acc = RateAccumulator(model, max_points=8)
-    for _ in range(12):
-        acc.push_block(1)
-    assert not acc.exact
-    exact = enum_quantile([prior_pmf(model)] * 12, 0.3)
-    got = acc.rate_quantile(0.3)
-    assert exact <= got <= exact + 12e-3
-
-
-def test_coarse_pushes_past_cap_build_kernels_once(monkeypatch):
-    """Once coarse, pushes past max_points neither reproject nor rebuild."""
-    built = []
-    densify = RateAccumulator._densify
-
-    def counted(self, vals, probs):
-        built.append(len(vals))
-        return densify(self, vals, probs)
-
-    monkeypatch.setattr(RateAccumulator, "_densify", counted)
-    model = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 2, 0.5, 2.0)))
-    acc = RateAccumulator(model, max_points=8)
-    assert acc.exact and len(built) == 1
-    for _ in range(40):
-        acc.push_block(1)
-    assert not acc.exact
-    assert len(built) == 2  # at construction and at the one switch
-    assert len(acc.distribution().support) > 8  # the coarse grid is not capped
-    # the sum is 40 + Binomial(40, 1/2); integers lie on the coarse grid
-    tails = [sum(math.comb(40, i) for i in range(k + 1, 41)) / 2**40 for k in range(41)]
-    exact = 40.0 + next(k for k in range(41) if tails[k] <= 0.3)
-    assert exact <= acc.rate_quantile(0.3) <= exact + 1e-9
 
 
 def _random_offlattice_model(rng: np.random.Generator) -> SourceModel:

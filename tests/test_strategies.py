@@ -299,12 +299,9 @@ def _offlattice_model(rng: np.random.Generator) -> SourceModel:
 
 
 def _reference_batches(model, trace, c, epsilon, quantile):
-    """Batches of the stop rule, pushing and querying the accumulator every block.
-
-    Returns (BatchOutcomes, lattice mode at each flush).
-    """
+    """Batches of the stop rule, pushing and querying the accumulator every block."""
     acc = RateAccumulator(model)
-    batches, exact = [], []
+    batches = []
     lo, ent = 1, 0.0
     for t, (g, h) in enumerate(zip(trace.groups.tolist(), trace.h.tolist()), start=1):
         acc.push_block(g)
@@ -314,10 +311,9 @@ def _reference_batches(model, trace, c, epsilon, quantile):
             continue
         rate = acc.rate_quantile(epsilon) if quantile else K * c
         batches.append(BatchOutcome((lo, t), rate, ent, ent > rate + OUTAGE_TOL))
-        exact.append(acc.exact)
         acc.reset()
         lo, ent = t + 1, 0.0
-    return batches, exact
+    return batches
 
 
 def _check_against_reference(model, *, epsilon, T, seed, eta):
@@ -327,15 +323,13 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
               collect_records=True, collect_batches=True)
     pair = run_adaptive(model, **kw)
     trace = sample_trace(model, T, seed)
-    modes = set()
     for run, quantile, half in ((run_wait_to_encode, True, pair[0]),
                                 (run_wait_to_decode, False, pair[1])):
         res = run(model, **kw)
         assert dataclasses.replace(half, records=None) == dataclasses.replace(res, records=None)
         for field in ("block", "w_e", "w_c", "w_d"):
             assert getattr(half.records, field).tolist() == getattr(res.records, field).tolist()
-        batches, exact = _reference_batches(model, trace, res.c, epsilon, quantile)
-        modes.update(exact)
+        batches = _reference_batches(model, trace, res.c, epsilon, quantile)
         assert res.batch_log == tuple(batches)
         sizes = np.array([b.covers[1] - b.covers[0] + 1 for b in batches])
         blocks = [tau for b in batches for tau in range(b.covers[0], b.covers[1] + 1)]
@@ -365,7 +359,6 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
             ]
             assert (res.records.w_e == 1.0).all() and (res.records.w_c == 1.0).all()
             assert res.mean_encoding_rate == pytest.approx(res.c)  # n*c bits every block
-    return modes
 
 
 def test_stopping_rule_matches_reference_dyadic():
@@ -384,24 +377,17 @@ def test_stopping_rule_matches_reference_offlattice():
         _check_against_reference(model, epsilon=0.05, T=300, seed=i, eta=0.2)
 
 
-def test_stopping_rule_matches_reference_across_coarse_switch(monkeypatch):
-    """The exact -> coarse switch inside a run leaves the batches unchanged.
-
-    Thirds are exact on their own lattice but round up on the coarse grid, so
-    a decision kept from the exact lattice would show in the batch rates.
-    """
+def test_stopping_rule_matches_reference_thirds_lattice():
+    """Thirds are exact on their own lattice but would round up on the coarse
+    grid, so a decision taken on the wrong grid would show in the batch rates."""
     thirds = SourceModel((
         CdfEntry(1, 1, 0.2, 1 / 3), CdfEntry(1, 2, 0.1, 4 / 3),
         CdfEntry(2, 1, 0.15, 2 / 3), CdfEntry(2, 2, 0.15, 5 / 3),
         CdfEntry(2, 3, 0.1, 7 / 3), CdfEntry(3, 1, 0.3, 3.0),
     ))
     assert RateAccumulator(thirds).exact
-    defaults = RateAccumulator.__init__.__defaults__
-    monkeypatch.setattr(RateAccumulator.__init__, "__defaults__",
-                        defaults[:-1] + (32,))  # max_points
     for eta in (0.3, 0.15):
-        modes = _check_against_reference(thirds, epsilon=0.02, T=1500, seed=5, eta=eta)
-        assert modes == {True, False}  # flushes on both lattices
+        _check_against_reference(thirds, epsilon=0.02, T=1500, seed=5, eta=eta)
 
 
 def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
