@@ -30,7 +30,6 @@ from .model import (
     demo_model,
     load_model,
     save_model,
-    validate_model,
 )
 from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
 from .strategies import (ACCUMULATE, ADAPTIVE, STRATEGIES, SimulationResult,
@@ -128,11 +127,12 @@ def _positive_int(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    model = _load(args)
-    violations = validate_model(model)
-    for v in violations:
-        print(v)
-    if violations:
+    try:
+        _load(args)
+    except CliError as exc:  # an invalid model cannot be built: print why
+        if not getattr(exc.__cause__, "violations", None):
+            raise
+        print("\n".join(exc.__cause__.violations))
         return EXIT_VALIDATION
     print("ok")
     return EXIT_OK
@@ -572,9 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build a model from a paired symbol trace")
     common(p, model=False, seed=True)
     p.add_argument("--input", required=True, help="CSV of integer (x, y) pairs")
-    p.add_argument("--n", type=int, required=True, help="symbols per block")
-    p.add_argument("--joint-levels", type=int, default=128)
-    p.add_argument("--marginal-levels", type=int, default=8)
+    p.add_argument("--n", type=_positive_int, required=True, help="symbols per block")
+    p.add_argument("--joint-levels", type=_positive_int, default=128)
+    p.add_argument("--marginal-levels", type=_positive_int, default=8)
     p.add_argument("--skip-header", type=int, default=0)
     p.add_argument("--random-representative", action="store_true",
                    help="draw level representatives at random (seeded)")

@@ -8,7 +8,8 @@ conditional entropy H(X|Y) in bits per symbol; an explicit joint pmf is
 optional and only needed by the symbol-level codec.
 
 The delay simulators operate purely on the conditional entropies: blocks are
-never materialised as symbols here.
+never materialised as symbols here.  A model is checked once, when it is
+built: an invalid ``SourceModel`` cannot be constructed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ ENTROPY_TOL = 1e-9
 
 class ModelError(ValueError):
     """Raised when an operation is given an invalid source model."""
+
+    def __init__(self, message: str, violations: list[str] | None = None):
+        super().__init__(message)
+        self.violations = violations or []  # an invalid model's broken invariants
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,8 @@ class SourceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if bad := validate_model(self):
+            raise ModelError("invalid model: " + "; ".join(bad), bad)
 
     @property
     def m(self) -> int:
@@ -71,8 +78,7 @@ class SourceModel:
     def group_sizes(self) -> tuple[int, ...]:
         sizes = [0] * self.m
         for e in self.entries:
-            if 1 <= e.group <= self.m:
-                sizes[e.group - 1] += 1
+            sizes[e.group - 1] += 1
         return tuple(sizes)
 
     @property
@@ -151,7 +157,8 @@ class BlockTrace:
 
 
 def validate_model(model: SourceModel) -> list[str]:
-    """Check every model invariant; returns human-readable violations."""
+    """Every broken model invariant, one line each.  A SourceModel runs this
+    once, when it is built, so an invalid model cannot be constructed."""
     bad: list[str] = []
     if not model.entries:
         return ["model has no cdf entries"]
@@ -220,10 +227,6 @@ def validate_model(model: SourceModel) -> list[str]:
 
 def compute_stats(model: SourceModel) -> EntropyStats:
     """Exact moments of H_(t)(X|Y) under the prior, overall and per group."""
-    bad = validate_model(model)
-    if bad:
-        raise ModelError("invalid model: " + "; ".join(bad))
-
     vals, probs = model.prior_pmf()
     e_h = float(np.dot(probs, vals))
     var_h = float(np.dot(probs, (vals - e_h) ** 2))
@@ -259,9 +262,6 @@ def sample_trace(model: SourceModel, T: int, seed: int) -> BlockTrace:
     """Draw T i.i.d. block cdfs from the prior; deterministic given seed."""
     if T < 1:
         raise ValueError(f"block count must be >= 1, got {T}")
-    bad = validate_model(model)
-    if bad:
-        raise ModelError("invalid model: " + "; ".join(bad))
     rng = np.random.default_rng(seed)
     probs = np.array([e.prob for e in model.entries], dtype=float)
     probs = probs / probs.sum()

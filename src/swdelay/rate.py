@@ -193,6 +193,8 @@ def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
     """Quantile of the K-fold convolution of the full prior (no marginal info)."""
     if K < 1:
         raise ValueError(f"block count must be >= 1, got {K}")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     acc = RateAccumulator(model.collapse_marginals())
     for _ in range(K):
         acc.push_block(1)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
+from swdelay import model as model_mod
 from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay.cli import SweepSpec, run_sweep
+from swdelay.rate import RateAccumulator
 from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
 
@@ -39,6 +41,75 @@ def test_validate_ok_and_bad(model_file, tmp_path):
     code, out, _ = run_cli("validate", "--model", bad.as_posix())
     assert code == 1
     assert "prior does not sum to 1" in out
+
+
+_PAIR_TABLES = ((0.4, 0.1, 0.1, 0.4), (0.7, 0.2, 0.05, 0.05))
+
+
+def _pair_model_file(path, declared=None) -> str:
+    """One group of two members whose marginals differ by (0.4, 0.25); each
+    declares its true H(X|Y) unless ``declared`` gives the values."""
+    if declared is None:
+        declared = [cond_entropy_x_given_y_bits(np.reshape(t, (2, 2)))
+                    for t in _PAIR_TABLES]
+    members = "".join(
+        f"  - {{prob: 0.5, cond_entropy: {h!r}, joint_pmf: "
+        f"{{alphabet_x: 2, alphabet_y: 2, table: {list(t)}}}}}\n"
+        for h, t in zip(declared, _PAIR_TABLES)
+    )
+    path.write_text("groups:\n- members:\n" + members)
+    return path.as_posix()
+
+
+def test_validate_prints_each_violation(tmp_path):
+    """Two entropy mismatches and a marginal mismatch: one line each."""
+    code, out, err = run_cli("validate", "--model",
+                             _pair_model_file(tmp_path / "three.yaml", (0.5, 0.25)))
+    assert code == 1 and err == ""
+    assert out == (
+        "cdf (1,1): joint_pmf conditional entropy 0.7219280948873621 does not "
+        "match declared cond_entropy 0.5\n"
+        "cdf (1,2): joint_pmf conditional entropy 0.4455015249879065 does not "
+        "match declared cond_entropy 0.25\n"
+        "group 1: cdf (1,2) marginals deviate from member 1 by (0.4, 0.25)\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--groups", "1,1", "--epsilon", "0.1"], "prior does not sum to 1 (got 0.9)"),
+    (["codec", "--n", "4", "--delta", "0.5", "--rates", "2,4", "--trials", "50"],
+     "group 1: cdf (1,2) marginals deviate from member 1 by (0.4, 0.25)"),
+])
+def test_invalid_model_rejected_by_every_command(tmp_path, argv, message):
+    """rate and codec compute no statistics and draw no trace, and still
+    refuse an invalid model file."""
+    if argv[0] == "rate":
+        path = tmp_path / "prob.yaml"
+        path.write_text("groups:\n- members:\n  - prob: 0.9\n    cond_entropy: 2.0\n")
+        path = path.as_posix()
+    else:
+        path = _pair_model_file(tmp_path / "unshared.yaml")
+    code, out, err = run_cli(*argv, "--model", path)
+    assert code == 1 and out == ""
+    assert "invalid model: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_sweep_validates_the_model_once(model_file, monkeypatch, capsys):
+    """A model is checked when it is built, not again by each run."""
+    calls = []
+    original = model_mod.validate_model
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(model_mod, "validate_model", counted)
+    assert cli.main(["sweep", "--model", model_file, "--strategies", "we,wd,known-joint",
+                     "--eta-grid", "0.25,0.1", "--epsilon", "0.01", "--blocks", "250",
+                     "--seeds", "1", "--no-timestamp"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3 * 2
+    assert len(calls) == 1
 
 
 def test_missing_model_is_usage_error():
@@ -358,6 +429,11 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
      "unrecognized arguments: --workers"),
     (["simulate", "--strategy", "accumulate", "--epsilon", "0.01", "--eta", "0.5",
       "--blocks", "20", "--batch-size", "0"], "--batch-size: must be >= 1"),
+    (["ingest", "--input", "x.csv", "--n", "0"], "--n: must be >= 1"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--joint-levels", "0"],
+     "--joint-levels: must be >= 1"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--marginal-levels", "0"],
+     "--marginal-levels: must be >= 1"),
 ])
 def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
     """Rejected while parsing: exit 1 with a message and no worker process."""
@@ -478,6 +554,7 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
      "empty list"),
     (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
       "--groups", "", "--trials", "10", "--out", "{existing}"], "empty list"),
+    (["rate", "--blocks", "100000", "--epsilon", "1.5"], "epsilon must be in (0, 1)"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any
@@ -492,6 +569,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
     monkeypatch.setattr(cli, "run_adaptive", never)
     monkeypatch.setattr(cli, "quantize_model", never)
     monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
+    monkeypatch.setattr(RateAccumulator, "push_block", never)
     existing = tmp_path / "existing.csv"
     existing.write_text("kept\n")
     trace = tmp_path / "trace.csv"
@@ -500,7 +578,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
                  existing=existing.as_posix(), folder=tmp_path.as_posix(),
                  trace=trace.as_posix())
     argv = [a.format(**paths) for a in argv]
-    if argv[0] in ("simulate", "sweep", "bounds"):
+    if argv[0] in ("simulate", "sweep", "bounds", "rate"):
         argv += ["--model", model_file]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()

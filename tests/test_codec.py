@@ -18,6 +18,7 @@ from swdelay import (
 )
 from swdelay import codec
 from swdelay.codec import CodecTrialReport, error_breakdown
+from swdelay.entropy import cond_entropy_x_given_y_bits
 
 
 def _uniform_pair_entry() -> CdfEntry:
@@ -153,8 +154,8 @@ def test_decode_failure_is_a_value():
 
 
 def test_trials_identical_sources_never_err():
-    model = _identity_pair_model(1.0)
-    model = SourceModel(model.entries[:1])  # X = Y only
+    x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
+    model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
     cfg = CodecConfig(2, 2, 8, 1, delta=0.5, rate_bits=0.0, seed=4)
     report = run_codec_trials(model, (1,), cfg, trials=200, seed=9)
     assert report.errors == 0
@@ -243,8 +244,9 @@ def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
             move[i0, j1] = move[i1, j0] = -1.0
             lo, hi = -min(base[i0, j0], base[i1, j1]), min(base[i0, j1], base[i1, j0])
             pmf = np.clip(base + rng.choice([lo, hi, rng.uniform(lo, hi)]) * move, 0, None)
-            entries.append(CdfEntry(g + 1, j + 1, float(prior[g * members + j]), 0.5,
-                                    pmf / pmf.sum()))
+            pmf = pmf / pmf.sum()
+            entries.append(CdfEntry(g + 1, j + 1, float(prior[g * members + j]),
+                                    cond_entropy_x_given_y_bits(pmf), pmf))
     return SourceModel(tuple(entries))
 
 
@@ -306,7 +308,7 @@ def _reference_cases():
         cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
     # no sequence is typical: P(x=1) = 0.7, n = 3 and delta 0.01
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
-    model = SourceModel((CdfEntry(1, 1, 1.0, 1.0, pmf),))
+    model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
     cases.append((model, (1,), CodecConfig(2, 2, 3, 1, 0.01, 2.0, seed=1), "batch"))
     return cases
 

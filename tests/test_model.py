@@ -38,23 +38,23 @@ def test_single_entry_valid(single_cdf_model):
 
 
 def test_prior_must_sum_to_one():
-    bad = SourceModel((CdfEntry(1, 1, 0.5, 2.0), CdfEntry(1, 2, 0.4, 3.0)))
-    violations = validate_model(bad)
-    assert any("prior does not sum to 1" in v for v in violations)
+    with pytest.raises(ModelError, match="prior does not sum to 1"):
+        SourceModel((CdfEntry(1, 1, 0.5, 2.0), CdfEntry(1, 2, 0.4, 3.0)))
 
 
 def test_negative_entropy_and_prob_rejected():
-    bad = SourceModel((CdfEntry(1, 1, 1.5, -1.0), CdfEntry(1, 2, -0.5, 1.0)))
-    violations = validate_model(bad)
+    with pytest.raises(ModelError, match="cond_entropy") as info:
+        SourceModel((CdfEntry(1, 1, 1.5, -1.0), CdfEntry(1, 2, -0.5, 1.0)))
+    violations = info.value.violations
     assert any("cond_entropy" in v for v in violations)
     assert any("prob" in v for v in violations)
 
 
 def test_noncontiguous_indices_reported():
-    bad = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(3, 1, 0.5, 2.0)))
-    assert any("group indices" in v for v in validate_model(bad))
-    bad = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 3, 0.5, 2.0)))
-    assert any("member indices" in v for v in validate_model(bad))
+    with pytest.raises(ModelError, match="group indices"):
+        SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(3, 1, 0.5, 2.0)))
+    with pytest.raises(ModelError, match="member indices"):
+        SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 3, 0.5, 2.0)))
 
 
 def test_joint_pmf_consistency_checked():
@@ -62,10 +62,10 @@ def test_joint_pmf_consistency_checked():
     h_b_02 = 0.7219280948873623  # binary entropy of the 0.2 crossover
     ok = SourceModel((CdfEntry(1, 1, 1.0, h_b_02, pmf),))
     assert validate_model(ok) == []
-    bad = SourceModel((CdfEntry(1, 1, 1.0, 2.0, pmf),))
-    assert any("does not match declared" in v for v in validate_model(bad))
-    bad = SourceModel((CdfEntry(1, 1, 1.0, h_b_02, pmf * 0.5),))
-    assert any("sums to" in v for v in validate_model(bad))
+    with pytest.raises(ModelError, match="does not match declared"):
+        SourceModel((CdfEntry(1, 1, 1.0, 2.0, pmf),))
+    with pytest.raises(ModelError, match="sums to"):
+        SourceModel((CdfEntry(1, 1, 1.0, h_b_02, pmf * 0.5),))
 
 
 def test_group_marginal_mismatch_reported():
@@ -73,8 +73,8 @@ def test_group_marginal_mismatch_reported():
     b = np.array([[0.6, 0.1], [0.1, 0.2]])  # different marginals
     ha = 0.7219280948873623
     hb = 0.6896596952239758
-    bad = SourceModel((CdfEntry(1, 1, 0.5, ha, a), CdfEntry(1, 2, 0.5, hb, b)))
-    assert any("marginals deviate" in v for v in validate_model(bad))
+    with pytest.raises(ModelError, match="marginals deviate"):
+        SourceModel((CdfEntry(1, 1, 0.5, ha, a), CdfEntry(1, 2, 0.5, hb, b)))
 
 
 def test_stats_match_hand_values(six_cdf_model):
@@ -111,9 +111,8 @@ def test_stats_identities_random_models():
 
 
 def test_stats_reject_invalid():
-    bad = SourceModel((CdfEntry(1, 1, 0.9, 2.0),))
-    with pytest.raises(ModelError):
-        compute_stats(bad)
+    with pytest.raises(ModelError, match="invalid model: prior does not sum to 1"):
+        compute_stats(SourceModel((CdfEntry(1, 1, 0.9, 2.0),)))
 
 
 def test_sample_trace_deterministic(six_cdf_model):
