@@ -36,17 +36,7 @@ from .model import (
     validate_model,
 )
 from .rate import ChernoffBatch, RateAccumulator, SumDistribution, k_c, k_c_chernoff, rate_unconditional
-from .strategies import (
-    BatchOutcome,
-    SimulationResult,
-    run_baseline_accumulate,
-    run_baseline_blockwise,
-    run_baseline_known_joint,
-    run_adaptive,
-    run_strategy,
-    run_wait_to_decode,
-    run_wait_to_encode,
-)
+from .strategies import BatchOutcome, SimulationResult, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ from .model import (
     save_model,
 )
 from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
-from .strategies import (ACCUMULATE, ADAPTIVE, STRATEGIES, SimulationResult,
-                         resolve_channel_rate, run_adaptive, run_strategy)
+from .strategies import (STRATEGIES, SimulationResult, check_run, resolve_channel_rate,
+                         simulate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -231,18 +231,12 @@ def cmd_simulate(args) -> int:
     _check_writable(args.out, args.trace_out)
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
-    res = run_strategy(
-        args.strategy,
-        model,
-        epsilon=args.epsilon,
-        T=args.blocks,
-        seed=args.seed,
-        eta=args.eta,
-        c=args.c,
-        batch_size=args.batch_size,
-        use_marginals=not args.no_marginals,
-        collect_records=args.trace_out is not None,
-    )
+    run = dict(epsilon=args.epsilon, T=args.blocks, eta=args.eta, c=args.c,
+               batch_size=args.batch_size)
+    check_run((args.strategy,), **run)
+    res, = simulate(model, (args.strategy,), seed=args.seed,
+                    use_marginals=not args.no_marginals,
+                    collect_records=args.trace_out is not None, **run)
     if res.unstable:
         print(f"warning: unstable queue for {res.strategy}", file=sys.stderr)
     _write_csv(args.out, SWEEP_COLUMNS, [_result_row(res, scale)],
@@ -258,8 +252,8 @@ def cmd_simulate(args) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One Monte Carlo sweep: every (strategy, eta, seed) is one run; the
-    ``we`` and ``wd`` runs of one (eta, seed) share one segmentation pass."""
+    """One Monte Carlo sweep: one ``simulate`` task per (eta, seed) runs every
+    strategy on that (eta, seed)."""
 
     strategies: tuple[str, ...]
     eta_grid: tuple[float, ...]
@@ -270,36 +264,21 @@ class SweepSpec:
     use_marginals: bool = True
 
     def __post_init__(self):
-        if not all(0 < e < 1 for e in self.eta_grid):
-            raise ValueError("every eta must be in (0, 1)")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.blocks < 1:
-            raise ValueError("block count must be >= 1")
         if not (self.strategies and self.eta_grid and self.seeds):
             raise ValueError("a sweep needs at least one strategy, eta and seed")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
-        if ACCUMULATE in self.strategies and self.batch_size is None:
-            raise ValueError("the accumulate baseline needs a batch size")
+        for eta in self.eta_grid:
+            check_run(self.strategies, epsilon=self.epsilon, T=self.blocks, eta=eta,
+                      batch_size=self.batch_size)
 
-    def tasks(self) -> list[tuple[tuple[str, ...], float, int]]:
-        """One task per (strategy, eta, seed), with ``we`` and ``wd`` in one."""
-        paired = set(ADAPTIVE) <= set(self.strategies)
-        groups = dict.fromkeys(ADAPTIVE if paired and s in ADAPTIVE else (s,)
-                               for s in self.strategies)
-        return [(group, eta, seed) for group in groups
-                for eta in self.eta_grid for seed in self.seeds]
+    def tasks(self) -> list[tuple[float, int]]:
+        """One (eta, seed) per task."""
+        return [(eta, seed) for eta in self.eta_grid for seed in self.seeds]
 
 
 def _sweep_task(payload) -> tuple[SimulationResult, ...]:
-    model, spec, (group, eta, seed) = payload
-    kw = dict(epsilon=spec.epsilon, T=spec.blocks, seed=seed, eta=eta,
-              use_marginals=spec.use_marginals)
-    if group == ADAPTIVE:
-        return run_adaptive(model, **kw)
-    return (run_strategy(group[0], model, batch_size=spec.batch_size, **kw),)
+    model, spec, (eta, seed) = payload
+    return simulate(model, spec.strategies, epsilon=spec.epsilon, T=spec.blocks, seed=seed,
+                    eta=eta, batch_size=spec.batch_size, use_marginals=spec.use_marginals)
 
 
 def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
@@ -313,7 +292,7 @@ def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_task, payloads))
     by_run = {(res.strategy, eta, seed): res
-              for (_, eta, seed), results in zip(tasks, done) for res in results}
+              for (eta, seed), results in zip(tasks, done) for res in results}
     return [by_run[strategy, eta, seed] for strategy in spec.strategies
             for eta in spec.eta_grid for seed in spec.seeds]
 

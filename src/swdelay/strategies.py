@@ -7,14 +7,16 @@ is covered), and three reference baselines.  Messages carry sizes, never
 symbols: a decoded batch is in outage exactly when its realised entropy sum
 exceeds the bits delivered for it, the idealised large-block decoding model.
 
-A run is one segmentation pass, then one accounting pass per strategy.
-Segmentation cuts the trace into batches: ``we`` and ``wd`` on the same test,
-tail(K*c) <= epsilon, memoized per run by the batch's group-count vector (a
-memo hit could flip a decision only for a tail within rounding of epsilon), so
-``run_adaptive`` segments one trace once for both; ``accumulate`` every N
-blocks; ``known-joint`` and ``blockwise`` every block.  Accounting charges the
-delays on one of two sides, following the closed-form cycle analysis so that
-the deterministic worst cases are exact:
+``simulate`` runs any mix of strategies on one (eta, seed): it samples one
+trace per model it needs, segments each trace once per stop rule, then makes
+one accounting pass per strategy.  Segmentation cuts the trace into batches:
+``we`` and ``wd`` on the same test, tail(K*c) <= epsilon, memoized per run by
+the batch's group-count vector (a memo hit could flip a decision only for a
+tail within rounding of epsilon), so a run asking for both segments once;
+``accumulate`` every ``batch_size`` blocks; ``known-joint`` and ``blockwise`` every block,
+on one shared table.  Accounting charges the delays on one of two sides,
+following the closed-form cycle analysis so that the deterministic worst cases
+are exact:
 
 * encoder side (deferred encoding, the baselines): the batch closing at t
   ships as one message into the FIFO channel queue, W_E(tau) = t - tau + 1,
@@ -49,7 +51,9 @@ BLOCKWISE = "blockwise"
 ACCUMULATE = "accumulate"
 
 STRATEGIES = (WAIT_TO_ENCODE, WAIT_TO_DECODE, KNOWN_JOINT, BLOCKWISE, ACCUMULATE)
-ADAPTIVE = (WAIT_TO_ENCODE, WAIT_TO_DECODE)  # the pair that shares one segmentation
+# the stop rule each strategy's batches close on; one segmentation pass per rule
+_RULE = {WAIT_TO_ENCODE: "adaptive", WAIT_TO_DECODE: "adaptive", ACCUMULATE: "fixed",
+         KNOWN_JOINT: "one-block", BLOCKWISE: "one-block"}
 
 
 @dataclass(frozen=True)
@@ -103,18 +107,44 @@ def resolve_channel_rate(
     stats: EntropyStats, eta: float | None, c: float | None
 ) -> tuple[float, float]:
     """Returns (c, eta) from whichever parameter was given."""
-    if (eta is None) == (c is None):
-        raise ValueError("give exactly one of eta or c")
+    _check_channel(eta, c)
     if eta is not None:
-        if not 0 < eta < 1:
-            raise ValueError(f"eta must be in (0, 1), got {eta}")
         if stats.e_h <= 0:
             raise ModelError("the mean conditional entropy is 0: the channel rate "
                              "E[H]/(1 - eta) is 0")
         return stats.e_h / (1.0 - eta), eta
-    if c <= 0:
-        raise ValueError(f"channel rate must be positive, got {c}")
     return float(c), 1.0 - stats.e_h / c
+
+
+def _check_channel(eta: float | None, c: float | None) -> None:
+    if (eta is None) == (c is None):
+        raise ValueError("give exactly one of eta or c")
+    if eta is not None and not 0 < eta < 1:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    if c is not None and c <= 0:
+        raise ValueError(f"channel rate must be positive, got {c}")
+
+
+def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = None,
+              c: float | None = None, batch_size: int | None = None) -> None:
+    """Raises ValueError for a bad run argument, before any work.
+
+    epsilon is checked whenever it is given; it may be omitted only when every
+    strategy asked for is ``known-joint`` or ``blockwise``, which never outage.
+    """
+    if not strategies:
+        raise ValueError("a run needs at least one strategy")
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    if epsilon is not None or any(_RULE[s] != "one-block" for s in strategies):
+        if epsilon is None or not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if T < 1:
+        raise ValueError(f"block count must be >= 1, got {T}")
+    if ACCUMULATE in strategies and (batch_size is None or batch_size < 1):
+        raise ValueError(f"the accumulate baseline needs a batch size >= 1, got {batch_size}")
+    _check_channel(eta, c)
 
 
 def _entropy_x_proxy(model: SourceModel) -> float | None:
@@ -190,19 +220,19 @@ class _StoppingRule:
         self._pending.clear()
 
 
-def _fixed_stop(model: SourceModel, N: int, epsilon: float, use_marginals: bool):
-    """The accumulate stop: every N blocks, at the epsilon-quantile of the batch's
-    own groups with ``use_marginals``, else at the unconditional N-block one (the
-    same rate when the model has one group)."""
+def _fixed_stop(model: SourceModel, batch_size: int, epsilon: float, use_marginals: bool):
+    """The accumulate stop: every ``batch_size`` blocks, at the epsilon-quantile of
+    the batch's own groups with ``use_marginals``, else at the unconditional one
+    of that many blocks (the same rate when the model has one group)."""
     if not use_marginals or model.m == 1:
-        fixed = rate_unconditional(model, N, epsilon)
+        fixed = rate_unconditional(model, batch_size, epsilon)
         count = itertools.count(1)
-        return lambda group: None if next(count) % N else fixed
+        return lambda group: None if next(count) % batch_size else fixed
     acc = RateAccumulator(model)
 
     def stop(group: int) -> float | None:
         acc.push_block(group)
-        if acc.k < N:
+        if acc.k < batch_size:
             return None
         rate = acc.rate_quantile(epsilon)
         acc.reset()
@@ -229,265 +259,141 @@ def _segment(trace: BlockTrace, stop) -> tuple[list[int], list[float], list[floa
     return sizes, ents, rates
 
 
-def _simulate(strategies: tuple[str, ...], model: SourceModel, *, epsilon: float | None,
-              T: int, seed: int, eta: float | None, c: float | None, N: int = 1,
-              use_marginals: bool = True, collect_records: bool = False,
-              collect_batches: bool = False) -> list[SimulationResult]:
-    """Runs of one strategy, or of both ``ADAPTIVE`` strategies on one trace:
-    one prologue and one segmentation pass, then one accounting pass each.
-    Without ``use_marginals`` the adaptive strategies run blind, on the
-    collapsed model."""
-    first = strategies[0]
-    if first in ADAPTIVE and not use_marginals and model.m > 1:
-        model = model.collapse_marginals()
-    if first in (KNOWN_JOINT, BLOCKWISE):
-        epsilon = None  # never in outage, so no outage target
-    elif epsilon is None or not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    else:
-        epsilon = float(epsilon)
+def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, seed: int,
+             eta: float | None = None, c: float | None = None, batch_size: int | None = None,
+             use_marginals: bool = True, collect_records: bool = False,
+             collect_batches: bool = False) -> tuple[SimulationResult, ...]:
+    """One result per strategy asked for, in that order, all on one (eta, seed).
+
+    The trace of each model used is sampled once and cut once per stop rule.
+    Without ``use_marginals`` a multi-group model is collapsed for ``we`` and
+    ``wd`` (blind encoder and decoder); ``accumulate`` then ships at the
+    unconditional quantile of its batch size, and the other baselines keep the
+    model.
+    """
+    check_run(strategies, epsilon=epsilon, T=T, eta=eta, c=c, batch_size=batch_size)
+    epsilon = None if epsilon is None else float(epsilon)
     stats = compute_stats(model)
     c, eta = resolve_channel_rate(stats, eta, c)
-    if c <= stats.e_h and first != BLOCKWISE:  # blockwise reports `unstable`
+    if c <= stats.e_h and set(strategies) != {BLOCKWISE}:  # blockwise reports `unstable`
         warnings.warn(
             f"channel rate {c!r} does not exceed the mean conditional entropy "
             f"{stats.e_h!r}; delay may diverge",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    trace = sample_trace(model, T, seed)
-
-    if first in ADAPTIVE:
-        rule = _StoppingRule(model, c=c, epsilon=epsilon, T=T)
-        sizes, ents, rates = _segment(trace, rule.push)
-    elif first == ACCUMULATE:
-        sizes, ents, rates = _segment(trace, _fixed_stop(model, N, epsilon, use_marginals))
-    else:  # one block per batch, shipped at its own entropy or at H_max
-        ents = trace.h.tolist()
-        sizes = [1] * T
-        rates = ents if first == KNOWN_JOINT else [stats.h_max] * T
-
-    n = model.block_len_n
-    d = sum(sizes)
-    proxy = _entropy_x_proxy(model)
+    blind = not use_marginals and model.m > 1
+    traces: dict[bool, BlockTrace] = {}  # keyed by "runs on the model as given"
+    tables = {}
     results = []
     for strategy in strategies:
-        # the wd decoder holds K*c bits at a close, whatever the batch's quantile
-        batch_rates = [K * c for K in sizes] if strategy == WAIT_TO_DECODE else rates
-        outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
-        outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
-        wcs: list[float] | None = [] if collect_records else None
+        rule = _RULE[strategy]
+        if rule not in tables:
+            on = model.collapse_marginals() if blind and rule == "adaptive" else model
+            if (on is model) not in traces:
+                traces[on is model] = sample_trace(on, T, seed)
+            trace = traces[on is model]
+            if rule == "adaptive":
+                table = _segment(trace, _StoppingRule(on, c=c, epsilon=epsilon, T=T).push)
+            elif rule == "fixed":
+                table = _segment(trace, _fixed_stop(on, batch_size, epsilon, use_marginals))
+            else:  # one block per batch, shipped at its own entropy (blockwise: H_max)
+                ents = trace.h.tolist()
+                table = [1] * T, ents, ents
+            tables[rule] = (_entropy_x_proxy(on), *table)
+        proxy, sizes, ents, rates = tables[rule]
+        if strategy == WAIT_TO_DECODE:  # the decoder holds K*c bits at a close
+            rates = [K * c for K in sizes]
+        elif strategy == BLOCKWISE:
+            rates = [stats.h_max] * T
+        results.append(_account(
+            strategy, sizes, ents, rates, n=model.block_len_n, c=c, eta=eta,
+            epsilon=None if rule == "one-block" else epsilon, seed=seed, T=T,
+            proxy=proxy, collect_records=collect_records, collect_batches=collect_batches))
+    return tuple(results)
+
+
+def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: list[float],
+             *, n: int, c: float, eta: float, epsilon: float | None, seed: int, T: int,
+             proxy: float | None, collect_records: bool, collect_batches: bool
+             ) -> SimulationResult:
+    """The accounting pass of one strategy over its batch table."""
+    d = sum(sizes)
+    outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
+    outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
+    wcs: list[float] | None = [] if collect_records else None
+    if strategy == WAIT_TO_DECODE:
+        sum_we = sum_wc = float(d)
+        sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
+        bits_emitted = n * c * T
+        unstable = False
+    else:
+        queue = ChannelQueue(rate_bits_per_block=n * c)
+        enqueue = queue.enqueue
+        sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
+        sum_wc = sum_wd = bits_emitted = 0.0
+        t = 0
+        for K, rate in zip(sizes, batch_rates):
+            t += K
+            bits = n * rate
+            w_c = enqueue(bits, float(t)) - t
+            sum_wc += w_c * K
+            bits_emitted += bits
+            if wcs is not None:
+                wcs.append(w_c)
+        # superlinear queue growth: the backlog at the end never drained
+        unstable = (strategy != WAIT_TO_ENCODE
+                    and (queue.busy_until - T) > max(5.0, 0.02 * T))
+
+    records = batch_log = None
+    if collect_records:
+        k = np.asarray(sizes, dtype=np.int64)
+        block = np.arange(1, d + 1, dtype=np.int64)
+        lag = np.repeat(np.cumsum(k), k) - block  # t - tau
         if strategy == WAIT_TO_DECODE:
-            sum_we = sum_wc = float(d)
-            sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
-            bits_emitted = n * c * T
-            unstable = False
+            records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
         else:
-            queue = ChannelQueue(rate_bits_per_block=n * c)
-            enqueue = queue.enqueue
-            sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
-            sum_wc = sum_wd = bits_emitted = 0.0
-            t = 0
-            for K, rate in zip(sizes, batch_rates):
-                t += K
-                bits = n * rate
-                w_c = enqueue(bits, float(t)) - t
-                sum_wc += w_c * K
-                bits_emitted += bits
-                if wcs is not None:
-                    wcs.append(w_c)
-            # superlinear queue growth: the backlog at the end never drained
-            unstable = (strategy != WAIT_TO_ENCODE
-                        and (queue.busy_until - T) > max(5.0, 0.02 * T))
+            records = DelayRecords(block, (lag + 1).astype(float),
+                                   np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
+    if collect_batches:
+        ends = list(itertools.accumulate(sizes))
+        covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
+        batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage))
 
-        records = batch_log = None
-        if collect_records:
-            k = np.asarray(sizes, dtype=np.int64)
-            block = np.arange(1, d + 1, dtype=np.int64)
-            lag = np.repeat(np.cumsum(k), k) - block  # t - tau
-            if strategy == WAIT_TO_DECODE:
-                records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
-            else:
-                records = DelayRecords(block, (lag + 1).astype(float),
-                                       np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
-        if collect_batches:
-            ends = list(itertools.accumulate(sizes))
-            covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
-            batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage))
-
-        mean_we, mean_wc, mean_wd = (s / d if d else math.nan
-                                     for s in (sum_we, sum_wc, sum_wd))
-        mean_rate = bits_emitted / (n * T)
-        results.append(SimulationResult(
-            strategy=strategy,
-            eta=eta,
-            epsilon=epsilon,
-            seed=seed,
-            blocks=T,
-            decoded_blocks=d,
-            batches=len(sizes),
-            mean_delay=mean_we + mean_wc + mean_wd,
-            mean_w_e=mean_we,
-            mean_w_c=mean_wc,
-            mean_w_d=mean_wd,
-            outage_rate=outage_blocks / d if d else math.nan,
-            mean_encoding_rate=mean_rate,
-            compression_ratio=(mean_rate / proxy) if proxy else None,
-            c=c,
-            unstable=unstable,
-            records=records,
-            batch_log=batch_log,
-        ))
-    return results
+    mean_we, mean_wc, mean_wd = (s / d if d else math.nan
+                                 for s in (sum_we, sum_wc, sum_wd))
+    mean_rate = bits_emitted / (n * T)
+    return SimulationResult(
+        strategy=strategy,
+        eta=eta,
+        epsilon=epsilon,
+        seed=seed,
+        blocks=T,
+        decoded_blocks=d,
+        batches=len(sizes),
+        mean_delay=mean_we + mean_wc + mean_wd,
+        mean_w_e=mean_we,
+        mean_w_c=mean_wc,
+        mean_w_d=mean_wd,
+        outage_rate=outage_blocks / d if d else math.nan,
+        mean_encoding_rate=mean_rate,
+        compression_ratio=(mean_rate / proxy) if proxy else None,
+        c=c,
+        unstable=unstable,
+        records=records,
+        batch_log=batch_log,
+    )
 
 
-def run_wait_to_encode(
-    model: SourceModel,
-    *,
-    epsilon: float,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    collect_records: bool = False,
-    collect_batches: bool = False,
-) -> SimulationResult:
-    """Defer encoding until the quantile rate per block drops to the channel rate.
-
-    Each block's marginal group is pushed into the rate accumulator; while
-    quantile/K exceeds c the blocks wait at the encoder.  At a flush the whole
-    batch ships as one message sized at the quantile, and the accumulator
-    starts afresh.
-    """
-    return _simulate((WAIT_TO_ENCODE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records, collect_batches=collect_batches)[0]
+# The benchmark imports these three names (bench/run.py the run_wait_* pair,
+# bench/tracer.py run_strategy), so they stay as one-strategy simulate calls.
+def run_wait_to_encode(model: SourceModel, **kw) -> SimulationResult:
+    return simulate(model, (WAIT_TO_ENCODE,), **kw)[0]
 
 
-def run_wait_to_decode(
-    model: SourceModel,
-    *,
-    epsilon: float,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    collect_records: bool = False,
-    collect_batches: bool = False,
-) -> SimulationResult:
-    """Ship one channel-rate message per block; defer decoding until covered.
-
-    Every block emits exactly n*c bits, so the channel is saturated and both
-    the encoding and transmission delays are one block.  The decoder
-    accumulates messages and decodes the pending batch at the first K whose
-    quantile fits within K*c bits; the batch is in outage when the realised
-    entropy sum exceeds K*c.
-    """
-    return _simulate((WAIT_TO_DECODE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records, collect_batches=collect_batches)[0]
+def run_wait_to_decode(model: SourceModel, **kw) -> SimulationResult:
+    return simulate(model, (WAIT_TO_DECODE,), **kw)[0]
 
 
-def run_adaptive(
-    model: SourceModel,
-    *,
-    epsilon: float,
-    T: int,
-    seed: int,
-    eta: float,
-    use_marginals: bool = True,
-    collect_records: bool = False,
-    collect_batches: bool = False,
-) -> tuple[SimulationResult, SimulationResult]:
-    """The (``we``, ``wd``) results of one trace, from one segmentation pass.
-
-    Both strategies stop on the same test, so they cut the trace into the same
-    batches; each result equals its ``run_wait_to_encode`` or
-    ``run_wait_to_decode`` run.  Without ``use_marginals`` a multi-group model
-    is collapsed once for both (blind encoder and decoder).
-    """
-    return tuple(_simulate(ADAPTIVE, model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=None,
-                           use_marginals=use_marginals, collect_records=collect_records,
-                           collect_batches=collect_batches))
-
-
-def run_baseline_known_joint(
-    model: SourceModel,
-    *,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    collect_records: bool = False,
-) -> SimulationResult:
-    """Genie baseline: the joint cdf is known, each block ships at H_(t)(X|Y).
-
-    Zero outage by construction; the only random delay component is the FIFO
-    queue fed by the per-block entropies.
-    """
-    return _simulate((KNOWN_JOINT,), model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records)[0]
-
-
-def run_baseline_blockwise(
-    model: SourceModel,
-    *,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    collect_records: bool = False,
-) -> SimulationResult:
-    """Conservative baseline: every block ships at the maximal entropy H_max.
-
-    Zero outage; unstable (diverging delay) whenever c < H_max.
-    """
-    return _simulate((BLOCKWISE,), model, epsilon=None, T=T, seed=seed, eta=eta, c=c,
-                     collect_records=collect_records)[0]
-
-
-def run_baseline_accumulate(
-    model: SourceModel,
-    *,
-    epsilon: float,
-    N: int,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    use_marginals: bool = False,
-    collect_records: bool = False,
-    collect_batches: bool = False,
-) -> SimulationResult:
-    """Fixed-size batching: flush every N blocks at the N-block quantile rate."""
-    if N < 1:
-        raise ValueError(f"batch size must be >= 1, got {N}")
-    return _simulate((ACCUMULATE,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     N=N, use_marginals=use_marginals,
-                     collect_records=collect_records, collect_batches=collect_batches)[0]
-
-
-def run_strategy(
-    strategy: str,
-    model: SourceModel,
-    *,
-    epsilon: float | None,
-    T: int,
-    seed: int,
-    eta: float | None = None,
-    c: float | None = None,
-    batch_size: int | None = None,
-    use_marginals: bool = True,
-    collect_records: bool = False,
-) -> SimulationResult:
-    """Dispatch by strategy name (the CLI entry point)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy == ACCUMULATE:
-        if batch_size is None:
-            raise ValueError("the accumulate baseline needs a batch size")
-        return run_baseline_accumulate(
-            model, epsilon=epsilon, N=batch_size, T=T, seed=seed, eta=eta, c=c,
-            use_marginals=use_marginals,
-            collect_records=collect_records,
-        )
-    return _simulate((strategy,), model, epsilon=epsilon, T=T, seed=seed, eta=eta, c=c,
-                     use_marginals=use_marginals, collect_records=collect_records)[0]
+def run_strategy(strategy: str, model: SourceModel, **kw) -> SimulationResult:
+    return simulate(model, (strategy,), **kw)[0]

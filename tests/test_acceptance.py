@@ -69,7 +69,7 @@ def bracketing_sweep():
     model = sw.demo_model()
     t0 = time.perf_counter()
     pairs = {
-        eta: [sw.run_adaptive(model, epsilon=EPS, T=C3_BLOCKS, seed=seed, eta=eta)
+        eta: [sw.simulate(model, ("we", "wd"), epsilon=EPS, T=C3_BLOCKS, seed=seed, eta=eta)
               for seed in C3_SEEDS]
         for eta in C3_ETAS
     }
@@ -91,7 +91,8 @@ def scaling_runs():
     for eta in C4_ETAS:
         T = 1_000_000 if eta == min(C4_ETAS) else 200_000
         pairs = [
-            sw.run_adaptive(model, epsilon=EPS, T=T, seed=seed, eta=eta) for seed in C4_SEEDS
+            sw.simulate(model, ("we", "wd"), epsilon=EPS, T=T, seed=seed, eta=eta)
+            for seed in C4_SEEDS
         ]
         for i, name in enumerate(("we", "wd")):
             batch = [pair[i] for pair in pairs]
@@ -99,7 +100,8 @@ def scaling_runs():
             means[name].append(float(np.mean([r.mean_delay for r in batch])))
     for eta in C4_ETAS:
         batch = [
-            sw.run_baseline_known_joint(model, T=1_000_000, seed=seed, eta=eta)
+            sw.simulate(model, ("known-joint",), epsilon=None, T=1_000_000, seed=seed,
+                        eta=eta)[0]
             for seed in C4_SEEDS[:1]
         ]
         out["known-joint"].extend(batch)
@@ -125,7 +127,7 @@ def test_criterion_01_wd_worst_case_exact():
         assert enum_tail([prior_pmf(model)] * kc, kc * c) <= EPS
         if kc > 1:
             assert enum_tail([prior_pmf(model)] * (kc - 1), (kc - 1) * c) > EPS
-        res = sw.run_wait_to_decode(flat, epsilon=EPS, T=T, seed=1, eta=eta)
+        res, = sw.simulate(flat, ("wd",), epsilon=EPS, T=T, seed=1, eta=eta)
         target = kc / 2 + 1.5
         assert abs(res.mean_delay - target) <= 1.0 / T, (eta, res.mean_delay)
         details.append(f"eta={eta}: K_c={kc} delay={res.mean_delay:.6f}={target}")
@@ -143,7 +145,7 @@ def test_criterion_02_we_worst_case_envelope():
         kc = sw.k_c(model, c, EPS)
         rx = sw.rate_unconditional(model, kc, EPS)
         assert rx == enum_quantile([prior_pmf(model)] * kc, EPS)
-        res = sw.run_wait_to_encode(flat, epsilon=EPS, T=10_000, seed=1, eta=eta)
+        res, = sw.simulate(flat, ("we",), epsilon=EPS, T=10_000, seed=1, eta=eta)
         hi = 1.5 * kc + 0.5
         lo = kc / 2 + 0.5 + rx / c
         assert res.mean_delay <= hi + 1e-6, (eta, res.mean_delay, hi)

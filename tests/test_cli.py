@@ -280,8 +280,8 @@ def test_simulate_seconds_flag(tmp_path):
 
 
 def test_sweep_row_count_and_order(model_file):
-    """Rows come strategy-major in the order asked, also when the we and wd
-    runs of one (eta, seed) come from one shared task."""
+    """Rows come strategy-major in the order asked, although every strategy
+    of one (eta, seed) comes from one shared task."""
     for names in (["we", "wd"], ["wd", "known-joint", "we"]):
         code, out, _ = run_cli(
             "sweep", "--model", model_file, "--strategies", ",".join(names),
@@ -310,7 +310,8 @@ def test_sweep_workers_match_sequential():
 
 
 def test_sweep_segments_each_eta_and_seed_once(model_file, monkeypatch, capsys):
-    """we and wd of one (eta, seed) share one trace and one segmentation."""
+    """Every strategy of one (eta, seed) runs on one trace, and we and wd share
+    one segmentation; known-joint needs none."""
     calls = []
 
     def counting(name):
@@ -323,11 +324,18 @@ def test_sweep_segments_each_eta_and_seed_once(model_file, monkeypatch, capsys):
 
     for name in ("sample_trace", "_segment"):
         monkeypatch.setattr(strategies_mod, name, counting(name))
-    assert cli.main(["sweep", "--model", model_file, "--strategies", "we,wd",
-                     "--eta-grid", "0.5,0.25", "--epsilon", "0.01", "--blocks", "300",
-                     "--seeds", "1,2", "--no-timestamp"]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2 * 2 * 2
-    assert sorted(calls) == ["_segment"] * 4 + ["sample_trace"] * 4
+    for strategies, etas, seeds in (
+        ("we,wd", "0.5,0.25", "1,2"),
+        ("we,wd,known-joint", "0.25,0.1", "1"),  # the benchmark's ingest sweep shape
+    ):
+        calls.clear()
+        assert cli.main(["sweep", "--model", model_file, "--strategies", strategies,
+                         "--eta-grid", etas, "--epsilon", "0.01", "--blocks", "300",
+                         "--seeds", seeds, "--no-timestamp"]) == 0
+        runs = len(etas.split(",")) * len(seeds.split(","))
+        rows = len(strategies.split(",")) * runs
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + rows
+        assert sorted(calls) == ["_segment"] * runs + ["sample_trace"] * runs
 
 
 def test_determinism_byte_identical(model_file):
@@ -474,15 +482,22 @@ FROZEN_CODEC = {
 # still segmented its own trace
 FROZEN_FIG4 = "98ea9b1326af72f8fb46c06a4e80d855ee25642a728ad4991eaa23956ab2c55e"
 
+# sha256 of the FROZEN_SWEEP sweep with --no-marginals, recorded while every
+# strategy of one (eta, seed) still ran as its own task: blind we/wd run on the
+# collapsed model, the baselines on the model as given
+FROZEN_BLIND_SWEEP = "1c9010b57fff90bcce2fabc2445efa78509c5f67dc89a6631efadd3a145076c2"
+
 
 def test_frozen_outputs(model_file, tmp_path):
-    code, out, err = run_cli(
-        "sweep", "--model", model_file, "--strategies", ",".join(STRATEGIES),
-        "--eta-grid", "0.5,0.2,0.08", "--epsilon", "0.01", "--blocks", "400",
-        "--seeds", "1,2", "--batch-size", "4", "--no-timestamp",
-    )
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_SWEEP
+    for blind, digest in ((False, FROZEN_SWEEP), (True, FROZEN_BLIND_SWEEP)):
+        code, out, err = run_cli(
+            "sweep", "--model", model_file, "--strategies", ",".join(STRATEGIES),
+            "--eta-grid", "0.5,0.2,0.08", "--epsilon", "0.01", "--blocks", "400",
+            "--seeds", "1,2", "--batch-size", "4", "--no-timestamp",
+            *(["--no-marginals"] if blind else []),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, blind
     for (strategy, blind), digest in FROZEN_TRACES.items():
         trace = tmp_path / f"{strategy}.csv"
         code, out, err = run_cli(
@@ -555,6 +570,8 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
       "--groups", "", "--trials", "10", "--out", "{existing}"], "empty list"),
     (["rate", "--blocks", "100000", "--epsilon", "1.5"], "epsilon must be in (0, 1)"),
+    (["simulate", "--strategy", "known-joint", "--epsilon", "2", "--eta", "0.5",
+      "--blocks", "20"], "epsilon must be in (0, 1)"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any
@@ -565,8 +582,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
         calls.append(args)
         raise AssertionError("computation started before the arguments were checked")
 
-    monkeypatch.setattr(cli, "run_strategy", never)
-    monkeypatch.setattr(cli, "run_adaptive", never)
+    monkeypatch.setattr(cli, "simulate", never)
     monkeypatch.setattr(cli, "quantize_model", never)
     monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
     monkeypatch.setattr(RateAccumulator, "push_block", never)

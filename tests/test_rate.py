@@ -14,7 +14,7 @@ from swdelay import (
     k_c_chernoff,
     rate_unconditional,
 )
-from swdelay.strategies import run_wait_to_decode, run_wait_to_encode
+from swdelay.strategies import simulate
 
 from conftest import enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model
 
@@ -279,12 +279,8 @@ def test_atom_convolution_matches_dense_reference():
 def test_atom_convolution_simulation_matches_dense(monkeypatch):
     """we/wd runs on an off-lattice model equal runs with dense kernels only."""
     model = _random_offlattice_model(np.random.default_rng(7))
-    runs = [
-        (run, dict(model=model, epsilon=0.01, T=200, seed=3, eta=eta))
-        for run in (run_wait_to_decode, run_wait_to_encode)
-        for eta in (0.5, 0.25)
-    ]
-    got = [run(**kw) for run, kw in runs]
+    runs = [dict(epsilon=0.01, T=200, seed=3, eta=eta) for eta in (0.5, 0.25)]
+    got = [simulate(model, ("wd", "we"), **kw) for kw in runs]
     monkeypatch.setattr(rate_mod, "_CELLS_PER_ATOM", math.inf)
     assert all(k.atoms is None for k in RateAccumulator(model)._gpmf.values())
-    assert got == [run(**kw) for run, kw in runs]
+    assert got == [simulate(model, ("wd", "we"), **kw) for kw in runs]

@@ -14,24 +14,18 @@ from swdelay import (
     demo_model,
     k_c,
     rate_unconditional,
-    run_baseline_accumulate,
-    run_baseline_blockwise,
-    run_baseline_known_joint,
-    run_adaptive,
-    run_strategy,
-    run_wait_to_decode,
-    run_wait_to_encode,
     sample_trace,
+    simulate,
 )
 
-from swdelay.strategies import OUTAGE_TOL
+from swdelay.strategies import OUTAGE_TOL, STRATEGIES
 
 from conftest import lindley_wc, random_dyadic_model, two_group_pmf_model
 
 
 def test_we_single_entry_hand_trace(single_cdf_model):
     # H = 2, c = 4: every block flushes alone, service is half a block
-    res = run_wait_to_encode(single_cdf_model, epsilon=0.01, T=100, seed=0, c=4.0)
+    res, = simulate(single_cdf_model, ("we",), epsilon=0.01, T=100, seed=0, c=4.0)
     assert res.mean_w_e == 1.0
     assert res.mean_w_c == pytest.approx(0.5, abs=1e-12)
     assert res.mean_w_d == 0.0
@@ -41,7 +35,7 @@ def test_we_single_entry_hand_trace(single_cdf_model):
 
 
 def test_wd_single_entry_hand_trace(single_cdf_model):
-    res = run_wait_to_decode(single_cdf_model, epsilon=0.01, T=100, seed=0, c=4.0)
+    res, = simulate(single_cdf_model, ("wd",), epsilon=0.01, T=100, seed=0, c=4.0)
     assert res.mean_delay == pytest.approx(2.0, abs=1e-12)
     assert (res.mean_w_e, res.mean_w_c, res.mean_w_d) == (1.0, 1.0, 0.0)
     assert res.mean_encoding_rate == pytest.approx(4.0)
@@ -53,9 +47,8 @@ def test_wd_collapsed_deterministic_cycle(six_cdf_model):
     for eta in (0.5, 0.25):
         c = 4.17 / (1 - eta)
         kc = k_c(six_cdf_model, c, 0.01)
-        res = run_wait_to_decode(
-            flat, epsilon=0.01, T=4000, seed=2, eta=eta, collect_batches=True
-        )
+        res, = simulate(flat, ("wd",), epsilon=0.01, T=4000, seed=2, eta=eta,
+                        collect_batches=True)
         assert res.mean_delay == pytest.approx(kc / 2 + 1.5, abs=1e-12)
         assert all(b.covers[1] - b.covers[0] + 1 == kc for b in res.batch_log)
 
@@ -66,7 +59,7 @@ def test_we_collapsed_deterministic_cycle(six_cdf_model):
         c = compute_stats(flat).e_h / (1 - eta)
         kc = k_c(six_cdf_model, c, 0.01)
         rx = rate_unconditional(six_cdf_model, kc, 0.01)
-        res = run_wait_to_encode(flat, epsilon=0.01, T=4000, seed=2, eta=eta)
+        res, = simulate(flat, ("we",), epsilon=0.01, T=4000, seed=2, eta=eta)
         expected = (kc + 1) / 2 + rx / c
         assert res.mean_delay == pytest.approx(expected, abs=1e-9)
         assert res.mean_delay <= 1.5 * kc + 0.5 + 1e-9
@@ -76,13 +69,12 @@ def test_blind_run_on_multigroup_pmf_model():
     """Without marginals, a multi-group model with joint pmfs runs at the
     entropy level: exactly as the same model without its pmfs."""
     kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
-    for strategy in ("we", "wd"):
-        blind = run_strategy(strategy, two_group_pmf_model(), **kw)
-        assert blind == run_strategy(strategy, two_group_pmf_model(with_pmfs=False), **kw)
+    blind = simulate(two_group_pmf_model(), ("we", "wd"), **kw)
+    assert blind == simulate(two_group_pmf_model(with_pmfs=False), ("we", "wd"), **kw)
 
 
 def test_blind_pair_run_equals_single_runs(monkeypatch):
-    """run_adaptive without marginals collapses the model once for both."""
+    """A blind we and wd run collapses the model once for both."""
     collapse = SourceModel.collapse_marginals
     calls = []
 
@@ -91,9 +83,9 @@ def test_blind_pair_run_equals_single_runs(monkeypatch):
         return collapse(self)
 
     kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
-    singles = tuple(run_strategy(s, two_group_pmf_model(), **kw) for s in ("we", "wd"))
+    singles = tuple(simulate(two_group_pmf_model(), (s,), **kw)[0] for s in ("we", "wd"))
     monkeypatch.setattr(SourceModel, "collapse_marginals", counted)
-    assert run_adaptive(two_group_pmf_model(), **kw) == singles
+    assert simulate(two_group_pmf_model(), ("we", "wd"), **kw) == singles
     assert len(calls) == 1
 
 
@@ -101,29 +93,47 @@ def test_blind_run_leaves_one_group_model_as_is():
     """A one-group model has no marginal information to forget."""
     bsc = bsc_pair_model(0.1)
     kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3)
-    for strategy in ("we", "wd"):
-        blind = run_strategy(strategy, bsc, use_marginals=False, **kw)
-        assert blind == run_strategy(strategy, bsc, use_marginals=True, **kw)
-        assert blind.compression_ratio is not None
+    blind = simulate(bsc, ("we", "wd"), use_marginals=False, **kw)
+    assert blind == simulate(bsc, ("we", "wd"), use_marginals=True, **kw)
+    assert all(res.compression_ratio is not None for res in blind)
+
+
+@pytest.mark.parametrize("use_marginals", [True, False])
+@pytest.mark.parametrize("strategies", [
+    STRATEGIES,
+    ("accumulate", "wd", "blockwise", "we", "known-joint"),
+    ("known-joint", "wd"),
+    ("blockwise", "accumulate"),
+])
+def test_mixed_run_equals_single_runs(strategies, use_marginals):
+    """One run of several strategies returns, in the order asked, each one's
+    own single-strategy result: blind we/wd on the collapsed model, the
+    baselines on the model as given."""
+    kw = dict(epsilon=0.05, T=400, seed=5, eta=0.2, batch_size=3,
+              use_marginals=use_marginals, collect_batches=True)
+    for model in (demo_model(), two_group_pmf_model()):
+        mixed = simulate(model, strategies, **kw)
+        assert [r.strategy for r in mixed] == list(strategies)
+        assert mixed == tuple(simulate(model, (s,), **kw)[0] for s in strategies)
 
 
 def test_we_quantile_degenerates_at_large_epsilon(single_cdf_model):
     # eps -> 1: the quantile collapses to the minimum entropy sum
     model = SourceModel((CdfEntry(1, 1, 0.5, 1.0), CdfEntry(1, 2, 0.5, 3.0)))
-    res = run_wait_to_encode(model, epsilon=0.99, T=50, seed=1, c=2.5)
+    res, = simulate(model, ("we",), epsilon=0.99, T=50, seed=1, c=2.5)
     assert res.batches == 50  # 1.0 <= c always flushes immediately
     assert res.mean_encoding_rate == pytest.approx(1.0)
     assert res.outage_rate > 0.2  # min-entropy coding loses often
 
 
 def test_known_joint_baseline(single_cdf_model, six_cdf_model):
-    res = run_baseline_known_joint(single_cdf_model, T=200, seed=0, c=4.0)
+    res, = simulate(single_cdf_model, ("known-joint",), epsilon=None, T=200, seed=0, c=4.0)
     assert res.mean_delay == pytest.approx(1.5, abs=1e-12)
     assert res.outage_rate == 0.0
 
     # matches an independent Lindley replay of the same trace
     T = 3000
-    res = run_baseline_known_joint(six_cdf_model, T=T, seed=7, eta=0.1)
+    res, = simulate(six_cdf_model, ("known-joint",), epsilon=None, T=T, seed=7, eta=0.1)
     tr = sample_trace(six_cdf_model, T, seed=7)
     c = 4.17 / 0.9
     wcs = lindley_wc(tr.h.tolist(), [float(t) for t in range(1, T + 1)], c)
@@ -132,18 +142,17 @@ def test_known_joint_baseline(single_cdf_model, six_cdf_model):
 
 
 def test_blockwise_baseline(six_cdf_model):
-    res = run_baseline_blockwise(six_cdf_model, T=500, seed=1, c=8.34)
+    res, = simulate(six_cdf_model, ("blockwise",), epsilon=None, T=500, seed=1, c=8.34)
     assert res.mean_delay == pytest.approx(1 + 6 / 8.34, abs=1e-12)
     assert not res.unstable
     assert res.outage_rate == 0.0
-    res = run_baseline_blockwise(six_cdf_model, T=2000, seed=1, c=5.0)
+    res, = simulate(six_cdf_model, ("blockwise",), epsilon=None, T=2000, seed=1, c=5.0)
     assert res.unstable  # H_max = 6 > c
 
 
 def test_accumulate_baseline_n1_is_per_block_quantile(six_cdf_model):
-    res = run_baseline_accumulate(
-        six_cdf_model, epsilon=0.01, N=1, T=400, seed=3, c=8.34
-    )
+    res, = simulate(six_cdf_model, ("accumulate",), epsilon=0.01, batch_size=1, T=400,
+                    seed=3, c=8.34, use_marginals=False)
     assert res.batches == 400
     # every block ships the one-block unconditional quantile
     assert res.mean_encoding_rate == pytest.approx(
@@ -156,10 +165,9 @@ def test_accumulate_at_kc_matches_we_worst_case(six_cdf_model):
     eta = 0.25
     c = 4.17 / (1 - eta)
     kc = k_c(six_cdf_model, c, 0.01)
-    we = run_wait_to_encode(flat, epsilon=0.01, T=2000, seed=5, eta=eta)
-    accum = run_baseline_accumulate(
-        six_cdf_model, epsilon=0.01, N=kc, T=2000, seed=5, eta=eta
-    )
+    we, = simulate(flat, ("we",), epsilon=0.01, T=2000, seed=5, eta=eta)
+    accum, = simulate(six_cdf_model, ("accumulate",), epsilon=0.01, batch_size=kc, T=2000,
+                      seed=5, eta=eta, use_marginals=False)
     assert accum.mean_delay == pytest.approx(we.mean_delay, abs=1e-9)
     assert accum.mean_encoding_rate == pytest.approx(we.mean_encoding_rate, abs=1e-12)
 
@@ -168,9 +176,8 @@ def test_accumulate_rate_approaches_mean_entropy(six_cdf_model):
     # larger batches average the source out: per-block rate drops toward E[H]
     rates = []
     for N in (1, 4, 16, 64):
-        res = run_baseline_accumulate(
-            six_cdf_model, epsilon=0.05, N=N, T=640, seed=9, c=8.34
-        )
+        res, = simulate(six_cdf_model, ("accumulate",), epsilon=0.05, batch_size=N, T=640,
+                        seed=9, c=8.34, use_marginals=False)
         rates.append(res.mean_encoding_rate / 1.0)
     assert rates == sorted(rates, reverse=True)
     assert rates[-1] < rates[0]
@@ -178,10 +185,8 @@ def test_accumulate_rate_approaches_mean_entropy(six_cdf_model):
 
 
 def test_delay_components_sum(six_cdf_model):
-    for strategy in ("we", "wd", "known-joint", "blockwise"):
-        res = run_strategy(
-            strategy, six_cdf_model, epsilon=0.05, T=2000, seed=11, eta=0.25
-        )
+    for res in simulate(six_cdf_model, ("we", "wd", "known-joint", "blockwise"),
+                        epsilon=0.05, T=2000, seed=11, eta=0.25):
         assert res.mean_delay == pytest.approx(
             res.mean_w_e + res.mean_w_c + res.mean_w_d, abs=1e-9
         )
@@ -192,12 +197,8 @@ def test_flush_feasibility_and_decode_minimality(six_cdf_model):
     T = 1500
     eta, eps = 0.25, 0.05
     c = 4.17 / (1 - eta)
-    for run, strategy in (
-        (run_wait_to_encode, "we"),
-        (run_wait_to_decode, "wd"),
-    ):
-        res = run(six_cdf_model, epsilon=eps, T=T, seed=13, eta=eta,
-                  collect_batches=True)
+    for res in simulate(six_cdf_model, ("we", "wd"), epsilon=eps, T=T, seed=13, eta=eta,
+                        collect_batches=True):
         tr = sample_trace(six_cdf_model, T, seed=13)
         acc = RateAccumulator(six_cdf_model)
         for batch in res.batch_log:
@@ -217,18 +218,16 @@ def test_flush_feasibility_and_decode_minimality(six_cdf_model):
 
 
 def test_outage_guarantee_moderate_runs(six_cdf_model):
-    for strategy, run in (("we", run_wait_to_encode), ("wd", run_wait_to_decode)):
-        for eta, eps in ((0.25, 0.05), (0.1, 0.05)):
-            res = run(six_cdf_model, epsilon=eps, T=30_000, seed=17, eta=eta)
+    for eta, eps in ((0.25, 0.05), (0.1, 0.05)):
+        for res in simulate(six_cdf_model, ("we", "wd"), epsilon=eps, T=30_000, seed=17,
+                            eta=eta):
             slack = 3 * math.sqrt(eps * (1 - eps) / res.batches)
-            assert res.outage_rate <= eps + slack, (strategy, eta)
+            assert res.outage_rate <= eps + slack, (res.strategy, eta)
 
 
 def test_records_stream(six_cdf_model):
-    res = run_wait_to_decode(
-        six_cdf_model, epsilon=0.05, T=300, seed=19, eta=0.25,
-        collect_records=True,
-    )
+    res, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=300, seed=19, eta=0.25,
+                    collect_records=True)
     rec = res.records
     assert len(rec) == res.decoded_blocks
     assert (rec.w_e == 1.0).all() and (rec.w_c == 1.0).all() and (rec.w_d >= 0.0).all()
@@ -239,47 +238,58 @@ def test_records_stream(six_cdf_model):
 
 
 def test_overload_warns(six_cdf_model):
-    with pytest.warns(RuntimeWarning, match="delay may diverge"):
-        run_wait_to_encode(six_cdf_model, epsilon=0.05, T=50, seed=1, c=4.0)
+    """The warning names the caller's line, not a line inside the package."""
+    for strategy in ("we", "accumulate"):
+        with pytest.warns(RuntimeWarning, match="delay may diverge") as record:
+            simulate(six_cdf_model, (strategy,), epsilon=0.05, T=50, seed=1, c=4.0,
+                     batch_size=3)
+        assert record[0].filename == __file__, strategy
 
 
 def test_epsilon_required_and_bounded(six_cdf_model):
-    for bad in (None, 0.0, 1.0, -0.1):
+    """epsilon is checked whenever it is given; only a run of the baselines
+    that never outage may leave it out."""
+    kw = dict(T=10, seed=1, eta=0.5, batch_size=2)
+    for strategies in (("we",), ("wd",), ("accumulate",), ("known-joint", "we")):
+        for bad in (None, 0.0, 1.0, -0.1):
+            with pytest.raises(ValueError, match="epsilon"):
+                simulate(six_cdf_model, strategies, epsilon=bad, **kw)
+    never_out = ("known-joint", "blockwise")
+    for bad in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError, match="epsilon"):
-            run_wait_to_encode(six_cdf_model, epsilon=bad, T=10, seed=1, eta=0.5)
-        with pytest.raises(ValueError, match="epsilon"):
-            run_wait_to_decode(six_cdf_model, epsilon=bad, T=10, seed=1, eta=0.5)
+            simulate(six_cdf_model, never_out, epsilon=bad, **kw)
+    assert [r.epsilon for r in simulate(six_cdf_model, never_out, epsilon=None, **kw)] \
+        == [None, None]
 
 
 def test_determinism_same_seed(six_cdf_model):
-    a = run_wait_to_encode(six_cdf_model, epsilon=0.05, T=5000, seed=23, eta=0.2)
-    b = run_wait_to_encode(six_cdf_model, epsilon=0.05, T=5000, seed=23, eta=0.2)
+    a, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
+    b, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
     assert a == b
 
 
 def test_compression_ratio_only_with_pmfs(six_cdf_model):
-    res = run_wait_to_decode(six_cdf_model, epsilon=0.05, T=100, seed=1, eta=0.5)
+    res, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=100, seed=1, eta=0.5)
     assert res.compression_ratio is None
 
     from swdelay import bsc_pair_model
 
     bsc = bsc_pair_model(0.1)  # uniform X: the marginal-entropy proxy is 1 bit
-    res = run_wait_to_decode(bsc, epsilon=0.05, T=100, seed=1, eta=0.5)
+    res, = simulate(bsc, ("wd",), epsilon=0.05, T=100, seed=1, eta=0.5)
     assert res.compression_ratio == pytest.approx(res.mean_encoding_rate / 1.0)
 
 
 def test_encoding_rate_matches_batch_log(six_cdf_model):
     T = 200
-    we = run_wait_to_encode(
-        six_cdf_model, epsilon=0.05, T=T, seed=29, eta=0.25, collect_batches=True
-    )
+    we, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=T, seed=29, eta=0.25,
+                   collect_batches=True)
     # one message per batch, sized n * quantile
     assert len(we.batch_log) == we.batches
     n = six_cdf_model.block_len_n
     total_bits = sum(n * b.rate_total for b in we.batch_log)
     assert we.mean_encoding_rate == pytest.approx(total_bits / (n * T), abs=1e-12)
 
-    wd = run_wait_to_decode(six_cdf_model, epsilon=0.05, T=T, seed=29, eta=0.25)
+    wd, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=T, seed=29, eta=0.25)
     # the saturated encoder ships one channel-rate message every block
     assert wd.mean_encoding_rate == pytest.approx(wd.c)
 
@@ -317,15 +327,14 @@ def _reference_batches(model, trace, c, epsilon, quantile):
 
 
 def _check_against_reference(model, *, epsilon, T, seed, eta):
-    """we and wd runs, alone and as the two halves of one run_adaptive pass,
-    equal the reference: batches, records, summary."""
+    """we and wd runs, alone and as the two halves of one shared pass, equal
+    the reference: batches, records, summary."""
     kw = dict(epsilon=epsilon, T=T, seed=seed, eta=eta,
               collect_records=True, collect_batches=True)
-    pair = run_adaptive(model, **kw)
+    pair = simulate(model, ("we", "wd"), **kw)
     trace = sample_trace(model, T, seed)
-    for run, quantile, half in ((run_wait_to_encode, True, pair[0]),
-                                (run_wait_to_decode, False, pair[1])):
-        res = run(model, **kw)
+    for strategy, quantile, half in (("we", True, pair[0]), ("wd", False, pair[1])):
+        res, = simulate(model, (strategy,), **kw)
         assert dataclasses.replace(half, records=None) == dataclasses.replace(res, records=None)
         for field in ("block", "w_e", "w_c", "w_d"):
             assert getattr(half.records, field).tolist() == getattr(res.records, field).tolist()
@@ -400,7 +409,7 @@ def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
         return push(self, group)
 
     monkeypatch.setattr(RateAccumulator, "push_block", counted)
-    res = run_wait_to_encode(six_cdf_model, epsilon=0.01, T=1000, seed=3, eta=0.5)
+    res, = simulate(six_cdf_model, ("we",), epsilon=0.01, T=1000, seed=3, eta=0.5)
     assert res.batches == 1000
     assert len(calls) <= 3
 
@@ -488,9 +497,9 @@ def test_accumulate_matches_reference(use_marginals):
                          (7, 600, dict(eta=0.2)), (5, 600, dict(c=c)),
                          (41, 40, dict(eta=0.3))):  # no batch completes
             trace = sample_trace(model, T, seed=i)
-            res = run_baseline_accumulate(
-                model, epsilon=eps, N=N, T=T, seed=i, use_marginals=use_marginals,
-                collect_records=True, collect_batches=True, **kw)
+            res, = simulate(
+                model, ("accumulate",), epsilon=eps, batch_size=N, T=T, seed=i,
+                use_marginals=use_marginals, collect_records=True, collect_batches=True, **kw)
             if use_marginals:
                 acc = RateAccumulator(model)
 
@@ -519,12 +528,12 @@ def test_known_joint_and_blockwise_match_reference():
         stats = compute_stats(model)
         trace = sample_trace(model, T, seed=i)
         for kw in (dict(eta=0.3), dict(eta=0.05), dict(c=0.9 * stats.h_max)):
-            kj = run_baseline_known_joint(model, T=T, seed=i, collect_records=True, **kw)
+            kj, = simulate(model, ("known-joint",), epsilon=None, T=T, seed=i, collect_records=True, **kw)
             batches = _replay_fixed_batches(trace, 1, lambda lo, t: float(trace.h[t - 1]))
             assert not any(b.outage for b in batches)
             _check_encoder_side(kj, model, batches, strategy="known-joint", T=T, seed=i,
                                 epsilon=None, proxy=_proxy(model), logged=False)
-            bw = run_baseline_blockwise(model, T=T, seed=i, collect_records=True, **kw)
+            bw, = simulate(model, ("blockwise",), epsilon=None, T=T, seed=i, collect_records=True, **kw)
             batches = _replay_fixed_batches(trace, 1, lambda lo, t: stats.h_max)
             _check_encoder_side(bw, model, batches, strategy="blockwise", T=T, seed=i,
                                 epsilon=None, proxy=_proxy(model), logged=False)
