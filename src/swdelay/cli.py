@@ -112,6 +112,16 @@ def _parse_list(text: str, kind: type) -> list:
         raise CliError(f"bad {kind.__name__} list {text!r}") from exc
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -426,6 +436,7 @@ def cmd_ingest(args) -> int:
             representative="random" if args.random_representative else "midpoint",
             seed=args.seed,
             block_len_n=args.n,
+            slot_seconds=args.slot_seconds,
         )
     except Exception as exc:
         raise CliError(str(exc)) from exc
@@ -555,6 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-levels", type=_positive_int, default=128)
     p.add_argument("--marginal-levels", type=_positive_int, default=8)
     p.add_argument("--skip-header", type=int, default=0)
+    p.add_argument("--slot-seconds", type=_positive_float, default=None,
+                   help="seconds per symbol, written to the model for --seconds")
     p.add_argument("--random-representative", action="store_true",
                    help="draw level representatives at random (seeded)")
     p.add_argument("--assign-out", default=None,

@@ -1,4 +1,4 @@
-"""Entropy and relative-entropy helpers for finite alphabets.
+"""Entropy helpers for finite alphabets.
 
 All quantities are in bits.  Joint pmfs are 2-D arrays with rows indexed by
 the X symbol and columns by the Y symbol.
@@ -29,14 +29,3 @@ def cond_entropy_x_given_y_bits(joint: np.ndarray) -> float:
     joint = np.asarray(joint, dtype=float)
     return entropy_bits(joint) - entropy_bits(marginal_y(joint))
 
-
-def relative_entropy_bits(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p || q) with the conventions 0*log(0/q) = 0 and p>0, q=0 -> inf."""
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise ValueError("pmf shapes differ")
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))

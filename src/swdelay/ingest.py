@@ -11,7 +11,8 @@ the marginal groups, and the occupancy fractions become the prior.
 Marginal quantization is independent of the joint quantization and can
 therefore break the members-share-marginals invariant; a final repair step
 fits every member pmf to its group representative's marginals (iterative
-proportional fitting) and reports the distortion it introduced.
+proportional fitting, all members in one stacked pass) and reports the
+distortion it introduced.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import cond_entropy_x_given_y_bits, marginal_x, marginal_y, relative_entropy_bits
+from .entropy import cond_entropy_x_given_y_bits
 from .model import CdfEntry, SourceModel
 
 
@@ -57,6 +58,9 @@ class IngestResult:
     quarantined: tuple[int, ...]  # blocks with infinite divergence to block 1
 
 
+_CHUNK = 1 << 16   # bound on the symbols and on the count cells of one bincount
+
+
 def blockify(trace, n: int, alphabet_x: int | None = None,
              alphabet_y: int | None = None) -> list[TraceBlock]:
     """Cut a paired symbol trace into blocks with empirical statistics.
@@ -64,6 +68,8 @@ def blockify(trace, n: int, alphabet_x: int | None = None,
     ``trace`` is a sequence of (x, y) integer pairs (array-like of shape
     (N, 2)).  A trailing partial block is dropped.  Divergences use the
     conventions 0*log(0/q) = 0 and p>0, q=0 -> infinity (block flagged).
+    The joint counts of a run of blocks come from one bincount over the keys
+    (t*ax + x)*ay + y, about 64k symbols and 64k count cells at a time.
     """
     arr = np.asarray(trace, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -79,22 +85,45 @@ def blockify(trace, n: int, alphabet_x: int | None = None,
     if arr[:, 0].max() >= ax or arr[:, 1].max() >= ay:
         raise IngestError("symbol outside the declared alphabet")
 
-    blocks: list[TraceBlock] = []
-    ref = ref_x = ref_y = None
-    for t in range(arr.shape[0] // n):
-        chunk = arr[t * n:(t + 1) * n]
-        flat = np.bincount(chunk[:, 0] * ay + chunk[:, 1], minlength=ax * ay)
-        pmf = flat.reshape(ax, ay) / n
-        mx, my = marginal_x(pmf), marginal_y(pmf)
-        if t == 0:
-            ref, ref_x, ref_y = pmf, mx, my
-            d = dx = dy = 0.0
-        else:
-            d = relative_entropy_bits(pmf, ref)
-            dx = relative_entropy_bits(mx, ref_x)
-            dy = relative_entropy_bits(my, ref_y)
-        blocks.append(TraceBlock(t + 1, pmf, mx, my, d, dx, dy))
-    return blocks
+    count = arr.shape[0] // n
+    cells = ax * ay
+    step = max(1, _CHUNK // max(n, cells))
+    pmf = np.empty((count, ax, ay))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        seg = arr[lo * n:hi * n]
+        keys = (seg[:, 0] * ay + seg[:, 1]).reshape(hi - lo, n)
+        keys += (np.arange(hi - lo) * cells)[:, None]
+        pmf[lo:hi] = np.bincount(keys.ravel(), minlength=(hi - lo) * cells).reshape(-1, ax, ay) / n
+    mx, my = pmf.sum(axis=2), pmf.sum(axis=1)
+    d = _divergences_to_first(pmf.reshape(count, cells))
+    dx = _divergences_to_first(mx)
+    dy = _divergences_to_first(my)
+    return [TraceBlock(t + 1, pmf[t], mx[t], my[t], float(d[t]), float(dx[t]), float(dy[t]))
+            for t in range(count)]
+
+
+def _divergences_to_first(p: np.ndarray) -> np.ndarray:
+    """D(p[t] || p[0]) in bits for every row of ``p``; 0 for row 0.
+
+    Rows with the same number k of positive cells are summed together as a
+    (rows, k) array, so each row's positive terms are added in the order a
+    1-D ``np.sum`` over them uses.  A positive cell where row 0 is zero makes
+    the divergence infinite.
+    """
+    q = p[0]
+    out = np.zeros(len(p))
+    pos = p > 0
+    out[np.any(pos & (q == 0), axis=1)] = np.inf
+    k = pos.sum(axis=1)
+    rest = 1 + np.flatnonzero(np.isfinite(out[1:]))
+    for size in np.unique(k[rest]):
+        rows = rest[k[rest] == size]
+        mask = pos[rows]
+        pk = p[rows][mask].reshape(len(rows), size)
+        qk = np.broadcast_to(q, mask.shape)[mask].reshape(len(rows), size)
+        out[rows] = (pk * np.log2(pk / qk)).sum(axis=1)
+    return out
 
 
 def _levels(values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,22 +137,35 @@ def _levels(values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, mids
 
 
-def _fit_marginals(pmf: np.ndarray, tx: np.ndarray, ty: np.ndarray,
+def _fit_marginals(pmfs: np.ndarray, tx: np.ndarray, ty: np.ndarray,
                    iters: int = 500, tol: float = 1e-13) -> np.ndarray:
-    """Iterative proportional fitting of a pmf to target marginals."""
-    q = pmf + 1e-15
-    q /= q.sum()
+    """Iterative proportional fitting of a stack of pmfs (M, ax, ay) to
+    target marginals tx (M, ax) and ty (M, ay), one pair per pmf.
+
+    All members sweep together; a member leaves the active set after the
+    first sweep that brings both its marginal errors below ``tol``, so each
+    stops exactly where a fit of it alone would.
+    """
+    q = pmfs + 1e-15
+    q /= q.reshape(len(q), -1).sum(axis=1)[:, None, None]
+    fitted = np.empty_like(q)
+    active = np.arange(len(q))
     for _ in range(iters):
-        rows = q.sum(axis=1)
-        q *= np.divide(tx, rows, out=np.zeros_like(tx), where=rows > 0)[:, None]
-        cols = q.sum(axis=0)
-        q *= np.divide(ty, cols, out=np.zeros_like(ty), where=cols > 0)[None, :]
-        if (np.abs(q.sum(axis=1) - tx).max() < tol
-                and np.abs(q.sum(axis=0) - ty).max() < tol):
-            break
+        rows = q.sum(axis=2)
+        q *= np.divide(tx, rows, out=np.zeros_like(tx), where=rows > 0)[:, :, None]
+        cols = q.sum(axis=1)
+        q *= np.divide(ty, cols, out=np.zeros_like(ty), where=cols > 0)[:, None, :]
+        done = ((np.abs(q.sum(axis=2) - tx).max(axis=1) < tol)
+                & (np.abs(q.sum(axis=1) - ty).max(axis=1) < tol))
+        if done.any():
+            fitted[active[done]] = q[done]
+            keep = ~done
+            active, q, tx, ty = active[keep], q[keep], tx[keep], ty[keep]
+            if not active.size:
+                break
     else:
         raise IngestError("marginal repair did not converge")
-    return q / q.sum()
+    return fitted / fitted.reshape(len(fitted), -1).sum(axis=1)[:, None, None]
 
 
 def quantize_model(
@@ -192,9 +234,11 @@ def quantize_model(
         best = min(pos_list, key=lambda p: (abs(float(d[p]) - mid), finite[p].index))
         return finite[best]
 
-    entries: list[CdfEntry] = []
+    labels: list[tuple[int, int, int]] = []   # (group, member, count) per entry
+    raw: list[np.ndarray] = []
+    tx: list[np.ndarray] = []
+    ty: list[np.ndarray] = []
     assignment_of: dict[int, tuple[int, int]] = {}
-    distortion = 0.0
     total = len(finite)
     for g, levels in member_keys.items():
         reps: list[tuple[int, TraceBlock, int]] = []  # (level, block, count)
@@ -205,19 +249,24 @@ def quantize_model(
                 assignment_of[finite[p].index] = (g, j)
         # anchor = the member with the largest occupancy (ties: lowest level)
         anchor = max(reps, key=lambda r: (r[2], -r[0]))[1]
-        tx, ty = anchor.marginal_x, anchor.marginal_y
         for j, rep, count in reps:
-            fitted = _fit_marginals(rep.joint_pmf, tx, ty)
-            distortion = max(distortion, float(np.abs(fitted - rep.joint_pmf).sum()) / 2)
-            entries.append(
-                CdfEntry(
-                    group=g,
-                    member=j,
-                    prob=count / total,
-                    cond_entropy=cond_entropy_x_given_y_bits(fitted),
-                    joint_pmf=fitted,
-                )
-            )
+            labels.append((g, j, count))
+            raw.append(rep.joint_pmf)
+            tx.append(anchor.marginal_x)
+            ty.append(anchor.marginal_y)
+
+    fitted = _fit_marginals(np.stack(raw), np.stack(tx), np.stack(ty))
+    distortion = max(float(np.abs(f - p).sum()) / 2 for f, p in zip(fitted, raw))
+    entries = [
+        CdfEntry(
+            group=g,
+            member=j,
+            prob=count / total,
+            cond_entropy=cond_entropy_x_given_y_bits(f),
+            joint_pmf=f,
+        )
+        for (g, j, count), f in zip(labels, fitted)
+    ]
 
     assignment = tuple(
         BlockAssignment(

@@ -8,7 +8,7 @@ import pytest
 from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
 from swdelay import model as model_mod
 from swdelay.entropy import cond_entropy_x_given_y_bits
-from swdelay.cli import SweepSpec, run_sweep
+from swdelay.cli import SWEEP_COLUMNS, SweepSpec, run_sweep
 from swdelay.rate import RateAccumulator
 from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
@@ -395,6 +395,37 @@ def test_ingest_cli_roundtrip(tmp_path):
     assert len(rows) == 61
 
 
+def test_ingest_slot_seconds_then_sweep_seconds(tmp_path, capsys):
+    """A slot of 2.5 ms per symbol and 200 symbols per block: one block is
+    0.5 s, so a sweep with --seconds reports every delay at half its value
+    in blocks."""
+    trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=200, blocks=60, seed=5)
+    trace_path = tmp_path / "trace.csv"
+    np.savetxt(trace_path, trace, fmt="%d", delimiter=",")
+    model_out = tmp_path / "learned.yaml"
+    assert cli.main([
+        "ingest", "--input", trace_path.as_posix(), "--n", "200",
+        "--joint-levels", "2", "--marginal-levels", "1", "--slot-seconds", "0.0025",
+        "--out", model_out.as_posix(),
+    ]) == 0
+    model = model_mod.load_model(model_out)
+    assert (model.block_len_n, model.slot_seconds) == (200, 0.0025)
+    sweep = ["sweep", "--model", model_out.as_posix(), "--strategies", "we,wd,known-joint",
+             "--eta-grid", "0.25,0.1", "--epsilon", "0.01", "--blocks", "400",
+             "--seeds", "3", "--no-timestamp"]
+    capsys.readouterr()
+    assert cli.main(sweep) == 0
+    in_blocks = capsys.readouterr().out.strip().splitlines()
+    assert cli.main([*sweep, "--seconds"]) == 0
+    in_secs = capsys.readouterr().out.strip().splitlines()
+    assert in_secs[0] == in_blocks[0] and len(in_secs) == 7
+    delay = SWEEP_COLUMNS.index("mean_delay")
+    for b, s in zip(in_blocks[1:], in_secs[1:]):
+        b, s = b.split(","), s.split(",")
+        assert float(s[delay]) == pytest.approx(float(b[delay]) * 0.5, rel=1e-9)
+        assert s[delay + 4:] == b[delay + 4:]   # outage, rate and batches unchanged
+
+
 def test_malformed_yaml_is_usage_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("groups: [\n  - {members: [\n")
@@ -442,6 +473,14 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
      "--joint-levels: must be >= 1"),
     (["ingest", "--input", "x.csv", "--n", "4", "--marginal-levels", "0"],
      "--marginal-levels: must be >= 1"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--slot-seconds", "0"],
+     "--slot-seconds: must be a positive number"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--slot-seconds", "-0.5"],
+     "--slot-seconds: must be a positive number"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--slot-seconds", "nan"],
+     "--slot-seconds: must be a positive number"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--slot-seconds", "1/60"],
+     "--slot-seconds: invalid float value"),
 ])
 def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
     """Rejected while parsing: exit 1 with a message and no worker process."""
@@ -527,6 +566,55 @@ def test_frozen_outputs(model_file, tmp_path):
                              "--eta-grid", "0.5,0.25,0.1", "--no-timestamp")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FIG4
+
+
+def _frozen_ingest_trace() -> np.ndarray:
+    """100 blocks of 100 4-ary pairs: y is x shifted by +-1 with a per-block
+    crossover, so the cells (x, x + 2) are empty in every block, and x is
+    uniform or skewed per block, so the marginals fall into several groups.
+    Block 1 holds every (x, x), (x, x + 1) and (x, x + 3) pair; block 7 alone
+    holds a (0, 2) pair, which block 1 lacks, and is quarantined."""
+    rng = np.random.default_rng(1)
+    blocks, n = 100, 100
+    px = np.array([[0.25] * 4, [0.35, 0.25, 0.25, 0.15]])
+    which = rng.integers(0, 2, size=blocks)
+    x = np.stack([rng.choice(4, size=n, p=px[w]) for w in which])
+    crossover = rng.choice([0.2, 0.4], size=blocks)
+    crossover[0] = 0.4
+    flip = rng.random((blocks, n)) < crossover[:, None]
+    y = np.where(flip, (x + np.where(rng.random((blocks, n)) < 0.5, 1, 3)) % 4, x)
+    x[0, :12] = np.repeat(np.arange(4), 3)
+    y[0, :12] = (x[0, :12] + np.tile([0, 1, 3], 4)) % 4
+    x[6, 0], y[6, 0] = 0, 2
+    return np.stack([x.ravel(), y.ravel()], axis=1)
+
+
+# sha256 of the model YAML and of the --assign-out CSV of `ingest` on
+# _frozen_ingest_trace, and its stderr summary, recorded while blockify still
+# looped over blocks and the marginal repair fitted one member at a time
+FROZEN_INGEST_MODEL = "903b0d1526e055768d9812058daa0834c3a1cb0463daf1d0254096e53cb86b99"
+FROZEN_INGEST_ASSIGN = "39b6ac2eb3edc2ca5acf6a3c77cef7e5cd43eb70fdc6cf97f67f7f4af22d016f"
+FROZEN_INGEST_SUMMARY = (
+    "model written to MODEL (marginal repair distortion 0.268757051538, "
+    "1 blocks quarantined)"
+)
+
+
+def test_frozen_ingest_outputs(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    np.savetxt(trace, _frozen_ingest_trace(), fmt="%d", delimiter=",")
+    model_out, assign_out = tmp_path / "model.yaml", tmp_path / "assign.csv"
+    code = cli.main([
+        "ingest", "--input", trace.as_posix(), "--n", "100",
+        "--joint-levels", "8", "--marginal-levels", "2",
+        "--out", model_out.as_posix(), "--assign-out", assign_out.as_posix(),
+        "--no-timestamp",
+    ])
+    assert code == 0
+    summary = capsys.readouterr().err.strip().replace(model_out.as_posix(), "MODEL")
+    assert summary == FROZEN_INGEST_SUMMARY
+    assert hashlib.sha256(model_out.read_bytes()).hexdigest() == FROZEN_INGEST_MODEL
+    assert hashlib.sha256(assign_out.read_bytes()).hexdigest() == FROZEN_INGEST_ASSIGN
 
 
 _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
