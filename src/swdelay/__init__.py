@@ -15,7 +15,6 @@ from .codec import (
     CodecTrialReport,
     decode,
     encode,
-    error_breakdown,
     is_typical,
     jointly_typical,
     run_codec_trials,

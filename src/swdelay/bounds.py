@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import EntropyStats, ModelError
+from .model import EntropyStats, ModelError, check_epsilon, check_eta
 
 WE = "WE"
 WD = "WD"
@@ -23,23 +23,28 @@ def _check_params(stats: EntropyStats, eta: float, epsilon: float) -> None:
     if stats.e_h <= 0:
         raise ModelError("the mean conditional entropy is 0: the channel rate "
                          "E[H]/(1 - eta) is 0 and the bounds are undefined")
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_eta(eta)
+    check_epsilon(epsilon)
+
+
+def _gamma(e: float, var: float, spread: float, eta: float, epsilon: float) -> float:
+    """The 1/eta^2 coefficient for mean entropy e, variance var and spread.
+
+    Written with the variance distributed through the bracket so the
+    zero-variance case degenerates to 0 instead of 0/0; a zero-entropy group
+    has no variance and no spread either, and its coefficient is 0.
+    """
+    if e == 0:
+        return 0.0
+    return (-2.0 * math.log(epsilon) / (e * e)) * (
+        var * (1.0 - eta) ** 2 + (spread * e / 3.0) * (eta - eta * eta)
+    )
 
 
 def gamma_coefficient(stats: EntropyStats, eta: float, epsilon: float) -> float:
-    """Leading 1/eta^2 coefficient of the upper bounds.
-
-    Written with the variance distributed through the bracket so the
-    zero-variance model degenerates to 0 instead of 0/0.
-    """
+    """Leading 1/eta^2 coefficient of the upper bounds."""
     _check_params(stats, eta, epsilon)
-    e = stats.e_h
-    return (-2.0 * math.log(epsilon) / (e * e)) * (
-        stats.var_h * (1.0 - eta) ** 2 + (stats.m_h * e / 3.0) * (eta - eta * eta)
-    )
+    return _gamma(stats.e_h, stats.var_h, stats.m_h, eta, epsilon)
 
 
 def ub_delay(stats: EntropyStats, eta: float, epsilon: float, which: str) -> float:
@@ -87,12 +92,7 @@ def lb_delay(stats: EntropyStats, eta: float, epsilon: float, which: str) -> Low
     out: list[BoundCandidate] = []
     for i in candidates_idx:
         e_i = stats.e_hi[i]
-        # a zero-entropy group has no variance and no spread: gamma_i = 0, as
-        # for the zero-variance model in gamma_coefficient
-        gamma_i = 0.0 if e_i == 0 else (-2.0 * math.log(epsilon) / (e_i * e_i)) * (
-            stats.var_hi[i] * (1.0 - eta) ** 2
-            + (stats.m_hi[i] * e_i / 3.0) * (eta - eta * eta)
-        )
+        gamma_i = _gamma(e_i, stats.var_hi[i], stats.m_hi[i], eta, epsilon)
         others = sum(
             stats.phi[j] * stats.e_hi[j] for j in range(stats.m) if j != i
         )

@@ -1,17 +1,18 @@
 """Desk-scale random-binning codec with a posterior-weighted typicality decoder.
 
-Sequences of K blocks of n symbols are mapped to bin indices by a seeded
-pseudo-random hash (no codebook is stored); the decoder enumerates the
-sequences consistent with the received bin(s), keeps those typical under
-some joint-cdf hypothesis compatible with the observed marginal groups, and
-returns the candidate whose best hypothesis posterior is highest.  Ties
-break to the lexicographically smallest candidate.
+A message is random binning of prefixes, in stages: stage s hashes the prefix
+of the first ``ends[s]`` blocks to a bin with seed ``seeds[s]`` (no codebook
+is stored).  The ``batch`` message is one stage over all K blocks, the
+``sequential`` one a stage per block.  A stage with at least as many bins as
+prefixes is the identity map, which makes it injective.  The decoder
+enumerates the sequences consistent with the received bins, keeps those
+typical under some joint-cdf hypothesis compatible with the observed marginal
+groups, and returns the candidate whose best hypothesis posterior is highest.
+Ties break to the lexicographically smallest candidate.
 
 Typicality is the empirical log-likelihood kind: a sequence is typical when
 its per-symbol log-likelihood deviates from the per-symbol entropy average
-by at most ``delta`` bits.  When the bin count is at least the number of
-possible sequences the binning degenerates to the identity map, which makes
-it injective.
+by at most ``delta`` bits.
 
 Everything here is exhaustive by design and guarded to small alphabets and
 short blocks; the asymptotic guarantees of the rate oracle are *not*
@@ -69,6 +70,8 @@ class CodecConfig:
             raise ValueError("delta must be positive")
         if self.rate_bits < 0:
             raise ValueError("rate_bits must be nonnegative")
+        if not 0 <= self.seed < 2 ** 64 - self.blocks:  # every stage seed is a uint64
+            raise ValueError(f"seed must be in [0, 2**64 - K), got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +171,11 @@ SEQUENTIAL = "sequential"
 class Codebook:
     """Seeded binning structure bound to a model and observed marginal groups.
 
-    ``batch`` bins whole K-block sequences into 2**rate_bits bins (the
-    deferred-encoding message); ``sequential`` bins every prefix of k blocks
-    into 2**(rate_bits/K) bins and the message is the bin tuple (the
-    deferred-decoding message stream).
+    Stage s bins the first ``ends[s]`` blocks into ``bins`` bins with seed
+    ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
+    stage ``ends = (K,)`` with 2**rate_bits bins; ``sequential`` (the
+    deferred-decoding message stream, a tuple) has ``ends = (1, ..., K)`` with
+    2**(rate_bits/K) bins each.
     """
 
     def __init__(
@@ -181,7 +185,13 @@ class Codebook:
         groups: tuple[int, ...],
         kind: str = BATCH,
     ):
-        if kind not in (BATCH, SEQUENTIAL):
+        K = config.blocks
+        if kind == BATCH:
+            self.ends, self.seeds = (K,), (config.seed,)
+        elif kind == SEQUENTIAL:
+            self.ends = tuple(range(1, K + 1))
+            self.seeds = tuple(config.seed + k for k in self.ends)
+        else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
         groups = tuple(int(g) for g in groups)
         if len(groups) != config.blocks:
@@ -199,17 +209,9 @@ class Codebook:
         self.config = config
         self.groups = groups
         self.kind = kind
-        ax = config.alphabet_x
-        self.total = ax ** (config.n * config.blocks)
-        if kind == BATCH:
-            self.bins = max(1, round(2.0 ** config.rate_bits))
-            self.injective = self.bins >= self.total
-        else:
-            per = config.rate_bits / config.blocks
-            self.bins = max(1, round(2.0 ** per))
-            self.injective = all(
-                self.bins >= ax ** (config.n * k) for k in range(1, config.blocks + 1)
-            )
+        self.total = config.alphabet_x ** (config.n * K)
+        self.bins = max(1, round(2.0 ** (config.rate_bits / len(self.ends))))
+        self.injective = self.bins >= self.total  # the longest prefix has the most
 
     # -- sequence indexing (lexicographic, first symbol most significant) --
 
@@ -236,32 +238,20 @@ class Codebook:
         return self.config.alphabet_x ** (self.config.n * k)
 
     @cached_property
-    def _bins_table(self) -> np.ndarray | list[np.ndarray]:
-        """Bin of every sequence (batch) or of every prefix per k (sequential)."""
-        if self.kind == BATCH:
-            idx = np.arange(self.total, dtype=np.int64)
-            if self.injective:
-                return idx + 1
-            return _hash_bins(idx, self.bins, self.config.seed)
-        tables = []
-        for k in range(1, self.config.blocks + 1):
-            idx = np.arange(self._prefix_total(k), dtype=np.int64)
-            if self.bins >= self._prefix_total(k):
-                tables.append(idx + 1)
-            else:
-                tables.append(_hash_bins(idx, self.bins, self.config.seed + k))
-        return tables
+    def _bins_table(self) -> list[np.ndarray]:
+        """Per stage, the bin of every prefix it covers."""
+        prefixes = [np.arange(self._prefix_total(end), dtype=np.int64) for end in self.ends]
+        return [idx + 1 if self.bins >= len(idx) else _hash_bins(idx, self.bins, seed)
+                for idx, seed in zip(prefixes, self.seeds)]
 
     def _bins_of(self, index: np.ndarray) -> np.ndarray:
-        """Bin of each sequence index (batch), or its bin per prefix as a last axis of K."""
-        if self.kind == BATCH:
-            return self._bins_table[index]
+        """Bins of each sequence index, one per stage on a last axis."""
         K = self.config.blocks
-        return np.stack([table[index // self._prefix_total(K - k)]
-                         for k, table in enumerate(self._bins_table, 1)], axis=-1)
+        return np.stack([table[index // self._prefix_total(K - end)]
+                         for end, table in zip(self.ends, self._bins_table)], axis=-1)
 
     def _message(self, bins: np.ndarray) -> int | tuple[int, ...]:
-        return int(bins) if self.kind == BATCH else tuple(bins.tolist())
+        return int(bins[0]) if self.kind == BATCH else tuple(bins.tolist())
 
     def bin_of(self, x_blocks) -> int | tuple[int, ...]:
         """Raw binning map (total function; typicality is the encoder's job)."""
@@ -277,12 +267,11 @@ class Codebook:
         return _Hypothesis(self.marginal_entries())
 
     def _encode(self, x: np.ndarray) -> np.ndarray:
-        """Messages of (T, K, n) sequences; an atypical sequence or prefix gets bin 1."""
+        """Per-stage bins of (T, K, n) sequences; an atypical prefix gets bin 1."""
         marginals = self._marginals
         typical = _typical_prefixes(marginals.log_x, marginals.h_x, self.config.delta, x)
-        if self.kind == BATCH:
-            typical = typical[:, -1]
-        return np.where(typical, self._bins_of(self.seq_index(x)), 1)
+        stage_typical = typical[:, np.array(self.ends) - 1]
+        return np.where(stage_typical, self._bins_of(self.seq_index(x)), 1)
 
     # -- decoding tables, built once per codebook --
 
@@ -301,13 +290,11 @@ class Codebook:
         return out
 
     def _keys(self, bins) -> np.ndarray:
-        """Sort key of messages: the bin (batch), or the bin tuple read as digits
-        of one more than the largest bin (sequential; -1 when out of range)."""
+        """Sort key of (..., stages) messages: the bins read as digits of one
+        more than the largest bin, or -1 when a bin is out of range."""
         bins = np.asarray(bins, dtype=np.int64)
-        if self.kind == BATCH:
-            return bins
         radix = min(self.bins, self.total) + 1
-        keys = bins @ radix ** np.arange(self.config.blocks - 1, -1, -1, dtype=np.int64)
+        keys = bins @ radix ** np.arange(len(self.ends) - 1, -1, -1, dtype=np.int64)
         return np.where(((bins > 0) & (bins < radix)).all(axis=-1), keys, -1)
 
     @cached_property
@@ -383,7 +370,8 @@ def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
     """Posterior-argmax typicality decoding; None signals failure to decode."""
     cfg = codebook.config
     y = _as_blocks(y_blocks, cfg.blocks, cfg.n)
-    cand, trial, _, best = codebook._score(*codebook._lookup([bins]), y[None])
+    message = np.reshape(bins, (1, -1))  # one trial, one bin per stage
+    cand, trial, _, best = codebook._score(*codebook._lookup(message), y[None])
     won = _winners(cand, trial, best, 1)[0]
     if won < 0:
         return None
@@ -477,8 +465,3 @@ def run_codec_trials(
         eps2=int((collision & collided).sum()),
         eps3=int((collision & ~collided).sum()),
     )
-
-
-def error_breakdown(report: CodecTrialReport) -> tuple[int, int, int]:
-    """The three error-event counts of a trial run."""
-    return report.eps1, report.eps2, report.eps3

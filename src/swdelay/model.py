@@ -34,6 +34,27 @@ class ModelError(ValueError):
         self.violations = violations or []  # an invalid model's broken invariants
 
 
+# each run quantity is checked here, so every caller gives the same message
+
+def check_epsilon(epsilon: float | None, *, allow_one: bool = False) -> None:
+    """Raises ValueError unless the outage target is in (0, 1), or (0, 1]."""
+    top = "1]" if allow_one else "1)"
+    if epsilon is None or not (0 < epsilon <= 1 if allow_one else 0 < epsilon < 1):
+        raise ValueError(f"epsilon must be in (0, {top}, got {epsilon}")
+
+
+def check_eta(eta: float) -> None:
+    """Raises ValueError unless the heavy-traffic parameter is in (0, 1)."""
+    if not 0 < eta < 1:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+
+
+def check_blocks(T: int) -> None:
+    """Raises ValueError unless a block count is at least 1."""
+    if T < 1:
+        raise ValueError(f"block count must be >= 1, got {T}")
+
+
 @dataclass(frozen=True)
 class CdfEntry:
     """One joint-cdf hypothesis: group/member indices, prior weight and H(X|Y)."""
@@ -260,8 +281,7 @@ def compute_stats(model: SourceModel) -> EntropyStats:
 
 def sample_trace(model: SourceModel, T: int, seed: int) -> BlockTrace:
     """Draw T i.i.d. block cdfs from the prior; deterministic given seed."""
-    if T < 1:
-        raise ValueError(f"block count must be >= 1, got {T}")
+    check_blocks(T)
     rng = np.random.default_rng(seed)
     probs = np.array([e.prob for e in model.entries], dtype=float)
     probs = probs / probs.sum()

@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EntropyStats, ModelError, SourceModel, compute_stats
+from .model import (EntropyStats, ModelError, SourceModel, check_blocks, check_epsilon,
+                    check_eta, compute_stats)
 
 H_RES_EXACT = 1e-9
 H_RES_COARSE = 1e-3
@@ -168,8 +169,7 @@ class RateAccumulator:
 
     def rate_quantile(self, epsilon: float) -> float:
         """Smallest support value R with P{sum > R} <= epsilon (bits, cumulative)."""
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        check_epsilon(epsilon)
         if self.k < 1:
             raise ValueError("empty accumulator: push at least one block first")
         dense = self._dense
@@ -191,10 +191,8 @@ class RateAccumulator:
 
 def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
     """Quantile of the K-fold convolution of the full prior (no marginal info)."""
-    if K < 1:
-        raise ValueError(f"block count must be >= 1, got {K}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_blocks(K)
+    check_epsilon(epsilon)
     acc = RateAccumulator(model.collapse_marginals())
     for _ in range(K):
         acc.push_block(1)
@@ -211,10 +209,8 @@ class ChernoffBatch(NamedTuple):
 
 def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBatch:
     """Chernoff-bound batch size for channel rate c = E[H] / (1 - eta)."""
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    check_eta(eta)
+    check_epsilon(epsilon, allow_one=True)
     if stats.var_h == 0:
         return ChernoffBatch(0.0, 1, True)
     c = stats.e_h / (1.0 - eta)
@@ -230,8 +226,7 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     Searches incrementally; a Chernoff bound guarantees the search terminates,
     and a 10x cutoff above it guards against misuse.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     stats = compute_stats(model)
     if c <= stats.e_h:
         raise ModelError(

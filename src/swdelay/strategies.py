@@ -36,8 +36,8 @@ import numpy as np
 
 from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
-from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, compute_stats,
-                    sample_trace)
+from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, check_blocks,
+                    check_epsilon, check_eta, compute_stats, sample_trace)
 from .rate import RateAccumulator, rate_unconditional
 
 # absorbs float accumulation noise when comparing realised entropy sums
@@ -119,8 +119,8 @@ def resolve_channel_rate(
 def _check_channel(eta: float | None, c: float | None) -> None:
     if (eta is None) == (c is None):
         raise ValueError("give exactly one of eta or c")
-    if eta is not None and not 0 < eta < 1:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    if eta is not None:
+        check_eta(eta)
     if c is not None and c <= 0:
         raise ValueError(f"channel rate must be positive, got {c}")
 
@@ -138,10 +138,8 @@ def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = 
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
     if epsilon is not None or any(_RULE[s] != "one-block" for s in strategies):
-        if epsilon is None or not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if T < 1:
-        raise ValueError(f"block count must be >= 1, got {T}")
+        check_epsilon(epsilon)
+    check_blocks(T)
     if ACCUMULATE in strategies and (batch_size is None or batch_size < 1):
         raise ValueError(f"the accumulate baseline needs a batch size >= 1, got {batch_size}")
     _check_channel(eta, c)

@@ -514,6 +514,11 @@ FROZEN_CODEC = {
         "f9ab88ca85391a7aa8ebcb63db8e85589787fcb2dfd4e522e06fbcde52ae6c9f",
     ("sequential", "7", "2", "8,11,14"):
         "ba844a1b85feb64f18c4e9f040f8ea9771b7e318f7306d12a32ec27bd0ebaac5",
+    # recorded while batch and sequential binning still ran as two code paths
+    ("batch", "6", "2", "6,9,12"):
+        "468bb2379460a715fae3fcbe8da1989190cf8ce37dbef69eb7c14cd6bb67619a",
+    ("sequential", "12", "1", "6,9,12"):
+        "8e297defe84cb22487ff934f4d869a024779c1ac35143e65a7d8bd5cc8cfb240",
 }
 
 
@@ -660,6 +665,12 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["rate", "--blocks", "100000", "--epsilon", "1.5"], "epsilon must be in (0, 1)"),
     (["simulate", "--strategy", "known-joint", "--epsilon", "2", "--eta", "0.5",
       "--blocks", "20"], "epsilon must be in (0, 1)"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--trials", "5", "--seed", "-1"], "seed must be in [0, 2**64 - K)"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--trials", "5", "--seed", "18446744073709551616"], "seed must be in [0, 2**64 - K)"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "9",
+      "--trials", "5", "--seed", "-1"], "seed must be in [0, 2**64 - K)"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any

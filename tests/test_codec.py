@@ -17,7 +17,7 @@ from swdelay import (
     run_codec_trials,
 )
 from swdelay import codec
-from swdelay.codec import CodecTrialReport, error_breakdown
+from swdelay.codec import CodecTrialReport
 from swdelay.entropy import cond_entropy_x_given_y_bits
 
 
@@ -47,6 +47,15 @@ def test_config_guards():
         CodecConfig(2, 2, 4, 1, 0.5, -1.0)
     with pytest.raises(ValueError):
         CodecConfig(4, 4, 16, 2, 0.5, 2.0)  # 4**32 sequences
+    # every stage seed (seed + 1 .. seed + K when sequential) must fit a uint64
+    for blocks, seed in ((1, -1), (2, 2 ** 64 - 2), (1, 2 ** 64)):
+        with pytest.raises(ValueError, match="seed must be in"):
+            CodecConfig(2, 2, 4, blocks, 0.5, 2.0, seed=seed)
+    top = CodecConfig(2, 2, 4, 1, 0.5, 2.0, seed=2 ** 64 - 2)
+    for kind in ("batch", "sequential"):
+        book = Codebook(bsc_pair_model(0.1), top, (1,), kind)
+        assert not book.injective
+        assert 1 <= np.min(book.bin_of([0, 1, 1, 0])) <= book.bins
 
 
 def test_uniform_source_always_typical():
@@ -106,7 +115,8 @@ def test_bin_uniformity_chi_square():
     cfg = CodecConfig(2, 2, 12, 1, delta=0.5, rate_bits=5.0, seed=3)
     book = Codebook(model, cfg, (1,))
     assert not book.injective
-    counts = np.bincount(np.asarray(book._bins_table) - 1, minlength=book.bins)
+    bins = [book.bin_of(seq) for seq in itertools.product((0, 1), repeat=12)]
+    counts = np.bincount(np.asarray(bins) - 1, minlength=book.bins)
     assert counts.sum() == 4096
     _, pvalue = scipy.stats.chisquare(counts)
     assert pvalue > 0.001
@@ -153,13 +163,30 @@ def test_decode_failure_is_a_value():
     assert decode(book, 7, np.array([1, 1, 1, 1])) is None
 
 
+@pytest.mark.parametrize("kind, rate", [("batch", 3.0), ("batch", 6.0),
+                                        ("sequential", 3.0), ("sequential", 12.0)])
+def test_decode_out_of_range_message_is_none(kind, rate):
+    """A message with a bin outside 1..bins matches no candidate, at a hashed
+    and at an injective rate; delta is wide, so every sequence is typical."""
+    model = bsc_pair_model(0.1)
+    cfg = CodecConfig(2, 2, 3, 2, delta=3.0, rate_bits=rate, seed=5)
+    book = Codebook(model, cfg, (1, 1), kind)
+    assert book.injective == (rate > 3.0)
+    x = np.array([[0, 1, 1], [1, 0, 0]])
+    assert decode(book, encode(book, x), x) is not None
+    b = book.bins
+    bad = [0, -1, b + 1] if kind == "batch" else [(0, 0), (b + 1, b + 1), (1, -1)]
+    for message in bad:
+        assert decode(book, message, x) is None, message
+
+
 def test_trials_identical_sources_never_err():
     x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
     cfg = CodecConfig(2, 2, 8, 1, delta=0.5, rate_bits=0.0, seed=4)
     report = run_codec_trials(model, (1,), cfg, trials=200, seed=9)
     assert report.errors == 0
-    assert error_breakdown(report) == (0, 0, 0)
+    assert (report.eps1, report.eps2, report.eps3) == (0, 0, 0)
 
 
 def test_trials_false_hypothesis_collisions():
