@@ -424,13 +424,13 @@ def cmd_ingest(args) -> int:
         raise CliError("an output model path is required (--out)")
     _check_writable(args.out, args.assign_out)
     try:
-        trace = np.loadtxt(args.input, delimiter=",", dtype=np.int64, skiprows=args.skip_header)
+        trace = np.loadtxt(args.input, delimiter=",", dtype=np.int64,
+                           skiprows=args.skip_header, ndmin=2)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
     try:
-        blocks = blockify(trace, args.n)
         result = quantize_model(
-            blocks,
+            blockify(trace, args.n),
             joint_levels=args.joint_levels,
             marginal_levels=args.marginal_levels,
             representative="random" if args.random_representative else "midpoint",
@@ -443,11 +443,10 @@ def cmd_ingest(args) -> int:
     save_model(result.model, args.out)
     print(f"model written to {args.out} "
           f"(marginal repair distortion {_fmt(result.marginal_distortion)}, "
-          f"{len(result.quarantined)} blocks quarantined)", file=sys.stderr)
+          f"{int((result.group == 0).sum())} blocks quarantined)", file=sys.stderr)
     if args.assign_out is not None:
-        rows = [
-            (a.block, a.group, a.member, a.d_to_ref) for a in result.assignment
-        ]
+        rows = zip(range(1, len(result.group) + 1), result.group.tolist(),
+                   result.member.tolist(), result.d_to_ref.tolist())
         _write_csv(args.assign_out, ("t", "i", "j", "d_to_ref"), rows,
                    not args.no_timestamp)
     return EXIT_OK

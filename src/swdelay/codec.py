@@ -290,12 +290,11 @@ class Codebook:
         return out
 
     def _keys(self, bins) -> np.ndarray:
-        """Sort key of (..., stages) messages: the bins read as digits of one
-        more than the largest bin, or -1 when a bin is out of range."""
-        bins = np.asarray(bins, dtype=np.int64)
+        """Sort key of (..., stages) messages whose bins are all in
+        1..min(bins, total): the bins read as digits of one more than that."""
         radix = min(self.bins, self.total) + 1
-        keys = bins @ radix ** np.arange(len(self.ends) - 1, -1, -1, dtype=np.int64)
-        return np.where(((bins > 0) & (bins < radix)).all(axis=-1), keys, -1)
+        return np.asarray(bins, dtype=np.int64) @ radix ** np.arange(
+            len(self.ends) - 1, -1, -1, dtype=np.int64)
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +366,17 @@ def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
 
 
 def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
-    """Posterior-argmax typicality decoding; None signals failure to decode."""
+    """Posterior-argmax typicality decoding; None signals failure to decode,
+    including a message with a bin outside 1..bins."""
     cfg = codebook.config
     y = _as_blocks(y_blocks, cfg.blocks, cfg.n)
-    message = np.reshape(bins, (1, -1))  # one trial, one bin per stage
+    message = [bins] if np.ndim(bins) == 0 else list(bins)
+    if len(message) != len(codebook.ends):
+        raise ValueError(f"message must have {len(codebook.ends)} stage(s), "
+                         f"got {len(message)}")
+    if not all(1 <= b <= min(codebook.bins, codebook.total) for b in message):
+        return None   # no sequence has a bin above either bound
+    message = np.array([message])  # one trial, one bin per stage
     cand, trial, _, best = codebook._score(*codebook._lookup(message), y[None])
     won = _winners(cand, trial, best, 1)[0]
     if won < 0:

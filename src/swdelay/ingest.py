@@ -1,23 +1,23 @@
 """Model construction from symbol traces.
 
-A paired symbol trace is cut into blocks of n symbols, each block is reduced
-to its empirical joint pmf, and the relative entropy of every block against
-block 1 becomes the quantization coordinate: the range of those divergences
-is split into equal-width intervals, each occupied interval becomes one
-joint-cdf level, and the block closest to the interval midpoint represents
-the level.  The same procedure applied to the two marginal sequences yields
-the marginal groups, and the occupancy fractions become the prior.
+``blockify`` cuts a paired symbol trace into blocks of n symbols and returns
+the stack of their empirical joint pmfs, shape (blocks, ax, ay).
+``quantize_model`` takes that stack, computes the relative entropy of every
+block, and of its two marginals, against block 1, and splits the range of
+each into equal-width intervals.  The occupied (x-level, y-level) pairs
+become the marginal groups; the occupied joint levels within a group become
+its members, each represented by one of its blocks; the occupancy fractions
+become the prior.
 
 Marginal quantization is independent of the joint quantization and can
 therefore break the members-share-marginals invariant; a final repair step
-fits every member pmf to its group representative's marginals (iterative
-proportional fitting, all members in one stacked pass) and reports the
-distortion it introduced.
+fits every member pmf to the marginals of its group's anchor member
+(iterative proportional fitting, all members in one stacked pass) and
+reports the distortion it introduced.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,45 +31,30 @@ class IngestError(ValueError):
     """Raised on malformed traces or impossible quantization requests."""
 
 
-@dataclass(frozen=True)
-class TraceBlock:
-    index: int
-    joint_pmf: np.ndarray
-    marginal_x: np.ndarray
-    marginal_y: np.ndarray
-    d_to_ref: float
-    d_to_ref_x: float
-    d_to_ref_y: float
-
-
-@dataclass(frozen=True)
-class BlockAssignment:
-    block: int
-    group: int   # 0 when the block was quarantined
-    member: int
-    d_to_ref: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IngestResult:
+    """The learned model and, for block t + 1 at index t, its cell: ``group``
+    and ``member`` (both 0 when the block was quarantined for an infinite
+    divergence to block 1) and ``d_to_ref``, its divergence to block 1."""
+
     model: SourceModel
-    assignment: tuple[BlockAssignment, ...]
+    group: np.ndarray
+    member: np.ndarray
+    d_to_ref: np.ndarray
     marginal_distortion: float   # largest total-variation change of the repair
-    quarantined: tuple[int, ...]  # blocks with infinite divergence to block 1
 
 
 _CHUNK = 1 << 16   # bound on the symbols and on the count cells of one bincount
 
 
-def blockify(trace, n: int, alphabet_x: int | None = None,
-             alphabet_y: int | None = None) -> list[TraceBlock]:
-    """Cut a paired symbol trace into blocks with empirical statistics.
+def blockify(trace, n: int) -> np.ndarray:
+    """Empirical joint pmf of every block of n symbols, shape (blocks, ax, ay).
 
-    ``trace`` is a sequence of (x, y) integer pairs (array-like of shape
-    (N, 2)).  A trailing partial block is dropped.  Divergences use the
-    conventions 0*log(0/q) = 0 and p>0, q=0 -> infinity (block flagged).
-    The joint counts of a run of blocks come from one bincount over the keys
-    (t*ax + x)*ay + y, about 64k symbols and 64k count cells at a time.
+    ``trace`` is a sequence of (x, y) nonnegative integer pairs (array-like
+    of shape (N, 2)); the alphabets are the largest symbols + 1.  A trailing
+    partial block is dropped.  The joint counts of a run of blocks come from
+    one bincount over the keys (t*ax + x)*ay + y, about 64k symbols and 64k
+    count cells at a time.
     """
     arr = np.asarray(trace, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -80,10 +65,7 @@ def blockify(trace, n: int, alphabet_x: int | None = None,
         raise IngestError(f"trace shorter than one block ({arr.shape[0]} < {n})")
     if arr.min() < 0:
         raise IngestError("symbols must be nonnegative integers")
-    ax = int(alphabet_x if alphabet_x is not None else arr[:, 0].max() + 1)
-    ay = int(alphabet_y if alphabet_y is not None else arr[:, 1].max() + 1)
-    if arr[:, 0].max() >= ax or arr[:, 1].max() >= ay:
-        raise IngestError("symbol outside the declared alphabet")
+    ax, ay = int(arr[:, 0].max()) + 1, int(arr[:, 1].max()) + 1
 
     count = arr.shape[0] // n
     cells = ax * ay
@@ -95,12 +77,7 @@ def blockify(trace, n: int, alphabet_x: int | None = None,
         keys = (seg[:, 0] * ay + seg[:, 1]).reshape(hi - lo, n)
         keys += (np.arange(hi - lo) * cells)[:, None]
         pmf[lo:hi] = np.bincount(keys.ravel(), minlength=(hi - lo) * cells).reshape(-1, ax, ay) / n
-    mx, my = pmf.sum(axis=2), pmf.sum(axis=1)
-    d = _divergences_to_first(pmf.reshape(count, cells))
-    dx = _divergences_to_first(mx)
-    dy = _divergences_to_first(my)
-    return [TraceBlock(t + 1, pmf[t], mx[t], my[t], float(d[t]), float(dx[t]), float(dy[t]))
-            for t in range(count)]
+    return pmf
 
 
 def _divergences_to_first(p: np.ndarray) -> np.ndarray:
@@ -169,7 +146,7 @@ def _fit_marginals(pmfs: np.ndarray, tx: np.ndarray, ty: np.ndarray,
 
 
 def quantize_model(
-    blocks: list[TraceBlock],
+    pmfs: np.ndarray,
     joint_levels: int,
     marginal_levels: int,
     *,
@@ -178,107 +155,85 @@ def quantize_model(
     block_len_n: int | None = None,
     slot_seconds: float | None = None,
 ) -> IngestResult:
-    """Quantize block divergences into a SourceModel plus block assignments.
+    """Quantize a (blocks, ax, ay) stack of block pmfs into a SourceModel.
 
-    ``representative="midpoint"`` picks the block whose divergence is closest
-    to its interval midpoint (deterministic); ``"random"`` draws it uniformly
-    from the interval's blocks with the given seed.
+    Groups are the occupied (x-level, y-level) pairs in sorted order, members
+    the occupied joint levels of a group in sorted order.
+    ``representative="midpoint"`` represents a member by the block whose
+    divergence is closest to its interval midpoint (ties: the lowest block);
+    ``"random"`` draws it uniformly from the member's blocks, one draw per
+    member in (group, level) order.  Each group's anchor, whose marginals
+    every member of the group is repaired to, is its member with the most
+    blocks (ties: the lowest level).
     """
     if joint_levels < 1 or marginal_levels < 1:
         raise IngestError("level counts must be >= 1")
     if representative not in ("midpoint", "random"):
         raise IngestError(f"unknown representative mode {representative!r}")
-    if not blocks:
-        raise IngestError("no blocks to quantize")
+    pmfs = np.asarray(pmfs, dtype=float)
+    if pmfs.ndim != 3 or not len(pmfs):
+        raise IngestError("no blocks to quantize: expected a (blocks, ax, ay) pmf stack")
 
-    finite = [b for b in blocks if math.isfinite(b.d_to_ref)
-              and math.isfinite(b.d_to_ref_x) and math.isfinite(b.d_to_ref_y)]
-    finite_idx = {b.index for b in finite}
-    quarantined = tuple(b.index for b in blocks if b.index not in finite_idx)
-    if not finite:
+    mx, my = pmfs.sum(axis=2), pmfs.sum(axis=1)
+    d = _divergences_to_first(pmfs.reshape(len(pmfs), -1))
+    dx, dy = _divergences_to_first(mx), _divergences_to_first(my)
+    finite = np.flatnonzero(np.isfinite(d) & np.isfinite(dx) & np.isfinite(dy))
+    if not finite.size:
         raise IngestError("every block has infinite divergence to the reference")
 
-    d = np.array([b.d_to_ref for b in finite])
-    dx = np.array([b.d_to_ref_x for b in finite])
-    dy = np.array([b.d_to_ref_y for b in finite])
-    jl, jmids = _levels(d, joint_levels)
-    xl, _ = _levels(dx, marginal_levels)
-    yl, _ = _levels(dy, marginal_levels)
-    if len(set(jl.tolist())) < joint_levels:
+    jl, jmids = _levels(d[finite], joint_levels)
+    xl, _ = _levels(dx[finite], marginal_levels)
+    yl, _ = _levels(dy[finite], marginal_levels)
+    occupied = len(np.unique(jl))
+    if occupied < joint_levels:
         warnings.warn(
-            f"only {len(set(jl.tolist()))} of {joint_levels} joint levels are "
-            "occupied; empty levels dropped",
+            f"only {occupied} of {joint_levels} joint levels are occupied; "
+            "empty levels dropped",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    rng = np.random.default_rng(seed) if representative == "random" else None
+    # cells = occupied (group, joint level) pairs, sorted; cell_of = each
+    # finite block's cell
+    _, group_of = np.unique(xl * marginal_levels + yl, return_inverse=True)
+    cells, cell_of, counts = np.unique(group_of * joint_levels + jl,
+                                       return_inverse=True, return_counts=True)
+    cell_group = cells // joint_levels
+    first = np.searchsorted(cell_group, np.arange(cell_group[-1] + 1))
+    cell_member = np.arange(len(cells)) - first[cell_group] + 1
 
-    # groups = occupied (marginal-x level, marginal-y level) pairs;
-    # members = occupied joint levels within a group
-    pair_of = list(zip(xl.tolist(), yl.tolist()))
-    group_keys = sorted(set(pair_of))
-    group_index = {key: i + 1 for i, key in enumerate(group_keys)}
-    cells: dict[tuple[int, int], list[int]] = {}
-    for pos, (pair, lev) in enumerate(zip(pair_of, jl.tolist())):
-        cells.setdefault((group_index[pair], lev), []).append(pos)
+    start = np.cumsum(counts) - counts
+    if representative == "random":
+        rng = np.random.default_rng(seed)
+        order = np.argsort(cell_of, kind="stable")
+        pick = start + np.array([rng.integers(c) for c in counts.tolist()])
+    else:
+        order = np.lexsort((np.abs(d[finite] - jmids[jl]), cell_of))
+        pick = start
+    rep = finite[order[pick]]
+    anchor = np.lexsort((-counts, cell_group))[first][cell_group]
 
-    member_keys: dict[int, list[int]] = {}
-    for g, lev in sorted(cells):
-        member_keys.setdefault(g, []).append(lev)
-
-    def _representative(pos_list: list[int], lev: int) -> TraceBlock:
-        if rng is not None:
-            return finite[pos_list[int(rng.integers(len(pos_list)))]]
-        mid = jmids[lev]
-        best = min(pos_list, key=lambda p: (abs(float(d[p]) - mid), finite[p].index))
-        return finite[best]
-
-    labels: list[tuple[int, int, int]] = []   # (group, member, count) per entry
-    raw: list[np.ndarray] = []
-    tx: list[np.ndarray] = []
-    ty: list[np.ndarray] = []
-    assignment_of: dict[int, tuple[int, int]] = {}
-    total = len(finite)
-    for g, levels in member_keys.items():
-        reps: list[tuple[int, TraceBlock, int]] = []  # (level, block, count)
-        for j, lev in enumerate(levels, start=1):
-            pos_list = cells[(g, lev)]
-            reps.append((j, _representative(pos_list, lev), len(pos_list)))
-            for p in pos_list:
-                assignment_of[finite[p].index] = (g, j)
-        # anchor = the member with the largest occupancy (ties: lowest level)
-        anchor = max(reps, key=lambda r: (r[2], -r[0]))[1]
-        for j, rep, count in reps:
-            labels.append((g, j, count))
-            raw.append(rep.joint_pmf)
-            tx.append(anchor.marginal_x)
-            ty.append(anchor.marginal_y)
-
-    fitted = _fit_marginals(np.stack(raw), np.stack(tx), np.stack(ty))
-    distortion = max(float(np.abs(f - p).sum()) / 2 for f, p in zip(fitted, raw))
-    entries = [
+    raw = pmfs[rep]
+    fitted = _fit_marginals(raw, mx[rep[anchor]], my[rep[anchor]])
+    distortion = float(np.abs(fitted - raw).sum(axis=(1, 2)).max()) / 2
+    entries = tuple(
         CdfEntry(
-            group=g,
+            group=g + 1,
             member=j,
-            prob=count / total,
+            prob=c / len(finite),
             cond_entropy=cond_entropy_x_given_y_bits(f),
             joint_pmf=f,
         )
-        for (g, j, count), f in zip(labels, fitted)
-    ]
-
-    assignment = tuple(
-        BlockAssignment(
-            b.index,
-            *(assignment_of.get(b.index, (0, 0))),
-            d_to_ref=b.d_to_ref,
-        )
-        for b in blocks
+        for g, j, c, f in zip(cell_group.tolist(), cell_member.tolist(),
+                              counts.tolist(), fitted)
     )
+    group = np.zeros(len(pmfs), dtype=np.int64)
+    member = np.zeros(len(pmfs), dtype=np.int64)
+    group[finite] = cell_group[cell_of] + 1
+    member[finite] = cell_member[cell_of]
     model = SourceModel(
-        tuple(entries),
+        entries,
         block_len_n=block_len_n if block_len_n is not None else 1,
         slot_seconds=slot_seconds,
     )
-    return IngestResult(model, assignment, distortion, quarantined)
+    return IngestResult(model, group, member, d, distortion)

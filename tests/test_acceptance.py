@@ -326,8 +326,7 @@ def test_criterion_09_ingest_round_trip():
         "high": 1.0,
     }
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=500, blocks=2000, seed=77)
-    blocks = sw.blockify(trace, n=500)
-    result = sw.quantize_model(blocks, joint_levels=2, marginal_levels=1)
+    result = sw.quantize_model(sw.blockify(trace, n=500), joint_levels=2, marginal_levels=1)
     model = result.model
     assert sw.validate_model(model) == []
     assert len(model.entries) == 2

@@ -395,6 +395,24 @@ def test_ingest_cli_roundtrip(tmp_path):
     assert len(rows) == 61
 
 
+def test_ingest_one_row_trace(tmp_path, capsys):
+    """A trace file of a single pair is one block, not a malformed trace."""
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("0,1\n")
+    model_out = tmp_path / "learned.yaml"
+    with pytest.warns(RuntimeWarning, match="joint levels"):
+        code = cli.main([
+            "ingest", "--input", trace_path.as_posix(), "--n", "1",
+            "--out", model_out.as_posix(), "--assign-out", "-", "--no-timestamp",
+        ])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out == "t,i,j,d_to_ref\n1,1,1,0\n"
+    model = model_mod.load_model(model_out)
+    assert len(model.entries) == 1
+    assert np.array_equal(model.entries[0].joint_pmf, [[0.0, 1.0]])
+
+
 def test_ingest_slot_seconds_then_sweep_seconds(tmp_path, capsys):
     """A slot of 2.5 ms per symbol and 200 symbols per block: one block is
     0.5 s, so a sweep with --seconds reports every delay at half its value
@@ -595,31 +613,43 @@ def _frozen_ingest_trace() -> np.ndarray:
 
 
 # sha256 of the model YAML and of the --assign-out CSV of `ingest` on
-# _frozen_ingest_trace, and its stderr summary, recorded while blockify still
-# looped over blocks and the marginal repair fitted one member at a time
-FROZEN_INGEST_MODEL = "903b0d1526e055768d9812058daa0834c3a1cb0463daf1d0254096e53cb86b99"
-FROZEN_INGEST_ASSIGN = "39b6ac2eb3edc2ca5acf6a3c77cef7e5cd43eb70fdc6cf97f67f7f4af22d016f"
-FROZEN_INGEST_SUMMARY = (
-    "model written to MODEL (marginal repair distortion 0.268757051538, "
-    "1 blocks quarantined)"
-)
+# _frozen_ingest_trace, and its stderr summary, per extra argument list: the
+# midpoint digests recorded while blockify still looped over blocks and the
+# marginal repair fitted one member at a time, the random-representative ones
+# (which pin the order of the representative draws) while quantize_model
+# still regrouped blocks through per-block records
+FROZEN_INGEST = {
+    (): (
+        "903b0d1526e055768d9812058daa0834c3a1cb0463daf1d0254096e53cb86b99",
+        "39b6ac2eb3edc2ca5acf6a3c77cef7e5cd43eb70fdc6cf97f67f7f4af22d016f",
+        "model written to MODEL (marginal repair distortion 0.268757051538, "
+        "1 blocks quarantined)",
+    ),
+    ("--random-representative", "--seed", "5"): (
+        "481ed04da3bceefeef175aad3fa7658a6a9da05948f1ba0db171d6866019efca",
+        "39b6ac2eb3edc2ca5acf6a3c77cef7e5cd43eb70fdc6cf97f67f7f4af22d016f",
+        "model written to MODEL (marginal repair distortion 0.214940679923, "
+        "1 blocks quarantined)",
+    ),
+}
 
 
 def test_frozen_ingest_outputs(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     np.savetxt(trace, _frozen_ingest_trace(), fmt="%d", delimiter=",")
     model_out, assign_out = tmp_path / "model.yaml", tmp_path / "assign.csv"
-    code = cli.main([
-        "ingest", "--input", trace.as_posix(), "--n", "100",
-        "--joint-levels", "8", "--marginal-levels", "2",
-        "--out", model_out.as_posix(), "--assign-out", assign_out.as_posix(),
-        "--no-timestamp",
-    ])
-    assert code == 0
-    summary = capsys.readouterr().err.strip().replace(model_out.as_posix(), "MODEL")
-    assert summary == FROZEN_INGEST_SUMMARY
-    assert hashlib.sha256(model_out.read_bytes()).hexdigest() == FROZEN_INGEST_MODEL
-    assert hashlib.sha256(assign_out.read_bytes()).hexdigest() == FROZEN_INGEST_ASSIGN
+    for extra, (model_digest, assign_digest, summary) in FROZEN_INGEST.items():
+        code = cli.main([
+            "ingest", "--input", trace.as_posix(), "--n", "100",
+            "--joint-levels", "8", "--marginal-levels", "2",
+            "--out", model_out.as_posix(), "--assign-out", assign_out.as_posix(),
+            "--no-timestamp", *extra,
+        ])
+        assert code == 0, extra
+        err = capsys.readouterr().err.strip().replace(model_out.as_posix(), "MODEL")
+        assert err == summary, extra
+        assert hashlib.sha256(model_out.read_bytes()).hexdigest() == model_digest, extra
+        assert hashlib.sha256(assign_out.read_bytes()).hexdigest() == assign_digest, extra
 
 
 _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",

@@ -175,9 +175,15 @@ def test_decode_out_of_range_message_is_none(kind, rate):
     x = np.array([[0, 1, 1], [1, 0, 0]])
     assert decode(book, encode(book, x), x) is not None
     b = book.bins
-    bad = [0, -1, b + 1] if kind == "batch" else [(0, 0), (b + 1, b + 1), (1, -1)]
+    if kind == "batch":
+        bad = [0, -1, b + 1, 2 ** 70, -2 ** 70]
+    else:
+        bad = [(0, 0), (b + 1, b + 1), (1, -1), (2 ** 70, 1), (1, 2 ** 70)]
     for message in bad:
         assert decode(book, message, x) is None, message
+    stages = len(book.ends)
+    with pytest.raises(ValueError, match=f"message must have {stages} stage"):
+        decode(book, (1,) * (stages + 1), x)
 
 
 def test_trials_identical_sources_never_err():

@@ -6,7 +6,7 @@ import pytest
 from swdelay import blockify, quantize_model, validate_model
 from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay import ingest as ingest_mod
-from swdelay.ingest import IngestError, _fit_marginals
+from swdelay.ingest import IngestError, _divergences_to_first, _fit_marginals
 
 PMF_A = np.array([[0.45, 0.05], [0.05, 0.45]])  # H(X|Y) = H_b(0.1)
 PMF_B = np.full((2, 2), 0.25)                   # H(X|Y) = 1
@@ -49,6 +49,14 @@ def reference_blocks(trace: np.ndarray, n: int, ax: int, ay: int) -> list[tuple]
     return out
 
 
+def divergences(pmfs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Marginals (mx, my) of a blockify pmf stack and the divergences
+    (d, dx, dy) of every block to block 1, as quantize_model computes them."""
+    mx, my = pmfs.sum(axis=2), pmfs.sum(axis=1)
+    return mx, my, *(_divergences_to_first(p)
+                     for p in (pmfs.reshape(len(pmfs), -1), mx, my))
+
+
 def covering_trace(ax: int, ay: int, n: int, blocks: int, alpha: float, seed: int) -> np.ndarray:
     """Blocks drawn from Dirichlet(alpha) pmfs; block 1 holds every pair, so
     every divergence is finite.  A small alpha leaves many cells empty."""
@@ -71,19 +79,20 @@ def covering_trace(ax: int, ay: int, n: int, blocks: int, alpha: float, seed: in
 ])
 def test_block_divergences_match_per_block_reference(ax, ay, n, alpha):
     trace = covering_trace(ax, ay, n, blocks=150, alpha=alpha, seed=ax * ay + n)
-    blocks = blockify(trace, n, alphabet_x=ax, alphabet_y=ay)
+    pmfs = blockify(trace, n)
     ref = reference_blocks(trace, n, ax, ay)
-    assert len(blocks) == len(ref)
-    positive = [int((b.joint_pmf > 0).sum()) for b in blocks]
+    assert pmfs.shape == (len(ref), ax, ay)
+    positive = (pmfs > 0).sum(axis=(1, 2))
     if alpha >= 20:
-        assert min(positive) == ax * ay
+        assert positive.min() == ax * ay
     else:
-        assert min(positive) < ax * ay
-    for b, (pmf, mx, my, d, dx, dy) in zip(blocks, ref):
-        assert np.array_equal(b.joint_pmf, pmf)
-        assert np.array_equal(b.marginal_x, mx) and np.array_equal(b.marginal_y, my)
-        assert (b.d_to_ref, b.d_to_ref_x, b.d_to_ref_y) == (d, dx, dy)  # bit for bit
-        assert math.isfinite(b.d_to_ref)
+        assert positive.min() < ax * ay
+    for got, want in zip(zip(pmfs, *divergences(pmfs)), ref):
+        pmf, mx, my, d, dx, dy = got
+        assert np.array_equal(pmf, want[0])
+        assert np.array_equal(mx, want[1]) and np.array_equal(my, want[2])
+        assert (d, dx, dy) == want[3:]  # bit for bit
+        assert math.isfinite(d)
 
 
 def test_divergence_infinite_exactly_where_reference_lacks_support():
@@ -92,17 +101,26 @@ def test_divergence_infinite_exactly_where_reference_lacks_support():
     trace[:30] = [0, 0]
     trace[:6, 1] = np.arange(3).repeat(2)   # block 1: only (0, 0), (0, 1), (0, 2)
     trace[30:60] = [[0, 1]] * 30            # block 2: inside block 1's support
-    blocks = blockify(trace, 30, alphabet_x=3, alphabet_y=3)
+    pmfs = blockify(trace, 30)
+    assert pmfs.shape[1:] == (3, 3)
     ref = reference_blocks(trace, 30, 3, 3)
-    first = blocks[0].joint_pmf.ravel()
-    for b, (_, _, _, d, dx, dy) in zip(blocks, ref):
-        lacks = np.any((b.joint_pmf.ravel() > 0) & (first == 0))
-        assert math.isinf(b.d_to_ref) == lacks
-        assert math.isinf(b.d_to_ref_x) == np.any((b.marginal_x > 0) & (blocks[0].marginal_x == 0))
-        assert math.isfinite(b.d_to_ref_y)
-        assert (b.d_to_ref, b.d_to_ref_x, b.d_to_ref_y) == (d, dx, dy)
-    assert not math.isinf(blocks[1].d_to_ref)
-    assert sum(math.isinf(b.d_to_ref) for b in blocks) > 30
+    mx, my, d, dx, dy = divergences(pmfs)
+    first = pmfs[0].ravel()
+    for t, (_, _, _, *want) in enumerate(ref):
+        lacks = np.any((pmfs[t].ravel() > 0) & (first == 0))
+        assert math.isinf(d[t]) == lacks
+        assert math.isinf(dx[t]) == np.any((mx[t] > 0) & (mx[0] == 0))
+        assert math.isfinite(dy[t])
+        assert (d[t], dx[t], dy[t]) == tuple(want)
+    assert not math.isinf(d[1])
+    assert np.isinf(d).sum() > 30
+    # the blocks with an infinite divergence, and only they, are quarantined
+    with pytest.warns(RuntimeWarning, match="2 of 4 joint levels"):
+        result = quantize_model(pmfs, joint_levels=4, marginal_levels=2)
+    assert np.array_equal(result.d_to_ref, d)
+    quarantined = result.group == 0
+    assert np.array_equal(quarantined, np.isinf(d) | np.isinf(dx) | np.isinf(dy))
+    assert np.array_equal(quarantined, result.member == 0)
 
 
 def test_blockify_leaves_the_trace_alone(monkeypatch):
@@ -114,9 +132,7 @@ def test_blockify_leaves_the_trace_alone(monkeypatch):
     assert np.array_equal(trace, kept)
     # a read-only array is accepted; small bincount chunks change nothing
     monkeypatch.setattr(ingest_mod, "_CHUNK", 7 * 50 + 13)
-    for b, e in zip(blockify(frozen, 50), expected):
-        assert np.array_equal(b.joint_pmf, e.joint_pmf)
-        assert (b.d_to_ref, b.d_to_ref_x, b.d_to_ref_y) == (e.d_to_ref, e.d_to_ref_x, e.d_to_ref_y)
+    assert np.array_equal(blockify(frozen, 50), expected)
     assert np.array_equal(frozen, kept)
 
 
@@ -166,12 +182,11 @@ def test_fit_marginals_cap_message():
 
 def test_blockify_constant_trace():
     trace = np.zeros((50, 2), dtype=int)
-    blocks = blockify(trace, n=10, alphabet_x=2, alphabet_y=2)
-    assert len(blocks) == 5
-    for b in blocks:
-        assert b.joint_pmf[0, 0] == 1.0
-        assert b.d_to_ref == 0.0
-    assert blocks[0].index == 1
+    pmfs = blockify(trace, n=10)
+    assert len(pmfs) == 5
+    assert pmfs.shape == (5, 1, 1)
+    assert np.all(pmfs[:, 0, 0] == 1.0)
+    assert np.all(divergences(pmfs)[2] == 0.0)
 
 
 def test_blockify_drops_partial_block():
@@ -184,18 +199,20 @@ def test_blockify_rejects_bad_input():
         blockify(np.zeros((0, 2), dtype=int), n=4)
     with pytest.raises(IngestError):
         blockify(np.zeros((3, 2), dtype=int), n=4)
-    with pytest.raises(IngestError):
-        blockify(np.array([[0, 5]]), n=1, alphabet_y=2)
+    with pytest.raises(IngestError, match="nonnegative"):
+        blockify(np.array([[0, -1]]), n=1)
+    with pytest.raises(IngestError, match="sequence of"):
+        blockify(np.array([0, 1]), n=1)
 
 
 def test_blockify_bimodal_divergences():
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=400, blocks=60, seed=4)
-    blocks = blockify(trace, n=400)
-    ds = np.array([b.d_to_ref for b in blocks])
+    pmfs = blockify(trace, n=400)
+    ds = divergences(pmfs)[2]
     # two clusters: near zero (same pmf as block 1) and near D(B||A) or D(A||B)
     near = (ds < 0.08).sum()
     far = (ds > 0.15).sum()
-    assert near + far == len(blocks)
+    assert near + far == len(pmfs)
     assert near >= 10 and far >= 10
 
 
@@ -204,8 +221,7 @@ def test_blockify_disjoint_support_infinite():
         np.zeros((8, 2), dtype=int),            # block 1: all (0, 0)
         np.tile([1, 1], (8, 1)),                # block 2: all (1, 1)
     ])
-    blocks = blockify(trace, n=8)
-    assert math.isinf(blocks[1].d_to_ref)
+    assert math.isinf(divergences(blockify(trace, n=8))[2][1])
 
 
 def test_quantize_single_source_collapses():
@@ -242,12 +258,12 @@ def test_quantize_two_source_roundtrip():
 
 def test_quantize_assignment_covers_all_blocks():
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=400, blocks=50, seed=9)
-    blocks = blockify(trace, n=400)
-    result = quantize_model(blocks, joint_levels=2, marginal_levels=1)
-    assert len(result.assignment) == len(blocks)
-    labels = {(a.group, a.member) for a in result.assignment}
+    pmfs = blockify(trace, n=400)
+    result = quantize_model(pmfs, joint_levels=2, marginal_levels=1)
+    assert len(result.group) == len(result.member) == len(result.d_to_ref) == len(pmfs)
+    labels = set(zip(result.group.tolist(), result.member.tolist()))
     assert labels == {(1, 1), (1, 2)}
-    assert result.quarantined == ()
+    assert not np.any(result.group == 0)
 
 
 def test_quantize_quarantines_infinite_blocks():
@@ -256,19 +272,19 @@ def test_quantize_quarantines_infinite_blocks():
         np.tile([1, 1], (8, 1)),
         np.zeros((8, 2), dtype=int),
     ])
-    blocks = blockify(trace, n=8)
     with pytest.warns(RuntimeWarning, match="joint levels"):
-        result = quantize_model(blocks, joint_levels=2, marginal_levels=1)
-    assert result.quarantined == (2,)
-    assert [a.group for a in result.assignment] == [1, 0, 1]
+        result = quantize_model(blockify(trace, n=8), joint_levels=2, marginal_levels=1)
+    assert result.group.tolist() == [1, 0, 1]
+    assert result.member.tolist() == [1, 0, 1]
 
 
 def test_quantize_deterministic():
     trace = synth_trace([PMF_A, PMF_B], [0.4, 0.6], n=200, blocks=80, seed=3)
-    blocks = blockify(trace, n=200)
-    a = quantize_model(blocks, joint_levels=4, marginal_levels=2)
-    b = quantize_model(blocks, joint_levels=4, marginal_levels=2)
-    assert a.assignment == b.assignment
+    pmfs = blockify(trace, n=200)
+    a = quantize_model(pmfs, joint_levels=4, marginal_levels=2)
+    b = quantize_model(pmfs, joint_levels=4, marginal_levels=2)
+    for field in ("group", "member", "d_to_ref"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
     for ea, eb in zip(a.model.entries, b.model.entries):
         assert ea.cond_entropy == eb.cond_entropy
         assert np.array_equal(ea.joint_pmf, eb.joint_pmf)
@@ -276,10 +292,10 @@ def test_quantize_deterministic():
 
 def test_quantize_random_representative_seeded():
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=200, blocks=80, seed=3)
-    blocks = blockify(trace, n=200)
-    a = quantize_model(blocks, 2, 1, representative="random", seed=11)
-    b = quantize_model(blocks, 2, 1, representative="random", seed=11)
-    c = quantize_model(blocks, 2, 1, representative="random", seed=12)
+    pmfs = blockify(trace, n=200)
+    a = quantize_model(pmfs, 2, 1, representative="random", seed=11)
+    b = quantize_model(pmfs, 2, 1, representative="random", seed=11)
+    c = quantize_model(pmfs, 2, 1, representative="random", seed=12)
     assert all(
         np.array_equal(x.joint_pmf, y.joint_pmf)
         for x, y in zip(a.model.entries, b.model.entries)
@@ -309,10 +325,10 @@ def test_roundtrip_error_shrinks_with_size():
 
 def test_quantize_rejects_bad_params():
     trace = np.zeros((40, 2), dtype=int)
-    blocks = blockify(trace, n=10)
+    pmfs = blockify(trace, n=10)
     with pytest.raises(IngestError):
-        quantize_model(blocks, 0, 1)
+        quantize_model(pmfs, 0, 1)
     with pytest.raises(IngestError):
-        quantize_model(blocks, 1, 1, representative="bogus")
+        quantize_model(pmfs, 1, 1, representative="bogus")
     with pytest.raises(IngestError):
         quantize_model([], 1, 1)

@@ -206,8 +206,9 @@ def _learned_model():
     rng = np.random.default_rng(11)
     pmfs = [rng.dirichlet(np.ones(16)).reshape(4, 4) for _ in range(4)]
     trace = synth_trace(pmfs, [0.25] * 4, n=200, blocks=80, seed=12)
-    blocks = blockify(trace, n=200, alphabet_x=4, alphabet_y=4)
-    return quantize_model(blocks, joint_levels=6, marginal_levels=2).model
+    pmfs = blockify(trace, n=200)
+    assert pmfs.shape[1:] == (4, 4)
+    return quantize_model(pmfs, joint_levels=6, marginal_levels=2).model
 
 
 @pytest.mark.parametrize("which", ["demo", "learned"])
