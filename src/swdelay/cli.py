@@ -13,6 +13,7 @@ import csv
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -122,14 +123,28 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's generators take no negative seed
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    seeds = tuple(_parse_list(text, int))
+    if min(seeds) < 0:
+        raise CliError(f"--seeds: must be >= 0, got {min(seeds)}")
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +331,7 @@ def cmd_sweep(args) -> int:
         eta_grid=tuple(_parse_list(args.eta_grid, float)),
         epsilon=args.epsilon,
         blocks=args.blocks,
-        seeds=tuple(_parse_list(args.seeds, int)),
+        seeds=_seed_list(args.seeds),
         batch_size=args.batch_size,
         use_marginals=not args.no_marginals,
     )
@@ -343,7 +358,7 @@ def cmd_example_fig4(args) -> int:
     stats = compute_stats(model)
     epsilon = 0.01
     etas = tuple(_parse_list(args.eta_grid, float))
-    seeds = tuple(_parse_list(args.seeds, int))
+    seeds = _seed_list(args.seeds)
     report = bounds_mod.bounds_report(stats, etas, epsilon)
     spec = SweepSpec(
         strategies=("we", "wd"),
@@ -460,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swdelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, seed=False, workers=False):
+    def common(p, model=True, seed=None, workers=False):
         if model:
             p.add_argument("--model", help="model config file (YAML)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+        if seed is not None:
+            p.add_argument("--seed", type=seed, default=0)
         p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
         if workers:
             p.add_argument("--workers", type=_positive_int, default=1,
@@ -503,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="one strategy run")
-    common(p, seed=True)
+    common(p, seed=_seed)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
@@ -542,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_example_fig4)
 
     p = sub.add_parser("codec", help="random-binning codec Monte Carlo trials")
-    common(p, seed=True)
+    common(p, seed=int)  # the codec checks its own range, [0, 2**64 - K)
     p.add_argument("--bsc", type=float, default=None,
                    help="binary symmetric pair with this crossover")
     p.add_argument("--n", type=int, required=True)
@@ -559,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_codec)
 
     p = sub.add_parser("ingest", help="build a model from a paired symbol trace")
-    common(p, model=False, seed=True)
+    common(p, model=False, seed=_seed)
     p.add_argument("--input", required=True, help="CSV of integer (x, y) pairs")
     p.add_argument("--n", type=_positive_int, required=True, help="symbols per block")
     p.add_argument("--joint-levels", type=_positive_int, default=128)
@@ -576,14 +591,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

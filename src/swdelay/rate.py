@@ -47,7 +47,7 @@ _IDX_EPS = 1e-6
 # 128-cell kernel, and above 57 cells per atom for a 300-point sum and a
 # 512-cell kernel (each atom costs about 1.5 us of call overhead).  Coarse
 # kernels of ingested models have 60-240 cells per atom; the demo model's
-# kernels have no empty cell and always take np.convolve.
+# kernels have no empty cell and always take the dense path.
 _CELLS_PER_ATOM = 16
 
 
@@ -83,11 +83,12 @@ def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
 
 
 class _Kernel(NamedTuple):
-    """A group pmf on the lattice: offset index, dense cells, and its
-    ``(cell, prob)`` atoms when sparse enough to convolve over (else None)."""
+    """A group pmf on the lattice: offset index, dense cells, the cells reversed,
+    and its ``(cell, prob)`` atoms when sparse enough to convolve over (else None)."""
 
     off: int
     dense: np.ndarray
+    rev: np.ndarray
     atoms: tuple[tuple[int, float], ...] | None
 
 
@@ -106,6 +107,8 @@ class RateAccumulator:
     """Running distribution of the conditional entropy sum, one push per block.
 
     Single-owner mutable state; all queries are pure given the pushed groups.
+    A dense push makes ``np.convolve``'s own ``np.correlate`` call, on a kernel
+    reversed once here, so its bits are ``np.convolve``'s.
     """
 
     def __init__(self, model: SourceModel):
@@ -136,7 +139,7 @@ class RateAccumulator:
         atoms = None
         if len(dense) >= _CELLS_PER_ATOM * len(nz):
             atoms = tuple(zip(nz.tolist(), dense[nz].tolist()))
-        return _Kernel(off, dense, atoms)
+        return _Kernel(off, dense, dense[::-1].copy(), atoms)
 
     def reset(self) -> None:
         self._dense = np.ones(1)
@@ -146,13 +149,16 @@ class RateAccumulator:
     def push_block(self, group: int) -> "RateAccumulator":
         """Convolve in the conditional entropy pmf of the observed group."""
         try:
-            off, kernel, atoms = self._gpmf[group]
+            off, kernel, rev, atoms = self._gpmf[group]
         except KeyError:
             raise ModelError(f"unknown group index {group}") from None
-        if atoms is None:
-            self._dense = np.convolve(self._dense, kernel)
+        dense = self._dense
+        if atoms is not None:
+            self._dense = _convolve_atoms(dense, atoms, len(kernel))
+        elif len(dense) >= len(kernel):  # np.convolve slides the longer operand
+            self._dense = np.correlate(dense, rev, "full")
         else:
-            self._dense = _convolve_atoms(self._dense, atoms, len(kernel))
+            self._dense = np.correlate(kernel, dense[::-1], "full")
         self._off += off
         self.k += 1
         return self
@@ -161,11 +167,12 @@ class RateAccumulator:
         """P{accumulated sum > threshold} (strict exceedance)."""
         dense = self._dense
         i = int(math.floor(threshold / self._step - self._off + _IDX_EPS)) + 1
+        # np.add.reduce is the reduction ndarray.sum runs, without its wrapper
         if i <= 0:
-            return float(dense.sum())
+            return float(np.add.reduce(dense))
         if i >= len(dense):
             return 0.0
-        return float(dense[i:].sum())
+        return float(np.add.reduce(dense[i:]))
 
     def rate_quantile(self, epsilon: float) -> float:
         """Smallest support value R with P{sum > R} <= epsilon (bits, cumulative)."""

@@ -10,11 +10,12 @@ exceeds the bits delivered for it, the idealised large-block decoding model.
 ``simulate`` runs any mix of strategies on one (eta, seed): it samples one
 trace per model it needs, segments each trace once per stop rule, then makes
 one accounting pass per strategy.  Segmentation cuts the trace into batches:
-``we`` and ``wd`` on the same test, tail(K*c) <= epsilon, memoized per run by
-the batch's group-count vector (a memo hit could flip a decision only for a
-tail within rounding of epsilon), so a run asking for both segments once;
-``accumulate`` every ``batch_size`` blocks; ``known-joint`` and ``blockwise`` every block,
-on one shared table.  Accounting charges the delays on one of two sides,
+``we`` and ``wd`` in one loop, ``_segment``, on the same test,
+tail(K*c) <= epsilon, memoized per run by the batch's group-count vector (a
+memo hit could flip a decision only for a tail within rounding of epsilon),
+so a run asking for both segments once; ``accumulate`` in its own loop every
+``batch_size`` blocks; ``known-joint`` and ``blockwise`` every block, on one
+shared table.  Accounting charges the delays on one of two sides,
 following the closed-form cycle analysis so that the deterministic worst cases
 are exact:
 
@@ -155,101 +156,70 @@ def _entropy_x_proxy(model: SourceModel) -> float | None:
 _MISS = object()  # memo sentinel: stored values are None or a rate, which can be 0.0
 
 
-class _StoppingRule:
-    """The shared ``we``/``wd`` batch stop, tail(K*c) <= epsilon, memoized per run.
+def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float
+             ) -> tuple[list[int], list[float], list[float]]:
+    """The ``we``/``wd`` batch table: sizes K, realised entropy sums (added block
+    by block) and epsilon-quantile rates.  A batch closes at the first block
+    with tail(K*c) <= epsilon; blocks after the last close are never decoded.
 
-    A flush returns the batch's epsilon-quantile, the ``we`` message size;
-    ``wd`` ships K*c instead and reads only where the batch closed.
-    Convolution commutes, so the stop decision and the quantile depend only on
-    the batch's group-count vector, packed here into one integer key (one count
-    field of ``T.bit_length() + 1`` bits per group, so no collisions for
-    K <= T).  A hit answers from the memo and queues the group unpushed; a miss
-    first pushes the queued groups and then the new one, in arrival order,
-    which leaves the accumulator exactly where pushing every block would, and
-    then queries it.  Each miss pushes at least once, so the memo holds at
-    most T entries.
+    Convolution commutes, so the decision and the quantile depend only on the
+    group-count vector, memoized under one integer key (a count field of
+    ``T.bit_length() + 1`` bits per group: no collisions for K <= T).  A hit
+    queues the block unpushed; a miss pushes the queue and then the block, in
+    arrival order, as pushing every block would.  The memo holds <= T entries.
     """
-
-    def __init__(self, model: SourceModel, *, c: float, epsilon: float, T: int):
-        self.acc = RateAccumulator(model)
-        self.c = c
-        self.epsilon = epsilon
-        width = T.bit_length() + 1
-        self._bit = {g: 1 << (width * (g - 1)) for g in range(1, model.m + 1)}
-        self._k = 0
-        self._key = 0
-        self._pending: list[int] = []
-        self._memo: dict[int, float | None] = {}
-
-    def push(self, group: int) -> float | None:
-        """Adds one block: None while the batch waits, else the batch's
-        epsilon-quantile at the flush; the next push then starts a new batch."""
-        self._k += 1
-        self._key += self._bit[group]
-        rate = self._memo.get(self._key, _MISS)
-        if rate is _MISS:
-            rate = self._evaluate(group)
-        else:
-            self._pending.append(group)
-        if rate is not None:
-            self._flush()
-        return rate
-
-    def _evaluate(self, group: int) -> float | None:
-        acc = self.acc
-        for g in self._pending:
-            acc.push_block(g)
-        acc.push_block(group)
-        self._pending.clear()
-        K = self._k
-        # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
-        if acc.tail_above(K * self.c) > self.epsilon:
-            rate = None
-        else:
-            rate = acc.rate_quantile(self.epsilon)
-        self._memo[self._key] = rate
-        return rate
-
-    def _flush(self) -> None:
-        if self.acc.k:  # a batch answered wholly from the memo pushed nothing
-            self.acc.reset()
-        self._k = 0
-        self._key = 0
-        self._pending.clear()
-
-
-def _fixed_stop(model: SourceModel, batch_size: int, epsilon: float, use_marginals: bool):
-    """The accumulate stop: every ``batch_size`` blocks, at the epsilon-quantile of
-    the batch's own groups with ``use_marginals``, else at the unconditional one
-    of that many blocks (the same rate when the model has one group)."""
-    if not use_marginals or model.m == 1:
-        fixed = rate_unconditional(model, batch_size, epsilon)
-        count = itertools.count(1)
-        return lambda group: None if next(count) % batch_size else fixed
     acc = RateAccumulator(model)
+    push, tail_above, quantile = acc.push_block, acc.tail_above, acc.rate_quantile
+    width = len(trace.h).bit_length() + 1
+    bit = [0] + [1 << (width * g) for g in range(model.m)]
+    memo: dict[int, float | None] = {}
+    pending: list[int] = []
+    sizes, ents, rates = [], [], []
+    K, key, ent = 0, 0, 0.0
+    for group, h in zip(trace.groups.tolist(), trace.h.tolist()):
+        K += 1
+        ent += h
+        key += bit[group]
+        rate = memo.get(key, _MISS)
+        if rate is _MISS:
+            for g in pending:
+                push(g)
+            pending.clear()
+            push(group)
+            # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
+            rate = memo[key] = None if tail_above(K * c) > epsilon else quantile(epsilon)
+        else:
+            pending.append(group)
+        if rate is not None:
+            sizes.append(K)
+            ents.append(ent)
+            rates.append(rate)
+            if acc.k:  # a batch answered wholly from the memo pushed nothing
+                acc.reset()
+            pending.clear()
+            K, key, ent = 0, 0, 0.0
+    return sizes, ents, rates
 
-    def stop(group: int) -> float | None:
-        acc.push_block(group)
-        if acc.k < batch_size:
-            return None
-        rate = acc.rate_quantile(epsilon)
-        acc.reset()
-        return rate
 
-    return stop
-
-
-def _segment(trace: BlockTrace, stop) -> tuple[list[int], list[float], list[float]]:
-    """The batch table of the trace: sizes K, realised entropy sums (added block
-    by block) and rates.  A batch closes at the block where stop(group) returns
-    its rate; blocks after the last close are never decoded."""
+def _accumulate(trace: BlockTrace, model: SourceModel, batch_size: int, epsilon: float,
+                use_marginals: bool) -> tuple[list[int], list[float], list[float]]:
+    """The ``accumulate`` batch table: a batch closes every ``batch_size`` blocks,
+    at the epsilon-quantile of its own groups with ``use_marginals``, else at the
+    unconditional one of that many blocks (the same rate when the model has one
+    group)."""
+    acc = RateAccumulator(model) if use_marginals and model.m > 1 else None
+    rate = rate_unconditional(model, batch_size, epsilon) if acc is None else None
     sizes, ents, rates = [], [], []
     K, ent = 0, 0.0
     for group, h in zip(trace.groups.tolist(), trace.h.tolist()):
         K += 1
         ent += h
-        rate = stop(group)
-        if rate is not None:
+        if acc is not None:
+            acc.push_block(group)
+        if K == batch_size:
+            if acc is not None:
+                rate = acc.rate_quantile(epsilon)
+                acc.reset()
             sizes.append(K)
             ents.append(ent)
             rates.append(rate)
@@ -292,9 +262,9 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
                 traces[on is model] = sample_trace(on, T, seed)
             trace = traces[on is model]
             if rule == "adaptive":
-                table = _segment(trace, _StoppingRule(on, c=c, epsilon=epsilon, T=T).push)
+                table = _segment(trace, on, c=c, epsilon=epsilon)
             elif rule == "fixed":
-                table = _segment(trace, _fixed_stop(on, batch_size, epsilon, use_marginals))
+                table = _accumulate(trace, on, batch_size, epsilon, use_marginals)
             else:  # one block per batch, shipped at its own entropy (blockwise: H_max)
                 ents = trace.h.tolist()
                 table = [1] * T, ents, ents

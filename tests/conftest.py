@@ -122,3 +122,21 @@ def random_dyadic_model(rng: np.random.Generator, max_groups: int = 3,
             entries.append(CdfEntry(g, j, float(weights[pos]), h))
             pos += 1
     return SourceModel(tuple(entries))
+
+
+def random_offlattice_model(rng: np.random.Generator) -> SourceModel:
+    """Several groups of 1-16 members with uniform random entropies in [0, 1).
+
+    The first group has one member, so its one-cell kernel keeps the dense path.
+    """
+    sizes = rng.integers(1, 17, size=int(rng.integers(2, 5)))
+    sizes[0] = 1
+    weights = rng.random(int(sizes.sum())) + 0.05
+    weights /= weights.sum()
+    entries = []
+    pos = 0
+    for g, size in enumerate(sizes, start=1):
+        for j in range(1, int(size) + 1):
+            entries.append(CdfEntry(g, j, float(weights[pos]), float(rng.random())))
+            pos += 1
+    return SourceModel(tuple(entries))

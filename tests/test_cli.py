@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,37 @@ def test_ingest_one_row_trace(tmp_path, capsys):
     assert np.array_equal(model.entries[0].joint_pmf, [[0.0, 1.0]])
 
 
+def test_warning_is_one_line(model_file, tmp_path, monkeypatch, capsys):
+    """A RuntimeWarning reaches stderr as one `warning: <message>` line, with
+    no source path and no code line.  showwarning writes to stderr as Python's
+    default does, since pytest records warnings instead of printing them."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("0,1\n")
+    ingest = ["ingest", "--input", trace_path.as_posix(), "--n", "1",
+              "--out", (tmp_path / "m.yaml").as_posix()]
+    simulate = ["simulate", "--model", model_file, "--strategy", "we", "--epsilon", "0.01",
+                "--c", "3", "--blocks", "50", "--out", (tmp_path / "o.csv").as_posix()]
+    overload = ("warning: channel rate 3.0 does not exceed the mean conditional "
+                "entropy 4.17; delay may diverge")
+    for argv, line in (
+        (ingest, "warning: only 1 of 128 joint levels are occupied; empty levels dropped"),
+        (simulate, overload),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 0
+        err = capsys.readouterr().err
+        assert [x for x in err.splitlines() if x.startswith("warning")] == [line]
+        assert err.startswith(line + "\n")
+        assert "cli.py" not in err and "Traceback" not in err
+    assert warnings.formatwarning is not cli._warning_line  # restored after main
+    assert run_cli(*simulate)[::2] == (0, overload + "\n")  # a real process's stderr
+
+
 def test_ingest_slot_seconds_then_sweep_seconds(tmp_path, capsys):
     """A slot of 2.5 ms per symbol and 200 symbols per block: one block is
     0.5 s, so a sweep with --seconds reports every delay at half its value
@@ -499,6 +531,13 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
      "--slot-seconds: must be a positive number"),
     (["ingest", "--input", "x.csv", "--n", "4", "--slot-seconds", "1/60"],
      "--slot-seconds: invalid float value"),
+    (["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
+      "--blocks", "20", "--seed", "-5"], "--seed: must be >= 0, got -5"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--random-representative", "--seed", "-1"],
+     "--seed: must be >= 0, got -1"),
+    (["sweep", "--strategies", "wd", "--eta-grid", "0.5", "--epsilon", "0.01",
+      "--blocks", "20", "--seeds", "1,-1", "--workers", "2"], "--seeds: must be >= 0, got -1"),
+    (["example-fig4", "--blocks", "20", "--seeds", "-1"], "--seeds: must be >= 0, got -1"),
 ])
 def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
     """Rejected while parsing: exit 1 with a message and no worker process."""

@@ -10,13 +10,15 @@ from swdelay import (
     RateAccumulator,
     SourceModel,
     compute_stats,
+    demo_model,
     k_c,
     k_c_chernoff,
     rate_unconditional,
 )
 from swdelay.strategies import simulate
 
-from conftest import enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model
+from conftest import (enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model,
+                      random_offlattice_model)
 
 
 def test_push_singleton_group(six_cdf_model):
@@ -218,24 +220,6 @@ def test_k_c_below_chernoff_ceiling(six_cdf_model):
             assert k_c(six_cdf_model, c, eps) <= k_c_chernoff(s, eta, eps).k_int
 
 
-def _random_offlattice_model(rng: np.random.Generator) -> SourceModel:
-    """Several groups of 1-16 members with uniform random entropies in [0, 1).
-
-    The first group has one member, so its one-cell kernel keeps np.convolve.
-    """
-    sizes = rng.integers(1, 17, size=int(rng.integers(2, 5)))
-    sizes[0] = 1
-    weights = rng.random(int(sizes.sum())) + 0.05
-    weights /= weights.sum()
-    entries = []
-    pos = 0
-    for g, size in enumerate(sizes, start=1):
-        for j in range(1, int(size) + 1):
-            entries.append(CdfEntry(g, j, float(weights[pos]), float(rng.random())))
-            pos += 1
-    return SourceModel(tuple(entries))
-
-
 def _coarse_kernel(model: SourceModel, group: int) -> tuple[int, np.ndarray]:
     """Group pmf rounded up onto the 1e-3 grid, as (offset index, dense cells)."""
     vals, probs = model.conditional_pmf(group)
@@ -250,7 +234,7 @@ def test_atom_convolution_matches_dense_reference():
     rng = np.random.default_rng(2024)
     paths = set()
     for _ in range(6):
-        model = _random_offlattice_model(rng)
+        model = random_offlattice_model(rng)
         acc = RateAccumulator(model)
         assert not acc.exact
         paths |= {k.atoms is None for k in acc._gpmf.values()}
@@ -278,9 +262,28 @@ def test_atom_convolution_matches_dense_reference():
 
 def test_atom_convolution_simulation_matches_dense(monkeypatch):
     """we/wd runs on an off-lattice model equal runs with dense kernels only."""
-    model = _random_offlattice_model(np.random.default_rng(7))
+    model = random_offlattice_model(np.random.default_rng(7))
     runs = [dict(epsilon=0.01, T=200, seed=3, eta=eta) for eta in (0.5, 0.25)]
     got = [simulate(model, ("wd", "we"), **kw) for kw in runs]
     monkeypatch.setattr(rate_mod, "_CELLS_PER_ATOM", math.inf)
     assert all(k.atoms is None for k in RateAccumulator(model)._gpmf.values())
     assert got == [simulate(model, ("wd", "we"), **kw) for kw in runs]
+
+
+def test_exact_lattice_push_matches_np_convolve_bytes():
+    """A dense push is np.convolve byte for byte, both while the support is
+    shorter than the kernel (the first push of a 3-cell or 24-cell kernel) and
+    once it is longer (up to 200 pushes)."""
+    for model in (demo_model(), random_dyadic_model(np.random.default_rng(1))):
+        acc = RateAccumulator(model)
+        assert acc.exact and all(k.atoms is None for k in acc._gpmf.values())
+        groups = np.random.default_rng(5).integers(1, model.m + 1, size=200).tolist()
+        longer = []
+        for g in [model.m, *groups]:
+            kernel = acc._gpmf[g].dense
+            longer.append(len(acc._dense) >= len(kernel))
+            expected = np.convolve(acc._dense, kernel)
+            acc.push_block(g)
+            assert acc._dense.tobytes() == expected.tobytes(), (model.m, acc.k)
+        assert len(acc._gpmf[model.m].dense) >= 3
+        assert not longer[0] and longer[-1]

@@ -18,9 +18,10 @@ from swdelay import (
     simulate,
 )
 
-from swdelay.strategies import OUTAGE_TOL, STRATEGIES
+from swdelay.strategies import OUTAGE_TOL, STRATEGIES, _segment
 
-from conftest import lindley_wc, random_dyadic_model, two_group_pmf_model
+from conftest import (lindley_wc, random_dyadic_model, random_offlattice_model,
+                      two_group_pmf_model)
 
 
 def test_we_single_entry_hand_trace(single_cdf_model):
@@ -539,3 +540,40 @@ def test_known_joint_and_blockwise_match_reference():
                                 epsilon=None, proxy=_proxy(model), logged=False)
             unstable.update((kj.unstable, bw.unstable))
     assert unstable == {True, False}
+
+
+def _segment_without_memo(trace, model, c, epsilon):
+    """The adaptive batch table with no memo: every block pushed, a batch
+    closing at the first tail(K*c) <= epsilon and the accumulator emptied."""
+    acc = RateAccumulator(model)
+    sizes, ents, rates = [], [], []
+    K, ent = 0, 0.0
+    for group, h in zip(trace.groups.tolist(), trace.h.tolist()):
+        K += 1
+        ent += h
+        acc.push_block(group)
+        if acc.tail_above(K * c) <= epsilon:
+            sizes.append(K)
+            ents.append(ent)
+            rates.append(acc.rate_quantile(epsilon))
+            acc.reset()
+            K, ent = 0, 0.0
+    return sizes, ents, rates
+
+
+def test_segment_matches_memo_free_oracle():
+    """The memoized we/wd pass gives exactly the sizes, entropy sums and rates
+    of pushing every block, on exact lattices and on the coarse grid."""
+    rng = np.random.default_rng(15)
+    offlattice = random_offlattice_model(np.random.default_rng(3))
+    assert any(k.atoms is not None for k in RateAccumulator(offlattice)._gpmf.values())
+    models = [demo_model(), *(random_dyadic_model(rng) for _ in range(20)), offlattice]
+    batched = 0
+    for i, model in enumerate(models):
+        e_h = compute_stats(model).e_h
+        trace = sample_trace(model, 2000, seed=i)
+        for eta in (0.5, 0.25, 0.1):
+            got = _segment(trace, model, c=e_h / (1 - eta), epsilon=0.01)
+            assert got == _segment_without_memo(trace, model, e_h / (1 - eta), 0.01), (i, eta)
+            batched += max(got[0], default=0) > 1
+    assert batched > 0  # some runs batched blocks, so the memo was exercised
