@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import codec as codec_mod
-from .ingest import blockify, quantize_model
+from .ingest import blockify, quantize_model, read_trace
 from .model import (
     ModelError,
     SourceModel,
@@ -439,8 +439,7 @@ def cmd_ingest(args) -> int:
         raise CliError("an output model path is required (--out)")
     _check_writable(args.out, args.assign_out)
     try:
-        trace = np.loadtxt(args.input, delimiter=",", dtype=np.int64,
-                           skiprows=args.skip_header, ndmin=2)
+        trace = read_trace(args.input, args.skip_header)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
     try:
@@ -575,11 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build a model from a paired symbol trace")
     common(p, model=False, seed=_seed)
-    p.add_argument("--input", required=True, help="CSV of integer (x, y) pairs")
+    p.add_argument("--input", required=True,
+                   help="trace file: one x,y line of decimal digits per symbol pair")
     p.add_argument("--n", type=_positive_int, required=True, help="symbols per block")
     p.add_argument("--joint-levels", type=_positive_int, default=128)
     p.add_argument("--marginal-levels", type=_positive_int, default=8)
-    p.add_argument("--skip-header", type=int, default=0)
+    p.add_argument("--skip-header", type=_int_at_least(0), default=0,
+                   help="lines to skip before the first x,y line")
     p.add_argument("--slot-seconds", type=_positive_float, default=None,
                    help="seconds per symbol, written to the model for --seconds")
     p.add_argument("--random-representative", action="store_true",
@@ -601,7 +602,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ModelError, ValueError, OSError) as exc:
+    except (CliError, ModelError, ValueError, OSError, Warning) as exc:
+        # a Warning arrives here when warnings are raised as errors (-W error)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:

@@ -66,10 +66,10 @@ class CodecConfig:
             raise ValueError("block count K must be 1 or 2")
         if self.alphabet_x ** (self.n * self.blocks) > MAX_SEQUENCES:
             raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.rate_bits < 0:
-            raise ValueError("rate_bits must be nonnegative")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 0 <= self.rate_bits < math.inf:
+            raise ValueError(f"rate_bits must be nonnegative and finite, got {self.rate_bits}")
         if not 0 <= self.seed < 2 ** 64 - self.blocks:  # every stage seed is a uint64
             raise ValueError(f"seed must be in [0, 2**64 - K), got {self.seed}")
 

@@ -1,5 +1,6 @@
 """Model construction from symbol traces.
 
+``read_trace`` parses a paired symbol trace file into a (rows, 2) array.
 ``blockify`` cuts a paired symbol trace into blocks of n symbols and returns
 the stack of their empirical joint pmfs, shape (blocks, ax, ay).
 ``quantize_model`` takes that stack, computes the relative entropy of every
@@ -18,6 +19,7 @@ reports the distortion it introduced.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +47,102 @@ class IngestResult:
 
 
 _CHUNK = 1 << 16   # bound on the symbols and on the count cells of one bincount
+_TRACE_CHUNK = 1 << 18   # bytes of trace parsed in one step; > 39, the longest valid line
+_TRACE_LINE = re.compile(rb"[0-9]{1,18},[0-9]{1,18}\r?")   # 10**18 - 1 < 2**63
+
+
+def read_trace(path, skip_header: int = 0) -> np.ndarray:
+    """The (rows, 2) int64 array of symbol pairs in a trace file.
+
+    After ``skip_header`` lines of any content, every line is ``x,y``: two
+    strings of 1 to 18 decimal digits, ended by ``\\n`` or ``\\r\\n``; the
+    last line may lack its ``\\n``.  Anything else (spaces, signs, decimal
+    points, comments, blank lines, a field count other than 2, no data line
+    at all) raises IngestError naming the first bad line, counted from 1
+    with the header lines.
+
+    The bytes are parsed with numpy about 256 KiB of whole lines at a time,
+    so no temporary grows with the file beyond the bytes and the result.
+    """
+    if skip_header < 0:
+        raise IngestError(f"skip_header must be >= 0, got {skip_header}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
+    for _ in range(skip_header):
+        pos = data.find(b"\n", pos) + 1 or len(data)
+        if pos == len(data):
+            break
+    if pos == len(data):
+        raise IngestError(f"line {skip_header + 1}: the trace has no x,y line")
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    chunks = []   # (start, stop, lines, has \r) of runs of whole lines
+    while pos < len(data):
+        stop = min(pos + _TRACE_CHUNK, len(data))
+        if stop < len(data):   # a chunk with no \n holds one overlong line, rejected
+            stop = data.rfind(b"\n", pos, stop) + 1 or stop
+        lines = np.count_nonzero(buf[pos:stop] == 10) + (data[stop - 1] != 10)
+        chunks.append((pos, stop, lines, data.find(b"\r", pos, stop) >= 0))
+        pos = stop
+    out = np.empty(2 * sum(c[2] for c in chunks), dtype=np.int64)
+    row = 0
+    for start, stop, lines, crlf in chunks:
+        _parse_lines(buf[start:stop], crlf, out[2 * row:2 * (row + lines)],
+                     skip_header + row + 1)
+        row += lines
+    return out.reshape(-1, 2)
+
+
+def _parse_lines(text: np.ndarray, crlf: bool, out: np.ndarray, first: int) -> None:
+    """Parses the whole lines in ``text`` (bytes; the last may lack its \\n)
+    into ``out`` as x, y, x, y, ...; ``first`` is the first line's number.
+
+    Once the \\r of each \\r\\n is dropped, the lines are valid exactly when
+    there are two non-digit bytes per line (counting the end of a last line
+    without \\n), every first one is a comma, and every field between them
+    has 1 to 18 digits: each \\n is then the second of its line's pair.  The
+    field ending at byte i is gathered right-aligned from i - 1, one gather
+    per digit position.
+    """
+    body = text
+    if crlf:
+        cr = np.flatnonzero(text == 13)
+        before_lf = np.append(text[1:], np.uint8(10))[cr] == 10   # or at the end
+        body = np.delete(text, cr[before_lf])
+    digits = body - np.uint8(48)           # a non-digit byte wraps above 9
+    seps = np.flatnonzero(digits > 9)
+    kinds = body[seps]
+    if not body.size or body[-1] != 10:    # the last line's missing \n
+        seps = np.append(seps, body.size)
+    widths = np.diff(seps, prepend=-1) - 1  # of x, y, x, y, ...
+    if (len(seps) == len(out) and (kinds[::2] == 44).all()
+            and widths.min() >= 1 and widths.max() <= 18):
+        out[:] = _decimal(digits, seps, widths)
+        return
+    # name the first line the pattern refuses: the test above fails exactly when one does
+    ends = np.flatnonzero(text == 10).tolist()
+    if text[-1] != 10:
+        ends.append(len(text))
+    for i, (lo, hi) in enumerate(zip([0] + [e + 1 for e in ends], ends)):
+        line = text[lo:hi].tobytes()
+        if not _TRACE_LINE.fullmatch(line):
+            break
+    raise IngestError(f"line {first + i}: expected x,y with 1 to 18 decimal digits each, "
+                      f"got {line[:40].decode('latin-1')!r}")
+
+
+def _decimal(digits: np.ndarray, stops: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Values of the fields of ``width`` digits that end just before ``stops``."""
+    last = stops - 1
+    value = digits[last]
+    short = int(width.min())
+    for k in range(1, int(width.max())):   # the k-th digit from the right weighs 10**k
+        d = digits[last - k]   # an index below 0 (only where k >= width) wraps: masked
+        if k >= short:   # before a field shorter than k + 1 digits: masked out
+            d = np.where(width > k, d, np.uint8(0))
+        value = value + d * np.int64(10 ** k)
+    return value
 
 
 def blockify(trace, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ built: an invalid ``SourceModel`` cannot be constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,17 +189,19 @@ def validate_model(model: SourceModel) -> list[str]:
     seen: set[tuple[int, int]] = set()
     for e in model.entries:
         label = f"cdf ({e.group},{e.member})"
-        if e.prob <= 0:
-            bad.append(f"{label}: prob must be positive, got {e.prob}")
-        if e.cond_entropy < 0:
-            bad.append(f"{label}: cond_entropy must be >= 0, got {e.cond_entropy}")
+        if not 0 < e.prob < math.inf:
+            bad.append(f"{label}: prob must be positive and finite, got {e.prob}")
+        if not 0 <= e.cond_entropy < math.inf:
+            bad.append(f"{label}: cond_entropy must be >= 0 and finite, got {e.cond_entropy}")
         if (e.group, e.member) in seen:
             bad.append(f"{label}: duplicate index")
         seen.add((e.group, e.member))
         total += e.prob
         if e.joint_pmf is not None:
             pmf = e.joint_pmf
-            if np.any(pmf < 0):
+            if not np.isfinite(pmf).all():
+                bad.append(f"{label}: joint_pmf has non-finite entries")
+            elif np.any(pmf < 0):
                 bad.append(f"{label}: joint_pmf has negative entries")
             elif abs(float(pmf.sum()) - 1.0) > PROB_TOL:
                 bad.append(f"{label}: joint_pmf sums to {float(pmf.sum())!r}, not 1")
@@ -241,8 +244,8 @@ def validate_model(model: SourceModel) -> list[str]:
 
     if model.block_len_n < 1:
         bad.append(f"block_len_n must be >= 1, got {model.block_len_n}")
-    if model.slot_seconds is not None and model.slot_seconds <= 0:
-        bad.append(f"slot_seconds must be positive, got {model.slot_seconds}")
+    if model.slot_seconds is not None and not 0 < model.slot_seconds < math.inf:
+        bad.append(f"slot_seconds must be positive and finite, got {model.slot_seconds}")
     return bad
 
 
@@ -321,9 +324,8 @@ def bsc_pair_model(crossover: float, prob: float = 1.0) -> SourceModel:
 # ---------------------------------------------------------------------------
 
 # libyaml when PyYAML was built with it (about 7x faster on learned models);
-# both pairs emit the same bytes and parse to the same documents
+# both loaders parse to the same documents
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _TOP_KEYS = {"groups", "block_len_n", "slot_seconds"}
 _MEMBER_KEYS = {"prob", "cond_entropy", "joint_pmf"}
@@ -385,24 +387,33 @@ def load_model(path) -> SourceModel:
     return SourceModel(tuple(entries), n, None if slot is None else float(slot))
 
 
+def _yaml_floats(values) -> list[str]:
+    """Finite floats as PyYAML writes them: each repr (lower case already),
+    with ".0" put before an exponent that has no decimal point (1e-05 -> 1.0e-05)."""
+    texts = [repr(float(v)) for v in values]
+    return [t.replace("e", ".0e", 1) if "e" in t and "." not in t else t for t in texts]
+
+
 def save_model(model: SourceModel, path) -> None:
-    """Write a model in the same schema load_model reads."""
-    groups: list[dict] = []
+    """Write a model in the schema load_model reads.
+
+    The text is the block layout ``yaml.dump(..., sort_keys=False)`` gives the
+    model's document, byte for byte, built as one string: every number of a
+    valid model is finite, so each is one plain scalar on its own line.
+    """
+    parts = ["groups:\n"]
     for g in range(1, model.m + 1):
-        members = []
+        parts.append("- members:\n")
         for e in model.group_entries(g):
-            mem: dict = {"prob": float(e.prob), "cond_entropy": float(e.cond_entropy)}
+            prob, h = _yaml_floats((e.prob, e.cond_entropy))
+            parts.append(f"  - prob: {prob}\n    cond_entropy: {h}\n")
             if e.joint_pmf is not None:
                 ax, ay = e.joint_pmf.shape
-                mem["joint_pmf"] = {
-                    "alphabet_x": int(ax),
-                    "alphabet_y": int(ay),
-                    "table": [float(v) for v in e.joint_pmf.ravel()],
-                }
-            members.append(mem)
-        groups.append({"members": members})
-    doc: dict = {"groups": groups, "block_len_n": int(model.block_len_n)}
+                table = "\n      - ".join(_yaml_floats(e.joint_pmf.ravel().tolist()))
+                parts.append(f"    joint_pmf:\n      alphabet_x: {ax}\n      alphabet_y: {ay}\n"
+                             f"      table:\n      - {table}\n")
+    parts.append(f"block_len_n: {int(model.block_len_n)}\n")
     if model.slot_seconds is not None:
-        doc["slot_seconds"] = float(model.slot_seconds)
+        parts.append(f"slot_seconds: {_yaml_floats((model.slot_seconds,))[0]}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)
+        fh.write("".join(parts))

@@ -122,8 +122,8 @@ def _check_channel(eta: float | None, c: float | None) -> None:
         raise ValueError("give exactly one of eta or c")
     if eta is not None:
         check_eta(eta)
-    if c is not None and c <= 0:
-        raise ValueError(f"channel rate must be positive, got {c}")
+    if c is not None and not 0 < c < math.inf:
+        raise ValueError(f"channel rate must be positive and finite, got c = {c}")
 
 
 def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = None,

@@ -25,9 +25,10 @@ def model_file(tmp_path):
     return str(path)
 
 
-def run_cli(*argv) -> tuple[int, str, str]:
+def run_cli(*argv, options=()) -> tuple[int, str, str]:
+    """``python OPTIONS -m swdelay ARGV`` in a new process."""
     proc = subprocess.run(
-        [sys.executable, "-m", "swdelay", *argv],
+        [sys.executable, *options, "-m", "swdelay", *argv],
         capture_output=True,
         text=True,
     )
@@ -146,7 +147,7 @@ def test_rate_and_kc(model_file):
     assert float(ktilde) == pytest.approx(11.293047120341381, abs=1e-9)
 
 
-@pytest.mark.parametrize("c", ["0", "-1"])
+@pytest.mark.parametrize("c", ["0", "-1", "inf", "nan"])
 def test_kc_nonpositive_channel_rate_is_usage_error(model_file, c):
     code, out, err = run_cli(
         "kc", "--model", model_file, "--epsilon", "0.01", "--c", c
@@ -445,6 +446,40 @@ def test_warning_is_one_line(model_file, tmp_path, monkeypatch, capsys):
     assert run_cli(*simulate)[::2] == (0, overload + "\n")  # a real process's stderr
 
 
+def test_warning_raised_as_error_is_one_error_line(model_file, tmp_path, capsys):
+    """Under warnings-as-errors a warning ends the command with exit 1 and one
+    `error: <message>` line: simulate's overload warning, ingest's joint
+    levels warning, and the overload warning in a process run with -W error."""
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("0,1\n")
+    simulate = ["simulate", "--model", model_file, "--strategy", "we", "--epsilon", "0.01",
+                "--c", "3", "--blocks", "50", "--out", (tmp_path / "o.csv").as_posix()]
+    ingest = ["ingest", "--input", trace_path.as_posix(), "--n", "1",
+              "--out", (tmp_path / "m.yaml").as_posix()]
+    overload = ("error: channel rate 3.0 does not exceed the mean conditional "
+                "entropy 4.17; delay may diverge\n")
+    for argv, err in (
+        (simulate, overload),
+        (ingest, "error: only 1 of 128 joint levels are occupied; empty levels dropped\n"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", err)
+    assert run_cli(*simulate, options=("-W", "error::RuntimeWarning")) == (1, "", overload)
+
+
+def test_ingest_reports_the_first_bad_trace_line(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("x,y\n0,1\n0, 1\n")
+    code = cli.main(["ingest", "--input", trace_path.as_posix(), "--n", "1",
+                     "--skip-header", "1", "--out", (tmp_path / "m.yaml").as_posix()])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: cannot read trace: line 3: expected x,y with 1 to 18 decimal digits "
+        "each, got '0, 1'\n")
+
+
 def test_ingest_slot_seconds_then_sweep_seconds(tmp_path, capsys):
     """A slot of 2.5 ms per symbol and 200 symbols per block: one block is
     0.5 s, so a sweep with --seconds reports every delay at half its value
@@ -538,6 +573,8 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
     (["sweep", "--strategies", "wd", "--eta-grid", "0.5", "--epsilon", "0.01",
       "--blocks", "20", "--seeds", "1,-1", "--workers", "2"], "--seeds: must be >= 0, got -1"),
     (["example-fig4", "--blocks", "20", "--seeds", "-1"], "--seeds: must be >= 0, got -1"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--skip-header", "-1"],
+     "--skip-header: must be >= 0, got -1"),
 ])
 def test_argument_scope_and_counts(model_file, monkeypatch, capsys, argv, message):
     """Rejected while parsing: exit 1 with a message and no worker process."""
@@ -740,6 +777,19 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
       "--trials", "5", "--seed", "18446744073709551616"], "seed must be in [0, 2**64 - K)"),
     (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "9",
       "--trials", "5", "--seed", "-1"], "seed must be in [0, 2**64 - K)"),
+    # a NaN or an infinity names the quantity, not the float conversion
+    ([*_SIM[:5], "--c", "inf", "--blocks", "20"],
+     "channel rate must be positive and finite, got c = inf"),
+    (["simulate", "--strategy", "known-joint", "--c", "inf", "--blocks", "20"],
+     "channel rate must be positive and finite, got c = inf"),
+    ([*_SIM[:5], "--c", "nan", "--blocks", "20"],
+     "channel rate must be positive and finite, got c = nan"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2,nan",
+      "--trials", "5"], "rate_bits must be nonnegative and finite, got nan"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "inf",
+      "--trials", "5"], "rate_bits must be nonnegative and finite, got inf"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "nan", "--rates", "2",
+      "--trials", "5"], "delta must be positive and finite, got nan"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any

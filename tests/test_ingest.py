@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swdelay import blockify, quantize_model, validate_model
 from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay import ingest as ingest_mod
-from swdelay.ingest import IngestError, _divergences_to_first, _fit_marginals
+from swdelay.ingest import IngestError, _divergences_to_first, _fit_marginals, read_trace
 
 PMF_A = np.array([[0.45, 0.05], [0.05, 0.45]])  # H(X|Y) = H_b(0.1)
 PMF_B = np.full((2, 2), 0.25)                   # H(X|Y) = 1
@@ -332,3 +333,75 @@ def test_quantize_rejects_bad_params():
         quantize_model(pmfs, 1, 1, representative="bogus")
     with pytest.raises(IngestError):
         quantize_model([], 1, 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), widest=st.integers(1, 18),
+       ends=st.sampled_from(["\n", "\r\n", "mixed"]), last_newline=st.booleans(),
+       skip=st.integers(0, 2), chunk=st.sampled_from([40, 97, 1 << 18]))
+def test_read_trace_matches_loadtxt(tmp_path_factory, rows, seed, widest, ends,
+                                    last_newline, skip, chunk):
+    """Digit strings of 1 to ``widest`` digits (leading zeros included), LF,
+    CRLF or mixed line ends, with or without the last one, after 0-2 header
+    lines; chunks down to one just longer than the longest line (39 bytes)."""
+    rng = np.random.default_rng(seed)
+    width = rng.integers(1, widest + 1, size=2 * rows)
+    fields = ["".join(map(str, rng.integers(0, 10, size=w))) for w in width.tolist()]
+    lines = ["x,y header"] * skip + [f"{x},{y}" for x, y in zip(fields[::2], fields[1::2])]
+    if ends == "mixed":
+        ends = rng.choice(["\n", "\r\n"], size=len(lines)).tolist()
+    else:
+        ends = [ends] * len(lines)
+    if not last_newline:
+        ends[-1] = ""
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest_mod, "_TRACE_CHUNK", chunk)
+        got = read_trace(path, skip_header=skip)
+    want = np.loadtxt(path, delimiter=",", dtype=np.int64, skiprows=skip, ndmin=2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("text, skip, line", [
+    ("1,2\n0, 1\n", 0, 2),
+    ("# c\n1,2\n", 0, 1),
+    ("1,2\n\n3,4\n", 0, 2),
+    ("1,2\r\n\r\n3,4\r\n", 0, 2),
+    ("1,2\n3,4\n\n", 0, 3),
+    ("-1,0\n", 0, 1),
+    ("1,2\n1.5,2\n", 0, 2),
+    ("1,2,3\n", 0, 1),
+    ("1,2\n7", 0, 2),
+    ("1,2\n,3\n", 0, 2),
+    ("1,\n", 0, 1),
+    ("1234567890123456789,1\n", 0, 1),
+    ("1,123456789012345678\n1,1234567890123456789\n", 0, 2),
+    ("1,2\r\r\n", 0, 1),
+    ("", 0, 1),
+    ("x,y\n", 1, 2),
+    ("x,y\n1,2\n3,4 \n", 1, 3),
+])
+def test_read_trace_rejects_malformed_lines(tmp_path, monkeypatch, text, skip, line):
+    """Each malformed input names its first bad line, header lines counted."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    for chunk in (40, 1 << 18):
+        monkeypatch.setattr(ingest_mod, "_TRACE_CHUNK", chunk)
+        with pytest.raises(IngestError, match=rf"^line {line}: "):
+            read_trace(path, skip_header=skip)
+
+
+def test_read_trace_takes_a_last_crlf_without_its_lf(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"1,2\r\n3,45\r")
+    assert read_trace(path).tolist() == [[1, 2], [3, 45]]
+
+
+def test_read_trace_rejects_a_line_longer_than_a_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest_mod, "_TRACE_CHUNK", 64)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"1,2\n" * 40 + b"3" * 200 + b",4\n5,6\n")
+    with pytest.raises(IngestError, match="^line 41: expected x,y"):
+        read_trace(path)

@@ -22,7 +22,7 @@ from swdelay import model as model_mod
 from swdelay.model import check_blocks, check_epsilon, check_eta
 
 from conftest import random_dyadic_model
-from test_ingest import synth_trace
+from test_ingest import PMF_A, PMF_B, synth_trace
 
 
 def test_demo_model_valid(six_cdf_model):
@@ -211,22 +211,73 @@ def _learned_model():
     return quantize_model(pmfs, joint_levels=6, marginal_levels=2).model
 
 
+def _yaml_document(model) -> dict:
+    """The document save_model once handed to yaml.dump for the model."""
+    groups = []
+    for g in range(1, model.m + 1):
+        members = []
+        for e in model.group_entries(g):
+            mem = {"prob": float(e.prob), "cond_entropy": float(e.cond_entropy)}
+            if e.joint_pmf is not None:
+                ax, ay = e.joint_pmf.shape
+                mem["joint_pmf"] = {"alphabet_x": int(ax), "alphabet_y": int(ay),
+                                    "table": [float(v) for v in e.joint_pmf.ravel()]}
+            members.append(mem)
+        groups.append({"members": members})
+    doc = {"groups": groups, "block_len_n": int(model.block_len_n)}
+    if model.slot_seconds is not None:
+        doc["slot_seconds"] = float(model.slot_seconds)
+    return doc
+
+
+def _dumped(model, dumper) -> bytes:
+    return yaml.dump(_yaml_document(model), Dumper=dumper, sort_keys=False).encode()
+
+
+def _assert_same_model(a: SourceModel, b: SourceModel) -> None:
+    assert (a.block_len_n, a.slot_seconds) == (b.block_len_n, b.slot_seconds)
+    for x, y in zip(a.entries, b.entries, strict=True):
+        assert (x.group, x.member, x.prob, x.cond_entropy) == (
+            y.group, y.member, y.prob, y.cond_entropy)
+        assert (x.joint_pmf is None) == (y.joint_pmf is None)
+        assert x.joint_pmf is None or np.array_equal(x.joint_pmf, y.joint_pmf)
+
+
+_C_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 @pytest.mark.parametrize("which", ["demo", "learned"])
-def test_model_file_same_under_both_yaml_libraries(tmp_path, monkeypatch, which):
-    """libyaml and the pure-Python PyYAML write the same bytes and read the same tree."""
+def test_model_file_same_under_both_yaml_libraries(tmp_path, which):
+    """save_model writes the bytes both libyaml and the pure-Python PyYAML
+    dump for the model's document, and both loaders read the same tree."""
     model = demo_model() if which == "demo" else _learned_model()
-    fast, slow = tmp_path / "fast.yaml", tmp_path / "slow.yaml"
-    save_model(model, fast)
-    monkeypatch.setattr(model_mod, "_YAML_DUMPER", yaml.SafeDumper)
-    save_model(model, slow)
-    assert fast.read_bytes() == slow.read_bytes()
-    text = fast.read_text()
+    path = tmp_path / "model.yaml"
+    save_model(model, path)
+    assert path.read_bytes() == _dumped(model, _C_DUMPER) == _dumped(model, yaml.SafeDumper)
+    text = path.read_text()
     assert yaml.load(text, Loader=model_mod._YAML_LOADER) == yaml.safe_load(text)
-    for a, b in zip(load_model(fast).entries, model.entries, strict=True):
-        assert (a.group, a.member, a.prob, a.cond_entropy) == (
-            b.group, b.member, b.prob, b.cond_entropy)
-        assert (a.joint_pmf is None) == (b.joint_pmf is None)
-        assert a.joint_pmf is None or np.array_equal(a.joint_pmf, b.joint_pmf)
+    _assert_same_model(load_model(path), model)
+
+
+def test_save_model_writes_the_yaml_dump_bytes(tmp_path):
+    """Byte for byte the yaml.dump text, and an exact round trip, on the demo
+    and BSC models, random dyadic models, a learned model with slot_seconds
+    and floats whose repr has an exponent but no decimal point."""
+    pmfs = blockify(synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=100, blocks=30, seed=4), n=100)
+    learned = quantize_model(pmfs, joint_levels=2, marginal_levels=2,
+                             block_len_n=100, slot_seconds=0.0025).model
+    exponents = SourceModel((CdfEntry(1, 1, 1e-05, 1e16), CdfEntry(1, 2, 1 - 1e-05, 2.5e-07)),
+                            block_len_n=7, slot_seconds=1e-05)
+    rng = np.random.default_rng(7)
+    models = [demo_model(), bsc_pair_model(0.1), learned, exponents,
+              *(random_dyadic_model(rng) for _ in range(20))]
+    path = tmp_path / "model.yaml"
+    for model in models:
+        save_model(model, path)
+        assert path.read_bytes() == _dumped(model, _C_DUMPER)
+        _assert_same_model(load_model(path), model)
+    save_model(exponents, path)
+    assert "  - prob: 1.0e-05\n    cond_entropy: 1.0e+16\n" in path.read_text()
 
 
 def test_malformed_yaml_is_model_error(tmp_path):
@@ -252,3 +303,26 @@ def test_run_quantity_checks():
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry, slot, message", [
+    (CdfEntry(1, 1, math.nan, 1.0), None, "prob must be positive and finite, got nan"),
+    (CdfEntry(1, 1, 1.0, math.inf), None, "cond_entropy must be >= 0 and finite, got inf"),
+    (CdfEntry(1, 1, 1.0, math.nan), None, "cond_entropy must be >= 0 and finite, got nan"),
+    (CdfEntry(1, 1, 1.0, 0.5, np.array([[0.5, math.nan], [0.5, 0.0]])), None,
+     "joint_pmf has non-finite entries"),
+    (CdfEntry(1, 1, 1.0, 0.5), math.inf, "slot_seconds must be positive and finite, got inf"),
+])
+def test_non_finite_numbers_rejected(entry, slot, message):
+    """A NaN compares false with every bound, so each check asks for the
+    valid range rather than against the invalid one."""
+    with pytest.raises(ModelError) as info:
+        SourceModel((entry,), slot_seconds=slot)
+    assert any(message in v for v in info.value.violations)
+
+
+def test_model_file_with_nan_is_rejected(tmp_path):
+    path = tmp_path / "nan.yaml"
+    path.write_text("groups:\n- members:\n  - {prob: 1.0, cond_entropy: .nan}\n")
+    with pytest.raises(ModelError, match="cond_entropy must be >= 0 and finite, got nan"):
+        load_model(path)
