@@ -19,7 +19,7 @@ from .codec import (
     jointly_typical,
     run_codec_trials,
 )
-from .ingest import IngestResult, blockify, quantize_model, read_trace
+from .ingest import IngestResult, blockify, quantize_model
 from .model import (
     BlockTrace,
     CdfEntry,

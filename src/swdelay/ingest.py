@@ -77,20 +77,20 @@ def read_trace(path, skip_header: int = 0) -> np.ndarray:
         raise IngestError(f"line {skip_header + 1}: the trace has no x,y line")
 
     buf = np.frombuffer(data, dtype=np.uint8)
-    chunks = []   # (start, stop, lines, has \r) of runs of whole lines
-    while pos < len(data):
+    # numpy counts bytes several times faster than bytes.count
+    newlines = sum(np.count_nonzero(buf[i:i + _TRACE_CHUNK] == 10)
+                   for i in range(pos, len(data), _TRACE_CHUNK))
+    out = np.empty(2 * (newlines + (data[-1] != 10)), dtype=np.int64)
+    row = 0
+    while pos < len(data):   # runs of whole lines
         stop = min(pos + _TRACE_CHUNK, len(data))
         if stop < len(data):   # a chunk with no \n holds one overlong line, rejected
             stop = data.rfind(b"\n", pos, stop) + 1 or stop
         lines = np.count_nonzero(buf[pos:stop] == 10) + (data[stop - 1] != 10)
-        chunks.append((pos, stop, lines, data.find(b"\r", pos, stop) >= 0))
-        pos = stop
-    out = np.empty(2 * sum(c[2] for c in chunks), dtype=np.int64)
-    row = 0
-    for start, stop, lines, crlf in chunks:
-        _parse_lines(buf[start:stop], crlf, out[2 * row:2 * (row + lines)],
-                     skip_header + row + 1)
+        _parse_lines(buf[pos:stop], data.find(b"\r", pos, stop) >= 0,
+                     out[2 * row:2 * (row + lines)], skip_header + row + 1)
         row += lines
+        pos = stop
     return out.reshape(-1, 2)
 
 
@@ -135,13 +135,14 @@ def _parse_lines(text: np.ndarray, crlf: bool, out: np.ndarray, first: int) -> N
 def _decimal(digits: np.ndarray, stops: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Values of the fields of ``width`` digits that end just before ``stops``."""
     last = stops - 1
-    value = digits[last]
+    value = digits[last].astype(np.int64)
     short = int(width.min())
     for k in range(1, int(width.max())):   # the k-th digit from the right weighs 10**k
         d = digits[last - k]   # an index below 0 (only where k >= width) wraps: masked
         if k >= short:   # before a field shorter than k + 1 digits: masked out
             d = np.where(width > k, d, np.uint8(0))
-        value = value + d * np.int64(10 ** k)
+        # int64 named, not left to promotion: numpy 1.x keeps uint8 * scalar small
+        value += np.multiply(d, 10 ** k, dtype=np.int64)
     return value
 
 
