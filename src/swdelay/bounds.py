@@ -124,11 +124,16 @@ class BoundsRow:
 def bounds_report(
     stats: EntropyStats, eta_grid: Iterable[float], epsilon: float
 ) -> tuple[BoundsRow, ...]:
-    """Evaluate both bounds over an eta grid (argmax column follows the WE bound)."""
+    """Evaluate both bounds over an eta grid (argmax column follows the WE bound).
+
+    The bounds need not bracket each other once the channel rate
+    c = E[H]/(1 - eta) reaches h_max, where every batch is one block: rows
+    are returned as computed, and ``swdelay bounds`` exits 2 on a crossed one.
+    """
     rows = []
     for eta in eta_grid:
         lwe = lb_delay(stats, eta, epsilon, WE)
-        row = BoundsRow(
+        rows.append(BoundsRow(
             eta=eta,
             ub_we=ub_delay(stats, eta, epsilon, WE),
             ub_wd=ub_delay(stats, eta, epsilon, WD),
@@ -136,10 +141,5 @@ def bounds_report(
             lb_wd=lb_delay(stats, eta, epsilon, WD).value,
             gamma=gamma_coefficient(stats, eta, epsilon),
             argmax_istar=lwe.argmax,
-        )
-        if row.ub_we < row.lb_we or row.ub_wd < row.lb_wd:
-            raise AssertionError(
-                f"bound bracketing violated at eta={eta}: {row}"
-            )
-        rows.append(row)
+        ))
     return tuple(rows)

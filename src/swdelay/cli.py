@@ -199,10 +199,7 @@ def cmd_rate(args) -> int:
 def cmd_kc(args) -> int:
     model = _load(args)
     stats = compute_stats(model)
-    try:
-        c, eta = resolve_channel_rate(stats, args.eta, args.c)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    c, eta = resolve_channel_rate(stats, args.eta, args.c)
     exact = k_c(model, c, args.epsilon)
     cher = k_c_chernoff(stats, eta, args.epsilon)
     print(_fmt(exact))
@@ -214,11 +211,7 @@ def cmd_kc(args) -> int:
 def cmd_bounds(args) -> int:
     model = _load(args)
     stats = compute_stats(model)
-    etas = _parse_list(args.eta_grid, float)
-    try:
-        report = bounds_mod.bounds_report(stats, etas, args.epsilon)
-    except ModelError as exc:
-        raise CliError(str(exc)) from exc
+    report = bounds_mod.bounds_report(stats, _parse_list(args.eta_grid, float), args.epsilon)
     rows = [
         (r.eta, r.ub_we, r.ub_wd, r.lb_we, r.lb_wd, r.gamma, r.argmax_istar)
         for r in report
@@ -229,7 +222,12 @@ def cmd_bounds(args) -> int:
         rows,
         not args.no_timestamp,
     )
-    return EXIT_OK
+    crossed = [r for r in report if r.ub_we < r.lb_we or r.ub_wd < r.lb_wd]
+    for r in crossed:  # possible when c >= h_max (the batch size is then 1)
+        print(f"error: bound bracketing violated at eta={_fmt(r.eta)}: "
+              f"ub_we={_fmt(r.ub_we)} lb_we={_fmt(r.lb_we)} "
+              f"ub_wd={_fmt(r.ub_wd)} lb_wd={_fmt(r.lb_wd)}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if crossed else EXIT_OK
 
 
 def _result_row(res: SimulationResult, scale: float = 1.0) -> tuple:
@@ -335,10 +333,7 @@ def cmd_sweep(args) -> int:
         batch_size=args.batch_size,
         use_marginals=not args.no_marginals,
     )
-    try:
-        results = run_sweep(model, spec, workers=args.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    results = run_sweep(model, spec, workers=args.workers)
     unstable = [r for r in results if r.unstable]
     for r in unstable:
         print(
@@ -406,20 +401,15 @@ def cmd_codec(args) -> int:
         raise CliError("give exactly one of --model or --bsc CROSSOVER")
     _check_writable(args.out)
     model = bsc_pair_model(args.bsc) if args.bsc is not None else _load(args)
-    groups = tuple(_parse_list(args.groups, int)) if args.groups is not None else (1,) * args.k
-    configs = [
-        codec_mod.CodecConfig(
-            alphabet_x=args.alphabet_x,
-            alphabet_y=args.alphabet_y,
-            n=args.n,
-            blocks=args.k,
-            delta=args.delta,
-            rate_bits=rate,
-            seed=args.seed,
-        )
-        for rate in _parse_list(args.rates, float)
-    ]
-    for config in configs:  # checks the groups and pmf shapes before any trial
+    if args.groups is None:
+        groups = (1,) * (1 if args.k is None else args.k)
+    else:
+        groups = tuple(_parse_list(args.groups, int))
+        if args.k is not None and args.k != len(groups):
+            raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
+    configs = [codec_mod.CodecConfig(n=args.n, delta=args.delta, rate_bits=rate, seed=args.seed)
+               for rate in _parse_list(args.rates, float)]
+    for config in configs:  # checks the groups, alphabets and seed before any trial
         codec_mod.Codebook(model, config, groups, args.kind)
     rows = []
     for config in configs:
@@ -474,20 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swdelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, seed=None, workers=False):
+    def common(p, model=True, seed=None, workers=False, out=True):
         if model:
             p.add_argument("--model", help="model config file (YAML)")
         if seed is not None:
             p.add_argument("--seed", type=seed, default=0)
-        p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
+        if out:
+            p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
+            p.add_argument("--no-timestamp", action="store_true",
+                           help="suppress the timestamp header line")
         if workers:
             p.add_argument("--workers", type=_positive_int, default=1,
                            help="worker processes for the runs")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="suppress the timestamp header line")
 
     p = sub.add_parser("validate", help="check a model file against the invariants")
-    common(p)
+    common(p, out=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="entropy statistics of a model")
@@ -495,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("rate", help="minimum joint encoding rate (bits, cumulative)")
-    common(p)
+    common(p, out=False)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--blocks", type=int, default=None,
                    help="unconditional K-block quantile")
@@ -504,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("kc", help="smallest decodable batch size and its surrogate")
-    common(p)
+    common(p, out=False)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
@@ -560,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bsc", type=float, default=None,
                    help="binary symmetric pair with this crossover")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1, help="blocks per message")
-    p.add_argument("--alphabet-x", type=int, default=2)
-    p.add_argument("--alphabet-y", type=int, default=2)
+    p.add_argument("--k", type=int, default=None,
+                   help="blocks per message, each of group 1 (default 1; with "
+                        "--groups, must equal their number)")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rates", required=True, help="comma list of rate_bits")
     p.add_argument("--trials", type=_positive_int, required=True)
@@ -602,7 +593,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ModelError, ValueError, OSError, Warning) as exc:
+    except (CliError, ValueError, OSError, Warning) as exc:
         # a Warning arrives here when warnings are raised as errors (-W error)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

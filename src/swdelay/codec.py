@@ -49,29 +49,21 @@ _CHUNK_CELLS = 2 ** 16
 
 @dataclass(frozen=True)
 class CodecConfig:
-    alphabet_x: int
-    alphabet_y: int
+    """Block length, typicality slack, rate and seed of a codebook; the block
+    count K and the alphabets are those of the observed groups' joint pmfs."""
+
     n: int
-    blocks: int
     delta: float
     rate_bits: float
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.alphabet_x <= 4 or not 1 <= self.alphabet_y <= 4:
-            raise ValueError("alphabet sizes must be between 1 and 4")
         if not 1 <= self.n <= 16:
             raise ValueError("block length n must be between 1 and 16")
-        if not 1 <= self.blocks <= 2:
-            raise ValueError("block count K must be 1 or 2")
-        if self.alphabet_x ** (self.n * self.blocks) > MAX_SEQUENCES:
-            raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0 <= self.rate_bits < math.inf:
             raise ValueError(f"rate_bits must be nonnegative and finite, got {self.rate_bits}")
-        if not 0 <= self.seed < 2 ** 64 - self.blocks:  # every stage seed is a uint64
-            raise ValueError(f"seed must be in [0, 2**64 - K), got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,8 @@ class Codebook:
     ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
     stage ``ends = (K,)`` with 2**rate_bits bins; ``sequential`` (the
     deferred-decoding message stream, a tuple) has ``ends = (1, ..., K)`` with
-    2**(rate_bits/K) bins each.
+    2**(rate_bits/K) bins each.  K is the number of observed groups and the
+    alphabets are the shape of their joint pmfs.
     """
 
     def __init__(
@@ -185,7 +178,26 @@ class Codebook:
         groups: tuple[int, ...],
         kind: str = BATCH,
     ):
-        K = config.blocks
+        groups = tuple(int(g) for g in groups)
+        K = len(groups)
+        if not 1 <= K <= 2:
+            raise ValueError("block count K must be 1 or 2")
+        shapes = set()
+        for g in groups:
+            for e in model.group_entries(g):
+                if e.joint_pmf is None:
+                    raise ModelError(f"cdf ({e.group},{e.member}) has no joint pmf")
+                shapes.add(e.joint_pmf.shape)
+        if len(shapes) > 1:
+            raise ModelError(f"the observed groups' pmfs differ in shape: {sorted(shapes)}")
+        (ax, ay), = shapes
+        if not 1 <= ax <= 4 or not 1 <= ay <= 4:
+            raise ValueError("alphabet sizes must be between 1 and 4")
+        self.total = ax ** (config.n * K)
+        if self.total > MAX_SEQUENCES:
+            raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
+        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
+            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
         if kind == BATCH:
             self.ends, self.seeds = (K,), (config.seed,)
         elif kind == SEQUENTIAL:
@@ -193,40 +205,29 @@ class Codebook:
             self.seeds = tuple(config.seed + k for k in self.ends)
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
-        groups = tuple(int(g) for g in groups)
-        if len(groups) != config.blocks:
-            raise ValueError("one marginal group per block is required")
-        for g in groups:
-            for e in model.group_entries(g):
-                if e.joint_pmf is None:
-                    raise ModelError(f"cdf ({e.group},{e.member}) has no joint pmf")
-                if e.joint_pmf.shape != (config.alphabet_x, config.alphabet_y):
-                    raise ModelError(
-                        f"cdf ({e.group},{e.member}) pmf shape {e.joint_pmf.shape} "
-                        f"does not match the configured alphabets"
-                    )
         self.model = model
         self.config = config
         self.groups = groups
         self.kind = kind
-        self.total = config.alphabet_x ** (config.n * K)
-        self.bins = max(1, round(2.0 ** (config.rate_bits / len(self.ends))))
+        self.blocks, self.alphabet_x, self.alphabet_y = K, ax, ay
+        # capped where 2**63 bins already exceed every guarded prefix count
+        self.bins = max(1, round(2.0 ** min(config.rate_bits / len(self.ends), 63)))
         self.injective = self.bins >= self.total  # the longest prefix has the most
 
     # -- sequence indexing (lexicographic, first symbol most significant) --
 
     def seq_index(self, x: np.ndarray) -> np.ndarray:
         """Index of each (..., K, n) sequence."""
-        width = self.config.n * self.config.blocks
+        width = self.config.n * self.blocks
         x = np.asarray(x, dtype=np.int64)
-        powers = self.config.alphabet_x ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        powers = self.alphabet_x ** np.arange(width - 1, -1, -1, dtype=np.int64)
         return x.reshape(*x.shape[:-2], width) @ powers
 
     @cached_property
     def _all_sequences(self) -> np.ndarray:
         """(total, K*n) table of every X sequence, in index order."""
-        ax = self.config.alphabet_x
-        width = self.config.n * self.config.blocks
+        ax = self.alphabet_x
+        width = self.config.n * self.blocks
         idx = np.arange(self.total, dtype=np.int64)
         out = np.empty((self.total, width), dtype=np.int8)
         for pos in range(width - 1, -1, -1):
@@ -235,7 +236,7 @@ class Codebook:
         return out
 
     def _prefix_total(self, k: int) -> int:
-        return self.config.alphabet_x ** (self.config.n * k)
+        return self.alphabet_x ** (self.config.n * k)
 
     @cached_property
     def _bins_table(self) -> list[np.ndarray]:
@@ -246,7 +247,7 @@ class Codebook:
 
     def _bins_of(self, index: np.ndarray) -> np.ndarray:
         """Bins of each sequence index, one per stage on a last axis."""
-        K = self.config.blocks
+        K = self.blocks
         return np.stack([table[index // self._prefix_total(K - end)]
                          for end, table in zip(self.ends, self._bins_table)], axis=-1)
 
@@ -255,7 +256,7 @@ class Codebook:
 
     def bin_of(self, x_blocks) -> int | tuple[int, ...]:
         """Raw binning map (total function; typicality is the encoder's job)."""
-        x = _as_blocks(x_blocks, self.config.blocks, self.config.n)
+        x = _as_blocks(x_blocks, self.blocks, self.config.n)
         return self._message(self._bins_of(self.seq_index(x)))
 
     def marginal_entries(self) -> tuple[CdfEntry, ...]:
@@ -303,9 +304,9 @@ class Codebook:
         set is hypothesis independent; each row is summed over its whole width."""
         cfg = self.config
         marginals = self._marginals
-        block = np.arange(cfg.n * cfg.blocks) // cfg.n
+        block = np.arange(cfg.n * self.blocks) // cfg.n
         ll = marginals.log_x[block, self._all_sequences].sum(axis=1)
-        dev = _deviation(ll, marginals.h_x[-1], cfg.blocks, cfg.n)
+        dev = _deviation(ll, marginals.h_x[-1], self.blocks, cfg.n)
         typical = np.flatnonzero(dev <= cfg.delta + _TYP_TOL)
         keys = self._keys(self._bins_of(typical))
         order = np.argsort(keys, kind="stable")
@@ -326,21 +327,21 @@ class Codebook:
         (candidates, hypotheses); and its highest such posterior (0 if none).
         """
         cfg = self.config
-        width = cfg.n * cfg.blocks
+        width = cfg.n * self.blocks
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         cand = self._index[1][np.arange(len(trial)) - first[trial] + lo[trial]]
         # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
         block = np.arange(width) // cfg.n
-        cell = ((block * cfg.alphabet_x + self._all_sequences[cand]) * cfg.alphabet_y
+        cell = ((block * self.alphabet_x + self._all_sequences[cand]) * self.alphabet_y
                 + y.reshape(len(y), width)[trial])
         typical = np.empty((len(cand), len(self._hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
         for h, (hyp, post) in enumerate(self._hypotheses):
             y_typical = _typical_prefixes(hyp.log_y, hyp.h_y, cfg.delta, y)[:, -1]
             ll = hyp.log_xy.ravel()[cell].sum(axis=1)
-            dev = _deviation(ll, hyp.h_xy[-1], cfg.blocks, cfg.n)
+            dev = _deviation(ll, hyp.h_xy[-1], self.blocks, cfg.n)
             typical[:, h] = y_typical[trial] & (dev <= cfg.delta + _TYP_TOL)
             best = np.maximum(best, np.where(typical[:, h], post, 0.0))
         return cand, trial, typical, best
@@ -360,16 +361,14 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
 
 def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
     """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1."""
-    cfg = codebook.config
-    x = _as_blocks(x_blocks, cfg.blocks, cfg.n)
+    x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)
     return codebook._message(codebook._encode(x[None])[0])
 
 
 def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
     """Posterior-argmax typicality decoding; None signals failure to decode,
     including a message with a bin outside 1..bins."""
-    cfg = codebook.config
-    y = _as_blocks(y_blocks, cfg.blocks, cfg.n)
+    y = _as_blocks(y_blocks, codebook.blocks, codebook.config.n)
     message = [bins] if np.ndim(bins) == 0 else list(bins)
     if len(message) != len(codebook.ends):
         raise ValueError(f"message must have {len(codebook.ends)} stage(s), "
@@ -381,7 +380,7 @@ def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
     won = _winners(cand, trial, best, 1)[0]
     if won < 0:
         return None
-    return codebook._all_sequences[won].astype(np.int64).reshape(cfg.blocks, cfg.n)
+    return codebook._all_sequences[won].astype(np.int64).reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +419,7 @@ def run_codec_trials(
 ) -> CodecTrialReport:
     """Encode/decode i.i.d. source pairs and classify every decoding error."""
     codebook = Codebook(model, config, tuple(groups), kind)
-    cfg = config
-    K, n = cfg.blocks, cfg.n
+    K, n = codebook.blocks, config.n
 
     # per trial and block: the member, then its n symbol pairs, drawn from
     # one uniform each in the order of a choice(p=...) call per block
@@ -436,7 +434,7 @@ def run_codec_trials(
             sel = members[:, k] == j
             pmf = e.joint_pmf.ravel() / e.joint_pmf.sum()
             flat[sel, k] = _inverse_cdf(pmf, u[sel, k, 1:])
-    x, y = flat // cfg.alphabet_y, flat % cfg.alphabet_y
+    x, y = flat // codebook.alphabet_y, flat % codebook.alphabet_y
     true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
     true_idx = codebook.seq_index(x)
 
@@ -460,7 +458,7 @@ def run_codec_trials(
     typical_pair = np.empty(trials, dtype=bool)
     for h, (hyp, _) in enumerate(codebook._hypotheses):
         sel = true_hyp == h
-        typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], cfg.delta)
+        typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], config.delta)
     wrong = decoded != true_idx
     collision = wrong & typical_pair
     return CodecTrialReport(

@@ -47,6 +47,7 @@ class IngestResult:
 
 
 _CHUNK = 1 << 16   # bound on the symbols and on the count cells of one bincount
+_MAX_CELLS = 1 << 26   # float64 cells of blockify's (blocks, ax, ay) stack: 512 MiB
 _TRACE_CHUNK = 1 << 18   # bytes of trace parsed in one step; > 39, the longest valid line
 _TRACE_LINE = re.compile(rb"[0-9]{1,18},[0-9]{1,18}\r?")   # 10**18 - 1 < 2**63
 
@@ -153,7 +154,8 @@ def blockify(trace, n: int) -> np.ndarray:
     of shape (N, 2)); the alphabets are the largest symbols + 1.  A trailing
     partial block is dropped.  The joint counts of a run of blocks come from
     one bincount over the keys (t*ax + x)*ay + y, about 64k symbols and 64k
-    count cells at a time.
+    count cells at a time.  A stack of more than 2**26 cells is refused before
+    it is allocated.
     """
     arr = np.asarray(trace, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -168,6 +170,9 @@ def blockify(trace, n: int) -> np.ndarray:
 
     count = arr.shape[0] // n
     cells = ax * ay
+    if count * cells > _MAX_CELLS:
+        raise IngestError(f"alphabets {ax} x {ay} over {count} blocks need {count * cells} "
+                          f"pmf cells, more than the {_MAX_CELLS} (512 MiB) a stack may hold")
     step = max(1, _CHUNK // max(n, cells))
     pmf = np.empty((count, ax, ay))
     for lo in range(0, count, step):

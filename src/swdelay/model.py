@@ -309,14 +309,14 @@ def demo_model() -> SourceModel:
     return SourceModel(entries)
 
 
-def bsc_pair_model(crossover: float, prob: float = 1.0) -> SourceModel:
+def bsc_pair_model(crossover: float) -> SourceModel:
     """Single-cdf model of a uniform binary source observed through a BSC."""
     if not 0 < crossover < 0.5:
         raise ValueError("crossover must be in (0, 0.5)")
     p = crossover
     joint = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
     h = cond_entropy_x_given_y_bits(joint)
-    return SourceModel((CdfEntry(1, 1, prob, h, joint),))
+    return SourceModel((CdfEntry(1, 1, 1.0, h, joint),))
 
 
 # ---------------------------------------------------------------------------

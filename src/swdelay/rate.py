@@ -230,8 +230,10 @@ def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBat
 def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     """Smallest K with P{sum of K entropies > K*c} <= epsilon (exact DP).
 
-    Searches incrementally; a Chernoff bound guarantees the search terminates,
-    and a 10x cutoff above it guards against misuse.
+    Searches incrementally up to 10x the Chernoff size.  The Chernoff bound
+    holds for the model's entropies, but the coarse grid rounds them up, and
+    a rounded mean at or above c makes the search pass its cutoff: that
+    raises ModelError.
     """
     check_epsilon(epsilon)
     stats = compute_stats(model)
@@ -249,4 +251,8 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
         acc.push_block(1)
         if acc.tail_above(K * c) <= epsilon:
             return K
-    raise RuntimeError(f"batch-size search exceeded cutoff {cutoff}")
+    d = acc.distribution()
+    raise ModelError(
+        f"batch-size search passed its cutoff of {cutoff} blocks: the rate grid "
+        f"rounds each entropy up to a multiple of {acc._step} bit, to a mean of "
+        f"{float(d.probs @ d.support) / acc.k:.6g} against the channel rate {c:.6g}")

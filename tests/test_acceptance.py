@@ -293,7 +293,7 @@ def test_criterion_08_codec_properties():
     for rate in rates:
         errs = []
         for seed in range(10):
-            cfg = CodecConfig(2, 2, n, 1, delta=0.5, rate_bits=rate, seed=seed)
+            cfg = CodecConfig(n, delta=0.5, rate_bits=rate, seed=seed)
             errs.append(
                 run_codec_trials(model, (1,), cfg, trials=300, seed=500 + seed).err_rate
             )
@@ -301,7 +301,7 @@ def test_criterion_08_codec_properties():
     assert all(a >= b - 1e-12 for a, b in zip(mean_err, mean_err[1:])), mean_err
 
     # (b) injective rate decodes perfectly
-    cfg = CodecConfig(2, 2, n, 1, delta=3.0, rate_bits=float(n), seed=0)
+    cfg = CodecConfig(n, delta=3.0, rate_bits=float(n), seed=0)
     inj = run_codec_trials(model, (1,), cfg, trials=10_000, seed=42)
     assert inj.errors == 0
 
@@ -309,7 +309,7 @@ def test_criterion_08_codec_properties():
     eps = 0.1
     delta = 0.5
     q = sw.RateAccumulator(model).push_block(1).rate_quantile(eps)
-    cfg = CodecConfig(2, 2, n, 1, delta=delta, rate_bits=n * (q + delta), seed=0)
+    cfg = CodecConfig(n, delta=delta, rate_bits=n * (q + delta), seed=0)
     margin = run_codec_trials(model, (1,), cfg, trials=10_000, seed=42)
     assert margin.err_rate <= 2 * eps, margin
 

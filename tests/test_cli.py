@@ -207,6 +207,78 @@ def test_bounds_zero_entropy_group_and_zero_mean(tmp_path):
     assert "mean conditional entropy is 0" in err and "Traceback" not in err
 
 
+def test_bounds_crossed_rows_exit_2(tmp_path, capsys):
+    """Every entry has H = 2.5, so c >= h_max at every eta: the CSV keeps every
+    row, each crossed eta gets one error line, and the exit code is 2."""
+    path = tmp_path / "flat.yaml"
+    path.write_text(
+        "groups:\n- members:\n  - {prob: 0.375, cond_entropy: 2.5}\n"
+        "  - {prob: 0.125, cond_entropy: 2.5}\n"
+        "- members:\n  - {prob: 0.5, cond_entropy: 2.5}\n"
+    )
+    code = cli.main(["bounds", "--model", path.as_posix(), "--epsilon", "0.01",
+                     "--eta-grid", "0.5,0.1", "--no-timestamp"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.splitlines() == [
+        "eta,ub_we,ub_wd,lb_we,lb_wd,gamma,argmax_istar",
+        "0.5,0.5,1.5,0.333333333333,0.5,0,1",
+        "0.1,0.5,1.5,0.533333333333,0.7,0,1",
+    ]
+    assert err == ("error: bound bracketing violated at eta=0.1: ub_we=0.5 "
+                   "lb_we=0.533333333333 ub_wd=1.5 lb_wd=0.7\n")
+    assert "Traceback" not in err
+
+
+def test_kc_cutoff_is_model_error(tmp_path, capsys):
+    """The coarse grid rounds 1.0004 and 1.0016 up to 1.001 and 1.002, whose
+    mean 1.0015 exceeds c = 1.0013 at eta = 0.0003: the search stops at its
+    cutoff with exit 1 and a message naming the cutoff and the round-up."""
+    path = tmp_path / "coarse.yaml"
+    path.write_text("groups:\n- members:\n  - {prob: 0.5, cond_entropy: 1.0004}\n"
+                    "  - {prob: 0.5, cond_entropy: 1.0016}\n")
+    code = cli.main(["kc", "--model", path.as_posix(), "--epsilon", "0.01",
+                     "--eta", "0.0003"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: batch-size search passed its cutoff of 430 blocks: the rate "
+                   "grid rounds each entropy up to a multiple of 0.001 bit, to a mean of "
+                   "1.0015 against the channel rate 1.0013\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rate", "--epsilon", "0.01", "--blocks", "4", "--out", "x.csv"], "--out x.csv"),
+    (["kc", "--epsilon", "0.01", "--eta", "0.25", "--no-timestamp"], "--no-timestamp"),
+    (["validate", "--out", "x.csv"], "--out x.csv"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--trials", "5", "--alphabet-x", "2"], "--alphabet-x 2"),
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+      "--trials", "5", "--alphabet-y", "2"], "--alphabet-y 2"),
+])
+def test_removed_flags_are_refused(model_file, tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "codec":
+        argv = [*argv, "--model", model_file]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_codec_k_beside_groups_must_match(capsys):
+    base = ["codec", "--bsc", "0.1", "--n", "3", "--delta", "0.5", "--rates", "2",
+            "--trials", "5", "--no-timestamp"]
+    assert cli.main([*base, "--groups", "1,1", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: --k 1 does not match the 2 groups of --groups\n"
+    outs = []
+    for extra in (["--groups", "1,1"], ["--groups", "1,1", "--k", "2"], ["--k", "2"]):
+        assert cli.main([*base, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_simulate_with_trace(model_file, tmp_path):
     out_csv = tmp_path / "run.csv"
     trace_csv = tmp_path / "trace.csv"

@@ -8,6 +8,7 @@ from swdelay import (
     CdfEntry,
     Codebook,
     CodecConfig,
+    ModelError,
     SourceModel,
     bsc_pair_model,
     decode,
@@ -33,29 +34,49 @@ def _identity_pair_model(p1=0.7) -> SourceModel:
     return SourceModel((CdfEntry(1, 1, p1, 0.0, eq), CdfEntry(1, 2, 1 - p1, 0.0, ne)))
 
 
+def _uniform_model(ax, ay, groups=1) -> SourceModel:
+    """Independent uniform X and Y on ax x ay symbols in each of ``groups`` groups."""
+    pmf = np.full((ax, ay), 1 / (ax * ay))
+    return SourceModel(tuple(CdfEntry(g, 1, 1 / groups, cond_entropy_x_given_y_bits(pmf), pmf)
+                             for g in range(1, groups + 1)))
+
+
 def test_config_guards():
-    CodecConfig(2, 2, 12, 1, 0.5, 10.0)
+    CodecConfig(12, 0.5, 10.0)
     with pytest.raises(ValueError):
-        CodecConfig(5, 2, 4, 1, 0.5, 2.0)
+        Codebook(_uniform_model(5, 2), CodecConfig(4, 0.5, 2.0), (1,))
     with pytest.raises(ValueError):
-        CodecConfig(2, 2, 17, 1, 0.5, 2.0)
+        CodecConfig(17, 0.5, 2.0)
     with pytest.raises(ValueError):
-        CodecConfig(2, 2, 4, 3, 0.5, 2.0)
+        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0), (1, 1, 1))
     with pytest.raises(ValueError):
-        CodecConfig(2, 2, 4, 1, 0.0, 2.0)
+        CodecConfig(4, 0.0, 2.0)
     with pytest.raises(ValueError):
-        CodecConfig(2, 2, 4, 1, 0.5, -1.0)
+        CodecConfig(4, 0.5, -1.0)
     with pytest.raises(ValueError):
-        CodecConfig(4, 4, 16, 2, 0.5, 2.0)  # 4**32 sequences
+        Codebook(_uniform_model(4, 4), CodecConfig(16, 0.5, 2.0), (1, 1))  # 4**32 sequences
     # every stage seed (seed + 1 .. seed + K when sequential) must fit a uint64
     for blocks, seed in ((1, -1), (2, 2 ** 64 - 2), (1, 2 ** 64)):
         with pytest.raises(ValueError, match="seed must be in"):
-            CodecConfig(2, 2, 4, blocks, 0.5, 2.0, seed=seed)
-    top = CodecConfig(2, 2, 4, 1, 0.5, 2.0, seed=2 ** 64 - 2)
+            Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0, seed=seed), (1,) * blocks)
+    top = CodecConfig(4, 0.5, 2.0, seed=2 ** 64 - 2)
     for kind in ("batch", "sequential"):
         book = Codebook(bsc_pair_model(0.1), top, (1,), kind)
         assert not book.injective
         assert 1 <= np.min(book.bin_of([0, 1, 1, 0])) <= book.bins
+
+
+def test_codebook_takes_k_and_alphabets_from_the_groups():
+    """K is the number of observed groups and the alphabets the shape of their
+    pmfs; groups whose pmfs differ in shape are refused."""
+    book = Codebook(_uniform_model(3, 2, groups=2), CodecConfig(2, 0.5, 2.0), (2, 1))
+    assert (book.blocks, book.alphabet_x, book.alphabet_y, book.total) == (2, 3, 2, 3 ** 4)
+    pmfs = (np.full((2, 2), 0.25), np.full((2, 3), 1 / 6))
+    mixed = SourceModel(tuple(CdfEntry(g, 1, 0.5, cond_entropy_x_given_y_bits(p), p)
+                              for g, p in enumerate(pmfs, start=1)))
+    Codebook(mixed, CodecConfig(2, 0.5, 2.0), (2, 2))
+    with pytest.raises(ModelError, match="differ in shape"):
+        Codebook(mixed, CodecConfig(2, 0.5, 2.0), (1, 2))
 
 
 def test_uniform_source_always_typical():
@@ -91,7 +112,7 @@ def test_jointly_typical_identity_pair():
 
 def test_encode_injective_and_deterministic():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 8, 1, delta=3.0, rate_bits=8.0, seed=7)
+    cfg = CodecConfig(8, delta=3.0, rate_bits=8.0, seed=7)
     book = Codebook(model, cfg, (1,))
     assert book.injective
     xs = [np.array([i >> k & 1 for k in range(8)]) for i in range(40)]
@@ -104,7 +125,7 @@ def test_encode_injective_and_deterministic():
 def test_encode_atypical_goes_to_bin_one():
     pmf = np.array([[0.5, 0.5], [0.0, 0.0]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, pmf),))
-    cfg = CodecConfig(2, 2, 4, 1, delta=0.5, rate_bits=4.0, seed=1)
+    cfg = CodecConfig(4, delta=0.5, rate_bits=4.0, seed=1)
     book = Codebook(model, cfg, (1,))
     assert encode(book, [0, 0, 0, 1]) == 1
     assert encode(book, [0, 0, 0, 0]) == book.bin_of([0, 0, 0, 0])
@@ -112,7 +133,7 @@ def test_encode_atypical_goes_to_bin_one():
 
 def test_bin_uniformity_chi_square():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 12, 1, delta=0.5, rate_bits=5.0, seed=3)
+    cfg = CodecConfig(12, delta=0.5, rate_bits=5.0, seed=3)
     book = Codebook(model, cfg, (1,))
     assert not book.injective
     bins = [book.bin_of(seq) for seq in itertools.product((0, 1), repeat=12)]
@@ -125,7 +146,7 @@ def test_bin_uniformity_chi_square():
 def test_decode_exact_at_injective_rate_exhaustive():
     """All 64 inputs recover exactly when binning is injective and delta wide."""
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 6, 1, delta=3.0, rate_bits=6.0, seed=5)
+    cfg = CodecConfig(6, delta=3.0, rate_bits=6.0, seed=5)
     book = Codebook(model, cfg, (1,))
     assert book.injective
     rng = np.random.default_rng(0)
@@ -138,7 +159,7 @@ def test_decode_exact_at_injective_rate_exhaustive():
 
 
 def test_decode_posterior_argmax_and_tiebreak():
-    cfg = CodecConfig(2, 2, 2, 1, delta=1e-6, rate_bits=0.0, seed=2)
+    cfg = CodecConfig(2, delta=1e-6, rate_bits=0.0, seed=2)
     y = np.array([0, 1])
     # higher-prior member wins: Y = X explains x = y
     book = Codebook(_identity_pair_model(0.7), cfg, (1,))
@@ -158,7 +179,7 @@ def test_decode_failure_is_a_value():
     # empty candidate set: wide rate, but no sequence is typical
     pmf = np.array([[0.5, 0.5], [0.0, 0.0]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, pmf),))
-    cfg = CodecConfig(2, 2, 4, 1, delta=0.01, rate_bits=4.0, seed=1)
+    cfg = CodecConfig(4, delta=0.01, rate_bits=4.0, seed=1)
     book = Codebook(model, cfg, (1,))
     assert decode(book, 7, np.array([1, 1, 1, 1])) is None
 
@@ -169,7 +190,7 @@ def test_decode_out_of_range_message_is_none(kind, rate):
     """A message with a bin outside 1..bins matches no candidate, at a hashed
     and at an injective rate; delta is wide, so every sequence is typical."""
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 3, 2, delta=3.0, rate_bits=rate, seed=5)
+    cfg = CodecConfig(3, delta=3.0, rate_bits=rate, seed=5)
     book = Codebook(model, cfg, (1, 1), kind)
     assert book.injective == (rate > 3.0)
     x = np.array([[0, 1, 1], [1, 0, 0]])
@@ -189,7 +210,7 @@ def test_decode_out_of_range_message_is_none(kind, rate):
 def test_trials_identical_sources_never_err():
     x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
-    cfg = CodecConfig(2, 2, 8, 1, delta=0.5, rate_bits=0.0, seed=4)
+    cfg = CodecConfig(8, delta=0.5, rate_bits=0.0, seed=4)
     report = run_codec_trials(model, (1,), cfg, trials=200, seed=9)
     assert report.errors == 0
     assert (report.eps1, report.eps2, report.eps3) == (0, 0, 0)
@@ -198,7 +219,7 @@ def test_trials_identical_sources_never_err():
 def test_trials_false_hypothesis_collisions():
     """With ambiguous members the wrong-posterior pick shows up as eps3."""
     model = _identity_pair_model(0.7)
-    cfg = CodecConfig(2, 2, 6, 1, delta=0.25, rate_bits=0.0, seed=4)
+    cfg = CodecConfig(6, delta=0.25, rate_bits=0.0, seed=4)
     report = run_codec_trials(model, (1,), cfg, trials=400, seed=9)
     # errors happen exactly when the low-prior member was the truth
     assert report.err_rate == pytest.approx(0.3, abs=0.08)
@@ -208,7 +229,7 @@ def test_trials_false_hypothesis_collisions():
 
 def test_trials_single_bin_collisions_dominate():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 8, 1, delta=0.6, rate_bits=0.0, seed=6)
+    cfg = CodecConfig(8, delta=0.6, rate_bits=0.0, seed=6)
     report = run_codec_trials(model, (1,), cfg, trials=300, seed=1)
     assert report.err_rate > 0.5
     assert report.eps2 > report.eps1
@@ -217,7 +238,7 @@ def test_trials_single_bin_collisions_dominate():
 
 def test_trials_tiny_delta_atypicality_dominates():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 8, 1, delta=0.01, rate_bits=8.0, seed=6)
+    cfg = CodecConfig(8, delta=0.01, rate_bits=8.0, seed=6)
     report = run_codec_trials(model, (1,), cfg, trials=300, seed=1)
     assert report.eps1 == report.errors > 0
 
@@ -229,7 +250,7 @@ def test_error_monotone_in_rate():
     for rate in rates:
         errs = []
         for seed in range(10):
-            cfg = CodecConfig(2, 2, 10, 1, delta=0.5, rate_bits=rate, seed=seed)
+            cfg = CodecConfig(10, delta=0.5, rate_bits=rate, seed=seed)
             errs.append(
                 run_codec_trials(model, (1,), cfg, trials=60, seed=100 + seed).err_rate
             )
@@ -239,7 +260,7 @@ def test_error_monotone_in_rate():
 
 def test_sequential_kind_roundtrip():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 4, 2, delta=3.0, rate_bits=16.0, seed=8)
+    cfg = CodecConfig(4, delta=3.0, rate_bits=16.0, seed=8)
     book = Codebook(model, cfg, (1, 1), kind="sequential")
     assert book.injective
     x = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
@@ -251,7 +272,7 @@ def test_sequential_kind_roundtrip():
 
 def test_sequential_hashed_trials():
     model = bsc_pair_model(0.05)
-    cfg = CodecConfig(2, 2, 5, 2, delta=0.8, rate_bits=9.0, seed=8)
+    cfg = CodecConfig(5, delta=0.8, rate_bits=9.0, seed=8)
     report = run_codec_trials(model, (1, 1), cfg, kind="sequential",
                               trials=150, seed=3)
     assert 0 <= report.err_rate < 1.0
@@ -287,9 +308,9 @@ def _replay_trials(model, groups, cfg, kind, trials, seed) -> CodecTrialReport:
     """Each trial drawn with choice() per block, coded with the public
     encode/decode, and a collision found by scanning the received bin."""
     book = Codebook(model, cfg, groups, kind)
-    K, n = cfg.blocks, cfg.n
+    K, n = book.blocks, cfg.n
     in_bin = {}  # message -> X-typical sequences with that raw bin
-    for seq in itertools.product(range(cfg.alphabet_x), repeat=K * n):
+    for seq in itertools.product(range(book.alphabet_x), repeat=K * n):
         s = np.array(seq).reshape(K, n)
         if is_typical(s, book.marginal_entries(), cfg.delta):
             in_bin.setdefault(book.bin_of(s), []).append(s)
@@ -304,8 +325,8 @@ def _replay_trials(model, groups, cfg, kind, trials, seed) -> CodecTrialReport:
             truth.append(e)
             pmf = e.joint_pmf
             flat = rng.choice(pmf.size, size=n, p=pmf.ravel() / pmf.sum())
-            xs.append(flat // cfg.alphabet_y)
-            ys.append(flat % cfg.alphabet_y)
+            xs.append(flat // book.alphabet_y)
+            ys.append(flat % book.alphabet_y)
         x, y = np.array(xs), np.array(ys)
         bins = encode(book, x)
         got = decode(book, bins, y)
@@ -335,14 +356,14 @@ def _reference_cases():
         model = _shared_marginal_model(rng, ax, ay, G, M)
         full = n * K * np.log2(ax)
         rate = [0.0, full * K, float(rng.uniform(0, full))][i % 3]  # all, injective, hashed
-        cfg = CodecConfig(ax, ay, n, K, float(rng.choice([0.4, 0.8, 1.5])), rate,
+        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), rate,
                           seed=int(rng.integers(0, 50)))
         groups = tuple(int(g) for g in rng.integers(1, G + 1, size=K))
         cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
     # no sequence is typical: P(x=1) = 0.7, n = 3 and delta 0.01
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    cases.append((model, (1,), CodecConfig(2, 2, 3, 1, 0.01, 2.0, seed=1), "batch"))
+    cases.append((model, (1,), CodecConfig(3, 0.01, 2.0, seed=1), "batch"))
     return cases
 
 
@@ -360,7 +381,7 @@ def test_trials_independent_of_chunking(monkeypatch, cells):
     """At 64 candidates of 12 cells per trial the default chunk holds about
     85 trials; one cell per chunk means one trial per chunk."""
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(2, 2, 12, 1, delta=0.5, rate_bits=6.0, seed=2)
+    cfg = CodecConfig(12, delta=0.5, rate_bits=6.0, seed=2)
     default = run_codec_trials(model, (1,), cfg, trials=200, seed=5)
     assert default == _replay_trials(model, (1,), cfg, "batch", 200, 5)
     monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)

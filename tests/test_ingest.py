@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_blockify_rejects_bad_input():
         blockify(np.array([[0, -1]]), n=1)
     with pytest.raises(IngestError, match="sequence of"):
         blockify(np.array([0, 1]), n=1)
+
+
+def test_blockify_refuses_a_stack_too_large_for_memory():
+    """Symbols up to 30 000 with n = 1 would need a 2 x 30001 x 30001 float64
+    stack, about 14 GB: refused before anything of that size is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestError, match=r"alphabets 30001 x 30001 over 2 blocks"):
+            blockify(np.array([[0, 0], [30000, 30000]]), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    # the benchmark's stack, 2 000 blocks of 4 x 4 cells, is far below the bound
+    trace = np.tile([[3, 3], [0, 0]], (1000, 1))
+    assert blockify(trace, 1).shape == (2000, 4, 4)
 
 
 def test_blockify_bimodal_divergences():
