@@ -15,7 +15,6 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -81,16 +80,25 @@ def _write_csv(out_path, header, rows, timestamp: bool) -> None:
             _emit(fh)
 
 
-def _check_writable(*paths) -> None:
-    """Rejects an output path that could not be opened, before any computation;
-    an existing file is left untouched until the results are written."""
-    for path in paths:
+def _check_writable(args) -> None:
+    """Rejects an output path that could not be opened, or that another output
+    flag also names, before any work; an existing file is left untouched until
+    the results are written.  Only '-' (stdout) may repeat."""
+    flags = {}  # real path -> the flag naming it
+    for flag in ("--out", "--trace-out", "--assign-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
         if path in (None, "-"):
             continue
-        folder = os.path.dirname(os.path.abspath(path))
+        folder = os.path.dirname(path) or "."  # not abspath, which folds "missing/.." away
         target = path if os.path.exists(path) else folder
-        if not os.path.isdir(folder) or os.path.isdir(path) or not os.access(target, os.W_OK):
-            raise CliError(f"cannot write {path}: not a writable file in an existing directory")
+        if (path == "" or not os.path.isdir(folder) or os.path.isdir(path)
+                or not os.access(target, os.W_OK)):
+            raise CliError(f"{flag}: cannot write {path!r}: not a writable file "
+                           f"in an existing directory")
+        real = os.path.realpath(path)
+        if real in flags:
+            raise CliError(f"{flags[real]} and {flag} name one file, {path!r}")
+        flags[real] = flag
 
 
 def _load(args) -> SourceModel:
@@ -100,17 +108,6 @@ def _load(args) -> SourceModel:
         return load_model(args.model)
     except (OSError, ModelError) as exc:
         raise CliError(f"cannot load model: {exc}") from exc
-
-
-def _parse_list(text: str, kind: type) -> list:
-    """A comma list flag: at least one value, each parsed by ``kind``."""
-    values = [v for v in text.split(",") if v != ""]
-    if not values:
-        raise CliError(f"empty list {text!r}")
-    try:
-        return [kind(v) for v in values]
-    except ValueError as exc:
-        raise CliError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def _positive_float(text: str) -> float:
@@ -126,13 +123,11 @@ def _positive_float(text: str) -> float:
 def _int_at_least(low: int):
     """An argparse type: an integer of at least ``low``."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = int(text)  # a ValueError reads "invalid int value", by __name__
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
+    parse.__name__ = "int"
     return parse
 
 
@@ -140,11 +135,25 @@ _positive_int = _int_at_least(1)
 _seed = _int_at_least(0)  # numpy's generators take no negative seed
 
 
-def _seed_list(text: str) -> tuple[int, ...]:
-    seeds = tuple(_parse_list(text, int))
-    if min(seeds) < 0:
-        raise CliError(f"--seeds: must be >= 0, got {min(seeds)}")
-    return seeds
+def _strategy(name: str) -> str:
+    if name not in STRATEGIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+    return name
+
+
+def _list_of(kind):
+    """An argparse type: a comma list of at least one value, each parsed by
+    ``kind``; empty items are dropped."""
+    def parse(text: str) -> tuple:
+        values = [v for v in text.split(",") if v != ""]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        try:
+            return tuple(kind(v) for v in values)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from None
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +198,7 @@ def cmd_rate(args) -> int:
         value = rate_unconditional(model, args.blocks, args.epsilon)
     else:
         acc = RateAccumulator(model)
-        for g in _parse_list(args.groups, int):
+        for g in args.groups:
             acc.push_block(g)
         value = acc.rate_quantile(args.epsilon)
     print(_fmt(value))
@@ -211,17 +220,11 @@ def cmd_kc(args) -> int:
 def cmd_bounds(args) -> int:
     model = _load(args)
     stats = compute_stats(model)
-    report = bounds_mod.bounds_report(stats, _parse_list(args.eta_grid, float), args.epsilon)
-    rows = [
-        (r.eta, r.ub_we, r.ub_wd, r.lb_we, r.lb_wd, r.gamma, r.argmax_istar)
-        for r in report
-    ]
-    _write_csv(
-        args.out,
-        ("eta", "ub_we", "ub_wd", "lb_we", "lb_wd", "gamma", "argmax_istar"),
-        rows,
-        not args.no_timestamp,
-    )
+    report = bounds_mod.bounds_report(stats, args.eta_grid, args.epsilon)
+    rows = [(r.eta, r.ub_we, r.ub_wd, r.lb_we, r.lb_wd, r.gamma, r.argmax_istar)
+            for r in report]
+    _write_csv(args.out, ("eta", "ub_we", "ub_wd", "lb_we", "lb_wd", "gamma", "argmax_istar"),
+               rows, not args.no_timestamp)
     crossed = [r for r in report if r.ub_we < r.lb_we or r.ub_wd < r.lb_wd]
     for r in crossed:  # possible when c >= h_max (the batch size is then 1)
         print(f"error: bound bracketing violated at eta={_fmt(r.eta)}: "
@@ -251,7 +254,6 @@ def _delay_scale(model: SourceModel, seconds: bool) -> float:
 
 
 def cmd_simulate(args) -> int:
-    _check_writable(args.out, args.trace_out)
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
     run = dict(epsilon=args.epsilon, T=args.blocks, eta=args.eta, c=args.c,
@@ -273,42 +275,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One Monte Carlo sweep: one ``simulate`` task per (eta, seed) runs every
-    strategy on that (eta, seed)."""
-
-    strategies: tuple[str, ...]
-    eta_grid: tuple[float, ...]
-    epsilon: float
-    blocks: int
-    seeds: tuple[int, ...]
-    batch_size: int | None = None
-    use_marginals: bool = True
-
-    def __post_init__(self):
-        if not (self.strategies and self.eta_grid and self.seeds):
-            raise ValueError("a sweep needs at least one strategy, eta and seed")
-        for eta in self.eta_grid:
-            check_run(self.strategies, epsilon=self.epsilon, T=self.blocks, eta=eta,
-                      batch_size=self.batch_size)
-
-    def tasks(self) -> list[tuple[float, int]]:
-        """One (eta, seed) per task."""
-        return [(eta, seed) for eta in self.eta_grid for seed in self.seeds]
-
-
 def _sweep_task(payload) -> tuple[SimulationResult, ...]:
-    model, spec, (eta, seed) = payload
-    return simulate(model, spec.strategies, epsilon=spec.epsilon, T=spec.blocks, seed=seed,
-                    eta=eta, batch_size=spec.batch_size, use_marginals=spec.use_marginals)
+    model, strategies, run, (eta, seed) = payload
+    return simulate(model, strategies, eta=eta, seed=seed, **run)
 
 
-def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
-              ) -> list[SimulationResult]:
-    """All sweep runs, merged back in spec order regardless of completion."""
-    tasks = spec.tasks()
-    payloads = [(model, spec, t) for t in tasks]
+def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int = 1,
+              use_marginals: bool = True, **run) -> list[SimulationResult]:
+    """One Monte Carlo sweep, every eta checked before any task starts: one
+    ``simulate`` task per (eta, seed) runs every strategy, with ``run`` holding
+    epsilon, T and batch_size.  Results come in (strategy, eta, seed) order."""
+    if not (strategies and eta_grid and seeds):
+        raise ValueError("a sweep needs at least one strategy, eta and seed")
+    for eta in eta_grid:
+        check_run(strategies, eta=eta, **run)
+    tasks = [(eta, seed) for eta in eta_grid for seed in seeds]
+    sim = dict(run, use_marginals=use_marginals)
+    payloads = [(model, strategies, sim, t) for t in tasks]
     if workers <= 1:
         done = map(_sweep_task, payloads)
     else:
@@ -316,31 +299,20 @@ def run_sweep(model: SourceModel, spec: SweepSpec, workers: int = 1
             done = list(pool.map(_sweep_task, payloads))
     by_run = {(res.strategy, eta, seed): res
               for (eta, seed), results in zip(tasks, done) for res in results}
-    return [by_run[strategy, eta, seed] for strategy in spec.strategies
-            for eta in spec.eta_grid for seed in spec.seeds]
+    return [by_run[strategy, eta, seed] for strategy in strategies
+            for eta in eta_grid for seed in seeds]
 
 
 def cmd_sweep(args) -> int:
-    _check_writable(args.out)
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
-    spec = SweepSpec(
-        strategies=tuple(args.strategies.split(",")),
-        eta_grid=tuple(_parse_list(args.eta_grid, float)),
-        epsilon=args.epsilon,
-        blocks=args.blocks,
-        seeds=_seed_list(args.seeds),
-        batch_size=args.batch_size,
-        use_marginals=not args.no_marginals,
-    )
-    results = run_sweep(model, spec, workers=args.workers)
-    unstable = [r for r in results if r.unstable]
-    for r in unstable:
-        print(
-            f"warning: unstable queue for {r.strategy} at eta={_fmt(r.eta)} "
-            f"seed={r.seed}",
-            file=sys.stderr,
-        )
+    results = run_sweep(model, args.strategies, args.eta_grid, args.seeds,
+                        workers=args.workers, use_marginals=not args.no_marginals,
+                        epsilon=args.epsilon, T=args.blocks, batch_size=args.batch_size)
+    for r in results:
+        if r.unstable:
+            print(f"warning: unstable queue for {r.strategy} at eta={_fmt(r.eta)} "
+                  f"seed={r.seed}", file=sys.stderr)
     _write_csv(args.out, SWEEP_COLUMNS, [_result_row(r, scale) for r in results],
                not args.no_timestamp)
     return EXIT_OK
@@ -348,21 +320,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_example_fig4(args) -> int:
     """Bundled six-cdf model: bounds vs simulated delays, bracketing checked."""
-    _check_writable(args.out)
     model = demo_model()
     stats = compute_stats(model)
     epsilon = 0.01
-    etas = tuple(_parse_list(args.eta_grid, float))
-    seeds = _seed_list(args.seeds)
-    report = bounds_mod.bounds_report(stats, etas, epsilon)
-    spec = SweepSpec(
-        strategies=("we", "wd"),
-        eta_grid=etas,
-        epsilon=epsilon,
-        blocks=args.blocks,
-        seeds=seeds,
-    )
-    results = run_sweep(model, spec, workers=args.workers)
+    report = bounds_mod.bounds_report(stats, args.eta_grid, epsilon)
+    results = run_sweep(model, ("we", "wd"), args.eta_grid, args.seeds,
+                        workers=args.workers, epsilon=epsilon, T=args.blocks)
 
     print(f"model: m={model.m} cdfs={len(model.entries)} "
           f"e_h={_fmt(stats.e_h)} var_h={_fmt(stats.var_h)} "
@@ -399,16 +362,14 @@ def cmd_example_fig4(args) -> int:
 def cmd_codec(args) -> int:
     if (args.model is None) == (args.bsc is None):
         raise CliError("give exactly one of --model or --bsc CROSSOVER")
-    _check_writable(args.out)
     model = bsc_pair_model(args.bsc) if args.bsc is not None else _load(args)
-    if args.groups is None:
+    groups = args.groups
+    if groups is None:
         groups = (1,) * (1 if args.k is None else args.k)
-    else:
-        groups = tuple(_parse_list(args.groups, int))
-        if args.k is not None and args.k != len(groups):
-            raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
+    elif args.k is not None and args.k != len(groups):
+        raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
     configs = [codec_mod.CodecConfig(n=args.n, delta=args.delta, rate_bits=rate, seed=args.seed)
-               for rate in _parse_list(args.rates, float)]
+               for rate in args.rates]
     for config in configs:  # checks the groups, alphabets and seed before any trial
         codec_mod.Codebook(model, config, groups, args.kind)
     rows = []
@@ -427,7 +388,6 @@ def cmd_codec(args) -> int:
 def cmd_ingest(args) -> int:
     if args.out is None:
         raise CliError("an output model path is required (--out)")
-    _check_writable(args.out, args.assign_out)
     try:
         trace = read_trace(args.input, args.skip_header)
     except (OSError, ValueError) as exc:
@@ -490,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--blocks", type=int, default=None,
                    help="unconditional K-block quantile")
-    p.add_argument("--groups", default=None,
+    p.add_argument("--groups", type=_list_of(int), default=None,
                    help="comma list of observed marginal groups (conditional)")
     p.set_defaults(func=cmd_rate)
 
@@ -504,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form delay bounds over an eta grid")
     common(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--eta-grid", required=True, help="comma list of eta values")
+    p.add_argument("--eta-grid", type=_list_of(float), required=True,
+                   help="comma list of eta values")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="one strategy run")
@@ -526,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over strategies/etas/seeds")
     common(p, workers=True)
-    p.add_argument("--strategies", required=True,
+    p.add_argument("--strategies", type=_list_of(_strategy), required=True,
                    help=f"comma list from {','.join(STRATEGIES)}")
-    p.add_argument("--eta-grid", required=True)
+    p.add_argument("--eta-grid", type=_list_of(float), required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--seeds", required=True, help="comma list of seeds")
+    p.add_argument("--seeds", type=_list_of(_seed), required=True, help="comma list of seeds")
     p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--no-marginals", action="store_true")
     p.add_argument("--seconds", action="store_true",
@@ -541,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example-fig4",
                        help="bundled six-cdf example: bounds vs simulation")
     common(p, model=False, workers=True)
-    p.add_argument("--eta-grid", default="0.5,0.25,0.1,0.05")
+    p.add_argument("--eta-grid", type=_list_of(float), default="0.5,0.25,0.1,0.05")
     p.add_argument("--blocks", type=int, default=20000)
-    p.add_argument("--seeds", default="1,2,3")
+    p.add_argument("--seeds", type=_list_of(_seed), default="1,2,3")
     p.set_defaults(func=cmd_example_fig4)
 
     p = sub.add_parser("codec", help="random-binning codec Monte Carlo trials")
@@ -555,11 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blocks per message, each of group 1 (default 1; with "
                         "--groups, must equal their number)")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--rates", required=True, help="comma list of rate_bits")
+    p.add_argument("--rates", type=_list_of(float), required=True,
+                   help="comma list of rate_bits")
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--kind", choices=(codec_mod.BATCH, codec_mod.SEQUENTIAL),
                    default=codec_mod.BATCH)
-    p.add_argument("--groups", default=None,
+    p.add_argument("--groups", type=_list_of(int), default=None,
                    help="comma list of observed groups (default: group 1 per block)")
     p.set_defaults(func=cmd_codec)
 
@@ -592,6 +554,7 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
+        _check_writable(args)
         return args.func(args)
     except (CliError, ValueError, OSError, Warning) as exc:
         # a Warning arrives here when warnings are raised as errors (-W error)

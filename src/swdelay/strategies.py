@@ -107,14 +107,18 @@ class SimulationResult:
 def resolve_channel_rate(
     stats: EntropyStats, eta: float | None, c: float | None
 ) -> tuple[float, float]:
-    """Returns (c, eta) from whichever parameter was given."""
+    """Returns (c, eta) from whichever parameter was given; eta is below 1."""
     _check_channel(eta, c)
+    if stats.e_h <= 0:
+        raise ModelError("the mean conditional entropy is 0: eta = 1 - E[H]/c is 1 "
+                         "at every channel rate c")
     if eta is not None:
-        if stats.e_h <= 0:
-            raise ModelError("the mean conditional entropy is 0: the channel rate "
-                             "E[H]/(1 - eta) is 0")
         return stats.e_h / (1.0 - eta), eta
-    return float(c), 1.0 - stats.e_h / c
+    eta = 1.0 - stats.e_h / c
+    if eta >= 1:  # E[H]/c is below the float spacing just under 1
+        raise ValueError(f"channel rate c = {c!r} is too large for E[H] = {stats.e_h!r}: "
+                         f"eta = 1 - E[H]/c rounds to 1")
+    return float(c), eta
 
 
 def _check_channel(eta: float | None, c: float | None) -> None:

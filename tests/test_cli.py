@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
 from swdelay import model as model_mod
 from swdelay.entropy import cond_entropy_x_given_y_bits
-from swdelay.cli import SWEEP_COLUMNS, SweepSpec, run_sweep
+from swdelay.cli import SWEEP_COLUMNS, run_sweep
 from swdelay.rate import RateAccumulator
 from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
@@ -373,12 +374,9 @@ def test_sweep_row_count_and_order(model_file):
 def test_sweep_workers_match_sequential():
     model = demo_model()
     for strategies, workers in ((("we", "wd"), 3), (("wd", "known-joint", "we"), 2)):
-        spec = SweepSpec(
-            strategies=strategies, eta_grid=(0.5, 0.25), epsilon=0.01,
-            blocks=400, seeds=(1, 2),
-        )
-        seq = run_sweep(model, spec, workers=1)
-        par = run_sweep(model, spec, workers=workers)
+        run = dict(eta_grid=(0.5, 0.25), seeds=(1, 2), epsilon=0.01, T=400)
+        seq = run_sweep(model, strategies, workers=1, **run)
+        par = run_sweep(model, strategies, workers=workers, **run)
         assert seq == par
         assert [r.strategy for r in seq] == [s for s in strategies for _ in range(4)]
 
@@ -862,6 +860,17 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
       "--trials", "5"], "rate_bits must be nonnegative and finite, got inf"),
     (["codec", "--bsc", "0.1", "--n", "4", "--delta", "nan", "--rates", "2",
       "--trials", "5"], "delta must be positive and finite, got nan"),
+    # every output path is checked in one place, before any subcommand's work
+    (["stats", "--out", "{missing}"], "--out: cannot write"),
+    (["bounds", "--epsilon", "0.01", "--eta-grid", "0.5", "--out", "{missing}"],
+     "--out: cannot write"),
+    ([*_SIM, "--out", ""], "--out: cannot write ''"),
+    ([*_SIM, "--out", "{folder}/missing/../x.csv"], "--out: cannot write"),
+    (["ingest", "--input", "{trace}", "--n", "4", "--out", ""], "--out: cannot write ''"),
+    ([*_SIM, "--out", "{existing}", "--trace-out", "{existing}"],
+     "--out and --trace-out name one file"),
+    (["ingest", "--input", "{trace}", "--n", "4", "--out", "{folder}/m.yaml",
+      "--assign-out", "{folder}/./m.yaml"], "--out and --assign-out name one file"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any
@@ -874,6 +883,8 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
 
     monkeypatch.setattr(cli, "simulate", never)
     monkeypatch.setattr(cli, "quantize_model", never)
+    monkeypatch.setattr(cli, "compute_stats", never)
+    monkeypatch.setattr(cli.bounds_mod, "bounds_report", never)
     monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
     monkeypatch.setattr(RateAccumulator, "push_block", never)
     existing = tmp_path / "existing.csv"
@@ -884,7 +895,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
                  existing=existing.as_posix(), folder=tmp_path.as_posix(),
                  trace=trace.as_posix())
     argv = [a.format(**paths) for a in argv]
-    if argv[0] in ("simulate", "sweep", "bounds", "rate"):
+    if argv[0] in ("simulate", "sweep", "bounds", "rate", "stats"):
         argv += ["--model", model_file]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
@@ -893,11 +904,63 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
     assert existing.read_text() == "kept\n"
 
 
+# per subcommand, a valid argv holding each of its comma-list flags
+_LISTS = {
+    "bounds": ["--epsilon", "0.01", "--eta-grid", "0.5"],
+    "sweep": ["--strategies", "we", "--eta-grid", "0.5", "--epsilon", "0.01",
+              "--blocks", "20", "--seeds", "1"],
+    "example-fig4": ["--blocks", "20", "--eta-grid", "0.5", "--seeds", "1"],
+    "codec": ["--n", "4", "--delta", "0.5", "--rates", "2", "--trials", "5",
+              "--groups", "1"],
+    "rate": ["--epsilon", "0.01", "--groups", "1"],
+}
+_LIST_FLAGS = [
+    ("bounds", "--eta-grid", "bad float list '1,x'"),
+    ("sweep", "--eta-grid", "bad float list '1,x'"),
+    ("sweep", "--seeds", "bad int list '1,x'"),
+    ("sweep", "--strategies", "unknown strategy '1'"),
+    ("example-fig4", "--eta-grid", "bad float list '1,x'"),
+    ("example-fig4", "--seeds", "bad int list '1,x'"),
+    ("codec", "--rates", "bad float list '1,x'"),
+    ("codec", "--groups", "bad int list '1,x'"),
+    ("rate", "--groups", "bad int list '1,x'"),
+]
+
+
+def test_list_flags_named_above_are_every_list_flag():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {(command, a.option_strings[0]) for command, p in sub.choices.items()
+             for a in p._actions
+             if getattr(a.type, "__qualname__", "").startswith("_list_of.")}
+    assert found == {(command, flag) for command, flag, _ in _LIST_FLAGS}
+
+
+@pytest.mark.parametrize("value", [",", "1,x"])
+@pytest.mark.parametrize("command, flag, bad_item", _LIST_FLAGS)
+def test_list_flags_fail_while_parsing(monkeypatch, capsys, command, flag, bad_item, value):
+    """A bad comma list exits 1 with argparse's usage line, before any model
+    is read: the model file named here does not exist."""
+    def never(*args, **kwargs):
+        raise AssertionError("a model was read before the arguments were checked")
+
+    monkeypatch.setattr(cli, "load_model", never)
+    monkeypatch.setattr(cli, "demo_model", never)
+    argv = [command, *_LISTS[command]]
+    argv[argv.index(flag) + 1] = value
+    if command != "example-fig4":
+        argv += ["--model", "missing.yaml"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: swdelay {command}")
+    assert f"argument {flag}: " + ("empty list ','" if value == "," else bad_item) in err
+
+
 def test_sweep_spec_rejects_empty_grids():
-    kw = dict(strategies=("we",), eta_grid=(0.5,), epsilon=0.01, blocks=10, seeds=(1,))
+    kw = dict(strategies=("we",), eta_grid=(0.5,), seeds=(1,))
     for field in ("strategies", "eta_grid", "seeds"):
         with pytest.raises(ValueError, match="at least one"):
-            SweepSpec(**{**kw, field: ()})
+            run_sweep(demo_model(), **{**kw, field: ()}, epsilon=0.01, T=10)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -916,3 +979,38 @@ def test_zero_mean_entropy_with_eta_is_rejected(tmp_path, capsys, recwarn, strat
     assert code == 1 and out == ""
     assert "mean conditional entropy is 0" in err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_mean_entropy_with_c_is_rejected(tmp_path, capsys, recwarn, strategy):
+    """E[H] = 0 makes eta = 1 - E[H]/c equal 1 at every channel rate."""
+    path = tmp_path / "zero-mean.yaml"
+    path.write_text(
+        "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 0.0}\n"
+        "  - {prob: 0.5, cond_entropy: 0.0}\n"
+    )
+    code = cli.main(["simulate", "--model", path.as_posix(), "--strategy", strategy,
+                     "--epsilon", "0.01", "--c", "5", "--blocks", "20",
+                     "--batch-size", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "mean conditional entropy is 0" in err
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
+    *(["simulate", "--strategy", s, "--batch-size", "2", "--blocks", "20"]
+      for s in STRATEGIES),
+    ["kc"],
+])
+def test_channel_rate_whose_eta_rounds_to_1_is_rejected(tmp_path, capsys, argv):
+    """With every H = 2.5, 1 - E[H]/c rounds to 1.0 at c = 1e308."""
+    path = tmp_path / "flat.yaml"
+    path.write_text("groups:\n- members:\n  - {prob: 0.5, cond_entropy: 2.5}\n"
+                    "  - {prob: 0.5, cond_entropy: 2.5}\n")
+    code = cli.main([*argv, "--model", path.as_posix(), "--epsilon", "0.01",
+                     "--c", "1e308"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: channel rate c = 1e+308 is too large for E[H] = 2.5: "
+                   "eta = 1 - E[H]/c rounds to 1\n")
