@@ -301,11 +301,13 @@ class Codebook:
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """The X-typical sequences stably sorted by the key of their message,
         and the sorted keys.  X marginals are shared within a group, so the
-        set is hypothesis independent; each row is summed over its whole width."""
+        set is hypothesis independent.  As in ``_typical_prefixes``, each row
+        sums each block, then adds the K <= 2 block sums (one addition)."""
         cfg = self.config
         marginals = self._marginals
         block = np.arange(cfg.n * self.blocks) // cfg.n
-        ll = marginals.log_x[block, self._all_sequences].sum(axis=1)
+        sums = marginals.log_x[block, self._all_sequences].reshape(-1, self.blocks, cfg.n).sum(-1)
+        ll = sums[:, 0] if self.blocks == 1 else sums[:, 0] + sums[:, 1]
         dev = _deviation(ll, marginals.h_x[-1], self.blocks, cfg.n)
         typical = np.flatnonzero(dev <= cfg.delta + _TYP_TOL)
         keys = self._keys(self._bins_of(typical))
@@ -335,12 +337,13 @@ class Codebook:
         # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
         block = np.arange(width) // cfg.n
         cell = ((block * self.alphabet_x + self._all_sequences[cand]) * self.alphabet_y
-                + y.reshape(len(y), width)[trial])
+                + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, cfg.n)
         typical = np.empty((len(cand), len(self._hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
         for h, (hyp, post) in enumerate(self._hypotheses):
             y_typical = _typical_prefixes(hyp.log_y, hyp.h_y, cfg.delta, y)[:, -1]
-            ll = hyp.log_xy.ravel()[cell].sum(axis=1)
+            sums = hyp.log_xy.ravel()[cell].sum(axis=-1)
+            ll = sums[:, 0] if self.blocks == 1 else sums[:, 0] + sums[:, 1]  # as in _index
             dev = _deviation(ll, hyp.h_xy[-1], self.blocks, cfg.n)
             typical[:, h] = y_typical[trial] & (dev <= cfg.delta + _TYP_TOL)
             best = np.maximum(best, np.where(typical[:, h], post, 0.0))

@@ -180,8 +180,10 @@ class RateAccumulator:
         if self.k < 1:
             raise ValueError("empty accumulator: push at least one block first")
         dense = self._dense
-        cdf = np.cumsum(dense)
-        tails = cdf[-1] - cdf
+        # strict tails summed down from the top: a difference from the total
+        # cannot resolve a tail below the total's rounding (~1e-16)
+        tails = np.zeros(len(dense))
+        np.cumsum(dense[:0:-1], out=tails[-2::-1])
         nz = np.flatnonzero(dense)
         ok = nz[tails[nz] <= epsilon]
         # the largest support point always has zero tail, so ok is non-empty

@@ -9,15 +9,14 @@ exceeds the bits delivered for it, the idealised large-block decoding model.
 
 ``simulate`` runs any mix of strategies on one (eta, seed): it samples one
 trace per model it needs, segments each trace once per stop rule, then makes
-one accounting pass per strategy.  Segmentation cuts the trace into batches:
-``we`` and ``wd`` in one loop, ``_segment``, on the same test,
-tail(K*c) <= epsilon, memoized per run by the batch's group-count vector (a
-memo hit could flip a decision only for a tail within rounding of epsilon),
-so a run asking for both segments once; ``accumulate`` in its own loop every
-``batch_size`` blocks; ``known-joint`` and ``blockwise`` every block, on one
-shared table.  Accounting charges the delays on one of two sides,
-following the closed-form cycle analysis so that the deterministic worst cases
-are exact:
+one accounting pass per strategy.  One loop, ``_segment``, cuts the trace
+into quantile-rated batches, memoized per run by the batch's group-count
+vector (a memo hit could flip a decision only for a tail within rounding of
+epsilon): ``we`` and ``wd`` close on the same test, tail(K*c) <= epsilon, so a
+run asking for both segments once; ``accumulate`` closes every ``batch_size``
+blocks.  ``known-joint`` and ``blockwise`` ship every block, on one table.
+Accounting charges the delays on one of two sides, following the closed-form
+cycle analysis so that the deterministic worst cases are exact:
 
 * encoder side (deferred encoding, the baselines): the batch closing at t
   ships as one message into the FIFO channel queue, W_E(tau) = t - tau + 1,
@@ -39,7 +38,7 @@ from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
 from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, check_blocks,
                     check_epsilon, check_eta, compute_stats, sample_trace)
-from .rate import RateAccumulator, rate_unconditional
+from .rate import RateAccumulator
 
 # absorbs float accumulation noise when comparing realised entropy sums
 # against delivered rate; both sides are sums of the same per-block values
@@ -160,11 +159,12 @@ def _entropy_x_proxy(model: SourceModel) -> float | None:
 _MISS = object()  # memo sentinel: stored values are None or a rate, which can be 0.0
 
 
-def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float
-             ) -> tuple[list[int], list[float], list[float]]:
-    """The ``we``/``wd`` batch table: sizes K, realised entropy sums (added block
-    by block) and epsilon-quantile rates.  A batch closes at the first block
-    with tail(K*c) <= epsilon; blocks after the last close are never decoded.
+def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
+             batch_size: int | None = None) -> tuple[list[int], list[float], list[float]]:
+    """A batch table: sizes K, realised entropy sums (added block by block) and
+    epsilon-quantile rates.  A batch closes at the first block with
+    tail(K*c) <= epsilon (``we``/``wd``), or at K = ``batch_size`` when one is
+    given (``accumulate``); blocks after the last close are never decoded.
 
     Convolution commutes, so the decision and the quantile depend only on the
     group-count vector, memoized under one integer key (a count field of
@@ -190,8 +190,10 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float
                 push(g)
             pending.clear()
             push(group)
-            # wait while quantile/K > c, i.e. while the tail above K*c exceeds eps
-            rate = memo[key] = None if tail_above(K * c) > epsilon else quantile(epsilon)
+            # accumulate waits for batch_size blocks; we/wd wait while quantile/K > c,
+            # i.e. while the tail above K*c exceeds eps
+            wait = K < batch_size if batch_size else tail_above(K * c) > epsilon
+            rate = memo[key] = None if wait else quantile(epsilon)
         else:
             pending.append(group)
         if rate is not None:
@@ -205,32 +207,6 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float
     return sizes, ents, rates
 
 
-def _accumulate(trace: BlockTrace, model: SourceModel, batch_size: int, epsilon: float,
-                use_marginals: bool) -> tuple[list[int], list[float], list[float]]:
-    """The ``accumulate`` batch table: a batch closes every ``batch_size`` blocks,
-    at the epsilon-quantile of its own groups with ``use_marginals``, else at the
-    unconditional one of that many blocks (the same rate when the model has one
-    group)."""
-    acc = RateAccumulator(model) if use_marginals and model.m > 1 else None
-    rate = rate_unconditional(model, batch_size, epsilon) if acc is None else None
-    sizes, ents, rates = [], [], []
-    K, ent = 0, 0.0
-    for group, h in zip(trace.groups.tolist(), trace.h.tolist()):
-        K += 1
-        ent += h
-        if acc is not None:
-            acc.push_block(group)
-        if K == batch_size:
-            if acc is not None:
-                rate = acc.rate_quantile(epsilon)
-                acc.reset()
-            sizes.append(K)
-            ents.append(ent)
-            rates.append(rate)
-            K, ent = 0, 0.0
-    return sizes, ents, rates
-
-
 def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, seed: int,
              eta: float | None = None, c: float | None = None, batch_size: int | None = None,
              use_marginals: bool = True, collect_records: bool = False,
@@ -238,10 +214,11 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
     """One result per strategy asked for, in that order, all on one (eta, seed).
 
     The trace of each model used is sampled once and cut once per stop rule.
-    Without ``use_marginals`` a multi-group model is collapsed for ``we`` and
-    ``wd`` (blind encoder and decoder); ``accumulate`` then ships at the
-    unconditional quantile of its batch size, and the other baselines keep the
-    model.
+    Without ``use_marginals`` a multi-group model is collapsed, once, for the
+    batched strategies (blind encoder and decoder); its trace has the same
+    entropies, as it draws the same entries.  Blind ``we``/``wd`` report no
+    compression ratio, blind ``accumulate`` the model's.  The one-block
+    baselines keep the model.
     """
     check_run(strategies, epsilon=epsilon, T=T, eta=eta, c=c, batch_size=batch_size)
     epsilon = None if epsilon is None else float(epsilon)
@@ -254,25 +231,27 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
             RuntimeWarning,
             stacklevel=2,
         )
-    blind = not use_marginals and model.m > 1
+    blind = not use_marginals and model.m > 1 and any(_RULE[s] != "one-block"
+                                                      for s in strategies)
+    batch_model = model.collapse_marginals() if blind else model
     traces: dict[bool, BlockTrace] = {}  # keyed by "runs on the model as given"
     tables = {}
     results = []
     for strategy in strategies:
         rule = _RULE[strategy]
         if rule not in tables:
-            on = model.collapse_marginals() if blind and rule == "adaptive" else model
+            on = model if rule == "one-block" else batch_model
             if (on is model) not in traces:
                 traces[on is model] = sample_trace(on, T, seed)
             trace = traces[on is model]
-            if rule == "adaptive":
-                table = _segment(trace, on, c=c, epsilon=epsilon)
-            elif rule == "fixed":
-                table = _accumulate(trace, on, batch_size, epsilon, use_marginals)
-            else:  # one block per batch, shipped at its own entropy (blockwise: H_max)
+            if rule == "one-block":  # shipped at its own entropy (blockwise: H_max)
                 ents = trace.h.tolist()
                 table = [1] * T, ents, ents
-            tables[rule] = (_entropy_x_proxy(on), *table)
+            else:
+                table = _segment(trace, on, c=c, epsilon=epsilon,
+                                 batch_size=batch_size if rule == "fixed" else None)
+            proxy = _entropy_x_proxy(on if rule == "adaptive" else model)
+            tables[rule] = (proxy, *table)
         proxy, sizes, ents, rates = tables[rule]
         if strategy == WAIT_TO_DECODE:  # the decoder holds K*c bits at a close
             rates = [K * c for K in sizes]

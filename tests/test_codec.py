@@ -413,3 +413,16 @@ def test_typicality_adds_block_sums_in_order():
         pytest.fail("no pair whose block-order and whole-width sums differ")
     assert jointly_typical(x, y, entries, delta)
     assert not jointly_typical(x, y, entries, np.nextafter(delta, 0))
+
+
+def test_decoder_index_and_scores_add_block_sums_in_order():
+    """The decoder's index and scores sum log-likelihoods as the encoder does,
+    block by block: a sequence the encoder finds typical is a candidate, and an
+    injective batch codebook decodes it."""
+    pmf = np.array([[0.41, 0.0], [0.0, 0.59]])
+    model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
+    book = Codebook(model, CodecConfig(8, 0.0800763843224229, 32.0), (1, 1))
+    x = np.array([[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]])
+    assert book.injective
+    assert is_typical(x, book.marginal_entries(), book.config.delta)
+    np.testing.assert_array_equal(decode(book, encode(book, x), x), x)

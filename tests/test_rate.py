@@ -71,6 +71,20 @@ def test_quantile_examples(six_cdf_model):
     assert acc.rate_quantile(0.3) == 7.0
 
 
+def test_quantile_resolves_tails_below_the_total_rounding(six_cdf_model):
+    """Tails are summed from the top: an epsilon far below the ~1e-16 rounding
+    of the total still picks the smallest support value whose strict tail,
+    summed exactly, is at most epsilon."""
+    acc = RateAccumulator(six_cdf_model)
+    for g in (3, 2) * 40:
+        acc.push_block(g)
+    d = acc.distribution()
+    tails = [math.fsum(d.probs[i + 1:]) for i in range(len(d.probs))]
+    for eps, expected in ((1e-17, 390.0), (1e-20, 393.0), (1e-30, 400.0)):
+        assert min(v for v, tail in zip(d.support, tails) if tail <= eps) == expected
+        assert acc.rate_quantile(eps) == expected, eps
+
+
 def test_quantile_empty_rejected(six_cdf_model):
     with pytest.raises(ValueError):
         RateAccumulator(six_cdf_model).rate_quantile(0.1)

@@ -18,6 +18,7 @@ from swdelay import (
     simulate,
 )
 
+from swdelay.entropy import entropy_bits, marginal_x
 from swdelay.strategies import OUTAGE_TOL, STRATEGIES, _segment
 
 from conftest import (lindley_wc, random_dyadic_model, random_offlattice_model,
@@ -88,6 +89,16 @@ def test_blind_pair_run_equals_single_runs(monkeypatch):
     monkeypatch.setattr(SourceModel, "collapse_marginals", counted)
     assert simulate(two_group_pmf_model(), ("we", "wd"), **kw) == singles
     assert len(calls) == 1
+
+
+def test_blind_accumulate_keeps_the_model_compression_ratio():
+    """Blind accumulate cuts its batches on the collapsed model, which has no
+    pmfs, but reports the compression ratio of the model as given."""
+    model = two_group_pmf_model()
+    res, = simulate(model, ("accumulate",), epsilon=0.05, T=300, seed=3, eta=0.3,
+                    batch_size=4, use_marginals=False)
+    proxy = sum(e.prob * entropy_bits(marginal_x(e.joint_pmf)) for e in model.entries)
+    assert res.compression_ratio == res.mean_encoding_rate / proxy
 
 
 def test_blind_run_leaves_one_group_model_as_is():
@@ -401,7 +412,8 @@ def test_stopping_rule_matches_reference_thirds_lattice():
 
 
 def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
-    """At eta = 0.5 every block flushes alone: three groups, three pushes."""
+    """At eta = 0.5 every ``we`` block flushes alone, as does every block of
+    ``accumulate`` at N = 1: three groups, three pushes."""
     calls = []
     push = RateAccumulator.push_block
 
@@ -410,9 +422,12 @@ def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
         return push(self, group)
 
     monkeypatch.setattr(RateAccumulator, "push_block", counted)
-    res, = simulate(six_cdf_model, ("we",), epsilon=0.01, T=1000, seed=3, eta=0.5)
-    assert res.batches == 1000
-    assert len(calls) <= 3
+    for strategy, batch_size in (("we", None), ("accumulate", 1)):
+        calls.clear()
+        res, = simulate(six_cdf_model, (strategy,), epsilon=0.01, T=1000, seed=3, eta=0.5,
+                        batch_size=batch_size)
+        assert res.batches == 1000
+        assert len(calls) <= 3, strategy
 
 
 # ---------------------------------------------------------------------------
