@@ -7,7 +7,8 @@ delay bounds, provides a desk-scale random-binning codec, and builds models
 from paired symbol traces.
 """
 
-from .bounds import LowerBound, bounds_report, gamma_coefficient, lb_delay, ub_delay
+from .bounds import (ChernoffBatch, LowerBound, bounds_report, gamma_coefficient, k_c_chernoff,
+                     lb_delay, ub_delay)
 from .channel import ChannelQueue
 from .codec import (
     Codebook,
@@ -34,7 +35,7 @@ from .model import (
     save_model,
     validate_model,
 )
-from .rate import ChernoffBatch, RateAccumulator, SumDistribution, k_c, k_c_chernoff, rate_unconditional
+from .rate import RateAccumulator, SumDistribution, k_c, rate_unconditional
 from .strategies import BatchOutcome, SimulationResult, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .rate import RateAccumulator, k_c, k_c_chernoff, rate_unconditional
+from .rate import RateAccumulator, k_c, rate_unconditional
 from .strategies import (STRATEGIES, SimulationResult, check_run, resolve_channel_rate,
                          simulate)
 
@@ -210,7 +210,7 @@ def cmd_kc(args) -> int:
     stats = compute_stats(model)
     c, eta = resolve_channel_rate(stats, args.eta, args.c)
     exact = k_c(model, c, args.epsilon)
-    cher = k_c_chernoff(stats, eta, args.epsilon)
+    cher = bounds_mod.k_c_chernoff(stats, eta, args.epsilon)
     print(_fmt(exact))
     print(_fmt(cher.value))
     print(_fmt(cher.k_int))
@@ -292,6 +292,7 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
     tasks = [(eta, seed) for eta in eta_grid for seed in seeds]
     sim = dict(run, use_marginals=use_marginals)
     payloads = [(model, strategies, sim, t) for t in tasks]
+    workers = min(workers, len(tasks))  # a pool starts every worker at once
     if workers <= 1:
         done = map(_sweep_task, payloads)
     else:
@@ -556,8 +557,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_writable(args)
         return args.func(args)
-    except (CliError, ValueError, OSError, Warning) as exc:
-        # a Warning arrives here when warnings are raised as errors (-W error)
+    except (CliError, ValueError, OSError, MemoryError, Warning) as exc:
+        # a Warning arrives here when warnings are raised as errors (-W error);
+        # a MemoryError when a count asks for more memory than can be had
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:

@@ -12,7 +12,8 @@ Ties break to the lexicographically smallest candidate.
 
 Typicality is the empirical log-likelihood kind: a sequence is typical when
 its per-symbol log-likelihood deviates from the per-symbol entropy average
-by at most ``delta`` bits.
+by at most ``delta`` bits.  One function, ``_typical``, decides it for the
+encoder, the decoder's candidate index and scores, and the error classifier.
 
 Everything here is exhaustive by design and guarded to small alphabets and
 short blocks; the asymptotic guarantees of the rate oracle are *not*
@@ -84,21 +85,17 @@ def _as_blocks(seq, K: int, n: int) -> np.ndarray:
     return arr.reshape(K, n)
 
 
-def _deviation(ll, h, k, n):
-    """|-ll/(k n) - h/k|: per-symbol log-likelihood against the mean entropy of k blocks."""
-    return np.abs(-ll / (k * n) - h / k)
-
-
-def _typical_prefixes(log_pmf: np.ndarray, h: np.ndarray, delta: float, *symbols):
-    """Typicality of every k-block prefix of symbol arrays shaped (..., K, n).
-
-    The log-likelihood is summed per block and the block sums are added in
-    block order; ``h[k]`` is the entropy of blocks 0..k added the same way.
-    """
-    block = np.arange(log_pmf.shape[0])[:, None]
-    ll = np.cumsum(log_pmf[(block, *symbols)].sum(axis=-1), axis=-1)
-    k = np.arange(1, ll.shape[-1] + 1)
-    return _deviation(ll, h, k, symbols[0].shape[-1]) <= delta + _TYP_TOL
+def _typical(ll: np.ndarray, h: np.ndarray, delta: float, k: int | None = None) -> np.ndarray:
+    """Typicality of the first k blocks of per-symbol log-likelihoods shaped
+    (..., K, n), k = K by default: each block is summed, the block sums are
+    added in block order, and the per-symbol log-likelihood must lie within
+    delta of ``h[k-1]/k``, the mean entropy of those blocks."""
+    k = ll.shape[-2] if k is None else k
+    sums = ll[..., :k, :].sum(axis=-1)
+    total = sums[..., 0]
+    for j in range(1, k):
+        total = total + sums[..., j]
+    return np.abs(-total / (k * ll.shape[-1]) - h[k - 1] / k) <= delta + _TYP_TOL
 
 
 class _Hypothesis:
@@ -115,18 +112,17 @@ class _Hypothesis:
 
     def jointly_typical(self, x: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
         """X, Y and joint typicality of whole (..., K, n) sequence pairs."""
-        return (
-            _typical_prefixes(self.log_x, self.h_x, delta, x)[..., -1]
-            & _typical_prefixes(self.log_y, self.h_y, delta, y)[..., -1]
-            & _typical_prefixes(self.log_xy, self.h_xy, delta, x, y)[..., -1]
-        )
+        block = np.arange(len(self.h_x))[:, None]
+        return (_typical(self.log_x[block, x], self.h_x, delta)
+                & _typical(self.log_y[block, y], self.h_y, delta)
+                & _typical(self.log_xy[block, x, y], self.h_xy, delta))
 
 
 def is_typical(x_blocks, cdf_sequence, delta: float) -> bool:
     """Empirical log-likelihood of x within delta of the mean block entropy."""
     hyp = _Hypothesis(cdf_sequence)
     x = np.asarray(x_blocks, dtype=np.int64).reshape(len(hyp.h_x), -1)
-    return bool(_typical_prefixes(hyp.log_x, hyp.h_x, delta, x)[-1])
+    return bool(_typical(hyp.log_x[np.arange(len(x))[:, None], x], hyp.h_x, delta))
 
 
 def jointly_typical(x_blocks, y_blocks, cdf_sequence, delta: float) -> bool:
@@ -267,12 +263,18 @@ class Codebook:
     def _marginals(self) -> _Hypothesis:
         return _Hypothesis(self.marginal_entries())
 
-    def _encode(self, x: np.ndarray) -> np.ndarray:
-        """Per-stage bins of (T, K, n) sequences; an atypical prefix gets bin 1."""
+    def _typical_stages(self, x: np.ndarray) -> np.ndarray:
+        """X-typicality under the marginals of the prefix each stage bins, for
+        (..., K, n) sequences, one per stage on a last axis."""
         marginals = self._marginals
-        typical = _typical_prefixes(marginals.log_x, marginals.h_x, self.config.delta, x)
-        stage_typical = typical[:, np.array(self.ends) - 1]
-        return np.where(stage_typical, self._bins_of(self.seq_index(x)), 1)
+        ll = marginals.log_x[np.arange(self.blocks)[:, None], x]
+        return np.stack([_typical(ll, marginals.h_x, self.config.delta, end)
+                         for end in self.ends], axis=-1)
+
+    def _encode(self, x: np.ndarray, typical: np.ndarray) -> np.ndarray:
+        """Per-stage bins of (T, K, n) sequences whose ``_typical_stages`` are
+        ``typical``; an atypical prefix gets bin 1."""
+        return np.where(typical, self._bins_of(self.seq_index(x)), 1)
 
     # -- decoding tables, built once per codebook --
 
@@ -301,15 +303,9 @@ class Codebook:
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """The X-typical sequences stably sorted by the key of their message,
         and the sorted keys.  X marginals are shared within a group, so the
-        set is hypothesis independent.  As in ``_typical_prefixes``, each row
-        sums each block, then adds the K <= 2 block sums (one addition)."""
-        cfg = self.config
-        marginals = self._marginals
-        block = np.arange(cfg.n * self.blocks) // cfg.n
-        sums = marginals.log_x[block, self._all_sequences].reshape(-1, self.blocks, cfg.n).sum(-1)
-        ll = sums[:, 0] if self.blocks == 1 else sums[:, 0] + sums[:, 1]
-        dev = _deviation(ll, marginals.h_x[-1], self.blocks, cfg.n)
-        typical = np.flatnonzero(dev <= cfg.delta + _TYP_TOL)
+        set is hypothesis independent."""
+        seqs = self._all_sequences.reshape(self.total, self.blocks, self.config.n)
+        typical = np.flatnonzero(self._typical_stages(seqs)[:, -1])
         keys = self._keys(self._bins_of(typical))
         order = np.argsort(keys, kind="stable")
         return keys[order], typical[order]
@@ -338,14 +334,13 @@ class Codebook:
         block = np.arange(width) // cfg.n
         cell = ((block * self.alphabet_x + self._all_sequences[cand]) * self.alphabet_y
                 + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, cfg.n)
+        y_block = np.arange(self.blocks)[:, None]
         typical = np.empty((len(cand), len(self._hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
         for h, (hyp, post) in enumerate(self._hypotheses):
-            y_typical = _typical_prefixes(hyp.log_y, hyp.h_y, cfg.delta, y)[:, -1]
-            sums = hyp.log_xy.ravel()[cell].sum(axis=-1)
-            ll = sums[:, 0] if self.blocks == 1 else sums[:, 0] + sums[:, 1]  # as in _index
-            dev = _deviation(ll, hyp.h_xy[-1], self.blocks, cfg.n)
-            typical[:, h] = y_typical[trial] & (dev <= cfg.delta + _TYP_TOL)
+            y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, cfg.delta)
+            typical[:, h] = (y_typical[trial]
+                             & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, cfg.delta))
             best = np.maximum(best, np.where(typical[:, h], post, 0.0))
         return cand, trial, typical, best
 
@@ -364,8 +359,8 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
 
 def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
     """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1."""
-    x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)
-    return codebook._message(codebook._encode(x[None])[0])
+    x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
+    return codebook._message(codebook._encode(x, codebook._typical_stages(x))[0])
 
 
 def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
@@ -395,7 +390,7 @@ class CodecTrialReport:
     trials: int
     errors: int
     failures: int
-    eps1: int  # source pair atypical under the true cdf sequence
+    eps1: int  # source pair atypical under the true cdfs, or a stage prefix atypical
     eps2: int  # bin collision with a sequence typical under the true cdfs
     eps3: int  # bin collision typical only under a false hypothesis
 
@@ -441,7 +436,8 @@ def run_codec_trials(
     true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
     true_idx = codebook.seq_index(x)
 
-    lo, hi = codebook._lookup(codebook._encode(x))
+    stages = codebook._typical_stages(x)
+    lo, hi = codebook._lookup(codebook._encode(x, stages))
     cells = np.cumsum((hi - lo) * (K * n))
     decoded = np.empty(trials, dtype=np.int64)
     collided = np.empty(trials, dtype=bool)
@@ -462,6 +458,7 @@ def run_codec_trials(
     for h, (hyp, _) in enumerate(codebook._hypotheses):
         sel = true_hyp == h
         typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], config.delta)
+    typical_pair &= stages.all(-1)  # the encoder sent bin 1 for an atypical prefix
     wrong = decoded != true_idx
     collision = wrong & typical_pair
     return CodecTrialReport(

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (EntropyStats, ModelError, SourceModel, check_blocks, check_epsilon,
-                    check_eta, compute_stats)
+from .bounds import k_c_chernoff
+from .model import ModelError, SourceModel, check_blocks, check_epsilon, compute_stats
 
 H_RES_EXACT = 1e-9
 H_RES_COARSE = 1e-3
@@ -206,27 +206,6 @@ def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
     for _ in range(K):
         acc.push_block(1)
     return acc.rate_quantile(epsilon)
-
-
-class ChernoffBatch(NamedTuple):
-    """Closed-form batch-size surrogate: real value, integer ceiling, degeneracy."""
-
-    value: float
-    k_int: int
-    degenerate: bool
-
-
-def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBatch:
-    """Chernoff-bound batch size for channel rate c = E[H] / (1 - eta)."""
-    check_eta(eta)
-    check_epsilon(epsilon, allow_one=True)
-    if stats.var_h == 0:
-        return ChernoffBatch(0.0, 1, True)
-    c = stats.e_h / (1.0 - eta)
-    value = (-2.0 * math.log(epsilon) * stats.var_h) / (c * c * eta * eta) * (
-        1.0 + stats.m_h * c * eta / (3.0 * stats.var_h)
-    )
-    return ChernoffBatch(value, max(1, math.ceil(value)), False)
 
 
 def k_c(model: SourceModel, c: float, epsilon: float) -> int:

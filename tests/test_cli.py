@@ -381,6 +381,51 @@ def test_sweep_workers_match_sequential():
         assert [r.strategy for r in seq] == [s for s in strategies for _ in range(4)]
 
 
+def test_sweep_pool_has_no_more_workers_than_tasks(monkeypatch):
+    """A pool starts all its workers at once, so it is capped at the task count."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    run = dict(eta_grid=(0.5,), seeds=(1, 2), epsilon=0.01, T=200)
+    par = run_sweep(demo_model(), ("we", "wd"), workers=64, **run)
+    assert started == [2]
+    assert par == run_sweep(demo_model(), ("we", "wd"), workers=1, **run)
+
+
+BLOCKS_BEYOND_MEMORY = str(10**17)  # 10**17 float64 are 711 PiB: numpy refuses at once
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "we", "--eta", "0.5", "--epsilon", "0.01",
+     "--blocks", BLOCKS_BEYOND_MEMORY],
+    ["sweep", "--strategies", "we", "--eta-grid", "0.5", "--seeds", "1",
+     "--epsilon", "0.01", "--blocks", BLOCKS_BEYOND_MEMORY],
+    ["example-fig4", "--blocks", BLOCKS_BEYOND_MEMORY],
+    ["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+     "--trials", BLOCKS_BEYOND_MEMORY],
+])
+def test_count_beyond_memory_is_one_error_line(model_file, tmp_path, capsys, argv):
+    if argv[0] in ("simulate", "sweep"):
+        argv = [*argv, "--model", model_file]
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_sweep_segments_each_eta_and_seed_once(model_file, monkeypatch, capsys):
     """Every strategy of one (eta, seed) runs on one trace, and we and wd share
     one segmentation; known-joint needs none."""

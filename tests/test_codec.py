@@ -279,6 +279,18 @@ def test_sequential_hashed_trials():
     assert report.eps1 + report.eps2 + report.eps3 == report.errors
 
 
+def test_trials_count_an_atypical_stage_prefix_as_eps1():
+    """The sequential encoder sends bin 1 for a stage whose prefix is
+    atypical; with an injective codebook no bin collides, so every error is
+    the source's (eps1), even when the whole sequence is typical."""
+    pmf = np.array([[0.6, 0.1], [0.05, 0.25]])
+    model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
+    cfg = CodecConfig(4, 0.3, 16.0, seed=1)
+    assert Codebook(model, cfg, (1, 1), "sequential").injective
+    report = run_codec_trials(model, (1, 1), cfg, kind="sequential", trials=2000, seed=3)
+    assert report == CodecTrialReport(2000, errors=987, failures=987, eps1=987, eps2=0, eps3=0)
+
+
 # ---------------------------------------------------------------------------
 # reference: the trials replayed one at a time through the public functions
 # ---------------------------------------------------------------------------
@@ -306,7 +318,9 @@ def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
 
 def _replay_trials(model, groups, cfg, kind, trials, seed) -> CodecTrialReport:
     """Each trial drawn with choice() per block, coded with the public
-    encode/decode, and a collision found by scanning the received bin."""
+    encode/decode, and a collision found by scanning the received bin.  The
+    source is atypical (eps1) when the pair is not jointly typical under the
+    true cdfs or the encoder found the prefix of some stage atypical."""
     book = Codebook(model, cfg, groups, kind)
     K, n = book.blocks, cfg.n
     in_bin = {}  # message -> X-typical sequences with that raw bin
@@ -334,7 +348,9 @@ def _replay_trials(model, groups, cfg, kind, trials, seed) -> CodecTrialReport:
             continue
         errors += 1
         failures += got is None
-        if not jointly_typical(x, y, truth, cfg.delta):
+        if not (jointly_typical(x, y, truth, cfg.delta)
+                and all(is_typical(x[:end], book.marginal_entries()[:end], cfg.delta)
+                        for end in book.ends)):
             eps1 += 1
         elif any(not np.array_equal(s, x) and jointly_typical(s, y, truth, cfg.delta)
                  for s in in_bin.get(bins, [])):
@@ -364,6 +380,12 @@ def _reference_cases():
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
     cases.append((model, (1,), CodecConfig(3, 0.01, 2.0, seed=1), "batch"))
+    # two uniform-marginal members the decoder tells apart by typicality alone:
+    # some errors collide only under the false one (eps3)
+    pmfs = (np.array([[0.45, 0.05], [0.05, 0.45]]), np.full((2, 2), 0.25))
+    model = SourceModel(tuple(CdfEntry(1, j, 0.5, cond_entropy_x_given_y_bits(p), p)
+                              for j, p in enumerate(pmfs, start=1)))
+    cases.append((model, (1,), CodecConfig(6, 0.5, 4.0, seed=3), "batch"))
     return cases
 
 
