@@ -7,6 +7,8 @@ of interest is a multiple of block-level rates.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ChannelQueue:
     def __init__(self, rate_bits_per_block: float):
@@ -21,14 +23,34 @@ class ChannelQueue:
 
         The caller's transmission delay W_C is departure - arrival.
         """
-        if bits < 0:
-            raise ValueError(f"message size must be nonnegative, got {bits}")
-        if arrival < self._last_arrival:
-            raise ValueError(
-                f"FIFO arrival order violated: {arrival} after {self._last_arrival}"
-            )
-        self._last_arrival = arrival
-        start = self.busy_until if self.busy_until > arrival else arrival
-        departure = start + bits / self.rate_bits_per_block
-        self.busy_until = departure
-        return departure
+        return float(self.enqueue_many([bits], [arrival])[0])
+
+    def enqueue_many(self, bits, arrivals) -> np.ndarray:
+        """Accepts messages in order, given as two float sequences; returns
+        their departure times (blocks).
+
+        The same as one ``enqueue`` per message: the sizes and the arrival
+        order are checked once, then the Lindley recursion runs in one loop.
+        """
+        bits = np.ascontiguousarray(bits, dtype=float)
+        arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        if (bits < 0).any():
+            raise ValueError(f"message size must be nonnegative, got {bits.min()}")
+        late = np.flatnonzero(arrivals < np.append(self._last_arrival, arrivals[:-1]))
+        if len(late):
+            i = late[0]
+            previous = arrivals[i - 1] if i else self._last_arrival
+            raise ValueError(f"FIFO arrival order violated: {arrivals[i]} after {previous}")
+        rate = self.rate_bits_per_block
+
+        def departures(busy):
+            # memoryviews hand out Python floats one at a time
+            for b, arrival in zip(memoryview(bits), memoryview(arrivals)):
+                busy = (busy if busy > arrival else arrival) + b / rate
+                yield busy
+
+        out = np.fromiter(departures(self.busy_until), float, count=len(bits))
+        if len(out):
+            self.busy_until = float(out[-1])
+            self._last_arrival = float(arrivals[-1])
+        return out

@@ -83,8 +83,9 @@ def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
 
 
 class _Kernel(NamedTuple):
-    """A group pmf on the lattice: offset index, dense cells, the cells reversed,
-    and its ``(cell, prob)`` atoms when sparse enough to convolve over (else None)."""
+    """A group pmf on the lattice: offset index, dense cells, the cells reversed
+    (None for a point mass of 1.0, which only shifts the sum), and its
+    ``(cell, prob)`` atoms when sparse enough to convolve over (else None)."""
 
     off: int
     dense: np.ndarray
@@ -139,7 +140,9 @@ class RateAccumulator:
         atoms = None
         if len(dense) >= _CELLS_PER_ATOM * len(nz):
             atoms = tuple(zip(nz.tolist(), dense[nz].tolist()))
-        return _Kernel(off, dense, dense[::-1].copy(), atoms)
+        # np.convolve with [1.0] multiplies every cell by 1.0, which is exact
+        rev = None if dense.tolist() == [1.0] else dense[::-1].copy()
+        return _Kernel(off, dense, rev, atoms)
 
     def reset(self) -> None:
         self._dense = np.ones(1)
@@ -155,6 +158,8 @@ class RateAccumulator:
         dense = self._dense
         if atoms is not None:
             self._dense = _convolve_atoms(dense, atoms, len(kernel))
+        elif rev is None:  # a point mass: the cells stay, the offset moves
+            pass
         elif len(dense) >= len(kernel):  # np.convolve slides the longer operand
             self._dense = np.correlate(dense, rev, "full")
         else:
@@ -163,16 +168,35 @@ class RateAccumulator:
         self.k += 1
         return self
 
+    def _tail_index(self, threshold: float) -> int:
+        """Index of the first cell strictly above ``threshold``."""
+        return int(math.floor(threshold / self._step - self._off + _IDX_EPS)) + 1
+
     def tail_above(self, threshold: float) -> float:
         """P{accumulated sum > threshold} (strict exceedance)."""
         dense = self._dense
-        i = int(math.floor(threshold / self._step - self._off + _IDX_EPS)) + 1
+        i = self._tail_index(threshold)
         # np.add.reduce is the reduction ndarray.sum runs, without its wrapper
         if i <= 0:
             return float(np.add.reduce(dense))
         if i >= len(dense):
             return 0.0
         return float(np.add.reduce(dense[i:]))
+
+    def tail_exceeds(self, threshold: float, epsilon: float) -> bool:
+        """``tail_above(threshold) > epsilon``, bit for bit, mostly without the sum.
+
+        The cells are nonnegative, so every partial sum of ``np.add.reduce``
+        adds nonnegative operands, and round-to-nearest is monotone: the
+        reduction never returns less than any one of its cells.  A first cell
+        above epsilon therefore decides the test exactly; only otherwise is the
+        tail summed.
+        """
+        dense = self._dense
+        i = self._tail_index(threshold)
+        if 0 < i < len(dense) and dense[i] > epsilon:
+            return True
+        return self.tail_above(threshold) > epsilon
 
     def rate_quantile(self, epsilon: float) -> float:
         """Smallest support value R with P{sum > R} <= epsilon (bits, cumulative)."""
@@ -181,13 +205,17 @@ class RateAccumulator:
             raise ValueError("empty accumulator: push at least one block first")
         dense = self._dense
         # strict tails summed down from the top: a difference from the total
-        # cannot resolve a tail below the total's rounding (~1e-16)
-        tails = np.zeros(len(dense))
-        np.cumsum(dense[:0:-1], out=tails[-2::-1])
-        nz = np.flatnonzero(dense)
-        ok = nz[tails[nz] <= epsilon]
-        # the largest support point always has zero tail, so ok is non-empty
-        return float((self._off + int(ok[0])) * self._step)
+        # cannot resolve a tail below the total's rounding (~1e-16).  up[j] is
+        # the tail above cell n-2-j; it never decreases, as adding a nonnegative
+        # cell never lowers a float sum, so the cells whose tail is <= epsilon
+        # are those from n-1-(number of up <= epsilon) on
+        up = np.cumsum(dense[:0:-1])
+        i = len(dense) - 1 - int(up.searchsorted(epsilon, "right"))
+        # the cell below an empty one has the same tail, so only an empty
+        # lowest cell (left by underflow) can come first
+        if not dense[i]:
+            i += int(np.flatnonzero(dense[i:])[0])
+        return float((self._off + i) * self._step)
 
     def distribution(self) -> SumDistribution:
         nz = np.flatnonzero(self._dense)
@@ -230,7 +258,7 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     acc = RateAccumulator(model.collapse_marginals())
     for K in range(1, cutoff + 1):
         acc.push_block(1)
-        if acc.tail_above(K * c) <= epsilon:
+        if not acc.tail_exceeds(K * c, epsilon):
             return K
     d = acc.distribution()
     raise ModelError(

@@ -27,7 +27,6 @@ cycle analysis so that the deterministic worst cases are exact:
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -173,7 +172,7 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
     arrival order, as pushing every block would.  The memo holds <= T entries.
     """
     acc = RateAccumulator(model)
-    push, tail_above, quantile = acc.push_block, acc.tail_above, acc.rate_quantile
+    push, tail_exceeds, quantile = acc.push_block, acc.tail_exceeds, acc.rate_quantile
     width = len(trace.h).bit_length() + 1
     bit = [0] + [1 << (width * g) for g in range(model.m)]
     memo: dict[int, float | None] = {}
@@ -192,7 +191,7 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
             push(group)
             # accumulate waits for batch_size blocks; we/wd wait while quantile/K > c,
             # i.e. while the tail above K*c exceeds eps
-            wait = K < batch_size if batch_size else tail_above(K * c) > epsilon
+            wait = K < batch_size if batch_size else tail_exceeds(K * c, epsilon)
             rate = memo[key] = None if wait else quantile(epsilon)
         else:
             pending.append(group)
@@ -264,52 +263,55 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
     return tuple(results)
 
 
+def _sum_in_order(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ..., added left to right as a loop would: np.cumsum
+    adds in order, where np.add.reduce adds pairwise."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
 def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: list[float],
              *, n: int, c: float, eta: float, epsilon: float | None, seed: int, T: int,
              proxy: float | None, collect_records: bool, collect_batches: bool
              ) -> SimulationResult:
-    """The accounting pass of one strategy over its batch table."""
-    d = sum(sizes)
-    outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
-    outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
-    wcs: list[float] | None = [] if collect_records else None
+    """The accounting pass of one strategy over its batch table, on whole columns;
+    each float sum adds its terms in batch order."""
+    k = np.array(sizes, dtype=np.int64)
+    ends = np.cumsum(k)  # t, the block that closes each batch
+    d = int(k.sum())
+    rates = np.array(batch_rates)
+    outage = np.array(ents) > rates + OUTAGE_TOL
+    outage_blocks = int(k[outage].sum())
+    squares = int(k @ k)  # sum K(K±1)/2 = (sum K^2 ± sum K)/2, in integers
     if strategy == WAIT_TO_DECODE:
         sum_we = sum_wc = float(d)
-        sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
+        sum_wd = float((squares - d) // 2)
         bits_emitted = n * c * T
         unstable = False
     else:
         queue = ChannelQueue(rate_bits_per_block=n * c)
-        enqueue = queue.enqueue
-        sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
-        sum_wc = sum_wd = bits_emitted = 0.0
-        t = 0
-        for K, rate in zip(sizes, batch_rates):
-            t += K
-            bits = n * rate
-            w_c = enqueue(bits, float(t)) - t
-            sum_wc += w_c * K
-            bits_emitted += bits
-            if wcs is not None:
-                wcs.append(w_c)
+        bits = n * rates
+        wcs = queue.enqueue_many(bits, ends)
+        wcs -= ends  # departure - arrival
+        sum_we = float((squares + d) // 2)
+        sum_wc = _sum_in_order(wcs * k)
+        bits_emitted = _sum_in_order(bits)
+        sum_wd = 0.0
         # superlinear queue growth: the backlog at the end never drained
         unstable = (strategy != WAIT_TO_ENCODE
                     and (queue.busy_until - T) > max(5.0, 0.02 * T))
 
     records = batch_log = None
     if collect_records:
-        k = np.asarray(sizes, dtype=np.int64)
         block = np.arange(1, d + 1, dtype=np.int64)
-        lag = np.repeat(np.cumsum(k), k) - block  # t - tau
+        lag = np.repeat(ends, k) - block  # t - tau
         if strategy == WAIT_TO_DECODE:
             records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
         else:
-            records = DelayRecords(block, (lag + 1).astype(float),
-                                   np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
+            records = DelayRecords(block, (lag + 1).astype(float), np.repeat(wcs, k),
+                                   np.zeros(d))
     if collect_batches:
-        ends = list(itertools.accumulate(sizes))
-        covers = [(t - K + 1, t) for K, t in zip(sizes, ends)]
-        batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage))
+        covers = zip((ends - k + 1).tolist(), ends.tolist())
+        batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage.tolist()))
 
     mean_we, mean_wc, mean_wd = (s / d if d else math.nan
                                  for s in (sum_we, sum_wc, sum_wd))

@@ -127,7 +127,8 @@ def random_dyadic_model(rng: np.random.Generator, max_groups: int = 3,
 def random_offlattice_model(rng: np.random.Generator) -> SourceModel:
     """Several groups of 1-16 members with uniform random entropies in [0, 1).
 
-    The first group has one member, so its one-cell kernel keeps the dense path.
+    The first group has one member, so its one-cell kernel takes no atom path
+    (a point mass only shifts the sum).
     """
     sizes = rng.integers(1, 17, size=int(rng.integers(2, 5)))
     sizes[0] = 1

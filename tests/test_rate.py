@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swdelay import rate as rate_mod
 from swdelay import (
@@ -14,8 +15,9 @@ from swdelay import (
     k_c,
     k_c_chernoff,
     rate_unconditional,
+    sample_trace,
 )
-from swdelay.strategies import simulate
+from swdelay.strategies import _segment, simulate
 
 from conftest import (enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model,
                       random_offlattice_model)
@@ -301,3 +303,110 @@ def test_exact_lattice_push_matches_np_convolve_bytes():
             assert acc._dense.tobytes() == expected.tobytes(), (model.m, acc.k)
         assert len(acc._gpmf[model.m].dense) >= 3
         assert not longer[0] and longer[-1]
+
+
+# ---------------------------------------------------------------------------
+# the certified stop test and the quantile scan
+# ---------------------------------------------------------------------------
+
+# model makers of one rng: the demo and random dyadic models are exact, the
+# random off-lattice models coarse
+_MODELS = {"demo": lambda rng: demo_model(), "dyadic": random_dyadic_model,
+           "offlattice": random_offlattice_model}
+
+
+def _random_accumulator(seed: int, kind: str, groups: list[int]) -> RateAccumulator:
+    """An accumulator of a ``_MODELS`` model, pushed with ``groups`` taken modulo
+    the model's group count."""
+    model = _MODELS[kind](np.random.default_rng(seed))
+    acc = RateAccumulator(model)
+    for g in groups:
+        acc.push_block(g % model.m + 1)
+    return acc
+
+
+def test_tail_exceeds_equals_the_summed_test():
+    """tail_exceeds(x, eps) is tail_above(x) > eps for thresholds on a cell (among
+    them each quantile, where the answer turns, and the cell under the top one,
+    whose test reads the last cell), between cells, below the support and above
+    it, through both branches."""
+    summed = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_MODELS)),
+           groups=st.lists(st.integers(0, 15), min_size=1, max_size=40), data=st.data())
+    def check(seed, kind, groups, data):
+        acc = _random_accumulator(seed, kind, groups)
+        support = acc.distribution().support.tolist()
+        lo, hi = support[0], support[-1]
+        x = data.draw(st.one_of(
+            st.sampled_from(support),
+            st.sampled_from([*(acc.rate_quantile(eps) for eps in (0.5, 0.01, 1e-6)),
+                             support[-2 if len(support) > 1 else -1]]),
+            st.floats(lo, hi),
+            st.floats(lo - 5.0, lo, exclude_max=True),
+            st.floats(hi, hi + 5.0, exclude_min=True)), label="threshold")
+        tail_above = acc.tail_above
+        calls = []
+        acc.tail_above = lambda threshold: calls.append(threshold) or tail_above(threshold)
+        for eps in (0.5, 0.01, 1e-6):
+            calls.clear()
+            assert acc.tail_exceeds(x, eps) == (tail_above(x) > eps), (x, eps)
+            summed.add(bool(calls))
+
+    check()
+    assert summed == {True, False}  # certified without a sum, and summed
+
+
+def test_stop_tests_rarely_sum(six_cdf_model, monkeypatch):
+    """On the demo at eta = 0.05 most stop tests are certified by one cell: at
+    most 700 of the 4 173 reach the sum."""
+    tests, sums = [], []
+    exceeds, above = RateAccumulator.tail_exceeds, RateAccumulator.tail_above
+    monkeypatch.setattr(RateAccumulator, "tail_exceeds",
+                        lambda self, x, eps: tests.append(x) or exceeds(self, x, eps))
+    monkeypatch.setattr(RateAccumulator, "tail_above",
+                        lambda self, x: sums.append(x) or above(self, x))
+    c = compute_stats(six_cdf_model).e_h / (1 - 0.05)
+    _segment(sample_trace(six_cdf_model, 10_000, 11), six_cdf_model, c=c, epsilon=0.01)
+    assert len(tests) == 4173
+    assert len(sums) <= 700
+
+
+def _quantile_by_tails(acc: RateAccumulator, epsilon: float) -> float:
+    """The quantile from every support point's strict tail, summed down from the top."""
+    dense = acc._dense
+    tails = np.zeros(len(dense))
+    np.cumsum(dense[:0:-1], out=tails[-2::-1])
+    nz = np.flatnonzero(dense)
+    ok = nz[tails[nz] <= epsilon]
+    return float((acc._off + int(ok[0])) * acc._step)
+
+
+def test_quantile_equals_the_tail_table():
+    """rate_quantile equals the tail-table formulation bit for bit, on exact and
+    coarse accumulators, and on cells whose lowest one is empty (as underflow
+    can leave it) while the tail above it is already within epsilon."""
+    rng = np.random.default_rng(21)
+    accs = []
+    for i in range(40):
+        groups = rng.integers(0, 16, size=int(rng.integers(1, 120))).tolist()
+        kind = sorted(_MODELS)[i % 3]
+        accs.append(_random_accumulator(int(rng.integers(2**32)), kind, groups))
+    emptied = RateAccumulator(demo_model()).push_block(2)
+    emptied._dense = np.array([0.0, 0.0, 0.25, 0.0, 0.5])
+    accs.append(emptied)
+    for i, acc in enumerate(accs):
+        for eps in (0.5, 0.01, 1e-6, 1e-17, 1e-30, 0.8):
+            assert acc.rate_quantile(eps) == _quantile_by_tails(acc, eps), (i, eps)
+    assert emptied.rate_quantile(0.8) == 5.0  # cell 2 on the offset of 3
+
+
+def test_point_mass_push_only_shifts(six_cdf_model):
+    """Demo group 1 is one entry: its push moves the offset and keeps the cells."""
+    acc = RateAccumulator(six_cdf_model).push_block(3)
+    cells = acc._dense
+    assert acc._gpmf[1].rev is None
+    acc.push_block(1)
+    assert acc._dense is cells
+    assert acc.distribution().support.tolist() == [6.0, 7.0, 8.0]

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swdelay import (
     BatchOutcome,
     CdfEntry,
+    ChannelQueue,
     RateAccumulator,
     SourceModel,
     bsc_pair_model,
@@ -19,7 +21,9 @@ from swdelay import (
 )
 
 from swdelay.entropy import entropy_bits, marginal_x
-from swdelay.strategies import OUTAGE_TOL, STRATEGIES, _segment
+from swdelay.strategies import (OUTAGE_TOL, STRATEGIES, WAIT_TO_DECODE, WAIT_TO_ENCODE,
+                                DelayRecords, SimulationResult, _segment)
+from swdelay import strategies as strategies_mod
 
 from conftest import (lindley_wc, random_dyadic_model, random_offlattice_model,
                       two_group_pmf_model)
@@ -592,3 +596,141 @@ def test_segment_matches_memo_free_oracle():
             assert got == _segment_without_memo(trace, model, e_h / (1 - eta), 0.01), (i, eta)
             batched += max(got[0], default=0) > 1
     assert batched > 0  # some runs batched blocks, so the memo was exercised
+
+
+# ---------------------------------------------------------------------------
+# the one-pass accounting against a per-batch queue replay
+# ---------------------------------------------------------------------------
+
+def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon, seed, T,
+                       proxy, collect_records, collect_batches):
+    """The accounting pass with one ChannelQueue.enqueue and one running float
+    sum per batch."""
+    d = sum(sizes)
+    outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
+    outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
+    wcs = []
+    if strategy == WAIT_TO_DECODE:
+        sum_we = sum_wc = float(d)
+        sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
+        bits_emitted = n * c * T
+        unstable = False
+    else:
+        queue = ChannelQueue(rate_bits_per_block=n * c)
+        sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
+        sum_wc = sum_wd = bits_emitted = 0.0
+        t = 0
+        for K, rate in zip(sizes, batch_rates):
+            t += K
+            bits = n * rate
+            w_c = queue.enqueue(bits, float(t)) - t
+            sum_wc += w_c * K
+            bits_emitted += bits
+            wcs.append(w_c)
+        unstable = (strategy != WAIT_TO_ENCODE
+                    and (queue.busy_until - T) > max(5.0, 0.02 * T))
+    k = np.asarray(sizes, dtype=np.int64)
+    block = np.arange(1, d + 1, dtype=np.int64)
+    lag = np.repeat(np.cumsum(k), k) - block
+    if strategy == WAIT_TO_DECODE:
+        records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
+    else:
+        records = DelayRecords(block, (lag + 1).astype(float),
+                               np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
+    ends = np.cumsum(k).tolist()
+    batch_log = tuple(BatchOutcome((t - K + 1, t), rate, ent, out)
+                      for K, t, rate, ent, out in zip(sizes, ends, batch_rates, ents, outage))
+    mean_we, mean_wc, mean_wd = (x / d if d else math.nan for x in (sum_we, sum_wc, sum_wd))
+    mean_rate = bits_emitted / (n * T)
+    return SimulationResult(
+        strategy=strategy, eta=eta, epsilon=epsilon, seed=seed, blocks=T, decoded_blocks=d,
+        batches=len(sizes), mean_delay=mean_we + mean_wc + mean_wd, mean_w_e=mean_we,
+        mean_w_c=mean_wc, mean_w_d=mean_wd,
+        outage_rate=outage_blocks / d if d else math.nan, mean_encoding_rate=mean_rate,
+        compression_ratio=(mean_rate / proxy) if proxy else None, c=c, unstable=unstable,
+        records=records if collect_records else None,
+        batch_log=batch_log if collect_batches else None)
+
+
+def _bits(value):
+    """A value with every float as its hex string and every array as its bytes,
+    so that == compares bits (nan included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    if isinstance(value, DelayRecords):
+        return _bits([value.block, value.w_e, value.w_c, value.w_d])
+    if dataclasses.is_dataclass(value):
+        return _bits([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return type(value).__name__, value
+
+
+@pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
+def test_account_matches_per_batch_replay(monkeypatch):
+    """Every result field of all five strategies, records and batch log included,
+    equals a per-batch queue replay bit for bit."""
+    rng = np.random.default_rng(53)
+    models = [demo_model(), random_offlattice_model(rng), random_dyadic_model(rng),
+              SourceModel(bsc_pair_model(0.1).entries, block_len_n=3)]
+    unstable_blockwise = False
+    for i, model in enumerate(models):
+        for case in (dict(eta=0.5), dict(eta=0.15), dict(eta=0.3, use_marginals=False),
+                     dict(c=0.9 * compute_stats(model).h_max)):
+            kw = dict(epsilon=0.02, T=600, seed=i, batch_size=4, collect_records=True,
+                      collect_batches=True, **case)
+            with monkeypatch.context() as mp:
+                mp.setattr(strategies_mod, "_account", _account_per_batch)
+                expected = simulate(model, STRATEGIES, **kw)
+            got = simulate(model, STRATEGIES, **kw)
+            for res, ref in zip(got, expected):
+                assert _bits(res) == _bits(ref), (i, case, res.strategy)
+            unstable_blockwise |= got[STRATEGIES.index("blockwise")].unstable
+    assert unstable_blockwise
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: transformed runs whose results are known exactly
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       margin=st.sampled_from([0.0, 0.01, 0.5]), epsilon=st.sampled_from([0.3, 0.01, 1e-6]))
+def test_light_traffic_flushes_every_block(model_seed, seed, margin, epsilon):
+    """With c >= h_max every batch is one block: the wd delay is exactly 2 and
+    the we W_E exactly 1."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    stats = compute_stats(model)
+    if stats.e_h == 0:
+        return  # no channel rate defines eta
+    T = 300
+    we, wd = simulate(model, ("we", "wd"), epsilon=epsilon, T=T, seed=seed,
+                      c=stats.h_max * (1 + margin))
+    for res in (we, wd):
+        assert (res.batches, res.decoded_blocks) == (T, T)
+    assert wd.mean_delay == 2.0
+    assert we.mean_w_e == 1.0
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       eta=st.sampled_from([0.3, 0.15, 0.08]))
+def test_doubled_entropies_keep_every_delay(model_seed, seed, eta):
+    """Doubling every entropy at the same eta doubles c, every rate and every
+    entropy sum exactly on a dyadic lattice: delays and batch counts are equal."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    if compute_stats(model).e_h == 0:
+        return
+    doubled = SourceModel(tuple(dataclasses.replace(e, cond_entropy=2 * e.cond_entropy)
+                                for e in model.entries))
+    kw = dict(epsilon=0.02, T=400, seed=seed, eta=eta)
+    fields = ("batches", "decoded_blocks", "mean_delay", "mean_w_e", "mean_w_c", "mean_w_d",
+              "outage_rate")
+    for res, twice in zip(simulate(model, ("we", "wd"), **kw),
+                          simulate(doubled, ("we", "wd"), **kw)):
+        assert twice.c == 2 * res.c
+        assert _bits([getattr(twice, f) for f in fields]) == _bits(
+            [getattr(res, f) for f in fields]), res.strategy
