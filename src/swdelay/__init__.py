@@ -36,7 +36,7 @@ from .model import (
     validate_model,
 )
 from .rate import RateAccumulator, SumDistribution, k_c, rate_unconditional
-from .strategies import BatchOutcome, SimulationResult, simulate
+from .strategies import SimulationResult, block_delays, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ from .model import (
     save_model,
 )
 from .rate import RateAccumulator, k_c, rate_unconditional
-from .strategies import (STRATEGIES, SimulationResult, check_run, resolve_channel_rate,
-                         simulate)
+from .strategies import (STRATEGIES, SimulationResult, block_delays, check_run,
+                         resolve_channel_rate, simulate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -256,20 +256,17 @@ def _delay_scale(model: SourceModel, seconds: bool) -> float:
 def cmd_simulate(args) -> int:
     model = _load(args)
     scale = _delay_scale(model, args.seconds)
-    run = dict(epsilon=args.epsilon, T=args.blocks, eta=args.eta, c=args.c,
-               batch_size=args.batch_size)
-    check_run((args.strategy,), **run)
-    res, = simulate(model, (args.strategy,), seed=args.seed,
+    res, = simulate(model, (args.strategy,), epsilon=args.epsilon, T=args.blocks,
+                    seed=args.seed, eta=args.eta, c=args.c, batch_size=args.batch_size,
                     use_marginals=not args.no_marginals,
-                    collect_records=args.trace_out is not None, **run)
+                    collect_batches=args.trace_out is not None)
     if res.unstable:
         print(f"warning: unstable queue for {res.strategy}", file=sys.stderr)
     _write_csv(args.out, SWEEP_COLUMNS, [_result_row(res, scale)],
                not args.no_timestamp)
     if args.trace_out is not None:
-        rec = res.records
-        rows = zip(rec.block.tolist(), (rec.w_e * scale).tolist(),
-                   (rec.w_c * scale).tolist(), (rec.w_d * scale).tolist())
+        block, *delays = block_delays(res)
+        rows = zip(block.tolist(), *((w * scale).tolist() for w in delays))
         _write_csv(args.trace_out, ("t", "w_e", "w_c", "w_d"), rows,
                    not args.no_timestamp)
     return EXIT_OK

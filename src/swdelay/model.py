@@ -15,6 +15,7 @@ built: an invalid ``SourceModel`` cannot be constructed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,8 +243,9 @@ def validate_model(model: SourceModel) -> list[str]:
                     f"member 1 by ({dx:.3g}, {dy:.3g})"
                 )
 
-    if model.block_len_n < 1:
-        bad.append(f"block_len_n must be >= 1, got {model.block_len_n}")
+    n = model.block_len_n
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        bad.append(f"block_len_n must be an integer >= 1, got {n!r}")
     if model.slot_seconds is not None and not 0 < model.slot_seconds < math.inf:
         bad.append(f"slot_seconds must be positive and finite, got {model.slot_seconds}")
     return bad
@@ -338,6 +340,15 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
         raise ModelError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _number(value, field: str, where: str) -> float:
+    """A numeric field of a model file as a float; its range is checked when
+    the model is built."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{where}: {field} must be a number, got {value!r}") from None
+
+
 def load_model(path) -> SourceModel:
     """Read a model config file (YAML tree; unknown keys are rejected)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -378,13 +389,14 @@ def load_model(path) -> SourceModel:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ModelError(f"cdf ({gi},{ji}): bad joint_pmf: {exc}") from exc
                 pmf = table
-            entries.append(
-                CdfEntry(gi, ji, float(mem["prob"]), float(mem["cond_entropy"]), pmf)
-            )
+            where = f"cdf ({gi},{ji})"
+            entries.append(CdfEntry(gi, ji, _number(mem["prob"], "prob", where),
+                                    _number(mem["cond_entropy"], "cond_entropy", where), pmf))
 
-    n = int(doc.get("block_len_n", 1))
+    n = _number(doc.get("block_len_n", 1), "block_len_n", "model file")
     slot = doc.get("slot_seconds")
-    return SourceModel(tuple(entries), n, None if slot is None else float(slot))
+    return SourceModel(tuple(entries), int(n) if n.is_integer() else n,
+                       None if slot is None else _number(slot, "slot_seconds", "model file"))
 
 
 def _yaml_floats(values) -> list[str]:

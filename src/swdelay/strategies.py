@@ -23,6 +23,9 @@ cycle analysis so that the deterministic worst cases are exact:
   W_C from the queue, W_D = 0;
 * decoder side (deferred decoding): n*c bits every block saturate the
   channel, so W_E = W_C = 1, and W_D(tau) = t - tau at decode time t.
+
+On request a result keeps its batch table, one row per decoded batch;
+``block_delays`` derives the per-block delays from it.
 """
 
 from __future__ import annotations
@@ -56,31 +59,6 @@ _RULE = {WAIT_TO_ENCODE: "adaptive", WAIT_TO_DECODE: "adaptive", ACCUMULATE: "fi
 
 
 @dataclass(frozen=True)
-class BatchOutcome:
-    """Accounting for one jointly decoded batch."""
-
-    covers: tuple[int, int]
-    rate_total: float      # bits delivered for the batch (per-symbol units)
-    entropy_total: float   # realised sum of conditional entropies
-    outage: bool
-
-
-class DelayRecords:
-    """Per-block delays of the decoded blocks, as four parallel arrays."""
-
-    __slots__ = ("block", "w_e", "w_c", "w_d")
-
-    def __init__(self, block, w_e, w_c, w_d):
-        self.block = block
-        self.w_e = w_e
-        self.w_c = w_c
-        self.w_d = w_d
-
-    def __len__(self):
-        return len(self.block)
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     strategy: str
     eta: float
@@ -98,8 +76,11 @@ class SimulationResult:
     compression_ratio: float | None
     c: float
     unstable: bool = False
-    records: DelayRecords | None = None
-    batch_log: tuple[BatchOutcome, ...] | None = None
+    # the batch table, kept with collect_batches=True: one row per decoded
+    # batch, with its size K, t (the closing block), the rate delivered and the
+    # realised entropy sum (bits per symbol), the outage flag, and W_C
+    # (departure - arrival; 1.0 on the decoder side)
+    batch_log: np.recarray | None = None
 
 
 def resolve_channel_rate(
@@ -208,8 +189,8 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
 
 def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, seed: int,
              eta: float | None = None, c: float | None = None, batch_size: int | None = None,
-             use_marginals: bool = True, collect_records: bool = False,
-             collect_batches: bool = False) -> tuple[SimulationResult, ...]:
+             use_marginals: bool = True, collect_batches: bool = False
+             ) -> tuple[SimulationResult, ...]:
     """One result per strategy asked for, in that order, all on one (eta, seed).
 
     The trace of each model used is sampled once and cut once per stop rule.
@@ -217,7 +198,8 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
     batched strategies (blind encoder and decoder); its trace has the same
     entropies, as it draws the same entries.  Blind ``we``/``wd`` report no
     compression ratio, blind ``accumulate`` the model's.  The one-block
-    baselines keep the model.
+    baselines keep the model.  ``collect_batches`` keeps each result's batch
+    table, ``batch_log``.
     """
     check_run(strategies, epsilon=epsilon, T=T, eta=eta, c=c, batch_size=batch_size)
     epsilon = None if epsilon is None else float(epsilon)
@@ -259,8 +241,25 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
         results.append(_account(
             strategy, sizes, ents, rates, n=model.block_len_n, c=c, eta=eta,
             epsilon=None if rule == "one-block" else epsilon, seed=seed, T=T,
-            proxy=proxy, collect_records=collect_records, collect_batches=collect_batches))
+            proxy=proxy, collect_batches=collect_batches))
     return tuple(results)
+
+
+def block_delays(result: SimulationResult) -> tuple[np.ndarray, ...]:
+    """Per-block delays of the decoded blocks, from a result's batch table
+    (kept with ``collect_batches=True``): block tau, W_E, W_C and W_D arrays.
+    The encoder side charges W_E = t - tau + 1 and W_D = 0, the decoder side
+    W_E = 1 and W_D = t - tau; every block of a batch has the batch's W_C."""
+    log = result.batch_log
+    if log is None:
+        raise ValueError("per-block delays need a run with collect_batches=True")
+    d = result.decoded_blocks
+    block = np.arange(1, d + 1, dtype=np.int64)
+    lag = np.repeat(log.end, log.k) - block  # t - tau
+    w_c = np.repeat(log.w_c, log.k)
+    if result.strategy == WAIT_TO_DECODE:
+        return block, np.ones(d), w_c, lag.astype(float)
+    return block, (lag + 1).astype(float), w_c, np.zeros(d)
 
 
 def _sum_in_order(x: np.ndarray) -> float:
@@ -271,8 +270,7 @@ def _sum_in_order(x: np.ndarray) -> float:
 
 def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: list[float],
              *, n: int, c: float, eta: float, epsilon: float | None, seed: int, T: int,
-             proxy: float | None, collect_records: bool, collect_batches: bool
-             ) -> SimulationResult:
+             proxy: float | None, collect_batches: bool) -> SimulationResult:
     """The accounting pass of one strategy over its batch table, on whole columns;
     each float sum adds its terms in batch order."""
     k = np.array(sizes, dtype=np.int64)
@@ -300,18 +298,12 @@ def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: li
         unstable = (strategy != WAIT_TO_ENCODE
                     and (queue.busy_until - T) > max(5.0, 0.02 * T))
 
-    records = batch_log = None
-    if collect_records:
-        block = np.arange(1, d + 1, dtype=np.int64)
-        lag = np.repeat(ends, k) - block  # t - tau
-        if strategy == WAIT_TO_DECODE:
-            records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
-        else:
-            records = DelayRecords(block, (lag + 1).astype(float), np.repeat(wcs, k),
-                                   np.zeros(d))
+    batch_log = None
     if collect_batches:
-        covers = zip((ends - k + 1).tolist(), ends.tolist())
-        batch_log = tuple(map(BatchOutcome, covers, batch_rates, ents, outage.tolist()))
+        w_c = np.ones(len(k)) if strategy == WAIT_TO_DECODE else wcs
+        batch_log = np.rec.fromarrays(
+            (k, ends, rates, np.array(ents), outage, w_c),
+            names=("k", "end", "rate_total", "entropy_total", "outage", "w_c"))
 
     mean_we, mean_wc, mean_wd = (s / d if d else math.nan
                                  for s in (sum_we, sum_wc, sum_wd))
@@ -333,7 +325,6 @@ def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: li
         compression_ratio=(mean_rate / proxy) if proxy else None,
         c=c,
         unstable=unstable,
-        records=records,
         batch_log=batch_log,
     )
 

@@ -713,6 +713,11 @@ FROZEN_TRACES = {
     # still written through per-record objects
     ("we", True): "41264b004a551a799ced885dc8d07922490a2747f6ebaed2addd9d85a4ad26c4",
     ("wd", True): "38a2cde4dfe8dda9bf0ae2a9b159be1c59346b92afefc63aec47df40eaa06132",
+    # the encoder-side baselines (accumulate with --batch-size 4), recorded while
+    # the per-block rows still came from per-block records built in accounting
+    ("known-joint", False): "0e7ceeff159f71cc03788c0471d0cd4a7924e43d3008c98f03c95e08e95e5781",
+    ("blockwise", False): "74dd28f6f7701d0dbf90ac8a1708d7b353a6b536744cfcc6359faafea0c75fbc",
+    ("accumulate", False): "19736c83b09f8899772b7056efb974191e590fe2233c4566c6ff78facf2ffa89",
 }
 
 
@@ -758,6 +763,7 @@ def test_frozen_outputs(model_file, tmp_path):
             "--epsilon", "0.01", "--eta", "0.15", "--blocks", "500", "--seed", "4",
             "--trace-out", trace.as_posix(), "--no-timestamp",
             *(["--no-marginals"] if blind else []),
+            *(["--batch-size", "4"] if strategy == "accumulate" else []),
         )
         assert code == 0, err
         data = out.encode() + trace.read_bytes()
@@ -926,7 +932,9 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
         calls.append(args)
         raise AssertionError("computation started before the arguments were checked")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    # a run checks its arguments first, then computes the model's statistics
+    monkeypatch.setattr(strategies_mod, "compute_stats", never)
+    monkeypatch.setattr(strategies_mod, "sample_trace", never)
     monkeypatch.setattr(cli, "quantize_model", never)
     monkeypatch.setattr(cli, "compute_stats", never)
     monkeypatch.setattr(cli.bounds_mod, "bounds_report", never)

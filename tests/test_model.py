@@ -326,3 +326,45 @@ def test_model_file_with_nan_is_rejected(tmp_path):
     path.write_text("groups:\n- members:\n  - {prob: 1.0, cond_entropy: .nan}\n")
     with pytest.raises(ModelError, match="cond_entropy must be >= 0 and finite, got nan"):
         load_model(path)
+
+
+_ONE_MEMBER = "groups:\n- members:\n  - {prob: %s, cond_entropy: %s}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_ONE_MEMBER % ("[1.0]", "0.5"), "cdf (1,1): prob must be a number, got [1.0]"),
+    (_ONE_MEMBER % ("1.0", "[0.5]"), "cdf (1,1): cond_entropy must be a number, got [0.5]"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "block_len_n: [2]\n",
+     "model file: block_len_n must be a number, got [2]"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "block_len_n: .inf\n",
+     "block_len_n must be an integer >= 1, got inf"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "block_len_n: 2.7\n",
+     "block_len_n must be an integer >= 1, got 2.7"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "block_len_n: .nan\n",
+     "block_len_n must be an integer >= 1, got nan"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "slot_seconds: abc\n",
+     "model file: slot_seconds must be a number, got 'abc'"),
+], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text"])
+def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message):
+    """A non-numeric or non-integral field is a ModelError naming the field,
+    never a traceback or a silent truncation, and `stats` reports it on one
+    line."""
+    from swdelay import cli
+
+    path = tmp_path / "model.yaml"
+    path.write_text(text)
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert message in str(info.value)
+    assert cli.main(["stats", "--model", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot load model:"), err
+    assert message in err[0]
+
+
+def test_block_len_n_must_be_an_integer():
+    entries = (CdfEntry(1, 1, 1.0, 0.5),)
+    assert SourceModel(entries, block_len_n=np.int64(3)).block_len_n == 3
+    for bad in (2.7, 0, "3"):
+        with pytest.raises(ModelError, match="block_len_n must be an integer >= 1"):
+            SourceModel(entries, block_len_n=bad)

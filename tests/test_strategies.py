@@ -1,16 +1,18 @@
 import dataclasses
+import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swdelay import (
-    BatchOutcome,
     CdfEntry,
     ChannelQueue,
     RateAccumulator,
     SourceModel,
+    block_delays,
     bsc_pair_model,
     compute_stats,
     demo_model,
@@ -22,7 +24,7 @@ from swdelay import (
 
 from swdelay.entropy import entropy_bits, marginal_x
 from swdelay.strategies import (OUTAGE_TOL, STRATEGIES, WAIT_TO_DECODE, WAIT_TO_ENCODE,
-                                DelayRecords, SimulationResult, _segment)
+                                SimulationResult, _segment)
 from swdelay import strategies as strategies_mod
 
 from conftest import (lindley_wc, random_dyadic_model, random_offlattice_model,
@@ -56,7 +58,7 @@ def test_wd_collapsed_deterministic_cycle(six_cdf_model):
         res, = simulate(flat, ("wd",), epsilon=0.01, T=4000, seed=2, eta=eta,
                         collect_batches=True)
         assert res.mean_delay == pytest.approx(kc / 2 + 1.5, abs=1e-12)
-        assert all(b.covers[1] - b.covers[0] + 1 == kc for b in res.batch_log)
+        assert (res.batch_log.k == kc).all()
 
 
 def test_we_collapsed_deterministic_cycle(six_cdf_model):
@@ -130,7 +132,7 @@ def test_mixed_run_equals_single_runs(strategies, use_marginals):
     for model in (demo_model(), two_group_pmf_model()):
         mixed = simulate(model, strategies, **kw)
         assert [r.strategy for r in mixed] == list(strategies)
-        assert mixed == tuple(simulate(model, (s,), **kw)[0] for s in strategies)
+        assert _bits(mixed) == _bits(tuple(simulate(model, (s,), **kw)[0] for s in strategies))
 
 
 def test_we_quantile_degenerates_at_large_epsilon(single_cdf_model):
@@ -218,7 +220,7 @@ def test_flush_feasibility_and_decode_minimality(six_cdf_model):
         tr = sample_trace(six_cdf_model, T, seed=13)
         acc = RateAccumulator(six_cdf_model)
         for batch in res.batch_log:
-            lo, hi = batch.covers
+            lo, hi = batch.end - batch.k + 1, batch.end
             acc.reset()
             for tau in range(lo, hi + 1):
                 acc.push_block(int(tr.groups[tau - 1]))
@@ -243,14 +245,17 @@ def test_outage_guarantee_moderate_runs(six_cdf_model):
 
 def test_records_stream(six_cdf_model):
     res, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=300, seed=19, eta=0.25,
-                    collect_records=True)
-    rec = res.records
-    assert len(rec) == res.decoded_blocks
-    assert (rec.w_e == 1.0).all() and (rec.w_c == 1.0).all() and (rec.w_d >= 0.0).all()
-    mean = float(np.mean(rec.w_e + rec.w_c + rec.w_d))
+                    collect_batches=True)
+    block, w_e, w_c, w_d = block_delays(res)
+    assert len(block) == res.decoded_blocks
+    assert (w_e == 1.0).all() and (w_c == 1.0).all() and (w_d >= 0.0).all()
+    mean = float(np.mean(w_e + w_c + w_d))
     assert mean == pytest.approx(res.mean_delay, abs=1e-9)
     # covered blocks are contiguous from the start
-    assert rec.block.tolist() == list(range(1, res.decoded_blocks + 1))
+    assert block.tolist() == list(range(1, res.decoded_blocks + 1))
+    res, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=300, seed=19, eta=0.25)
+    with pytest.raises(ValueError, match="collect_batches"):
+        block_delays(res)
 
 
 def test_overload_warns(six_cdf_model):
@@ -324,11 +329,24 @@ def _offlattice_model(rng: np.random.Generator) -> SourceModel:
     return SourceModel(tuple(CdfEntry(g, j, w / total, h) for g, j, w, h in entries))
 
 
+# the first five columns of a batch table row
+Batch = namedtuple("Batch", "k end rate_total entropy_total outage")
+
+
+def _rows(res) -> list[Batch]:
+    return [Batch(*row[:5]) for row in res.batch_log.tolist()]
+
+
+def _covers(b: Batch) -> range:
+    """The blocks tau of a batch."""
+    return range(b.end - b.k + 1, b.end + 1)
+
+
 def _reference_batches(model, trace, c, epsilon, quantile):
     """Batches of the stop rule, pushing and querying the accumulator every block."""
     acc = RateAccumulator(model)
     batches = []
-    lo, ent = 1, 0.0
+    ent = 0.0
     for t, (g, h) in enumerate(zip(trace.groups.tolist(), trace.h.tolist()), start=1):
         acc.push_block(g)
         ent += h
@@ -336,53 +354,44 @@ def _reference_batches(model, trace, c, epsilon, quantile):
         if acc.tail_above(K * c) > epsilon:
             continue
         rate = acc.rate_quantile(epsilon) if quantile else K * c
-        batches.append(BatchOutcome((lo, t), rate, ent, ent > rate + OUTAGE_TOL))
+        batches.append(Batch(K, t, rate, ent, ent > rate + OUTAGE_TOL))
         acc.reset()
-        lo, ent = t + 1, 0.0
+        ent = 0.0
     return batches
 
 
 def _check_against_reference(model, *, epsilon, T, seed, eta):
     """we and wd runs, alone and as the two halves of one shared pass, equal
-    the reference: batches, records, summary."""
-    kw = dict(epsilon=epsilon, T=T, seed=seed, eta=eta,
-              collect_records=True, collect_batches=True)
+    the reference: batch table, per-block delays, summary."""
+    kw = dict(epsilon=epsilon, T=T, seed=seed, eta=eta, collect_batches=True)
     pair = simulate(model, ("we", "wd"), **kw)
     trace = sample_trace(model, T, seed)
     for strategy, quantile, half in (("we", True, pair[0]), ("wd", False, pair[1])):
         res, = simulate(model, (strategy,), **kw)
-        assert dataclasses.replace(half, records=None) == dataclasses.replace(res, records=None)
-        for field in ("block", "w_e", "w_c", "w_d"):
-            assert getattr(half.records, field).tolist() == getattr(res.records, field).tolist()
+        assert _bits(half) == _bits(res)
         batches = _reference_batches(model, trace, res.c, epsilon, quantile)
-        assert res.batch_log == tuple(batches)
-        sizes = np.array([b.covers[1] - b.covers[0] + 1 for b in batches])
-        blocks = [tau for b in batches for tau in range(b.covers[0], b.covers[1] + 1)]
+        assert _rows(res) == batches
+        sizes = np.array([b.k for b in batches])
         n = model.block_len_n
+        block, w_e, w_c, w_d = block_delays(res)
         assert (res.batches, res.decoded_blocks) == (len(batches), int(sizes.sum()))
-        assert res.records.block.tolist() == blocks
+        assert block.tolist() == [tau for b in batches for tau in _covers(b)]
         assert res.outage_rate == pytest.approx(
             sizes[[b.outage for b in batches]].sum() / sizes.sum(), abs=1e-15)
-        rec = res.records
         assert (res.mean_w_e, res.mean_w_c, res.mean_w_d) == pytest.approx(
-            (rec.w_e.mean(), rec.w_c.mean(), rec.w_d.mean()), rel=1e-12)
+            (w_e.mean(), w_c.mean(), w_d.mean()), rel=1e-12)
         if quantile:
             bits = [n * b.rate_total for b in batches]
-            w_c = np.repeat(lindley_wc(bits, [float(b.covers[1]) for b in batches],
-                                       n * res.c), sizes)
-            assert res.records.w_e.tolist() == [
-                float(b.covers[1] - tau + 1) for b in batches
-                for tau in range(b.covers[0], b.covers[1] + 1)
-            ]
-            assert np.allclose(res.records.w_c, w_c, rtol=1e-12, atol=1e-9)
-            assert not res.records.w_d.any()
+            wc = lindley_wc(bits, [float(b.end) for b in batches], n * res.c)
+            assert w_e.tolist() == [float(b.end - tau + 1) for b in batches for tau in _covers(b)]
+            assert np.allclose(res.batch_log.w_c, wc, rtol=1e-12, atol=1e-9)
+            assert np.allclose(w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
+            assert not w_d.any()
             assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T))
         else:
-            assert res.records.w_d.tolist() == [
-                float(b.covers[1] - tau) for b in batches
-                for tau in range(b.covers[0], b.covers[1] + 1)
-            ]
-            assert (res.records.w_e == 1.0).all() and (res.records.w_c == 1.0).all()
+            assert w_d.tolist() == [float(b.end - tau) for b in batches for tau in _covers(b)]
+            assert (res.batch_log.w_c == 1.0).all()
+            assert (w_e == 1.0).all() and (w_c == 1.0).all()
             assert res.mean_encoding_rate == pytest.approx(res.c)  # n*c bits every block
 
 
@@ -440,36 +449,33 @@ def test_stopping_rule_reuses_decisions(six_cdf_model, monkeypatch):
 
 def _replay_fixed_batches(trace, N, rate_of_batch):
     """Every full N-block batch of the trace; rate_of_batch(lo, t) gives its rate."""
-    batches, lo, ent = [], 1, 0.0
+    batches, ent = [], 0.0
     for t, h in enumerate(trace.h.tolist(), start=1):
         ent += h
         if t % N == 0:
-            rate = rate_of_batch(lo, t)
-            batches.append(BatchOutcome((lo, t), rate, ent, ent > rate + OUTAGE_TOL))
-            lo, ent = t + 1, 0.0
+            rate = rate_of_batch(t - N + 1, t)
+            batches.append(Batch(N, t, rate, ent, ent > rate + OUTAGE_TOL))
+            ent = 0.0
     return batches
 
 
-def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon,
-                        proxy=None, logged=True):
+def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon, proxy=None):
     """A baseline run equals the replayed batches: W_E(tau) = t - tau + 1, W_C
     by the Lindley recursion on the batch messages, W_D = 0."""
     n = model.block_len_n
-    sizes = [b.covers[1] - b.covers[0] + 1 for b in batches]
-    ends = [float(b.covers[1]) for b in batches]
+    sizes = [b.k for b in batches]
+    ends = [float(b.end) for b in batches]
     bits = [n * b.rate_total for b in batches]
     wc = lindley_wc(bits, ends, n * res.c)
     decoded = sum(sizes)
 
-    rec = res.records
-    assert rec.block.tolist() == [
-        tau for b in batches for tau in range(b.covers[0], b.covers[1] + 1)]
-    assert rec.w_e.tolist() == [
-        float(b.covers[1] - tau + 1) for b in batches
-        for tau in range(b.covers[0], b.covers[1] + 1)]
-    assert np.allclose(rec.w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
-    assert not rec.w_d.any()
-    assert res.batch_log == (tuple(batches) if logged else None)
+    assert _rows(res) == batches
+    assert np.allclose(res.batch_log.w_c, wc, rtol=1e-12, atol=1e-9)
+    block, w_e, w_c, w_d = block_delays(res)
+    assert block.tolist() == [tau for b in batches for tau in _covers(b)]
+    assert w_e.tolist() == [float(b.end - tau + 1) for b in batches for tau in _covers(b)]
+    assert np.allclose(w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
+    assert not w_d.any()
 
     assert (res.strategy, res.seed, res.blocks, res.epsilon) == (strategy, seed, T, epsilon)
     assert (res.batches, res.decoded_blocks) == (len(batches), decoded)
@@ -519,7 +525,7 @@ def test_accumulate_matches_reference(use_marginals):
             trace = sample_trace(model, T, seed=i)
             res, = simulate(
                 model, ("accumulate",), epsilon=eps, batch_size=N, T=T, seed=i,
-                use_marginals=use_marginals, collect_records=True, collect_batches=True, **kw)
+                use_marginals=use_marginals, collect_batches=True, **kw)
             if use_marginals:
                 acc = RateAccumulator(model)
 
@@ -548,15 +554,17 @@ def test_known_joint_and_blockwise_match_reference():
         stats = compute_stats(model)
         trace = sample_trace(model, T, seed=i)
         for kw in (dict(eta=0.3), dict(eta=0.05), dict(c=0.9 * stats.h_max)):
-            kj, = simulate(model, ("known-joint",), epsilon=None, T=T, seed=i, collect_records=True, **kw)
+            kj, = simulate(model, ("known-joint",), epsilon=None, T=T, seed=i,
+                           collect_batches=True, **kw)
             batches = _replay_fixed_batches(trace, 1, lambda lo, t: float(trace.h[t - 1]))
             assert not any(b.outage for b in batches)
             _check_encoder_side(kj, model, batches, strategy="known-joint", T=T, seed=i,
-                                epsilon=None, proxy=_proxy(model), logged=False)
-            bw, = simulate(model, ("blockwise",), epsilon=None, T=T, seed=i, collect_records=True, **kw)
+                                epsilon=None, proxy=_proxy(model))
+            bw, = simulate(model, ("blockwise",), epsilon=None, T=T, seed=i,
+                           collect_batches=True, **kw)
             batches = _replay_fixed_batches(trace, 1, lambda lo, t: stats.h_max)
             _check_encoder_side(bw, model, batches, strategy="blockwise", T=T, seed=i,
-                                epsilon=None, proxy=_proxy(model), logged=False)
+                                epsilon=None, proxy=_proxy(model))
             unstable.update((kj.unstable, bw.unstable))
     assert unstable == {True, False}
 
@@ -603,25 +611,25 @@ def test_segment_matches_memo_free_oracle():
 # ---------------------------------------------------------------------------
 
 def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon, seed, T,
-                       proxy, collect_records, collect_batches):
+                       proxy, collect_batches):
     """The accounting pass with one ChannelQueue.enqueue and one running float
-    sum per batch."""
+    sum per batch, building the batch table row by row."""
     d = sum(sizes)
+    ends = list(itertools.accumulate(sizes))
     outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
     outage_blocks = sum(K for K, out in zip(sizes, outage) if out)
-    wcs = []
     if strategy == WAIT_TO_DECODE:
         sum_we = sum_wc = float(d)
         sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
         bits_emitted = n * c * T
         unstable = False
+        wcs = [1.0] * len(sizes)
     else:
         queue = ChannelQueue(rate_bits_per_block=n * c)
         sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
         sum_wc = sum_wd = bits_emitted = 0.0
-        t = 0
-        for K, rate in zip(sizes, batch_rates):
-            t += K
+        wcs = []
+        for K, t, rate in zip(sizes, ends, batch_rates):
             bits = n * rate
             w_c = queue.enqueue(bits, float(t)) - t
             sum_wc += w_c * K
@@ -629,17 +637,10 @@ def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon
             wcs.append(w_c)
         unstable = (strategy != WAIT_TO_ENCODE
                     and (queue.busy_until - T) > max(5.0, 0.02 * T))
-    k = np.asarray(sizes, dtype=np.int64)
-    block = np.arange(1, d + 1, dtype=np.int64)
-    lag = np.repeat(np.cumsum(k), k) - block
-    if strategy == WAIT_TO_DECODE:
-        records = DelayRecords(block, np.ones(d), np.ones(d), lag.astype(float))
-    else:
-        records = DelayRecords(block, (lag + 1).astype(float),
-                               np.repeat(np.array(wcs, dtype=float), k), np.zeros(d))
-    ends = np.cumsum(k).tolist()
-    batch_log = tuple(BatchOutcome((t - K + 1, t), rate, ent, out)
-                      for K, t, rate, ent, out in zip(sizes, ends, batch_rates, ents, outage))
+    batch_log = np.rec.fromrecords(
+        list(zip(sizes, ends, batch_rates, ents, outage, wcs)),
+        dtype=[("k", np.int64), ("end", np.int64), ("rate_total", float),
+               ("entropy_total", float), ("outage", bool), ("w_c", float)])
     mean_we, mean_wc, mean_wd = (x / d if d else math.nan for x in (sum_we, sum_wc, sum_wd))
     mean_rate = bits_emitted / (n * T)
     return SimulationResult(
@@ -648,21 +649,32 @@ def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon
         mean_w_c=mean_wc, mean_w_d=mean_wd,
         outage_rate=outage_blocks / d if d else math.nan, mean_encoding_rate=mean_rate,
         compression_ratio=(mean_rate / proxy) if proxy else None, c=c, unstable=unstable,
-        records=records if collect_records else None,
         batch_log=batch_log if collect_batches else None)
 
 
+def _block_delays_per_block(res):
+    """block_delays by a loop over the rows of the batch table and the blocks
+    of each batch."""
+    decoder = res.strategy == WAIT_TO_DECODE
+    block, w_e, w_c, w_d = [], [], [], []
+    for k, end, *_, wait in res.batch_log.tolist():
+        for tau in range(end - k + 1, end + 1):
+            block.append(tau)
+            w_e.append(1.0 if decoder else float(end - tau + 1))
+            w_c.append(wait)
+            w_d.append(float(end - tau) if decoder else 0.0)
+    return np.array(block, dtype=np.int64), *(np.array(x, dtype=float) for x in (w_e, w_c, w_d))
+
+
 def _bits(value):
-    """A value with every float as its hex string and every array as its bytes,
-    so that == compares bits (nan included)."""
+    """A value with every float as its hex string and every array as its dtype
+    (column names included) and bytes, so that == compares bits (nan included)."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, np.ndarray):
-        return value.dtype.str, value.tobytes()
+        return value.dtype.descr, value.tobytes()
     if isinstance(value, (tuple, list)):
         return tuple(map(_bits, value))
-    if isinstance(value, DelayRecords):
-        return _bits([value.block, value.w_e, value.w_c, value.w_d])
     if dataclasses.is_dataclass(value):
         return _bits([getattr(value, f.name) for f in dataclasses.fields(value)])
     return type(value).__name__, value
@@ -670,8 +682,8 @@ def _bits(value):
 
 @pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
 def test_account_matches_per_batch_replay(monkeypatch):
-    """Every result field of all five strategies, records and batch log included,
-    equals a per-batch queue replay bit for bit."""
+    """Every result field of all five strategies, the batch table included, and
+    the per-block delays equal a per-batch queue replay bit for bit."""
     rng = np.random.default_rng(53)
     models = [demo_model(), random_offlattice_model(rng), random_dyadic_model(rng),
               SourceModel(bsc_pair_model(0.1).entries, block_len_n=3)]
@@ -679,14 +691,15 @@ def test_account_matches_per_batch_replay(monkeypatch):
     for i, model in enumerate(models):
         for case in (dict(eta=0.5), dict(eta=0.15), dict(eta=0.3, use_marginals=False),
                      dict(c=0.9 * compute_stats(model).h_max)):
-            kw = dict(epsilon=0.02, T=600, seed=i, batch_size=4, collect_records=True,
-                      collect_batches=True, **case)
+            kw = dict(epsilon=0.02, T=600, seed=i, batch_size=4, collect_batches=True, **case)
             with monkeypatch.context() as mp:
                 mp.setattr(strategies_mod, "_account", _account_per_batch)
                 expected = simulate(model, STRATEGIES, **kw)
             got = simulate(model, STRATEGIES, **kw)
             for res, ref in zip(got, expected):
                 assert _bits(res) == _bits(ref), (i, case, res.strategy)
+                assert _bits(block_delays(res)) == _bits(_block_delays_per_block(ref)), \
+                    (i, case, res.strategy)
             unstable_blockwise |= got[STRATEGIES.index("blockwise")].unstable
     assert unstable_blockwise
 
@@ -733,4 +746,45 @@ def test_doubled_entropies_keep_every_delay(model_seed, seed, eta):
                           simulate(doubled, ("we", "wd"), **kw)):
         assert twice.c == 2 * res.c
         assert _bits([getattr(twice, f) for f in fields]) == _bits(
+            [getattr(res, f) for f in fields]), res.strategy
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       eta=st.sampled_from([0.3, 0.15, 0.08]))
+def test_shorter_run_is_a_prefix(model_seed, seed, eta):
+    """The trace of a shorter run is a prefix of the longer one's, and a batch
+    and its W_C depend only on the blocks and batches before it (Lindley's
+    recursion is causal): the we and wd batch tables of T = 300 are the first
+    rows of T = 1 200, and hold every batch closing by block 300."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    if compute_stats(model).e_h == 0:
+        return
+    kw = dict(epsilon=0.02, seed=seed, eta=eta, collect_batches=True)
+    for short, full in zip(simulate(model, ("we", "wd"), T=300, **kw),
+                           simulate(model, ("we", "wd"), T=1200, **kw)):
+        rows = len(short.batch_log)
+        assert rows == int((full.batch_log.end <= 300).sum()), short.strategy
+        assert _bits(short.batch_log) == _bits(full.batch_log[:rows]), short.strategy
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       eta=st.sampled_from([0.3, 0.15, 0.08]))
+def test_relabelled_groups_keep_every_delay(model_seed, seed, eta):
+    """Swapping group labels 1 and 2, with the entries kept in order, draws
+    the same entries and convolves the same kernels, block by block: delays,
+    batch counts and outage rates are equal."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    if model.m < 2 or compute_stats(model).e_h == 0:
+        return
+    swap = {1: 2, 2: 1}
+    relabelled = SourceModel(tuple(dataclasses.replace(e, group=swap.get(e.group, e.group))
+                                   for e in model.entries))
+    kw = dict(epsilon=0.02, T=400, seed=seed, eta=eta)
+    fields = ("batches", "decoded_blocks", "mean_delay", "mean_w_e", "mean_w_c", "mean_w_d",
+              "outage_rate")
+    for res, swapped in zip(simulate(model, ("we", "wd"), **kw),
+                            simulate(relabelled, ("we", "wd"), **kw)):
+        assert _bits([getattr(swapped, f) for f in fields]) == _bits(
             [getattr(res, f) for f in fields]), res.strategy
