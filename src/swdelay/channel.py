@@ -31,6 +31,9 @@ class ChannelQueue:
 
         The same as one ``enqueue`` per message: the sizes and the arrival
         order are checked once, then the Lindley recursion runs in one loop.
+        When every message finds the queue empty, each departs at its arrival
+        plus its service time, the value the loop gives an idle message, and
+        the departures are that sum on whole arrays.
         """
         bits = np.ascontiguousarray(bits, dtype=float)
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
@@ -49,7 +52,11 @@ class ChannelQueue:
                 busy = (busy if busy > arrival else arrival) + b / rate
                 yield busy
 
-        out = np.fromiter(departures(self.busy_until), float, count=len(bits))
+        out = arrivals + bits / rate
+        idle = (len(out) and self.busy_until <= arrivals[0]
+                and (out[:-1] <= arrivals[1:]).all())
+        if not idle:
+            out = np.fromiter(departures(self.busy_until), float, count=len(bits))
         if len(out):
             self.busy_until = float(out[-1])
             self._last_arrival = float(arrivals[-1])

@@ -244,7 +244,7 @@ def validate_model(model: SourceModel) -> list[str]:
                 )
 
     n = model.block_len_n
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         bad.append(f"block_len_n must be an integer >= 1, got {n!r}")
     if model.slot_seconds is not None and not 0 < model.slot_seconds < math.inf:
         bad.append(f"slot_seconds must be positive and finite, got {model.slot_seconds}")
@@ -342,11 +342,22 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
 
 def _number(value, field: str, where: str) -> float:
     """A numeric field of a model file as a float; its range is checked when
-    the model is built."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{where}: {field} must be a number, got {value!r}") from None
+    the model is built.  A YAML boolean is not a number; a numeric string is
+    (PyYAML reads ``1e-05``, with no dot, as a string)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ModelError(f"{where}: {field} must be a number, got {value!r}")
+
+
+def _count(value, field: str, where: str) -> int:
+    """An integer field of a model file that must be >= 1 (an alphabet size)."""
+    x = _number(value, field, where)
+    if not (x.is_integer() and x >= 1):
+        raise ModelError(f"{where}: {field} must be an integer >= 1, got {value!r}")
+    return int(x)
 
 
 def load_model(path) -> SourceModel:
@@ -377,19 +388,18 @@ def load_model(path) -> SourceModel:
             _reject_unknown(mem, _MEMBER_KEYS, f"cdf ({gi},{ji})")
             if "prob" not in mem or "cond_entropy" not in mem:
                 raise ModelError(f"cdf ({gi},{ji}): prob and cond_entropy required")
+            where = f"cdf ({gi},{ji})"
             pmf = None
             if mem.get("joint_pmf") is not None:
                 raw = mem["joint_pmf"]
                 if not isinstance(raw, dict):
-                    raise ModelError(f"cdf ({gi},{ji}): joint_pmf must be a mapping")
-                _reject_unknown(raw, _PMF_KEYS, f"cdf ({gi},{ji}) joint_pmf")
+                    raise ModelError(f"{where}: joint_pmf must be a mapping")
+                _reject_unknown(raw, _PMF_KEYS, f"{where} joint_pmf")
+                shape = [_count(raw.get(f), f, where) for f in ("alphabet_x", "alphabet_y")]
                 try:
-                    ax, ay = int(raw["alphabet_x"]), int(raw["alphabet_y"])
-                    table = np.array(raw["table"], dtype=float).reshape(ax, ay)
+                    pmf = np.array(raw["table"], dtype=float).reshape(shape)
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ModelError(f"cdf ({gi},{ji}): bad joint_pmf: {exc}") from exc
-                pmf = table
-            where = f"cdf ({gi},{ji})"
+                    raise ModelError(f"{where}: bad joint_pmf: {exc}") from exc
             entries.append(CdfEntry(gi, ji, _number(mem["prob"], "prob", where),
                                     _number(mem["cond_entropy"], "cond_entropy", where), pmf))
 

@@ -140,23 +140,49 @@ _MISS = object()  # memo sentinel: stored values are None or a rate, which can b
 
 
 def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
-             batch_size: int | None = None) -> tuple[list[int], list[float], list[float]]:
-    """A batch table: sizes K, realised entropy sums (added block by block) and
-    epsilon-quantile rates.  A batch closes at the first block with
-    tail(K*c) <= epsilon (``we``/``wd``), or at K = ``batch_size`` when one is
-    given (``accumulate``); blocks after the last close are never decoded.
+             batch_size: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch table as three columns: sizes K (int64), realised entropy sums
+    (added block by block) and epsilon-quantile rates.  A batch closes at the
+    first block with tail(K*c) <= epsilon (``we``/``wd``), or at K =
+    ``batch_size`` when one is given (``accumulate``); blocks after the last
+    close are never decoded.
 
     Convolution commutes, so the decision and the quantile depend only on the
     group-count vector, memoized under one integer key (a count field of
     ``T.bit_length() + 1`` bits per group: no collisions for K <= T).  A hit
     queues the block unpushed; a miss pushes the queue and then the block, in
     arrival order, as pushing every block would.  The memo holds <= T entries.
+
+    The one-block decision of each group in the trace is taken first, as the
+    loop would take it at K = 1, and seeds the memo.  When every such group
+    closes alone (light traffic), so does every block, and the table follows
+    without the loop.
     """
     acc = RateAccumulator(model)
     push, tail_exceeds, quantile = acc.push_block, acc.tail_exceeds, acc.rate_quantile
+
+    def close_rate(K: int) -> float | None:
+        """None while the batch waits, else its quantile rate.  accumulate waits
+        for batch_size blocks; we/wd wait while quantile/K > c, i.e. while the
+        tail above K*c exceeds eps."""
+        wait = K < batch_size if batch_size else tail_exceeds(K * c, epsilon)
+        return None if wait else quantile(epsilon)
+
     width = len(trace.h).bit_length() + 1
     bit = [0] + [1 << (width * g) for g in range(model.m)]
     memo: dict[int, float | None] = {}
+    if batch_size in (None, 1):  # a larger fixed batch never closes at K = 1
+        alone = np.zeros(model.m + 1)
+        for g in np.flatnonzero(np.bincount(trace.groups)).tolist():  # the groups drawn
+            push(g)
+            rate = memo[bit[g]] = close_rate(1)
+            acc.reset()
+            if rate is None:
+                break
+            alone[g] = rate
+        else:  # 0.0 + h as the loop adds it (-0.0 becomes 0.0)
+            return np.ones(len(trace.h), dtype=np.int64), 0.0 + trace.h, alone[trace.groups]
+
     pending: list[int] = []
     sizes, ents, rates = [], [], []
     K, key, ent = 0, 0, 0.0
@@ -170,10 +196,7 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
                 push(g)
             pending.clear()
             push(group)
-            # accumulate waits for batch_size blocks; we/wd wait while quantile/K > c,
-            # i.e. while the tail above K*c exceeds eps
-            wait = K < batch_size if batch_size else tail_exceeds(K * c, epsilon)
-            rate = memo[key] = None if wait else quantile(epsilon)
+            rate = memo[key] = close_rate(K)
         else:
             pending.append(group)
         if rate is not None:
@@ -184,7 +207,7 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
                 acc.reset()
             pending.clear()
             K, key, ent = 0, 0, 0.0
-    return sizes, ents, rates
+    return np.array(sizes, dtype=np.int64), np.array(ents), np.array(rates)
 
 
 def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, seed: int,
@@ -226,8 +249,7 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
                 traces[on is model] = sample_trace(on, T, seed)
             trace = traces[on is model]
             if rule == "one-block":  # shipped at its own entropy (blockwise: H_max)
-                ents = trace.h.tolist()
-                table = [1] * T, ents, ents
+                table = np.ones(T, dtype=np.int64), trace.h, trace.h
             else:
                 table = _segment(trace, on, c=c, epsilon=epsilon,
                                  batch_size=batch_size if rule == "fixed" else None)
@@ -235,9 +257,9 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
             tables[rule] = (proxy, *table)
         proxy, sizes, ents, rates = tables[rule]
         if strategy == WAIT_TO_DECODE:  # the decoder holds K*c bits at a close
-            rates = [K * c for K in sizes]
+            rates = sizes * c
         elif strategy == BLOCKWISE:
-            rates = [stats.h_max] * T
+            rates = np.full(T, stats.h_max)
         results.append(_account(
             strategy, sizes, ents, rates, n=model.block_len_n, c=c, eta=eta,
             epsilon=None if rule == "one-block" else epsilon, seed=seed, T=T,
@@ -268,16 +290,15 @@ def _sum_in_order(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
-def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: list[float],
+def _account(strategy: str, k: np.ndarray, ents: np.ndarray, rates: np.ndarray,
              *, n: int, c: float, eta: float, epsilon: float | None, seed: int, T: int,
              proxy: float | None, collect_batches: bool) -> SimulationResult:
-    """The accounting pass of one strategy over its batch table, on whole columns;
-    each float sum adds its terms in batch order."""
-    k = np.array(sizes, dtype=np.int64)
+    """The accounting pass of one strategy over its batch table (the columns K,
+    entropy sum and rate, shared between strategies and left unchanged); each
+    float sum adds its terms in batch order."""
     ends = np.cumsum(k)  # t, the block that closes each batch
     d = int(k.sum())
-    rates = np.array(batch_rates)
-    outage = np.array(ents) > rates + OUTAGE_TOL
+    outage = ents > rates + OUTAGE_TOL
     outage_blocks = int(k[outage].sum())
     squares = int(k @ k)  # sum K(K±1)/2 = (sum K^2 ± sum K)/2, in integers
     if strategy == WAIT_TO_DECODE:
@@ -302,7 +323,7 @@ def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: li
     if collect_batches:
         w_c = np.ones(len(k)) if strategy == WAIT_TO_DECODE else wcs
         batch_log = np.rec.fromarrays(
-            (k, ends, rates, np.array(ents), outage, w_c),
+            (k, ends, rates, ents, outage, w_c),
             names=("k", "end", "rate_total", "entropy_total", "outage", "w_c"))
 
     mean_we, mean_wc, mean_wd = (s / d if d else math.nan
@@ -315,7 +336,7 @@ def _account(strategy: str, sizes: list[int], ents: list[float], batch_rates: li
         seed=seed,
         blocks=T,
         decoded_blocks=d,
-        batches=len(sizes),
+        batches=len(k),
         mean_delay=mean_we + mean_wc + mean_wd,
         mean_w_e=mean_we,
         mean_w_c=mean_wc,

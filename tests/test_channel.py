@@ -65,3 +65,33 @@ def test_accounting_identity():
         departure = q.enqueue(b, a)
         assert departure == pytest.approx(a + wc, abs=1e-9)
         assert q.busy_until == departure
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("case", ["all-idle", "idle-then-backlog", "starts-busy", "zero-size"])
+def test_enqueue_many_equals_one_enqueue_per_message(case):
+    """Departures and busy_until of one enqueue_many call equal those of one
+    enqueue per message, bit for bit, whether every message finds the queue
+    empty or not."""
+    rng = np.random.default_rng(29)
+    rate = 1.3
+    arrivals = np.cumsum(rng.uniform(0.5, 2.0, size=300))
+    bits = rng.uniform(0.0, 0.6, size=300)  # service below every gap: all idle
+    if case == "idle-then-backlog":
+        bits[150:] *= 8.0
+    elif case == "zero-size":  # each arrives with the next message, and departs at once
+        bits[::3] = 0.0
+        arrivals[1::3] = arrivals[::3]
+    batch, single = ChannelQueue(rate), ChannelQueue(rate)
+    if case == "starts-busy":  # the queue is still sending when the first message arrives
+        for q in (batch, single):
+            q.enqueue(3.0 * rate, arrival=arrivals[0] - 1.0)
+    got = batch.enqueue_many(bits, arrivals)
+    expected = [single.enqueue(b, a) for b, a in zip(bits.tolist(), arrivals.tolist())]
+    assert _bits(got) == _bits(expected)
+    assert batch.busy_until.hex() == single.busy_until.hex()
+    idle = got == arrivals + bits / rate
+    assert idle.all() == (case in ("all-idle", "zero-size"))

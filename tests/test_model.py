@@ -329,6 +329,8 @@ def test_model_file_with_nan_is_rejected(tmp_path):
 
 
 _ONE_MEMBER = "groups:\n- members:\n  - {prob: %s, cond_entropy: %s}\n"
+_ONE_PMF = ("groups:\n- members:\n  - {prob: 1.0, cond_entropy: 1.0, joint_pmf: "
+            "{alphabet_x: %s, alphabet_y: %s, table: [0.25, 0.25, 0.25, 0.25]}}\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -344,11 +346,18 @@ _ONE_MEMBER = "groups:\n- members:\n  - {prob: %s, cond_entropy: %s}\n"
      "block_len_n must be an integer >= 1, got nan"),
     (_ONE_MEMBER % ("1.0", "0.5") + "slot_seconds: abc\n",
      "model file: slot_seconds must be a number, got 'abc'"),
-], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text"])
+    (_ONE_MEMBER % ("true", "0.5"), "cdf (1,1): prob must be a number, got True"),
+    (_ONE_MEMBER % ("1.0", "yes"), "cdf (1,1): cond_entropy must be a number, got True"),
+    (_ONE_MEMBER % ("1.0", "0.5") + "block_len_n: true\n",
+     "model file: block_len_n must be a number, got True"),
+    (_ONE_PMF % ("2.9", "2"), "cdf (1,1): alphabet_x must be an integer >= 1, got 2.9"),
+    (_ONE_PMF % ("2", "-1"), "cdf (1,1): alphabet_y must be an integer >= 1, got -1"),
+], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text",
+        "prob-bool", "entropy-bool", "n-bool", "alphabet-fraction", "alphabet-negative"])
 def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message):
-    """A non-numeric or non-integral field is a ModelError naming the field,
-    never a traceback or a silent truncation, and `stats` reports it on one
-    line."""
+    """A non-numeric (boolean included) or non-integral field is a ModelError
+    naming the field, never a traceback or a silent truncation, and `stats`
+    reports it on one line."""
     from swdelay import cli
 
     path = tmp_path / "model.yaml"
@@ -365,6 +374,6 @@ def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message
 def test_block_len_n_must_be_an_integer():
     entries = (CdfEntry(1, 1, 1.0, 0.5),)
     assert SourceModel(entries, block_len_n=np.int64(3)).block_len_n == 3
-    for bad in (2.7, 0, "3"):
+    for bad in (2.7, 0, "3", True):
         with pytest.raises(ModelError, match="block_len_n must be an integer >= 1"):
             SourceModel(entries, block_len_n=bad)

@@ -178,6 +178,28 @@ def test_coarse_mode_is_conservative(values):
     assert exact <= got <= exact + 3 * 1e-3 + 1e-12
 
 
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(counts=st.lists(st.integers(0, 40), min_size=3, max_size=3).filter(any),
+       epsilon=st.sampled_from([0.01, 1e-6]))
+def test_coarse_twin_is_conservative_by_at_most_a_cell_a_block(counts, epsilon):
+    """Adding 1e-7 bit to every demo entropy leaves no common step of 1e-3 bit,
+    so the twin runs on the round-up grid.  Its sums are the demo's plus K*1e-7,
+    and rounding up adds less than one 1e-3-bit cell a block: for any count of
+    each group, K in all, the twin quantile lies in [exact + K*1e-7,
+    exact + K*(1e-3 + 1e-7)]."""
+    demo = demo_model()
+    twin = SourceModel(tuple(CdfEntry(e.group, e.member, e.prob, e.cond_entropy + 1e-7)
+                             for e in demo.entries))
+    exact, coarse = RateAccumulator(demo), RateAccumulator(twin)
+    assert exact.exact and not coarse.exact
+    for g, count in enumerate(counts, 1):
+        for _ in range(count):
+            exact.push_block(g)
+            coarse.push_block(g)
+    K, q = sum(counts), exact.rate_quantile(epsilon)
+    assert q + K * 1e-7 <= coarse.rate_quantile(epsilon) <= q + K * (1e-3 + 1e-7)
+
+
 def test_k_c_examples(six_cdf_model):
     s = compute_stats(six_cdf_model)
     # c >= h_max decodes every block alone

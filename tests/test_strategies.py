@@ -569,9 +569,10 @@ def test_known_joint_and_blockwise_match_reference():
     assert unstable == {True, False}
 
 
-def _segment_without_memo(trace, model, c, epsilon):
-    """The adaptive batch table with no memo: every block pushed, a batch
-    closing at the first tail(K*c) <= epsilon and the accumulator emptied."""
+def _segment_without_memo(trace, model, c, epsilon, batch_size=None):
+    """The batch table with no memo, as int64 and float64 columns: every block
+    pushed, a batch closing at the first tail(K*c) <= epsilon (at K =
+    batch_size when one is given) and the accumulator emptied."""
     acc = RateAccumulator(model)
     sizes, ents, rates = [], [], []
     K, ent = 0, 0.0
@@ -579,13 +580,14 @@ def _segment_without_memo(trace, model, c, epsilon):
         K += 1
         ent += h
         acc.push_block(group)
-        if acc.tail_above(K * c) <= epsilon:
+        if (K == batch_size) if batch_size else (acc.tail_above(K * c) <= epsilon):
             sizes.append(K)
             ents.append(ent)
             rates.append(acc.rate_quantile(epsilon))
             acc.reset()
             K, ent = 0, 0.0
-    return sizes, ents, rates
+    return (np.array(sizes, dtype=np.int64), np.array(ents, dtype=float),
+            np.array(rates, dtype=float))
 
 
 def test_segment_matches_memo_free_oracle():
@@ -601,7 +603,8 @@ def test_segment_matches_memo_free_oracle():
         trace = sample_trace(model, 2000, seed=i)
         for eta in (0.5, 0.25, 0.1):
             got = _segment(trace, model, c=e_h / (1 - eta), epsilon=0.01)
-            assert got == _segment_without_memo(trace, model, e_h / (1 - eta), 0.01), (i, eta)
+            assert _bits(got) == _bits(_segment_without_memo(trace, model, e_h / (1 - eta),
+                                                             0.01)), (i, eta)
             batched += max(got[0], default=0) > 1
     assert batched > 0  # some runs batched blocks, so the memo was exercised
 
@@ -614,6 +617,7 @@ def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon
                        proxy, collect_batches):
     """The accounting pass with one ChannelQueue.enqueue and one running float
     sum per batch, building the batch table row by row."""
+    sizes, ents, batch_rates = sizes.tolist(), ents.tolist(), batch_rates.tolist()
     d = sum(sizes)
     ends = list(itertools.accumulate(sizes))
     outage = [ent > rate + OUTAGE_TOL for ent, rate in zip(ents, batch_rates)]
@@ -726,6 +730,53 @@ def test_light_traffic_flushes_every_block(model_seed, seed, margin, epsilon):
         assert (res.batches, res.decoded_blocks) == (T, T)
     assert wd.mean_delay == 2.0
     assert we.mean_w_e == 1.0
+
+
+def _rare_top_model() -> SourceModel:
+    """Group 1 has a top value 7.3 of conditional probability 0.005 and a 0.01-
+    quantile of 1.9; group 2 is 1.3, group 3 is -0.0 (a batch's entropy sum,
+    0.0 + h, is 0.0).  At c = 2.5 < h_max every block closes alone at
+    epsilon = 0.01 and those of value 7.3 are in outage."""
+    return SourceModel((CdfEntry(1, 1, 0.3, 0.7), CdfEntry(1, 2, 0.1975, 1.9),
+                        CdfEntry(1, 3, 0.0025, 7.3), CdfEntry(2, 1, 0.4, 1.3),
+                        CdfEntry(3, 1, 0.1, -0.0)))
+
+
+@pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
+def test_light_traffic_table_beyond_the_dyadic_lattice(monkeypatch):
+    """Light traffic is decided by each group's one-block test, not by c >= h_max:
+    where every group closes alone (off-lattice with c above h_max, c < h_max
+    with every one-block quantile <= c, accumulate at N = 1) every batch is one
+    block, shipped at its group's quantile.  On the coarse grid h_max rounds up
+    above c = h_max, so batches there can hold more blocks.  Each table equals
+    the memo-free oracle column by column, and every result field of the run
+    equals the per-batch replay."""
+    eps, T = 0.01, 600
+    offlattice = random_offlattice_model(np.random.default_rng(7))
+    h_max = compute_stats(offlattice).h_max
+    cases = [  # model, c, batch size, every batch one block
+        (offlattice, h_max + 2e-3, None, True),
+        (offlattice, h_max, None, False),
+        (_rare_top_model(), 2.5, None, True),
+        (_rare_top_model(), 1.6, 1, True),
+        (offlattice, 0.5 * h_max, 1, True),
+        (demo_model(), 4.5, 1, True),
+    ]
+    outage = False
+    for i, (model, c, N, alone) in enumerate(cases):
+        trace = sample_trace(model, T, seed=i)
+        got = _segment(trace, model, c=c, epsilon=eps, batch_size=N)
+        assert _bits(got) == _bits(_segment_without_memo(trace, model, c, eps, N)), i
+        assert (got[0] == 1).all() == alone, i
+        kw = dict(epsilon=eps, T=T, seed=i, c=c, batch_size=N, collect_batches=True)
+        strategies = ("we", "wd") if N is None else ("accumulate",)
+        with monkeypatch.context() as mp:
+            mp.setattr(strategies_mod, "_account", _account_per_batch)
+            expected = simulate(model, strategies, **kw)
+        for res, ref in zip(simulate(model, strategies, **kw), expected):
+            assert _bits(res) == _bits(ref), (i, res.strategy)
+            outage |= res.outage_rate > 0
+    assert outage
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
