@@ -52,7 +52,7 @@ class ChernoffBatch(NamedTuple):
 def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBatch:
     """Chernoff-bound batch size gamma/eta^2 for channel rate c = E[H] / (1 - eta)."""
     check_eta(eta)
-    check_epsilon(epsilon, allow_one=True)
+    check_epsilon(epsilon)
     if stats.var_h == 0:
         return ChernoffBatch(0.0, 1, True)
     value = _gamma(stats.e_h, stats.var_h, stats.m_h, eta, epsilon) / (eta * eta)

@@ -255,10 +255,10 @@ def _delay_scale(model: SourceModel, seconds: bool) -> float:
 
 def cmd_simulate(args) -> int:
     model = _load(args)
+    model = model.collapse_marginals() if args.no_marginals else model  # blind
     scale = _delay_scale(model, args.seconds)
     res, = simulate(model, (args.strategy,), epsilon=args.epsilon, T=args.blocks,
                     seed=args.seed, eta=args.eta, c=args.c, batch_size=args.batch_size,
-                    use_marginals=not args.no_marginals,
                     collect_batches=args.trace_out is not None)
     if res.unstable:
         print(f"warning: unstable queue for {res.strategy}", file=sys.stderr)
@@ -278,7 +278,7 @@ def _sweep_task(payload) -> tuple[SimulationResult, ...]:
 
 
 def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int = 1,
-              use_marginals: bool = True, **run) -> list[SimulationResult]:
+              **run) -> list[SimulationResult]:
     """One Monte Carlo sweep, every eta checked before any task starts: one
     ``simulate`` task per (eta, seed) runs every strategy, with ``run`` holding
     epsilon, T and batch_size.  Results come in (strategy, eta, seed) order."""
@@ -287,8 +287,7 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
     for eta in eta_grid:
         check_run(strategies, eta=eta, **run)
     tasks = [(eta, seed) for eta in eta_grid for seed in seeds]
-    sim = dict(run, use_marginals=use_marginals)
-    payloads = [(model, strategies, sim, t) for t in tasks]
+    payloads = [(model, strategies, run, t) for t in tasks]
     workers = min(workers, len(tasks))  # a pool starts every worker at once
     if workers <= 1:
         done = map(_sweep_task, payloads)
@@ -303,10 +302,11 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
 
 def cmd_sweep(args) -> int:
     model = _load(args)
+    model = model.collapse_marginals() if args.no_marginals else model  # blind
     scale = _delay_scale(model, args.seconds)
     results = run_sweep(model, args.strategies, args.eta_grid, args.seeds,
-                        workers=args.workers, use_marginals=not args.no_marginals,
-                        epsilon=args.epsilon, T=args.blocks, batch_size=args.batch_size)
+                        workers=args.workers, epsilon=args.epsilon, T=args.blocks,
+                        batch_size=args.batch_size)
     for r in results:
         if r.unstable:
             print(f"warning: unstable queue for {r.strategy} at eta={_fmt(r.eta)} "
@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--seeds", type=_list_of(_seed), required=True, help="comma list of seeds")
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.add_argument("--no-marginals", action="store_true")
+    p.add_argument("--no-marginals", action="store_true",
+                   help="collapse the marginal groups (blind encoder/decoder)")
     p.add_argument("--seconds", action="store_true",
                    help="report delays in seconds (needs slot_seconds)")
     p.set_defaults(func=cmd_sweep)

@@ -38,11 +38,10 @@ class ModelError(ValueError):
 
 # each run quantity is checked here, so every caller gives the same message
 
-def check_epsilon(epsilon: float | None, *, allow_one: bool = False) -> None:
-    """Raises ValueError unless the outage target is in (0, 1), or (0, 1]."""
-    top = "1]" if allow_one else "1)"
-    if epsilon is None or not (0 < epsilon <= 1 if allow_one else 0 < epsilon < 1):
-        raise ValueError(f"epsilon must be in (0, {top}, got {epsilon}")
+def check_epsilon(epsilon: float | None) -> None:
+    """Raises ValueError unless the outage target is in (0, 1)."""
+    if epsilon is None or not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def check_eta(eta: float) -> None:

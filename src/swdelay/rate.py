@@ -59,24 +59,24 @@ class SumDistribution:
     probs: np.ndarray
 
 
-def _lattice_step(values: np.ndarray, tol: float = H_RES_EXACT) -> float | None:
-    """Common arithmetic step of the values (approximate gcd), or None when
-    there is none of at least ``H_RES_COARSE`` (a finer lattice would hold more
-    cells than the coarse grid)."""
+def _lattice_step(values: np.ndarray) -> float | None:
+    """Common arithmetic step of the values (approximate gcd, to within
+    ``H_RES_EXACT``), or None when there is none of at least ``H_RES_COARSE``
+    (a finer lattice would hold more cells than the coarse grid)."""
     step = 0.0
     for v in np.abs(np.asarray(values, dtype=float)):
         a, b = step, float(v)
-        while b > tol:
+        while b > H_RES_EXACT:
             a, b = b, math.fmod(a, b)
         step = a
     # snap to a round value when one fits (keeps exact decimal lattices exact)
     rounded = round(step, 9)
     if rounded > 0 and all(
-        abs(v / rounded - round(v / rounded)) * rounded <= tol for v in values
+        abs(v / rounded - round(v / rounded)) * rounded <= H_RES_EXACT for v in values
     ):
         step = rounded
     if step < H_RES_COARSE or any(
-        abs(v / step - round(v / step)) * step > tol for v in values
+        abs(v / step - round(v / step)) * step > H_RES_EXACT for v in values
     ):
         return None
     return step
@@ -239,10 +239,10 @@ def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
 def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     """Smallest K with P{sum of K entropies > K*c} <= epsilon (exact DP).
 
-    Searches incrementally up to 10x the Chernoff size.  The Chernoff bound
-    holds for the model's entropies, but the coarse grid rounds them up, and
-    a rounded mean at or above c makes the search pass its cutoff: that
-    raises ModelError.
+    K = 1 is the simulator's one-block test on the rate grid (the coarse grid
+    rounds h_max up).  The search beyond stops at 10x the Chernoff size, which
+    holds for the model's entropies: a coarse-grid mean rounded up to c or
+    above passes that cutoff and raises ModelError.
     """
     check_epsilon(epsilon)
     stats = compute_stats(model)
@@ -251,12 +251,14 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
             f"no finite batch size exists: channel rate {c!r} does not exceed "
             f"the mean conditional entropy {stats.e_h!r}"
         )
-    if c >= stats.h_max:
+    acc = RateAccumulator(model.collapse_marginals())
+    acc.push_block(1)
+    if not acc.tail_exceeds(c, epsilon):
         return 1
+    # eta only now: where every block closes alone it can round to 1 (c >> E[H])
     eta = 1.0 - stats.e_h / c
     cutoff = max(8, 10 * k_c_chernoff(stats, eta, epsilon).k_int)
-    acc = RateAccumulator(model.collapse_marginals())
-    for K in range(1, cutoff + 1):
+    for K in range(2, cutoff + 1):
         acc.push_block(1)
         if not acc.tail_exceeds(K * c, epsilon):
             return K

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ import pytest
 from swdelay import CdfEntry, SourceModel, demo_model
 
 CRITERION_LINES: list[str] = []
+
+def child_env() -> dict[str, str]:
+    """The environment for a ``python -m swdelay`` child: the checkout's
+    ``src`` first on PYTHONPATH, so the package imports uninstalled."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def pytest_terminal_summary(terminalreporter):

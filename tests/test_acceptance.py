@@ -25,7 +25,8 @@ import pytest
 import swdelay as sw
 from swdelay.codec import CodecConfig, run_codec_trials
 
-from conftest import enum_quantile, enum_tail, group_pmf, prior_pmf, random_dyadic_model
+from conftest import (child_env, enum_quantile, enum_tail, group_pmf, prior_pmf,
+                      random_dyadic_model)
 from test_ingest import PMF_A, PMF_B, synth_trace
 
 EPS = 0.01
@@ -365,7 +366,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "swdelay", *argv],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=child_env(),
             )
             assert proc.returncode == 0, (argv, proc.stderr)
             outs.append(proc.stdout)

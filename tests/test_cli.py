@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from swdelay import CdfEntry, SourceModel, cli, demo_model, save_model
+from swdelay import CdfEntry, SourceModel, bsc_pair_model, cli, demo_model, save_model
 from swdelay import model as model_mod
 from swdelay.entropy import cond_entropy_x_given_y_bits
 from swdelay.cli import SWEEP_COLUMNS, run_sweep
@@ -15,7 +15,7 @@ from swdelay.rate import RateAccumulator
 from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
 
-from conftest import two_group_pmf_model
+from conftest import child_env, two_group_pmf_model
 from test_ingest import PMF_A, PMF_B, synth_trace
 
 
@@ -32,6 +32,7 @@ def run_cli(*argv, options=()) -> tuple[int, str, str]:
         [sys.executable, *options, "-m", "swdelay", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -334,6 +335,35 @@ def test_simulate_no_marginals_on_pmf_model(tmp_path):
             assert code == 0, err
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+@pytest.mark.filterwarnings("ignore:channel rate .* delay may diverge")
+@pytest.mark.parametrize("make_model", [demo_model, two_group_pmf_model,
+                                        lambda: bsc_pair_model(0.1)],
+                         ids=["demo", "two-group-pmf", "bsc"])
+def test_no_marginals_is_the_collapsed_model_file(make_model, tmp_path, capsys):
+    """--no-marginals prints the bytes of the same command, without the flag,
+    on the saved collapse of the model: simulate for each strategy (with its
+    per-block trace) and one sweep over every strategy."""
+    model = make_model()
+    given, flat = tmp_path / "given.yaml", tmp_path / "flat.yaml"
+    save_model(model, given)
+    save_model(model.collapse_marginals(), flat)
+    commands = [["simulate", "--strategy", s, "--eta", "0.15", "--blocks", "300",
+                 "--seed", "4", "--batch-size", "4"] for s in STRATEGIES]
+    commands.append(["sweep", "--strategies", ",".join(STRATEGIES), "--seeds", "1,2",
+                     "--eta-grid", "0.5,0.2,0.08", "--blocks", "300", "--batch-size", "4"])
+    for argv in commands:
+        outputs = []
+        for path, flag in ((given, ["--no-marginals"]), (flat, [])):
+            trace = tmp_path / f"trace-{path.stem}.csv"
+            traced = ["--trace-out", trace.as_posix()] if argv[0] == "simulate" else []
+            code = cli.main([*argv, *traced, "--model", path.as_posix(), "--epsilon", "0.01",
+                             "--no-timestamp", *flag])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            outputs.append((out, trace.read_bytes() if traced else None))
+        assert outputs[0] == outputs[1], argv[:3]
 
 
 def test_simulate_seconds_flag(tmp_path):

@@ -290,13 +290,12 @@ def test_malformed_yaml_is_model_error(tmp_path):
 def test_run_quantity_checks():
     """epsilon, eta and a block count are each checked by one helper."""
     check_epsilon(0.5)
-    check_epsilon(1.0, allow_one=True)
     check_eta(0.5)
     check_blocks(1)
     for call, message in [
         (lambda: check_epsilon(1.0), "epsilon must be in (0, 1), got 1.0"),
         (lambda: check_epsilon(None), "epsilon must be in (0, 1), got None"),
-        (lambda: check_epsilon(0.0, allow_one=True), "epsilon must be in (0, 1], got 0.0"),
+        (lambda: check_epsilon(0.0), "epsilon must be in (0, 1), got 0.0"),
         (lambda: check_eta(float("nan")), "eta must be in (0, 1), got nan"),
         (lambda: check_blocks(0), "block count must be >= 1, got 0"),
     ]:

@@ -217,6 +217,32 @@ def test_k_c_rejects_overload(six_cdf_model):
         k_c(six_cdf_model, 4.0, 0.01)
 
 
+def test_k_c_is_the_simulated_batch_size_on_one_group_models():
+    """On a one-group model every decoded we and wd batch has exactly k_c
+    blocks, at c = h_max, just above it and below it: on the coarse grid,
+    which rounds h_max up, c >= h_max does not make a batch one block."""
+    rng = np.random.default_rng(61)
+    models = [random_dyadic_model(rng, max_groups=1) for _ in range(4)]
+    models += [random_offlattice_model(rng).collapse_marginals() for _ in range(4)]
+    models.append(SourceModel((CdfEntry(1, 1, 0.5, 0.1234567), CdfEntry(1, 2, 0.5, 1.0000004))))
+    eps, T = 0.05, 300
+    below_h_max, above_h_max = set(), set()
+    for i, model in enumerate(models):
+        s = compute_stats(model)
+        for c in (s.h_max, s.h_max + 1e-4, (s.e_h + s.h_max) / 2):
+            if c <= s.e_h:  # a constant entropy: no channel rate above the mean
+                continue
+            kc = k_c(model, c, eps)
+            if kc > T // 2:
+                continue
+            for res in simulate(model, ("we", "wd"), epsilon=eps, T=T, seed=i, c=c,
+                                collect_batches=True):
+                assert res.batches and (res.batch_log.k == kc).all(), (i, c, res.strategy)
+            (above_h_max if c >= s.h_max else below_h_max).add(kc)
+    assert above_h_max == {1, 2, 5}  # batches of 2 and 5 blocks on the coarse grid
+    assert min(below_h_max) > 1
+
+
 def test_k_c_definition_by_enumeration(six_cdf_model):
     """k_c is the smallest K whose enumerated tail above K*c is <= eps."""
     pm = prior_pmf(six_cdf_model)
@@ -247,7 +273,8 @@ def test_chernoff_degenerate_and_eps_one(single_cdf_model, six_cdf_model):
     cher = k_c_chernoff(s, 0.5, 0.01)
     assert cher == (0.0, 1, True)
     s6 = compute_stats(six_cdf_model)
-    assert k_c_chernoff(s6, 0.5, 1.0).value == 0.0
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\), got 1.0"):
+        k_c_chernoff(s6, 0.5, 1.0)
 
 
 def test_k_c_below_chernoff_ceiling(six_cdf_model):

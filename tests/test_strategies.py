@@ -22,7 +22,6 @@ from swdelay import (
     simulate,
 )
 
-from swdelay.entropy import entropy_bits, marginal_x
 from swdelay.strategies import (OUTAGE_TOL, STRATEGIES, WAIT_TO_DECODE, WAIT_TO_ENCODE,
                                 SimulationResult, _segment)
 from swdelay import strategies as strategies_mod
@@ -74,62 +73,30 @@ def test_we_collapsed_deterministic_cycle(six_cdf_model):
 
 
 def test_blind_run_on_multigroup_pmf_model():
-    """Without marginals, a multi-group model with joint pmfs runs at the
-    entropy level: exactly as the same model without its pmfs."""
-    kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
-    blind = simulate(two_group_pmf_model(), ("we", "wd"), **kw)
-    assert blind == simulate(two_group_pmf_model(with_pmfs=False), ("we", "wd"), **kw)
-
-
-def test_blind_pair_run_equals_single_runs(monkeypatch):
-    """A blind we and wd run collapses the model once for both."""
-    collapse = SourceModel.collapse_marginals
-    calls = []
-
-    def counted(self):
-        calls.append(self)
-        return collapse(self)
-
-    kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3, use_marginals=False)
-    singles = tuple(simulate(two_group_pmf_model(), (s,), **kw)[0] for s in ("we", "wd"))
-    monkeypatch.setattr(SourceModel, "collapse_marginals", counted)
-    assert simulate(two_group_pmf_model(), ("we", "wd"), **kw) == singles
-    assert len(calls) == 1
-
-
-def test_blind_accumulate_keeps_the_model_compression_ratio():
-    """Blind accumulate cuts its batches on the collapsed model, which has no
-    pmfs, but reports the compression ratio of the model as given."""
-    model = two_group_pmf_model()
-    res, = simulate(model, ("accumulate",), epsilon=0.05, T=300, seed=3, eta=0.3,
-                    batch_size=4, use_marginals=False)
-    proxy = sum(e.prob * entropy_bits(marginal_x(e.joint_pmf)) for e in model.entries)
-    assert res.compression_ratio == res.mean_encoding_rate / proxy
-
-
-def test_blind_run_leaves_one_group_model_as_is():
-    """A one-group model has no marginal information to forget."""
-    bsc = bsc_pair_model(0.1)
+    """A blind run, a run on the collapse of a multi-group model with joint
+    pmfs, runs at the entropy level: exactly as on the collapse of the same
+    model without its pmfs."""
     kw = dict(epsilon=0.05, T=300, seed=3, eta=0.3)
-    blind = simulate(bsc, ("we", "wd"), use_marginals=False, **kw)
-    assert blind == simulate(bsc, ("we", "wd"), use_marginals=True, **kw)
-    assert all(res.compression_ratio is not None for res in blind)
+    blind = simulate(two_group_pmf_model().collapse_marginals(), ("we", "wd"), **kw)
+    assert blind == simulate(two_group_pmf_model(with_pmfs=False).collapse_marginals(),
+                             ("we", "wd"), **kw)
 
 
-@pytest.mark.parametrize("use_marginals", [True, False])
+@pytest.mark.parametrize("marginals", [True, False])
 @pytest.mark.parametrize("strategies", [
     STRATEGIES,
     ("accumulate", "wd", "blockwise", "we", "known-joint"),
     ("known-joint", "wd"),
     ("blockwise", "accumulate"),
 ])
-def test_mixed_run_equals_single_runs(strategies, use_marginals):
+def test_mixed_run_equals_single_runs(strategies, marginals):
     """One run of several strategies returns, in the order asked, each one's
-    own single-strategy result: blind we/wd on the collapsed model, the
-    baselines on the model as given."""
-    kw = dict(epsilon=0.05, T=400, seed=5, eta=0.2, batch_size=3,
-              use_marginals=use_marginals, collect_batches=True)
+    own single-strategy result, on the model as given and (blind) on its
+    collapse."""
+    kw = dict(epsilon=0.05, T=400, seed=5, eta=0.2, batch_size=3, collect_batches=True)
     for model in (demo_model(), two_group_pmf_model()):
+        if not marginals:
+            model = model.collapse_marginals()
         mixed = simulate(model, strategies, **kw)
         assert [r.strategy for r in mixed] == list(strategies)
         assert _bits(mixed) == _bits(tuple(simulate(model, (s,), **kw)[0] for s in strategies))
@@ -169,8 +136,8 @@ def test_blockwise_baseline(six_cdf_model):
 
 
 def test_accumulate_baseline_n1_is_per_block_quantile(six_cdf_model):
-    res, = simulate(six_cdf_model, ("accumulate",), epsilon=0.01, batch_size=1, T=400,
-                    seed=3, c=8.34, use_marginals=False)
+    res, = simulate(six_cdf_model.collapse_marginals(), ("accumulate",), epsilon=0.01,
+                    batch_size=1, T=400, seed=3, c=8.34)
     assert res.batches == 400
     # every block ships the one-block unconditional quantile
     assert res.mean_encoding_rate == pytest.approx(
@@ -184,18 +151,19 @@ def test_accumulate_at_kc_matches_we_worst_case(six_cdf_model):
     c = 4.17 / (1 - eta)
     kc = k_c(six_cdf_model, c, 0.01)
     we, = simulate(flat, ("we",), epsilon=0.01, T=2000, seed=5, eta=eta)
-    accum, = simulate(six_cdf_model, ("accumulate",), epsilon=0.01, batch_size=kc, T=2000,
-                      seed=5, eta=eta, use_marginals=False)
+    accum, = simulate(flat, ("accumulate",), epsilon=0.01, batch_size=kc, T=2000,
+                      seed=5, eta=eta)
     assert accum.mean_delay == pytest.approx(we.mean_delay, abs=1e-9)
     assert accum.mean_encoding_rate == pytest.approx(we.mean_encoding_rate, abs=1e-12)
 
 
 def test_accumulate_rate_approaches_mean_entropy(six_cdf_model):
     # larger batches average the source out: per-block rate drops toward E[H]
+    flat = six_cdf_model.collapse_marginals()
     rates = []
     for N in (1, 4, 16, 64):
-        res, = simulate(six_cdf_model, ("accumulate",), epsilon=0.05, batch_size=N, T=640,
-                        seed=9, c=8.34, use_marginals=False)
+        res, = simulate(flat, ("accumulate",), epsilon=0.05, batch_size=N, T=640,
+                        seed=9, c=8.34)
         rates.append(res.mean_encoding_rate / 1.0)
     assert rates == sorted(rates, reverse=True)
     assert rates[-1] < rates[0]
@@ -513,11 +481,13 @@ def _proxy(model):
     return 1.0 if model.entries[0].joint_pmf is not None else None  # uniform X
 
 
-@pytest.mark.parametrize("use_marginals", [True, False])
-def test_accumulate_matches_reference(use_marginals):
+@pytest.mark.parametrize("marginals", [True, False])
+def test_accumulate_matches_reference(marginals):
     eps = 0.05
     unstable = set()
     for i, model in enumerate(_baseline_models()):
+        if not marginals:  # blind: a run on the collapse
+            model = model.collapse_marginals()
         c = 1.02 * compute_stats(model).e_h
         for N, T, kw in ((1, 600, dict(eta=0.3)), (3, 600, dict(eta=0.1)),
                          (7, 600, dict(eta=0.2)), (5, 600, dict(c=c)),
@@ -525,8 +495,8 @@ def test_accumulate_matches_reference(use_marginals):
             trace = sample_trace(model, T, seed=i)
             res, = simulate(
                 model, ("accumulate",), epsilon=eps, batch_size=N, T=T, seed=i,
-                use_marginals=use_marginals, collect_batches=True, **kw)
-            if use_marginals:
+                collect_batches=True, **kw)
+            if marginals:
                 acc = RateAccumulator(model)
 
                 def rate_of_batch(lo, t):
@@ -693,13 +663,15 @@ def test_account_matches_per_batch_replay(monkeypatch):
               SourceModel(bsc_pair_model(0.1).entries, block_len_n=3)]
     unstable_blockwise = False
     for i, model in enumerate(models):
-        for case in (dict(eta=0.5), dict(eta=0.15), dict(eta=0.3, use_marginals=False),
-                     dict(c=0.9 * compute_stats(model).h_max)):
+        for blind, case in ((False, dict(eta=0.5)), (False, dict(eta=0.15)),
+                            (True, dict(eta=0.3)),
+                            (False, dict(c=0.9 * compute_stats(model).h_max))):
+            run_model = model.collapse_marginals() if blind else model
             kw = dict(epsilon=0.02, T=600, seed=i, batch_size=4, collect_batches=True, **case)
             with monkeypatch.context() as mp:
                 mp.setattr(strategies_mod, "_account", _account_per_batch)
-                expected = simulate(model, STRATEGIES, **kw)
-            got = simulate(model, STRATEGIES, **kw)
+                expected = simulate(run_model, STRATEGIES, **kw)
+            got = simulate(run_model, STRATEGIES, **kw)
             for res, ref in zip(got, expected):
                 assert _bits(res) == _bits(ref), (i, case, res.strategy)
                 assert _bits(block_delays(res)) == _bits(_block_delays_per_block(ref)), \
