@@ -366,17 +366,17 @@ def cmd_codec(args) -> int:
         groups = (1,) * (1 if args.k is None else args.k)
     elif args.k is not None and args.k != len(groups):
         raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
-    configs = [codec_mod.CodecConfig(n=args.n, delta=args.delta, rate_bits=rate, seed=args.seed)
-               for rate in args.rates]
-    for config in configs:  # checks the groups, alphabets and seed before any trial
-        codec_mod.Codebook(model, config, groups, args.kind)
+    config = codec_mod.CodecConfig(n=args.n, delta=args.delta, rate_bits=args.rates[0],
+                                   seed=args.seed)
+    book = codec_mod.Codebook(model, config, groups, args.kind)
+    # every rate is checked before any trial; the codebooks share one sequence
+    # table, X-typical set and trial draw
+    books = [book.at_rate(rate) for rate in args.rates]
     rows = []
-    for config in configs:
-        report = codec_mod.run_codec_trials(
-            model, groups, config, kind=args.kind,
-            trials=args.trials, seed=args.seed + 1,
-        )
-        rows.append((config.rate_bits, report.err_rate, report.eps1, report.eps2,
+    while books:
+        book = books.pop(0)  # a rate's own tables go with its codebook
+        report = codec_mod.run_codec_trials(book, trials=args.trials, seed=args.seed + 1)
+        rows.append((book.config.rate_bits, report.err_rate, report.eps1, report.eps2,
                      report.eps3))
     _write_csv(args.out, ("rate_bits", "err_rate", "eps1", "eps2", "eps3"),
                rows, not args.no_timestamp)

@@ -21,13 +21,19 @@ reproducible at these sizes, so tests work with margins.  Encoding,
 candidate lookup and scoring work on arrays of trials: the per-sequence
 functions are batches of one, and ``run_codec_trials`` runs all its trials
 as one batched pass in chunks of bounded size.
+
+The rate sets only the bins and the bin-sorted candidate index.  The table of
+every X sequence, the X-typical set, the hypotheses and the last trial draw
+do not depend on it; ``Codebook.at_rate`` gives the codebook of another rate
+sharing them, so a sweep over rates builds each once, and they are freed with
+the last codebook that holds them (nothing is cached at module level).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,9 +48,10 @@ _TYP_TOL = 1e-12  # absorbs float noise on the typicality boundary
 # their cells (candidates x K*n symbols) fit in this many, and always at least
 # one trial.  Each cell holds a few 8-byte temporaries.  Measured on a 2-core
 # Xeon (numpy 2.4.6) on the benchmark's codec workload (2^12 and 2^14
-# sequences, 500 trials per rate): peak RSS is 45.2-46.3 MiB at 2^14-2^16
-# cells, against 45.5 MiB scoring one trial at a time and 55.8 MiB scoring all
-# at once; smaller chunks cost time (1.7x at 2^12, 3.8x at 2^10).
+# sequences, 500 trials per rate, one 8 s run per size): peak RSS is
+# 45.5-46.3 MiB at 2^14-2^16 cells, against 45.6 MiB scoring one trial at a
+# time and 54.7 MiB scoring all at once; smaller chunks cost time (1.8x at
+# 2^12, 3.9x at 2^10).
 _CHUNK_CELLS = 2 ** 16
 
 
@@ -156,24 +163,25 @@ BATCH = "batch"
 SEQUENTIAL = "sequential"
 
 
-class Codebook:
-    """Seeded binning structure bound to a model and observed marginal groups.
+def _sequence_table(total: int, alphabet: int, width: int) -> np.ndarray:
+    """(total, width) table of every sequence, in index order."""
+    idx = np.arange(total, dtype=np.int64)
+    out = np.empty((total, width), dtype=np.int8)
+    for pos in range(width - 1, -1, -1):
+        out[:, pos] = idx % alphabet
+        idx //= alphabet
+    return out
 
-    Stage s bins the first ``ends[s]`` blocks into ``bins`` bins with seed
-    ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
-    stage ``ends = (K,)`` with 2**rate_bits bins; ``sequential`` (the
-    deferred-decoding message stream, a tuple) has ``ends = (1, ..., K)`` with
-    2**(rate_bits/K) bins each.  K is the number of observed groups and the
-    alphabets are the shape of their joint pmfs.
-    """
 
-    def __init__(
-        self,
-        model: SourceModel,
-        config: CodecConfig,
-        groups: tuple[int, ...],
-        kind: str = BATCH,
-    ):
+class _SequenceSpace:
+    """The part of a codebook that its rate does not change: the observed
+    groups, the alphabets and stage ends, the table of every X sequence, the
+    X-typical ones, the hypotheses and the last trial draw.  The codebooks of
+    one model, groups, kind, n and delta at several rates share one
+    (``Codebook.at_rate``), so each is built at most once and lives no longer
+    than the last of them."""
+
+    def __init__(self, model: SourceModel, groups, n: int, delta: float, kind: str):
         groups = tuple(int(g) for g in groups)
         K = len(groups)
         if not 1 <= K <= 2:
@@ -189,47 +197,156 @@ class Codebook:
         (ax, ay), = shapes
         if not 1 <= ax <= 4 or not 1 <= ay <= 4:
             raise ValueError("alphabet sizes must be between 1 and 4")
-        self.total = ax ** (config.n * K)
+        self.total = ax ** (n * K)
         if self.total > MAX_SEQUENCES:
             raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
-        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
-            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
         if kind == BATCH:
-            self.ends, self.seeds = (K,), (config.seed,)
+            self.ends = (K,)
         elif kind == SEQUENTIAL:
             self.ends = tuple(range(1, K + 1))
-            self.seeds = tuple(config.seed + k for k in self.ends)
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
-        self.model = model
-        self.config = config
-        self.groups = groups
-        self.kind = kind
+        self.model, self.groups, self.kind = model, groups, kind
+        self.n, self.delta = n, delta
         self.blocks, self.alphabet_x, self.alphabet_y = K, ax, ay
-        # capped where 2**63 bins already exceed every guarded prefix count
-        self.bins = max(1, round(2.0 ** min(config.rate_bits / len(self.ends), 63)))
-        self.injective = self.bins >= self.total  # the longest prefix has the most
+        self._last_draw = None  # (trials, seed) and what draw() returned
 
     # -- sequence indexing (lexicographic, first symbol most significant) --
 
     def seq_index(self, x: np.ndarray) -> np.ndarray:
         """Index of each (..., K, n) sequence."""
-        width = self.config.n * self.blocks
+        width = self.n * self.blocks
         x = np.asarray(x, dtype=np.int64)
         powers = self.alphabet_x ** np.arange(width - 1, -1, -1, dtype=np.int64)
         return x.reshape(*x.shape[:-2], width) @ powers
 
     @cached_property
-    def _all_sequences(self) -> np.ndarray:
+    def all_sequences(self) -> np.ndarray:
         """(total, K*n) table of every X sequence, in index order."""
-        ax = self.alphabet_x
-        width = self.config.n * self.blocks
-        idx = np.arange(self.total, dtype=np.int64)
-        out = np.empty((self.total, width), dtype=np.int8)
-        for pos in range(width - 1, -1, -1):
-            out[:, pos] = idx % ax
-            idx //= ax
+        return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
+
+    def marginal_entries(self) -> tuple[CdfEntry, ...]:
+        """Representative entry per block (marginals are group properties)."""
+        return tuple(self.model.group_entries(g)[0] for g in self.groups)
+
+    @cached_property
+    def marginals(self) -> _Hypothesis:
+        return _Hypothesis(self.marginal_entries())
+
+    def _log_x(self, x: np.ndarray) -> np.ndarray:
+        return self.marginals.log_x[np.arange(self.blocks)[:, None], x]
+
+    def typical_stages(self, x: np.ndarray) -> np.ndarray:
+        """X-typicality under the marginals of the prefix each stage bins, for
+        (..., K, n) sequences, one per stage on a last axis."""
+        ll = self._log_x(x)
+        return np.stack([_typical(ll, self.marginals.h_x, self.delta, end)
+                         for end in self.ends], axis=-1)
+
+    @cached_property
+    def typical(self) -> np.ndarray:
+        """Indices of the X-typical sequences, in index order.  X marginals
+        are shared within a group, so the set is hypothesis independent."""
+        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.n))
+        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.delta))
+
+    @cached_property
+    def hypotheses(self) -> list[tuple[_Hypothesis, float]]:
+        """Every choice of one member per block, in lexicographic member order,
+        with its posterior given the observed groups."""
+        member_lists = [self.model.group_entries(g) for g in self.groups]
+        phis = [sum(e.prob for e in members) for members in member_lists]
+        out = []
+        for combo in itertools.product(*member_lists):
+            post = 1.0
+            for e, phi in zip(combo, phis):
+                post = post * e.prob / phi
+            out.append((_Hypothesis(combo), post))
         return out
+
+    def draw(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
+        """The rate-free part of the trials of ``seed``: per trial, the
+        sequence index of x, the received (K, n) blocks y, the hypothesis
+        that drew the pair, the X-typicality of each stage's prefix, and
+        whether the pair is jointly typical under that hypothesis with every
+        stage typical.  The last draw is kept for the next rate."""
+        if self._last_draw is None or self._last_draw[0] != (trials, seed):
+            self._last_draw = (trials, seed), self._sample(trials, seed)
+        return self._last_draw[1]
+
+    def _sample(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
+        # per trial and block: the member, then its n symbol pairs, drawn from
+        # one uniform each in the order of a choice(p=...) call per block
+        K, n = self.blocks, self.n
+        member_lists = [self.model.group_entries(g) for g in self.groups]
+        u = np.random.default_rng(seed).random(trials * K * (1 + n)).reshape(trials, K, 1 + n)
+        members = np.empty((trials, K), dtype=np.int64)
+        flat = np.empty((trials, K, n), dtype=np.int64)
+        for k, mem in enumerate(member_lists):
+            probs = np.array([e.prob for e in mem])
+            members[:, k] = _inverse_cdf(probs / probs.sum(), u[:, k, 0])
+            for j, e in enumerate(mem):
+                sel = members[:, k] == j
+                pmf = e.joint_pmf.ravel() / e.joint_pmf.sum()
+                flat[sel, k] = _inverse_cdf(pmf, u[sel, k, 1:])
+        x, y = flat // self.alphabet_y, flat % self.alphabet_y
+        true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
+        stages = self.typical_stages(x)
+        typical_pair = np.empty(trials, dtype=bool)
+        for h, (hyp, _) in enumerate(self.hypotheses):
+            sel = true_hyp == h
+            typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], self.delta)
+        typical_pair &= stages.all(-1)  # the encoder sends bin 1 for an atypical prefix
+        return self.seq_index(x), y, true_hyp, stages, typical_pair
+
+
+class Codebook:
+    """Seeded binning structure bound to a model and observed marginal groups.
+
+    Stage s bins the first ``ends[s]`` blocks into ``bins`` bins with seed
+    ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
+    stage ``ends = (K,)`` with 2**rate_bits bins; ``sequential`` (the
+    deferred-decoding message stream, a tuple) has ``ends = (1, ..., K)`` with
+    2**(rate_bits/K) bins each.  K is the number of observed groups and the
+    alphabets are the shape of their joint pmfs.  Only the bins depend on the
+    rate; ``at_rate`` gives the codebook of another rate, which shares the
+    rest.
+    """
+
+    def __init__(
+        self,
+        model: SourceModel,
+        config: CodecConfig,
+        groups: tuple[int, ...],
+        kind: str = BATCH,
+    ):
+        self._bind(_SequenceSpace(model, groups, config.n, config.delta, kind), config)
+
+    def _bind(self, space: _SequenceSpace, config: CodecConfig) -> None:
+        K = space.blocks
+        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
+            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
+        self._space = space
+        self.config = config
+        self.model, self.groups, self.kind = space.model, space.groups, space.kind
+        self.blocks, self.alphabet_x, self.alphabet_y = K, space.alphabet_x, space.alphabet_y
+        self.total, self.ends = space.total, space.ends
+        self.seeds = (config.seed,) if space.kind == BATCH else tuple(
+            config.seed + k for k in space.ends)
+        # capped where 2**63 bins already exceed every guarded prefix count
+        self.bins = max(1, round(2.0 ** min(config.rate_bits / len(self.ends), 63)))
+        self.injective = self.bins >= self.total  # the longest prefix has the most
+
+    def at_rate(self, rate_bits: float) -> Codebook:
+        """This codebook at another rate; both share the sequence table, the
+        X-typical set, the hypotheses and the last trial draw."""
+        book = Codebook.__new__(Codebook)
+        book._bind(self._space, replace(self.config, rate_bits=rate_bits))
+        return book
+
+    def seq_index(self, x: np.ndarray) -> np.ndarray:
+        """Index of each (..., K, n) sequence."""
+        return self._space.seq_index(x)
 
     def _prefix_total(self, k: int) -> int:
         return self.alphabet_x ** (self.config.n * k)
@@ -257,40 +374,14 @@ class Codebook:
 
     def marginal_entries(self) -> tuple[CdfEntry, ...]:
         """Representative entry per block (marginals are group properties)."""
-        return tuple(self.model.group_entries(g)[0] for g in self.groups)
+        return self._space.marginal_entries()
 
-    @cached_property
-    def _marginals(self) -> _Hypothesis:
-        return _Hypothesis(self.marginal_entries())
-
-    def _typical_stages(self, x: np.ndarray) -> np.ndarray:
-        """X-typicality under the marginals of the prefix each stage bins, for
-        (..., K, n) sequences, one per stage on a last axis."""
-        marginals = self._marginals
-        ll = marginals.log_x[np.arange(self.blocks)[:, None], x]
-        return np.stack([_typical(ll, marginals.h_x, self.config.delta, end)
-                         for end in self.ends], axis=-1)
-
-    def _encode(self, x: np.ndarray, typical: np.ndarray) -> np.ndarray:
-        """Per-stage bins of (T, K, n) sequences whose ``_typical_stages`` are
-        ``typical``; an atypical prefix gets bin 1."""
-        return np.where(typical, self._bins_of(self.seq_index(x)), 1)
+    def _encode(self, index: np.ndarray, typical: np.ndarray) -> np.ndarray:
+        """Per-stage bins of the sequences of ``index`` whose stage prefixes'
+        typicality is ``typical``; an atypical prefix gets bin 1."""
+        return np.where(typical, self._bins_of(index), 1)
 
     # -- decoding tables, built once per codebook --
-
-    @cached_property
-    def _hypotheses(self) -> list[tuple[_Hypothesis, float]]:
-        """Every choice of one member per block, in lexicographic member order,
-        with its posterior given the observed groups."""
-        member_lists = [self.model.group_entries(g) for g in self.groups]
-        phis = [sum(e.prob for e in members) for members in member_lists]
-        out = []
-        for combo in itertools.product(*member_lists):
-            post = 1.0
-            for e, phi in zip(combo, phis):
-                post = post * e.prob / phi
-            out.append((_Hypothesis(combo), post))
-        return out
 
     def _keys(self, bins) -> np.ndarray:
         """Sort key of (..., stages) messages whose bins are all in
@@ -302,10 +393,8 @@ class Codebook:
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """The X-typical sequences stably sorted by the key of their message,
-        and the sorted keys.  X marginals are shared within a group, so the
-        set is hypothesis independent."""
-        seqs = self._all_sequences.reshape(self.total, self.blocks, self.config.n)
-        typical = np.flatnonzero(self._typical_stages(seqs)[:, -1])
+        and the sorted keys."""
+        typical = self._space.typical
         keys = self._keys(self._bins_of(typical))
         order = np.argsort(keys, kind="stable")
         return keys[order], typical[order]
@@ -326,18 +415,19 @@ class Codebook:
         """
         cfg = self.config
         width = cfg.n * self.blocks
+        hypotheses = self._space.hypotheses
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         cand = self._index[1][np.arange(len(trial)) - first[trial] + lo[trial]]
         # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
         block = np.arange(width) // cfg.n
-        cell = ((block * self.alphabet_x + self._all_sequences[cand]) * self.alphabet_y
+        cell = ((block * self.alphabet_x + self._space.all_sequences[cand]) * self.alphabet_y
                 + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, cfg.n)
         y_block = np.arange(self.blocks)[:, None]
-        typical = np.empty((len(cand), len(self._hypotheses)), dtype=bool)
+        typical = np.empty((len(cand), len(hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
-        for h, (hyp, post) in enumerate(self._hypotheses):
+        for h, (hyp, post) in enumerate(hypotheses):
             y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, cfg.delta)
             typical[:, h] = (y_typical[trial]
                              & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, cfg.delta))
@@ -360,7 +450,8 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
 def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
     """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1."""
     x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
-    return codebook._message(codebook._encode(x, codebook._typical_stages(x))[0])
+    typical = codebook._space.typical_stages(x)
+    return codebook._message(codebook._encode(codebook.seq_index(x), typical)[0])
 
 
 def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
@@ -378,7 +469,7 @@ def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
     won = _winners(cand, trial, best, 1)[0]
     if won < 0:
         return None
-    return codebook._all_sequences[won].astype(np.int64).reshape(y.shape)
+    return codebook._space.all_sequences[won].astype(np.int64).reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -406,38 +497,13 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(u, side="right")
 
 
-def run_codec_trials(
-    model: SourceModel,
-    groups,
-    config: CodecConfig,
-    *,
-    kind: str = BATCH,
-    trials: int,
-    seed: int,
-) -> CodecTrialReport:
-    """Encode/decode i.i.d. source pairs and classify every decoding error."""
-    codebook = Codebook(model, config, tuple(groups), kind)
-    K, n = codebook.blocks, config.n
-
-    # per trial and block: the member, then its n symbol pairs, drawn from
-    # one uniform each in the order of a choice(p=...) call per block
-    member_lists = [model.group_entries(g) for g in codebook.groups]
-    u = np.random.default_rng(seed).random(trials * K * (1 + n)).reshape(trials, K, 1 + n)
-    members = np.empty((trials, K), dtype=np.int64)
-    flat = np.empty((trials, K, n), dtype=np.int64)
-    for k, mem in enumerate(member_lists):
-        probs = np.array([e.prob for e in mem])
-        members[:, k] = _inverse_cdf(probs / probs.sum(), u[:, k, 0])
-        for j, e in enumerate(mem):
-            sel = members[:, k] == j
-            pmf = e.joint_pmf.ravel() / e.joint_pmf.sum()
-            flat[sel, k] = _inverse_cdf(pmf, u[sel, k, 1:])
-    x, y = flat // codebook.alphabet_y, flat % codebook.alphabet_y
-    true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
-    true_idx = codebook.seq_index(x)
-
-    stages = codebook._typical_stages(x)
-    lo, hi = codebook._lookup(codebook._encode(x, stages))
+def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTrialReport:
+    """Encode/decode i.i.d. source pairs and classify every decoding error.
+    The draw of ``(trials, seed)`` is kept by the codebook's rate-free part,
+    so codebooks of other rates from ``at_rate`` reuse it."""
+    index, y, true_hyp, stages, typical_pair = codebook._space.draw(trials, seed)
+    K, n = codebook.blocks, codebook.config.n
+    lo, hi = codebook._lookup(codebook._encode(index, stages))
     cells = np.cumsum((hi - lo) * (K * n))
     decoded = np.empty(trials, dtype=np.int64)
     collided = np.empty(trials, dtype=bool)
@@ -450,16 +516,11 @@ def run_codec_trials(
         decoded[part] = _winners(cand, trial, best, stop - start)
         # another candidate jointly typical with y under the true hypothesis
         other = (typical[np.arange(len(cand)), true_hyp[part][trial]]
-                 & (cand != true_idx[part][trial]))
+                 & (cand != index[part][trial]))
         collided[part] = np.bincount(trial[other], minlength=stop - start) > 0
         start = stop
 
-    typical_pair = np.empty(trials, dtype=bool)
-    for h, (hyp, _) in enumerate(codebook._hypotheses):
-        sel = true_hyp == h
-        typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], config.delta)
-    typical_pair &= stages.all(-1)  # the encoder sent bin 1 for an atypical prefix
-    wrong = decoded != true_idx
+    wrong = decoded != index
     collision = wrong & typical_pair
     return CodecTrialReport(
         trials,

@@ -3,6 +3,7 @@ import hashlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from swdelay import strategies as strategies_mod
 from swdelay.strategies import STRATEGIES
 
 from conftest import child_env, two_group_pmf_model
+from test_codec import uniform_marginal_pair_model
 from test_ingest import PMF_A, PMF_B, synth_trace
 
 
@@ -521,6 +523,67 @@ def test_codec_cli_csv():
     assert low >= high
 
 
+# the benchmark's two codec commands: kind, n, k, rates and the sequence count
+_BENCH_CODEC = [("batch", "12", "1", "6,9,12", 2 ** 12),
+                ("sequential", "7", "2", "8,11,14", 2 ** 14)]
+
+
+def _counting(calls, key, fn):
+    def counted(*args, **kwargs):
+        calls.append((key, args, kwargs))
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("kind, n, k, rates, total", _BENCH_CODEC)
+def test_codec_command_builds_its_rate_free_work_once(tmp_path, monkeypatch,
+                                                     kind, n, k, rates, total):
+    """A codec command builds the sequence table, runs the X-typicality of the
+    whole table and draws the trials once for all its rates, and calls
+    ``codec.run_codec_trials`` once per rate with ``trials`` by keyword, the
+    boundary the benchmark's tracer wraps."""
+    path = tmp_path / "codec.yaml"
+    save_model(uniform_marginal_pair_model(), path)
+    argv = ["codec", "--model", path.as_posix(), "--kind", kind, "--n", n, "--k", k,
+            "--rates", rates, "--delta", "0.5", "--trials", "20", "--seed", "11",
+            "--out", (tmp_path / "out.csv").as_posix(), "--no-timestamp"]
+    assert cli.main(argv) == 0
+    expected = (tmp_path / "out.csv").read_bytes()
+    codec = cli.codec_mod
+    calls = []
+    monkeypatch.setattr(codec, "_sequence_table",
+                        _counting(calls, "table", codec._sequence_table))
+    monkeypatch.setattr(codec, "_typical", _counting(calls, "typical", codec._typical))
+    monkeypatch.setattr(codec._SequenceSpace, "_sample",
+                        _counting(calls, "draw", codec._SequenceSpace._sample))
+    monkeypatch.setattr(codec, "run_codec_trials",
+                        _counting(calls, "trials", codec.run_codec_trials))
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    count = {key: sum(c[0] == key for c in calls) for key in ("table", "draw", "trials")}
+    assert count == {"table": 1, "draw": 1, "trials": 3}
+    assert sum(c[0] == "typical" and c[1][0].shape[0] == total for c in calls) == 1
+    assert all(c[2].keys() == {"trials", "seed"} and c[2]["trials"] == 20
+               for c in calls if c[0] == "trials")
+
+
+def test_codec_command_keeps_no_sequence_table(tmp_path, monkeypatch):
+    """The tables die with the command's codebooks: no cache outlives it."""
+    refs = []
+    table = cli.codec_mod._sequence_table
+
+    def kept(*args):
+        out = table(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cli.codec_mod, "_sequence_table", kept)
+    assert cli.main(["codec", "--bsc", "0.1", "--n", "8", "--delta", "0.5",
+                     "--rates", "2,8", "--trials", "50", "--out",
+                     (tmp_path / "out.csv").as_posix()]) == 0
+    assert len(refs) == 1 and refs[0]() is None
+
+
 def test_ingest_cli_roundtrip(tmp_path):
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=200, blocks=60, seed=5)
     trace_path = tmp_path / "trace.csv"
@@ -952,6 +1015,9 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
      "--out and --trace-out name one file"),
     (["ingest", "--input", "{trace}", "--n", "4", "--out", "{folder}/m.yaml",
       "--assign-out", "{folder}/./m.yaml"], "--out and --assign-out name one file"),
+    # a bad later rate stops the command before the first rate's table or trials
+    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "6,inf",
+      "--trials", "5"], "rate_bits must be nonnegative and finite, got inf"),
 ])
 def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv, message):
     """Bad outputs, missing arguments and empty list flags exit 1 before any
@@ -969,6 +1035,7 @@ def test_fails_before_computing(model_file, tmp_path, monkeypatch, capsys, argv,
     monkeypatch.setattr(cli, "compute_stats", never)
     monkeypatch.setattr(cli.bounds_mod, "bounds_report", never)
     monkeypatch.setattr(cli.codec_mod, "run_codec_trials", never)
+    monkeypatch.setattr(cli.codec_mod, "_sequence_table", never)
     monkeypatch.setattr(RateAccumulator, "push_block", never)
     existing = tmp_path / "existing.csv"
     existing.write_text("kept\n")

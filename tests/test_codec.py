@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_trials_identical_sources_never_err():
     x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
     cfg = CodecConfig(8, delta=0.5, rate_bits=0.0, seed=4)
-    report = run_codec_trials(model, (1,), cfg, trials=200, seed=9)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=9)
     assert report.errors == 0
     assert (report.eps1, report.eps2, report.eps3) == (0, 0, 0)
 
@@ -220,7 +221,7 @@ def test_trials_false_hypothesis_collisions():
     """With ambiguous members the wrong-posterior pick shows up as eps3."""
     model = _identity_pair_model(0.7)
     cfg = CodecConfig(6, delta=0.25, rate_bits=0.0, seed=4)
-    report = run_codec_trials(model, (1,), cfg, trials=400, seed=9)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=400, seed=9)
     # errors happen exactly when the low-prior member was the truth
     assert report.err_rate == pytest.approx(0.3, abs=0.08)
     assert report.eps1 == 0 and report.eps2 == 0
@@ -230,7 +231,7 @@ def test_trials_false_hypothesis_collisions():
 def test_trials_single_bin_collisions_dominate():
     model = bsc_pair_model(0.1)
     cfg = CodecConfig(8, delta=0.6, rate_bits=0.0, seed=6)
-    report = run_codec_trials(model, (1,), cfg, trials=300, seed=1)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=300, seed=1)
     assert report.err_rate > 0.5
     assert report.eps2 > report.eps1
     assert report.eps2 + report.eps3 >= report.errors - report.eps1
@@ -239,7 +240,7 @@ def test_trials_single_bin_collisions_dominate():
 def test_trials_tiny_delta_atypicality_dominates():
     model = bsc_pair_model(0.1)
     cfg = CodecConfig(8, delta=0.01, rate_bits=8.0, seed=6)
-    report = run_codec_trials(model, (1,), cfg, trials=300, seed=1)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=300, seed=1)
     assert report.eps1 == report.errors > 0
 
 
@@ -252,7 +253,7 @@ def test_error_monotone_in_rate():
         for seed in range(10):
             cfg = CodecConfig(10, delta=0.5, rate_bits=rate, seed=seed)
             errs.append(
-                run_codec_trials(model, (1,), cfg, trials=60, seed=100 + seed).err_rate
+                run_codec_trials(Codebook(model, cfg, (1,)), trials=60, seed=100 + seed).err_rate
             )
         mean_err.append(float(np.mean(errs)))
     assert all(a >= b - 1e-12 for a, b in zip(mean_err, mean_err[1:]))
@@ -273,8 +274,7 @@ def test_sequential_kind_roundtrip():
 def test_sequential_hashed_trials():
     model = bsc_pair_model(0.05)
     cfg = CodecConfig(5, delta=0.8, rate_bits=9.0, seed=8)
-    report = run_codec_trials(model, (1, 1), cfg, kind="sequential",
-                              trials=150, seed=3)
+    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), trials=150, seed=3)
     assert 0 <= report.err_rate < 1.0
     assert report.eps1 + report.eps2 + report.eps3 == report.errors
 
@@ -287,7 +287,7 @@ def test_trials_count_an_atypical_stage_prefix_as_eps1():
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
     cfg = CodecConfig(4, 0.3, 16.0, seed=1)
     assert Codebook(model, cfg, (1, 1), "sequential").injective
-    report = run_codec_trials(model, (1, 1), cfg, kind="sequential", trials=2000, seed=3)
+    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), trials=2000, seed=3)
     assert report == CodecTrialReport(2000, errors=987, failures=987, eps1=987, eps2=0, eps3=0)
 
 
@@ -382,20 +382,53 @@ def _reference_cases():
     cases.append((model, (1,), CodecConfig(3, 0.01, 2.0, seed=1), "batch"))
     # two uniform-marginal members the decoder tells apart by typicality alone:
     # some errors collide only under the false one (eps3)
-    pmfs = (np.array([[0.45, 0.05], [0.05, 0.45]]), np.full((2, 2), 0.25))
-    model = SourceModel(tuple(CdfEntry(1, j, 0.5, cond_entropy_x_given_y_bits(p), p)
-                              for j, p in enumerate(pmfs, start=1)))
-    cases.append((model, (1,), CodecConfig(6, 0.5, 4.0, seed=3), "batch"))
+    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(6, 0.5, 4.0, seed=3),
+                  "batch"))
     return cases
+
+
+def uniform_marginal_pair_model() -> SourceModel:
+    """One group of two binary members with uniform marginals, the
+    benchmark's codec model."""
+    pmfs = (np.array([[0.45, 0.05], [0.05, 0.45]]), np.full((2, 2), 0.25))
+    return SourceModel(tuple(CdfEntry(1, j, 0.5, cond_entropy_x_given_y_bits(p), p)
+                             for j, p in enumerate(pmfs, start=1)))
 
 
 def test_trials_match_one_at_a_time_reference():
     totals = np.zeros(4, dtype=int)
     for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
-        report = run_codec_trials(model, groups, cfg, kind=kind, trials=60, seed=i)
+        report = run_codec_trials(Codebook(model, cfg, groups, kind), trials=60, seed=i)
         assert report == _replay_trials(model, groups, cfg, kind, 60, i), (i, cfg, kind)
         totals += (report.failures, report.eps1, report.eps2, report.eps3)
     assert np.all(totals > 0), totals  # every error event occurs somewhere
+
+
+def test_codebooks_of_one_command_match_the_reference_at_every_rate():
+    """Codebooks from ``at_rate`` share the sequence table, the X-typical set,
+    the hypotheses and the trial draw; at every rate, in any order and
+    repeated, their trials equal the one-at-a-time replay of a codebook of
+    their own.  A draw of other trials replaces the shared one."""
+    rng = np.random.default_rng(7)
+    cases = _reference_cases() + [  # the last one is the benchmark's model, batch
+        (uniform_marginal_pair_model(), (1, 1), CodecConfig(3, 0.5, 0.0, seed=3), "sequential")]
+    for i, (model, groups, cfg, kind) in enumerate(cases):
+        first = Codebook(model, cfg, groups, kind)
+        K = len(first.ends)
+        # two hashed rates of 2 .. total - 1 bins a stage, 0, an injective rate
+        hashed = [K * float(np.log2(b)) for b in rng.integers(2, first.total, 2)]
+        rates = [hashed[0], 0.0, K * float(np.log2(first.total)), hashed[1], hashed[0]]
+        expected = {}
+        book = first
+        for rate in rates:
+            book = book.at_rate(rate)  # from a codebook that has run its trials
+            assert book.config == replace(cfg, rate_bits=rate)
+            assert book.injective == (rate == rates[2]) and (book.bins == 1) == (rate == 0)
+            if rate not in expected:
+                expected[rate] = _replay_trials(model, groups, book.config, kind, 40, i)
+            assert run_codec_trials(book, trials=40, seed=i) == expected[rate], (i, rate)
+        assert (run_codec_trials(book, trials=30, seed=i)
+                == _replay_trials(model, groups, book.config, kind, 30, i)), i
 
 
 @pytest.mark.parametrize("cells", [1, 10**12])
@@ -404,10 +437,10 @@ def test_trials_independent_of_chunking(monkeypatch, cells):
     85 trials; one cell per chunk means one trial per chunk."""
     model = bsc_pair_model(0.1)
     cfg = CodecConfig(12, delta=0.5, rate_bits=6.0, seed=2)
-    default = run_codec_trials(model, (1,), cfg, trials=200, seed=5)
+    default = run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5)
     assert default == _replay_trials(model, (1,), cfg, "batch", 200, 5)
     monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)
-    assert run_codec_trials(model, (1,), cfg, trials=200, seed=5) == default
+    assert run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5) == default
 
 
 def test_typicality_adds_block_sums_in_order():
