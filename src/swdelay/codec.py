@@ -269,7 +269,8 @@ class _SequenceSpace:
         sequence index of x, the received (K, n) blocks y, the hypothesis
         that drew the pair, the X-typicality of each stage's prefix, and
         whether the pair is jointly typical under that hypothesis with every
-        stage typical.  The last draw is kept for the next rate."""
+        stage typical.  The last draw is kept for the next rate, as long as
+        this part lives: about 20 + K*n bytes per trial."""
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
         return self._last_draw[1]
@@ -297,7 +298,8 @@ class _SequenceSpace:
             sel = true_hyp == h
             typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], self.delta)
         typical_pair &= stages.all(-1)  # the encoder sends bin 1 for an atypical prefix
-        return self.seq_index(x), y, true_hyp, stages, typical_pair
+        # y kept as int8, as the sequence table is: symbols are below 4
+        return self.seq_index(x), y.astype(np.int8), true_hyp, stages, typical_pair
 
 
 class Codebook:
@@ -310,7 +312,8 @@ class Codebook:
     2**(rate_bits/K) bins each.  K is the number of observed groups and the
     alphabets are the shape of their joint pmfs.  Only the bins depend on the
     rate; ``at_rate`` gives the codebook of another rate, which shares the
-    rest.
+    rest.  The shared part keeps the sequence table and the last trial draw
+    of ``run_codec_trials`` for as long as one of these codebooks is held.
     """
 
     def __init__(
@@ -500,7 +503,9 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTrialReport:
     """Encode/decode i.i.d. source pairs and classify every decoding error.
     The draw of ``(trials, seed)`` is kept by the codebook's rate-free part,
-    so codebooks of other rates from ``at_rate`` reuse it."""
+    so codebooks of other rates from ``at_rate`` reuse it; it stays alive
+    (about 20 + K*n bytes per trial) until the next draw or until the last
+    codebook sharing that part is dropped."""
     index, y, true_hyp, stages, typical_pair = codebook._space.draw(trials, seed)
     K, n = codebook.blocks, codebook.config.n
     lo, hi = codebook._lookup(codebook._encode(index, stages))

@@ -55,3 +55,25 @@ def test_summary_bound_and_bad_input():
         bench_pairs.summarize(base, base[:9], "lower")
     with pytest.raises(ValueError, match="better must be"):
         bench_pairs.summarize(base, base, "faster")
+
+
+def test_summary_marks_a_bound_unresolved_when_the_base_spreads_wider():
+    # both sides' medians are 5.5, so a bound of 0.2 allows an IQR up to 1.1
+    base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    narrow = [4.75, 5.0, 5.0, 5.25, 5.5, 5.5, 5.75, 6.0, 6.25, 6.5]
+    s = bench_pairs.summarize(narrow, narrow, "lower", bound=0.2)
+    assert s["base"]["q3"] - s["base"]["q1"] == 0.875
+    assert s["within_bound"] and not s["unresolved"]
+    s = bench_pairs.summarize(base, base, "lower", bound=0.2)
+    assert s["base"]["q3"] - s["base"]["q1"] == 4.5
+    assert s["within_bound"] and s["unresolved"]
+    # 4.5 is within 0.9 * 5.5 = 4.95
+    assert bench_pairs.summarize(base, base, "lower", bound=0.9)["unresolved"] is False
+
+
+def test_summary_claims_no_gain_when_the_change_fails_more():
+    base = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
+    clear = [b - 1.0 for b in base]
+    assert bench_pairs.summarize(base, clear, "lower", None, 0.01, 0.01)["gain_claimable"]
+    assert bench_pairs.summarize(base, clear, "lower", None, 0.01, 0.0)["gain_claimable"]
+    assert not bench_pairs.summarize(base, clear, "lower", None, 0.0, 0.001)["gain_claimable"]

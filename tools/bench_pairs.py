@@ -6,18 +6,21 @@
 Exports both revisions with ``git archive`` into a work directory and refuses
 to run unless ``bench/`` and ``BENCHMARK.json`` are byte-identical in both, so
 both sides are measured by the same benchmark.  For every workload of
-``BENCHMARK.json`` it then runs ``bench/run.py --trace 0`` in each export for
-``--pairs`` pairs (at least ten), pair i on seed ``first-seed + i`` for both
-sides, BASE first in even pairs and CHANGE first in odd ones.  Pick seeds
-that were not used while the change was written.
+``BENCHMARK.json`` it then runs ``bench/run.py --trace 0`` in each export,
+at the benchmark's ``run_seconds``, for ten pairs, pair i on seed
+``first-seed + i`` for both sides, BASE first in even pairs and CHANGE first
+in odd ones.  Pick seeds that were not used while the change was written.
 
 The output holds, per workload, every run's metrics, correctness and output
 digests, whether each pair's digests are equal, and per metric of the runs'
 final JSON line: both sides' median and quartiles, the pairs the change won,
 lost and tied (a tie counts for neither side), and whether a gain can be
-claimed: the change wins at least nine tenths of the pairs and the medians
-differ, in its favour, by more than the base runs' interquartile range.
-Only the standard library is used.
+claimed: the change wins at least nine tenths of the pairs, the medians
+differ, in its favour, by more than the base runs' interquartile range, and
+the change fails no larger share of its operations than the base.  A metric
+with a bound in ``BENCHMARK.json`` also says whether the change's median is
+within it, and is marked unresolved when the base runs spread wider than the
+bound, so that the pairs cannot tell.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-MIN_PAIRS = 10
+PAIRS = 10
 CLAIM_SHARE = 0.9  # share of pairs the change must win to claim a gain
 
 
@@ -47,9 +50,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(base: list[float], change: list[float], better: str,
-              bound: float | None = None) -> dict:
+              bound: float | None = None, base_failed: float = 0.0,
+              change_failed: float = 0.0) -> dict:
     """Compare one metric over pairs: ``base[i]`` and ``change[i]`` are the
-    two sides of pair i, and ``better`` is ``"lower"`` or ``"higher"``."""
+    two sides of pair i, and ``better`` is ``"lower"`` or ``"higher"``.
+    ``base_failed`` and ``change_failed`` are the shares of each side's
+    operations, over all its runs, that failed."""
     if len(base) != len(change) or not base:
         raise ValueError("base and change need the same, nonzero number of runs")
     if better not in ("lower", "higher"):
@@ -68,11 +74,13 @@ def summarize(base: list[float], change: list[float], better: str,
         "ties": len(base) - wins - losses,
         "median_change": (c2 - b2) / b2 if b2 else None,
         "gain_claimable": (wins >= CLAIM_SHARE * len(base)
-                           and sign * (c2 - b2) < -(b3 - b1)),
+                           and sign * (c2 - b2) < -(b3 - b1)
+                           and change_failed <= base_failed),
     }
     if bound is not None:
         out["bound"] = bound
         out["within_bound"] = sign * (c2 - b2) <= bound * abs(b2)
+        out["unresolved"] = b3 - b1 > bound * abs(b2)
     return out
 
 
@@ -133,17 +141,10 @@ def main(argv=None) -> int:
     p.add_argument("--first-seed", type=int, required=True,
                    help="seed of the first pair; pair i runs on first-seed + i")
     p.add_argument("--out", type=Path, required=True, help="output JSON file")
-    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    p.add_argument("--seconds", type=int, default=None,
-                   help="run length (default: run_seconds of BENCHMARK.json)")
-    p.add_argument("--workload", action="append", default=None,
-                   help="workload to run (repeatable; default: every workload)")
     p.add_argument("--workdir", type=Path, default=None,
                    help="where to make the temporary directory that holds both "
                         "exports (default: the system's); it is removed at the end")
     args = p.parse_args(argv)
-    if args.pairs < MIN_PAIRS:
-        p.error(f"--pairs must be at least {MIN_PAIRS}")
     repo = Path.cwd()
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
     try:
@@ -155,19 +156,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or spec["run_seconds"]
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
         end_to_end = {m["name"]: m for m in spec["end_to_end"]}
         out = {
-            "base": revs["base"], "change": revs["change"], "pairs": args.pairs,
+            "base": revs["base"], "change": revs["change"], "pairs": PAIRS,
             "seconds": seconds, "first_seed": args.first_seed,
             "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                         "python": platform.python_version()},
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
@@ -177,16 +177,20 @@ def main(argv=None) -> int:
                           f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
                 pair["digests_equal"] = pair["base"]["digests"] == pair["change"]["digests"]
                 runs.append(pair)
+            failed = {s: sum(r[s]["failed"] for r in runs) / sum(r[s]["attempted"] for r in runs)
+                      for s in ("base", "change")}
             metrics = {}
             for name in runs[0]["base"]["metrics"]:
                 spec_m = end_to_end.get(name, {})
                 metrics[name] = summarize(
                     [r["base"]["metrics"][name] for r in runs],
                     [r["change"]["metrics"][name] for r in runs],
-                    spec_m.get("better", "lower"), spec_m.get("bound"))
+                    spec_m.get("better", "lower"), spec_m.get("bound"),
+                    failed["base"], failed["change"])
             out["workloads"][workload] = {
                 "metrics": metrics,
                 "digests_equal": all(r["digests_equal"] for r in runs),
+                "failed_share": failed,
                 "all_correct": all(r[s]["correct"] and not r[s]["failed"]
                                    for r in runs for s in ("base", "change")),
                 "runs": runs,
