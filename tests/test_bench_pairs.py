@@ -69,6 +69,10 @@ def test_summary_marks_a_bound_unresolved_when_the_base_spreads_wider():
     assert s["within_bound"] and s["unresolved"]
     # 4.5 is within 0.9 * 5.5 = 4.95
     assert bench_pairs.summarize(base, base, "lower", bound=0.9)["unresolved"] is False
+    # a change whose every run beats every base run is resolved however wide
+    # the base spread
+    assert not bench_pairs.summarize(base, [0.5] * 10, "lower", bound=0.2)["unresolved"]
+    assert bench_pairs.summarize(base, [1.0] * 10, "lower", bound=0.2)["unresolved"]
 
 
 def test_summary_claims_no_gain_when_the_change_fails_more():

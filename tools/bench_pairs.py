@@ -20,7 +20,8 @@ differ, in its favour, by more than the base runs' interquartile range, and
 the change fails no larger share of its operations than the base.  A metric
 with a bound in ``BENCHMARK.json`` also says whether the change's median is
 within it, and is marked unresolved when the base runs spread wider than the
-bound, so that the pairs cannot tell.  Only the standard library is used.
+bound, so that the pairs cannot tell, unless every change run is better than
+every base run.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def summarize(base: list[float], change: list[float], better: str,
     if bound is not None:
         out["bound"] = bound
         out["within_bound"] = sign * (c2 - b2) <= bound * abs(b2)
-        out["unresolved"] = b3 - b1 > bound * abs(b2)
+        separated = max(sign * c for c in change) < min(sign * b for b in base)
+        out["unresolved"] = b3 - b1 > bound * abs(b2) and not separated
     return out
 
 
