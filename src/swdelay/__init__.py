@@ -7,6 +7,8 @@ delay bounds, provides a desk-scale random-binning codec, and builds models
 from paired symbol traces.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (ChernoffBatch, LowerBound, bounds_report, gamma_coefficient, k_c_chernoff,
                      lb_delay, ub_delay)
 from .channel import ChannelQueue
@@ -35,8 +37,9 @@ from .model import (
     save_model,
     validate_model,
 )
-from .rate import RateAccumulator, SumDistribution, k_c, rate_unconditional
+from .rate import RateAccumulator, k_c, rate_unconditional
 from .strategies import SimulationResult, block_delays, simulate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]  # a submodule is bound here too
 __version__ = "0.1.0"

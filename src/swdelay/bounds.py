@@ -42,21 +42,20 @@ def _gamma(e: float, var: float, spread: float, eta: float, epsilon: float) -> f
 
 
 class ChernoffBatch(NamedTuple):
-    """Closed-form batch-size surrogate: real value, integer ceiling, degeneracy."""
+    """Closed-form batch-size surrogate: real value and integer ceiling."""
 
     value: float
     k_int: int
-    degenerate: bool
 
 
 def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBatch:
     """Chernoff-bound batch size gamma/eta^2 for channel rate c = E[H] / (1 - eta)."""
     check_eta(eta)
     check_epsilon(epsilon)
-    if stats.var_h == 0:
-        return ChernoffBatch(0.0, 1, True)
+    if stats.var_h == 0:  # 0.0 also where var_h underflows to 0 and _gamma is tiny
+        return ChernoffBatch(0.0, 1)
     value = _gamma(stats.e_h, stats.var_h, stats.m_h, eta, epsilon) / (eta * eta)
-    return ChernoffBatch(value, max(1, math.ceil(value)), False)
+    return ChernoffBatch(value, max(1, math.ceil(value)))
 
 
 def gamma_coefficient(stats: EntropyStats, eta: float, epsilon: float) -> float:

@@ -244,19 +244,18 @@ def _result_row(res: SimulationResult, scale: float = 1.0) -> tuple:
     )
 
 
-def _delay_scale(model: SourceModel, seconds: bool) -> float:
-    """Blocks by default; --seconds converts via n * slot_seconds."""
-    if not seconds:
-        return 1.0
-    if model.slot_seconds is None:
+def _run_model(args) -> tuple[SourceModel, float]:
+    """The model of a run, collapsed by --no-marginals (blind), and the delay
+    scale: blocks by default; --seconds converts via n * slot_seconds."""
+    model = _load(args)
+    model = model.collapse_marginals() if args.no_marginals else model
+    if args.seconds and model.slot_seconds is None:
         raise CliError("--seconds needs a model with slot_seconds")
-    return model.block_len_n * model.slot_seconds
+    return model, model.block_len_n * model.slot_seconds if args.seconds else 1.0
 
 
 def cmd_simulate(args) -> int:
-    model = _load(args)
-    model = model.collapse_marginals() if args.no_marginals else model  # blind
-    scale = _delay_scale(model, args.seconds)
+    model, scale = _run_model(args)
     res, = simulate(model, (args.strategy,), epsilon=args.epsilon, T=args.blocks,
                     seed=args.seed, eta=args.eta, c=args.c, batch_size=args.batch_size,
                     collect_batches=args.trace_out is not None)
@@ -301,9 +300,7 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
 
 
 def cmd_sweep(args) -> int:
-    model = _load(args)
-    model = model.collapse_marginals() if args.no_marginals else model  # blind
-    scale = _delay_scale(model, args.seconds)
+    model, scale = _run_model(args)
     results = run_sweep(model, args.strategies, args.eta_grid, args.seeds,
                         workers=args.workers, epsilon=args.epsilon, T=args.blocks,
                         batch_size=args.batch_size)
@@ -390,18 +387,15 @@ def cmd_ingest(args) -> int:
         trace = read_trace(args.input, args.skip_header)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
-    try:
-        result = quantize_model(
-            blockify(trace, args.n),
-            joint_levels=args.joint_levels,
-            marginal_levels=args.marginal_levels,
-            representative="random" if args.random_representative else "midpoint",
-            seed=args.seed,
-            block_len_n=args.n,
-            slot_seconds=args.slot_seconds,
-        )
-    except Exception as exc:
-        raise CliError(str(exc)) from exc
+    result = quantize_model(
+        blockify(trace, args.n),
+        joint_levels=args.joint_levels,
+        marginal_levels=args.marginal_levels,
+        representative="random" if args.random_representative else "midpoint",
+        seed=args.seed,
+        block_len_n=args.n,
+        slot_seconds=args.slot_seconds,
+    )
     save_model(result.model, args.out)
     print(f"model written to {args.out} "
           f"(marginal repair distortion {_fmt(result.marginal_distortion)}, "
@@ -434,6 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
         if workers:
             p.add_argument("--workers", type=_positive_int, default=1,
                            help="worker processes for the runs")
+
+    def delay_flags(p):  # simulate and sweep
+        p.add_argument("--no-marginals", action="store_true",
+                       help="collapse the marginal groups (blind encoder/decoder)")
+        p.add_argument("--seconds", action="store_true",
+                       help="report delays in seconds (needs slot_seconds)")
 
     p = sub.add_parser("validate", help="check a model file against the invariants")
     common(p, out=False)
@@ -475,12 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True, help="simulated blocks T")
     p.add_argument("--batch-size", type=_positive_int, default=None,
                    help="N for the accumulate baseline")
-    p.add_argument("--no-marginals", action="store_true",
-                   help="collapse the marginal groups (blind encoder/decoder)")
     p.add_argument("--trace-out", default=None,
                    help="optional per-block delay CSV")
-    p.add_argument("--seconds", action="store_true",
-                   help="report delays in seconds (needs slot_seconds)")
+    delay_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over strategies/etas/seeds")
@@ -492,10 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--seeds", type=_list_of(_seed), required=True, help="comma list of seeds")
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.add_argument("--no-marginals", action="store_true",
-                   help="collapse the marginal groups (blind encoder/decoder)")
-    p.add_argument("--seconds", action="store_true",
-                   help="report delays in seconds (needs slot_seconds)")
+    delay_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("example-fig4",

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import entropy_bits, marginal_x, marginal_y
-from .model import CdfEntry, ModelError, SourceModel
+from .model import ModelError, SourceModel
 
 MAX_SEQUENCES = 10_000_000
 _TYP_TOL = 1e-12  # absorbs float noise on the typicality boundary
@@ -225,13 +225,10 @@ class _SequenceSpace:
         """(total, K*n) table of every X sequence, in index order."""
         return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
 
-    def marginal_entries(self) -> tuple[CdfEntry, ...]:
-        """Representative entry per block (marginals are group properties)."""
-        return tuple(self.model.group_entries(g)[0] for g in self.groups)
-
     @cached_property
     def marginals(self) -> _Hypothesis:
-        return _Hypothesis(self.marginal_entries())
+        """A representative entry per block (marginals are group properties)."""
+        return _Hypothesis([self.model.group_entries(g)[0] for g in self.groups])
 
     def _log_x(self, x: np.ndarray) -> np.ndarray:
         return self.marginals.log_x[np.arange(self.blocks)[:, None], x]
@@ -331,9 +328,8 @@ class Codebook:
             raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
         self._space = space
         self.config = config
-        self.model, self.groups, self.kind = space.model, space.groups, space.kind
-        self.blocks, self.alphabet_x, self.alphabet_y = K, space.alphabet_x, space.alphabet_y
-        self.total, self.ends = space.total, space.ends
+        self.kind, self.blocks, self.total, self.ends = space.kind, K, space.total, space.ends
+        self.alphabet_x, self.alphabet_y = space.alphabet_x, space.alphabet_y
         self.seeds = (config.seed,) if space.kind == BATCH else tuple(
             config.seed + k for k in space.ends)
         # capped where 2**63 bins already exceed every guarded prefix count
@@ -346,10 +342,6 @@ class Codebook:
         book = Codebook.__new__(Codebook)
         book._bind(self._space, replace(self.config, rate_bits=rate_bits))
         return book
-
-    def seq_index(self, x: np.ndarray) -> np.ndarray:
-        """Index of each (..., K, n) sequence."""
-        return self._space.seq_index(x)
 
     def _prefix_total(self, k: int) -> int:
         return self.alphabet_x ** (self.config.n * k)
@@ -373,11 +365,7 @@ class Codebook:
     def bin_of(self, x_blocks) -> int | tuple[int, ...]:
         """Raw binning map (total function; typicality is the encoder's job)."""
         x = _as_blocks(x_blocks, self.blocks, self.config.n)
-        return self._message(self._bins_of(self.seq_index(x)))
-
-    def marginal_entries(self) -> tuple[CdfEntry, ...]:
-        """Representative entry per block (marginals are group properties)."""
-        return self._space.marginal_entries()
+        return self._message(self._bins_of(self._space.seq_index(x)))
 
     def _encode(self, index: np.ndarray, typical: np.ndarray) -> np.ndarray:
         """Per-stage bins of the sequences of ``index`` whose stage prefixes'
@@ -454,7 +442,7 @@ def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
     """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1."""
     x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
     typical = codebook._space.typical_stages(x)
-    return codebook._message(codebook._encode(codebook.seq_index(x), typical)[0])
+    return codebook._message(codebook._encode(codebook._space.seq_index(x), typical)[0])
 
 
 def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
@@ -483,7 +471,6 @@ def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
 class CodecTrialReport:
     trials: int
     errors: int
-    failures: int
     eps1: int  # source pair atypical under the true cdfs, or a stage prefix atypical
     eps2: int  # bin collision with a sequence typical under the true cdfs
     eps3: int  # bin collision typical only under a false hypothesis
@@ -530,7 +517,6 @@ def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTria
     return CodecTrialReport(
         trials,
         errors=int(wrong.sum()),
-        failures=int((decoded < 0).sum()),
         eps1=int((wrong & ~typical_pair).sum()),
         eps2=int((collision & collided).sum()),
         eps3=int((collision & ~collided).sum()),

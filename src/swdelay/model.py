@@ -165,13 +165,12 @@ class EntropyStats:
 
 
 class BlockTrace:
-    """I.i.d. per-block joint-cdf draws: group, member and H(X|Y) arrays."""
+    """I.i.d. per-block joint-cdf draws: marginal group and H(X|Y) arrays."""
 
-    __slots__ = ("groups", "members", "h")
+    __slots__ = ("groups", "h")
 
-    def __init__(self, groups: np.ndarray, members: np.ndarray, h: np.ndarray):
+    def __init__(self, groups: np.ndarray, h: np.ndarray):
         self.groups = groups
-        self.members = members
         self.h = h
 
     def __len__(self) -> int:
@@ -291,9 +290,8 @@ def sample_trace(model: SourceModel, T: int, seed: int) -> BlockTrace:
     probs = probs / probs.sum()
     idx = rng.choice(len(model.entries), size=T, p=probs)
     groups = np.array([e.group for e in model.entries], dtype=np.int64)[idx]
-    members = np.array([e.member for e in model.entries], dtype=np.int64)[idx]
     h = np.array([e.cond_entropy for e in model.entries], dtype=float)[idx]
-    return BlockTrace(groups, members, h)
+    return BlockTrace(groups, h)
 
 
 def demo_model() -> SourceModel:

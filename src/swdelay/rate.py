@@ -26,7 +26,6 @@ shifted adds over its atoms instead of through its zero cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,14 +48,6 @@ _IDX_EPS = 1e-6
 # kernels of ingested models have 60-240 cells per atom; the demo model's
 # kernels have no empty cell and always take the dense path.
 _CELLS_PER_ATOM = 16
-
-
-@dataclass(frozen=True)
-class SumDistribution:
-    """Explicit distribution of the accumulated entropy sum (bits)."""
-
-    support: np.ndarray
-    probs: np.ndarray
 
 
 def _lattice_step(values: np.ndarray) -> float | None:
@@ -217,13 +208,10 @@ class RateAccumulator:
             i += int(np.flatnonzero(dense[i:])[0])
         return float((self._off + i) * self._step)
 
-    def distribution(self) -> SumDistribution:
+    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support (bits) and probabilities of the accumulated sum."""
         nz = np.flatnonzero(self._dense)
-        support = (self._off + nz) * self._step
-        return SumDistribution(
-            support=support.astype(float),
-            probs=self._dense[nz].copy(),
-        )
+        return (self._off + nz) * self._step, self._dense[nz].copy()
 
 
 def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
@@ -262,8 +250,8 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
         acc.push_block(1)
         if not acc.tail_exceeds(K * c, epsilon):
             return K
-    d = acc.distribution()
+    support, probs = acc.distribution()
     raise ModelError(
         f"batch-size search passed its cutoff of {cutoff} blocks: the rate grid "
         f"rounds each entropy up to a multiple of {acc._step} bit, to a mean of "
-        f"{float(d.probs @ d.support) / acc.k:.6g} against the channel rate {c:.6g}")
+        f"{float(probs @ support) / acc.k:.6g} against the channel rate {c:.6g}")

@@ -120,22 +120,20 @@ def test_sample_trace_deterministic(six_cdf_model):
     a = sample_trace(six_cdf_model, 1000, seed=42)
     b = sample_trace(six_cdf_model, 1000, seed=42)
     assert np.array_equal(a.groups, b.groups)
-    assert np.array_equal(a.members, b.members)
     assert np.array_equal(a.h, b.h)
     c = sample_trace(six_cdf_model, 1000, seed=43)
-    assert not np.array_equal(a.members, c.members)
+    assert not np.array_equal(a.h, c.h)
 
 
 def test_sample_trace_degenerate(single_cdf_model):
     tr = sample_trace(single_cdf_model, 5, seed=0)
-    assert list(zip(tr.groups.tolist(), tr.members.tolist(), tr.h.tolist())) == [
-        (1, 1, 2.0)] * 5
+    assert list(zip(tr.groups.tolist(), tr.h.tolist())) == [(1, 2.0)] * 5
 
 
 def test_sample_trace_frequencies(six_cdf_model):
     T = 1_000_000
     tr = sample_trace(six_cdf_model, T, seed=1)
-    freq33 = np.mean((tr.groups == 3) & (tr.members == 3))
+    freq33 = np.mean((tr.groups == 3) & (tr.h == 6.0))  # the demo's H is g + j
     sigma = math.sqrt(0.19 * 0.81 / T)
     assert abs(freq33 - 0.19) <= 5 * sigma
     # group frequencies within 5 binomial standard deviations
@@ -151,10 +149,10 @@ def test_sample_trace_rejects_zero_blocks(six_cdf_model):
 
 def test_trace_entropy_matches_entry(six_cdf_model):
     tr = sample_trace(six_cdf_model, 200, seed=9)
-    declared = {(e.group, e.member): e.cond_entropy for e in six_cdf_model.entries}
+    declared = {(e.group, e.cond_entropy) for e in six_cdf_model.entries}
     assert len(tr) == 200
-    for g, j, h in zip(tr.groups.tolist(), tr.members.tolist(), tr.h.tolist()):
-        assert h == declared[(g, j)]
+    for g, h in zip(tr.groups.tolist(), tr.h.tolist()):
+        assert (g, h) in declared
 
 
 def test_collapse_marginals(six_cdf_model):

@@ -72,6 +72,42 @@ def test_we_collapsed_deterministic_cycle(six_cdf_model):
         assert res.mean_delay <= 1.5 * kc + 0.5 + 1e-9
 
 
+def test_one_group_runs_equal_their_closed_form():
+    """A one-group run has no Monte Carlo noise.  Every batch has K = k_c
+    blocks and `we` ships the quantile q <= K*c, so no batch waits for the
+    channel: W_C = q/c, `we` = (K + 1)/2 + q/c and `wd` = (K - 1)/2 + 2.  `wd`
+    matches exactly, `we` and W_C to rel 1e-12, on the collapsed demo (K = 4,
+    38, 167 and 1 129 at eta = 0.25 ... 0.02) and on seeded random dyadic
+    one-group models (K > 2 000 skipped).  Shipping K*c bits instead of q would
+    make `we` 1.5K + 0.5, which the worst-case envelope check lets pass.  Over
+    eta = 0.1, 0.05 and 0.02 the log-log slopes of K, `we` and `wd` lie in
+    [-2.25, -1.75], the Theta(1/eta^2) of the bounds (-2.11, -2.10, -2.06)."""
+    flat = demo_model().collapse_marginals()
+    cases = [(flat, eta) for eta in (0.25, 0.1, 0.05, 0.02)]
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        model = random_dyadic_model(rng, max_groups=1)
+        cases += [(model, eta) for eta in (0.25, 0.1) if compute_stats(model).e_h > 0]
+    seen = {}
+    for model, eta in cases:
+        c = compute_stats(model).e_h / (1 - eta)
+        K = k_c(model, c, 0.01)
+        if K > 2000:
+            continue
+        q = rate_unconditional(model, K, 0.01)
+        we, wd = simulate(model, ("we", "wd"), epsilon=0.01, T=20 * K, seed=1, eta=eta)
+        assert wd.mean_delay == (K - 1) / 2 + 2, (eta, K)
+        assert we.mean_w_c == pytest.approx(q / c, rel=1e-12, abs=0), (eta, K)
+        assert we.mean_delay == pytest.approx((K + 1) / 2 + q / c, rel=1e-12, abs=0), (eta, K)
+        if model is flat:
+            seen[eta] = (K, we.mean_delay, wd.mean_delay)
+    assert [seen[eta][0] for eta in (0.25, 0.1, 0.05, 0.02)] == [4, 38, 167, 1129]
+    etas = (0.1, 0.05, 0.02)
+    for column in zip(*(seen[eta] for eta in etas)):
+        slope = np.polyfit(np.log(etas), np.log(column), 1)[0]
+        assert -2.25 <= slope <= -1.75, (column, slope)
+
+
 def test_blind_run_on_multigroup_pmf_model():
     """A blind run, a run on the collapse of a multi-group model with joint
     pmfs, runs at the entropy level: exactly as on the collapse of the same
