@@ -283,6 +283,9 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
     epsilon, T and batch_size.  Results come in (strategy, eta, seed) order."""
     if not (strategies and eta_grid and seeds):
         raise ValueError("a sweep needs at least one strategy, eta and seed")
+    for name, values in (("strategy", strategies), ("eta", eta_grid), ("seed", seeds)):
+        if len(set(values)) < len(values):  # a repeat would count one run as two samples
+            raise ValueError(f"a sweep repeats a {name}: {', '.join(map(str, values))}")
     for eta in eta_grid:
         check_run(strategies, eta=eta, **run)
     tasks = [(eta, seed) for eta in eta_grid for seed in seeds]

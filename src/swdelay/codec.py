@@ -18,9 +18,8 @@ encoder, the decoder's candidate index and scores, and the error classifier.
 Everything here is exhaustive by design and guarded to small alphabets and
 short blocks; the asymptotic guarantees of the rate oracle are *not*
 reproducible at these sizes, so tests work with margins.  Encoding,
-candidate lookup and scoring work on arrays of trials: the per-sequence
-functions are batches of one, and ``run_codec_trials`` runs all its trials
-as one batched pass in chunks of bounded size.
+candidate lookup and scoring work on arrays of trials: ``run_codec_trials``
+runs all its trials as one batched pass in chunks of bounded size.
 
 The rate sets only the bins and the bin-sorted candidate index.  The table of
 every X sequence, the X-typical set, the hypotheses and the last trial draw
@@ -125,15 +124,9 @@ class _Hypothesis:
                 & _typical(self.log_xy[block, x, y], self.h_xy, delta))
 
 
-def is_typical(x_blocks, cdf_sequence, delta: float) -> bool:
-    """Empirical log-likelihood of x within delta of the mean block entropy."""
-    hyp = _Hypothesis(cdf_sequence)
-    x = np.asarray(x_blocks, dtype=np.int64).reshape(len(hyp.h_x), -1)
-    return bool(_typical(hyp.log_x[np.arange(len(x))[:, None], x], hyp.h_x, delta))
-
-
 def jointly_typical(x_blocks, y_blocks, cdf_sequence, delta: float) -> bool:
-    """X, Y and joint deviations all within delta under the hypothesis."""
+    """X, Y and joint deviations all within delta under the hypothesis.  No
+    caller in the package: the benchmark's tracer wraps it by name."""
     hyp = _Hypothesis(cdf_sequence)
     K = len(hyp.h_x)
     x = np.asarray(x_blocks, dtype=np.int64).reshape(K, -1)
@@ -346,26 +339,17 @@ class Codebook:
     def _prefix_total(self, k: int) -> int:
         return self.alphabet_x ** (self.config.n * k)
 
-    @cached_property
-    def _bins_table(self) -> list[np.ndarray]:
-        """Per stage, the bin of every prefix it covers."""
-        prefixes = [np.arange(self._prefix_total(end), dtype=np.int64) for end in self.ends]
-        return [idx + 1 if self.bins >= len(idx) else _hash_bins(idx, self.bins, seed)
-                for idx, seed in zip(prefixes, self.seeds)]
-
     def _bins_of(self, index: np.ndarray) -> np.ndarray:
-        """Bins of each sequence index, one per stage on a last axis."""
-        K = self.blocks
-        return np.stack([table[index // self._prefix_total(K - end)]
-                         for end, table in zip(self.ends, self._bins_table)], axis=-1)
-
-    def _message(self, bins: np.ndarray) -> int | tuple[int, ...]:
-        return int(bins[0]) if self.kind == BATCH else tuple(bins.tolist())
-
-    def bin_of(self, x_blocks) -> int | tuple[int, ...]:
-        """Raw binning map (total function; typicality is the encoder's job)."""
-        x = _as_blocks(x_blocks, self.blocks, self.config.n)
-        return self._message(self._bins_of(self._space.seq_index(x)))
+        """Bins of each sequence index, one per stage on a last axis: the
+        prefix's index plus one where the stage has at least as many bins as
+        prefixes, else its seeded hash.  Only the prefixes asked for are
+        hashed: the X-typical set once per codebook, the trials once per run."""
+        stages = []
+        for end, seed in zip(self.ends, self.seeds):
+            prefix = index // self._prefix_total(self.blocks - end)
+            stages.append(prefix + 1 if self.bins >= self._prefix_total(end)
+                          else _hash_bins(prefix, self.bins, seed))
+        return np.stack(stages, axis=-1)
 
     def _encode(self, index: np.ndarray, typical: np.ndarray) -> np.ndarray:
         """Per-stage bins of the sequences of ``index`` whose stage prefixes'
@@ -439,28 +423,12 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
 
 
 def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
-    """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1."""
+    """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1.
+    No caller in the package: the benchmark's tracer wraps it by name."""
     x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
     typical = codebook._space.typical_stages(x)
-    return codebook._message(codebook._encode(codebook._space.seq_index(x), typical)[0])
-
-
-def decode(codebook: Codebook, bins, y_blocks) -> np.ndarray | None:
-    """Posterior-argmax typicality decoding; None signals failure to decode,
-    including a message with a bin outside 1..bins."""
-    y = _as_blocks(y_blocks, codebook.blocks, codebook.config.n)
-    message = [bins] if np.ndim(bins) == 0 else list(bins)
-    if len(message) != len(codebook.ends):
-        raise ValueError(f"message must have {len(codebook.ends)} stage(s), "
-                         f"got {len(message)}")
-    if not all(1 <= b <= min(codebook.bins, codebook.total) for b in message):
-        return None   # no sequence has a bin above either bound
-    message = np.array([message])  # one trial, one bin per stage
-    cand, trial, _, best = codebook._score(*codebook._lookup(message), y[None])
-    won = _winners(cand, trial, best, 1)[0]
-    if won < 0:
-        return None
-    return codebook._space.all_sequences[won].astype(np.int64).reshape(y.shape)
+    bins = codebook._encode(codebook._space.seq_index(x), typical)[0]
+    return int(bins[0]) if codebook.kind == BATCH else tuple(bins.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1113,6 +1113,22 @@ def test_sweep_spec_rejects_empty_grids():
             run_sweep(demo_model(), **{**kw, field: ()}, epsilon=0.01, T=10)
 
 
+def test_sweep_refuses_repeated_strategies_etas_and_seeds(model_file, capsys):
+    """A repeated value would run one (strategy, eta, seed) twice and count
+    the copies as samples: example-fig4's standard error of two copies is 0."""
+    kw = dict(strategies=("we", "wd"), eta_grid=(0.5, 0.25), seeds=(1, 2))
+    for field, name, repeat in (("strategies", "strategy", ("wd", "we", "wd")),
+                                ("eta_grid", "eta", (0.25, 0.25)), ("seeds", "seed", (1, 2, 1))):
+        with pytest.raises(ValueError, match=f"a sweep repeats a {name}: "):
+            run_sweep(demo_model(), **{**kw, field: repeat}, epsilon=0.01, T=10)
+    for argv in (["example-fig4", "--seeds", "1,1", "--eta-grid", "0.25", "--blocks", "200"],
+                 ["sweep", "--model", model_file, "--strategies", "we,we", "--eta-grid",
+                  "0.25,0.25", "--seeds", "1,1", "--epsilon", "0.01", "--blocks", "200"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: a sweep repeats a ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_zero_mean_entropy_with_eta_is_rejected(tmp_path, capsys, recwarn, strategy):
     """E[H] = 0 makes the channel rate E[H]/(1 - eta) zero: every strategy

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from codec_oracle import ExactCodec, Laws, typical
 from swdelay import (
     CdfEntry,
     Codebook,
@@ -12,14 +13,10 @@ from swdelay import (
     ModelError,
     SourceModel,
     bsc_pair_model,
-    decode,
-    encode,
-    is_typical,
-    jointly_typical,
     run_codec_trials,
 )
 from swdelay import codec
-from swdelay.codec import CodecTrialReport
+from swdelay.codec import CodecTrialReport, encode, jointly_typical
 from swdelay.entropy import cond_entropy_x_given_y_bits
 
 
@@ -64,7 +61,7 @@ def test_config_guards():
     for kind in ("batch", "sequential"):
         book = Codebook(bsc_pair_model(0.1), top, (1,), kind)
         assert not book.injective
-        assert 1 <= np.min(book.bin_of([0, 1, 1, 0])) <= book.bins
+        assert 1 <= np.min(encode(book, [0, 1, 1, 0])) <= book.bins  # X uniform: typical
 
 
 def test_codebook_takes_k_and_alphabets_from_the_groups():
@@ -80,17 +77,27 @@ def test_codebook_takes_k_and_alphabets_from_the_groups():
         Codebook(mixed, CodecConfig(2, 0.5, 2.0), (1, 2))
 
 
+def _x_typical(x_blocks, entries, delta) -> bool:
+    """X-typicality of x under the cdfs, one per block; the oracle and
+    ``codec._typical`` must agree on it."""
+    law = Laws(entries)
+    ll = law.ll_x(np.asarray(x_blocks).reshape(len(entries), -1))
+    got = bool(typical(ll, law.h_x, delta))
+    assert bool(codec._typical(ll, law.h_x, delta)) == got
+    return got
+
+
 def test_uniform_source_always_typical():
     e = _uniform_pair_entry()
     for seq in ([0, 0, 0, 0], [1, 0, 1, 1]):
-        assert is_typical(seq, [e], delta=1e-9)
+        assert _x_typical(seq, [e], delta=1e-9)
 
 
 def test_deterministic_source_zero_prob_symbol():
     pmf = np.array([[0.5, 0.5], [0.0, 0.0]])  # P(x=0) = 1
     e = CdfEntry(1, 1, 1.0, 0.0, pmf / pmf.sum())
-    assert is_typical([0, 0, 0, 0], [e], delta=0.5)
-    assert not is_typical([0, 0, 0, 1], [e], delta=0.5)
+    assert _x_typical([0, 0, 0, 0], [e], delta=0.5)
+    assert not _x_typical([0, 0, 0, 1], [e], delta=0.5)
 
 
 def test_biased_source_hand_deviation():
@@ -99,8 +106,8 @@ def test_biased_source_hand_deviation():
     pmf = np.array([[0.375, 0.375], [0.125, 0.125]])
     e = CdfEntry(1, 1, 1.0, 0.8112781244591328, pmf)
     zeros = [0] * 12
-    assert not is_typical(zeros, [e], delta=0.1)
-    assert is_typical(zeros, [e], delta=0.396240625180289 + 1e-9)
+    assert not _x_typical(zeros, [e], delta=0.1)
+    assert _x_typical(zeros, [e], delta=0.396240625180289 + 1e-9)
 
 
 def test_jointly_typical_identity_pair():
@@ -129,7 +136,8 @@ def test_encode_atypical_goes_to_bin_one():
     cfg = CodecConfig(4, delta=0.5, rate_bits=4.0, seed=1)
     book = Codebook(model, cfg, (1,))
     assert encode(book, [0, 0, 0, 1]) == 1
-    assert encode(book, [0, 0, 0, 0]) == book.bin_of([0, 0, 0, 0])
+    assert book._bins_of(np.array([1]))[0, 0] == 2  # its raw bin: the rate is injective
+    assert encode(book, [0, 0, 0, 0]) == book._bins_of(np.array([0]))[0, 0]
 
 
 def test_bin_uniformity_chi_square():
@@ -137,7 +145,7 @@ def test_bin_uniformity_chi_square():
     cfg = CodecConfig(12, delta=0.5, rate_bits=5.0, seed=3)
     book = Codebook(model, cfg, (1,))
     assert not book.injective
-    bins = [book.bin_of(seq) for seq in itertools.product((0, 1), repeat=12)]
+    bins = [encode(book, seq) for seq in itertools.product((0, 1), repeat=12)]  # all typical
     counts = np.bincount(np.asarray(bins) - 1, minlength=book.bins)
     assert counts.sum() == 4096
     _, pvalue = scipy.stats.chisquare(counts)
@@ -145,67 +153,36 @@ def test_bin_uniformity_chi_square():
 
 
 def test_decode_exact_at_injective_rate_exhaustive():
-    """All 64 inputs recover exactly when binning is injective and delta wide."""
-    model = bsc_pair_model(0.1)
+    """An injective codebook at a delta wide enough that every pair is
+    jointly typical decodes every trial; 2000 trials draw all 64 x."""
     cfg = CodecConfig(6, delta=3.0, rate_bits=6.0, seed=5)
-    book = Codebook(model, cfg, (1,))
+    book = Codebook(bsc_pair_model(0.1), cfg, (1,))
     assert book.injective
-    rng = np.random.default_rng(0)
-    for idx in range(64):
-        x = np.array([(idx >> k) & 1 for k in range(6)])
-        flips = rng.random(6) < 0.1
-        y = x ^ flips
-        got = decode(book, encode(book, x), y)
-        assert got is not None and np.array_equal(got.ravel(), x)
+    assert run_codec_trials(book, trials=2000, seed=0) == CodecTrialReport(2000, 0, 0, 0, 0)
+    assert len(np.unique(book._space.draw(2000, 0)[0])) == 64
 
 
 def test_decode_posterior_argmax_and_tiebreak():
+    """The oracle by hand, for y = [0, 1] in one bin: the higher-prior member
+    wins (Y = X explains x = y, Y = NOT X explains x = 1 - y), and on an exact
+    tie the smallest sequence index.  ``_reference_cases`` holds these three
+    codebooks, so ``run_codec_trials`` decodes as the oracle does."""
     cfg = CodecConfig(2, delta=1e-6, rate_bits=0.0, seed=2)
-    y = np.array([0, 1])
-    # higher-prior member wins: Y = X explains x = y
-    book = Codebook(_identity_pair_model(0.7), cfg, (1,))
-    got = decode(book, 1, y)
-    assert np.array_equal(got.ravel(), [0, 1])
-    # swap the prior: Y = NOT X explains x = 1 - y
-    book = Codebook(_identity_pair_model(0.3), cfg, (1,))
-    got = decode(book, 1, y)
-    assert np.array_equal(got.ravel(), [1, 0])
-    # exact tie: lexicographically smallest candidate is returned
-    book = Codebook(_identity_pair_model(0.5), cfg, (1,))
-    got = decode(book, 1, y)
-    assert np.array_equal(got.ravel(), [0, 1])
+    for prior, decoded in ((0.7, [0, 1]), (0.3, [1, 0]), (0.5, [0, 1])):
+        model = _identity_pair_model(prior)
+        oracle = ExactCodec(model, (1,), Codebook(model, cfg, (1,)))
+        won = oracle.decode((1,), [[0, 1]])[0]
+        assert oracle.seqs[won].ravel().tolist() == decoded, prior
 
 
 def test_decode_failure_is_a_value():
-    # empty candidate set: wide rate, but no sequence is typical
-    pmf = np.array([[0.5, 0.5], [0.0, 0.0]])
-    model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, pmf),))
-    cfg = CodecConfig(4, delta=0.01, rate_bits=4.0, seed=1)
-    book = Codebook(model, cfg, (1,))
-    assert decode(book, 7, np.array([1, 1, 1, 1])) is None
-
-
-@pytest.mark.parametrize("kind, rate", [("batch", 3.0), ("batch", 6.0),
-                                        ("sequential", 3.0), ("sequential", 12.0)])
-def test_decode_out_of_range_message_is_none(kind, rate):
-    """A message with a bin outside 1..bins matches no candidate, at a hashed
-    and at an injective rate; delta is wide, so every sequence is typical."""
-    model = bsc_pair_model(0.1)
-    cfg = CodecConfig(3, delta=3.0, rate_bits=rate, seed=5)
-    book = Codebook(model, cfg, (1, 1), kind)
-    assert book.injective == (rate > 3.0)
-    x = np.array([[0, 1, 1], [1, 0, 0]])
-    assert decode(book, encode(book, x), x) is not None
-    b = book.bins
-    if kind == "batch":
-        bad = [0, -1, b + 1, 2 ** 70, -2 ** 70]
-    else:
-        bad = [(0, 0), (b + 1, b + 1), (1, -1), (2 ** 70, 1), (1, 2 ** 70)]
-    for message in bad:
-        assert decode(book, message, x) is None, message
-    stages = len(book.ends)
-    with pytest.raises(ValueError, match=f"message must have {stages} stage"):
-        decode(book, (1,) * (stages + 1), x)
+    """P(x=1) = 0.7, n = 3 and delta 0.01: no sequence is typical, so no
+    message has a candidate, and every trial counts as a source error."""
+    pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
+    model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
+    book = Codebook(model, CodecConfig(3, 0.01, 2.0, seed=1), (1,))
+    assert len(book._space.typical) == 0
+    assert run_codec_trials(book, trials=200, seed=4) == CodecTrialReport(200, 200, 200, 0, 0)
 
 
 def test_trials_identical_sources_never_err():
@@ -264,11 +241,9 @@ def test_sequential_kind_roundtrip():
     cfg = CodecConfig(4, delta=3.0, rate_bits=16.0, seed=8)
     book = Codebook(model, cfg, (1, 1), kind="sequential")
     assert book.injective
-    x = np.array([[0, 1, 1, 0], [1, 0, 0, 1]])
-    bins = encode(book, x)
+    bins = encode(book, [[0, 1, 1, 0], [1, 0, 0, 1]])
     assert isinstance(bins, tuple) and len(bins) == 2
-    got = decode(book, bins, x ^ 0)  # y = x
-    assert np.array_equal(got, x)
+    assert run_codec_trials(book, trials=500, seed=2) == CodecTrialReport(500, 0, 0, 0, 0)
 
 
 def test_sequential_hashed_trials():
@@ -292,7 +267,7 @@ def test_trials_count_an_atypical_stage_prefix_as_eps1():
 
 
 # ---------------------------------------------------------------------------
-# reference: the trials replayed one at a time through the public functions
+# reference: the exact decoder of codec_oracle on the codebook's own draw
 # ---------------------------------------------------------------------------
 
 def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
@@ -316,50 +291,10 @@ def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
     return SourceModel(tuple(entries))
 
 
-def _replay_trials(model, groups, cfg, kind, trials, seed) -> tuple[CodecTrialReport, int]:
-    """Each trial drawn with choice() per block, coded with the public
-    encode/decode, and a collision found by scanning the received bin.  The
-    source is atypical (eps1) when the pair is not jointly typical under the
-    true cdfs or the encoder found the prefix of some stage atypical.  Also
-    returns the number of trials whose decode() found no candidate."""
-    book = Codebook(model, cfg, groups, kind)
-    K, n = book.blocks, cfg.n
-    marginals = [model.group_entries(g)[0] for g in groups]  # a representative per block
-    in_bin = {}  # message -> X-typical sequences with that raw bin
-    for seq in itertools.product(range(book.alphabet_x), repeat=K * n):
-        s = np.array(seq).reshape(K, n)
-        if is_typical(s, marginals, cfg.delta):
-            in_bin.setdefault(book.bin_of(s), []).append(s)
-    rng = np.random.default_rng(seed)
-    member_lists = [model.group_entries(g) for g in groups]
-    errors = failures = eps1 = eps2 = eps3 = 0
-    for _ in range(trials):
-        xs, ys, truth = [], [], []
-        for mem in member_lists:
-            probs = np.array([e.prob for e in mem])
-            e = mem[rng.choice(len(mem), p=probs / probs.sum())]
-            truth.append(e)
-            pmf = e.joint_pmf
-            flat = rng.choice(pmf.size, size=n, p=pmf.ravel() / pmf.sum())
-            xs.append(flat // book.alphabet_y)
-            ys.append(flat % book.alphabet_y)
-        x, y = np.array(xs), np.array(ys)
-        bins = encode(book, x)
-        got = decode(book, bins, y)
-        if got is not None and np.array_equal(got, x):
-            continue
-        errors += 1
-        failures += got is None
-        if not (jointly_typical(x, y, truth, cfg.delta)
-                and all(is_typical(x[:end], marginals[:end], cfg.delta)
-                        for end in book.ends)):
-            eps1 += 1
-        elif any(not np.array_equal(s, x) and jointly_typical(s, y, truth, cfg.delta)
-                 for s in in_bin.get(bins, [])):
-            eps2 += 1
-        else:
-            eps3 += 1
-    return CodecTrialReport(trials, errors, eps1, eps2, eps3), failures
+def _exact_replay(model, groups, cfg, kind, trials, seed) -> tuple[CodecTrialReport, int]:
+    """The oracle's report on the draw of a codebook of its own, and how many
+    of its decodes found no candidate with a positive posterior."""
+    return ExactCodec(model, groups, Codebook(model, cfg, groups, kind)).replay(trials, seed)
 
 
 def _reference_cases():
@@ -386,6 +321,10 @@ def _reference_cases():
     # some errors collide only under the false one (eps3)
     cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(6, 0.5, 4.0, seed=3),
                   "batch"))
+    # Y = X and Y = NOT X at priors 0.7, 0.3 and 0.5, one bin: the posterior
+    # argmax, and on the exact tie the smallest index
+    cases += [(_identity_pair_model(p), (1,), CodecConfig(2, 1e-6, 0.0, seed=2), "batch")
+              for p in (0.7, 0.3, 0.5)]
     return cases
 
 
@@ -401,17 +340,41 @@ def test_trials_match_one_at_a_time_reference():
     totals = np.zeros(4, dtype=int)
     for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
         report = run_codec_trials(Codebook(model, cfg, groups, kind), trials=60, seed=i)
-        expected, failures = _replay_trials(model, groups, cfg, kind, 60, i)
+        expected, undecoded = _exact_replay(model, groups, cfg, kind, 60, i)
         assert report == expected, (i, cfg, kind)
-        totals += (failures, report.eps1, report.eps2, report.eps3)
+        totals += (undecoded, report.eps1, report.eps2, report.eps3)
     assert np.all(totals > 0), totals  # every error event occurs somewhere
+
+
+def test_draw_is_a_choice_per_block():
+    """``_space.draw`` gives each trial's x, y and true hypothesis as one
+    ``Generator.choice`` call per block would: the member, then its n pairs."""
+    for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
+        book = Codebook(model, cfg, groups, kind)
+        index, y, true_hyp = book._space.draw(40, i)[:3]
+        member_lists = [model.group_entries(g) for g in groups]
+        rng = np.random.default_rng(i)
+        for t in range(40):
+            xs, ys, members = [], [], []
+            for mem in member_lists:
+                probs = np.array([e.prob for e in mem])
+                members.append(rng.choice(len(mem), p=probs / probs.sum()))
+                pmf = mem[members[-1]].joint_pmf
+                flat = rng.choice(pmf.size, size=cfg.n, p=pmf.ravel() / pmf.sum())
+                xs.append(flat // book.alphabet_y)
+                ys.append(flat % book.alphabet_y)
+            x = np.ravel(xs)
+            assert index[t] == np.ravel_multi_index(tuple(x), (book.alphabet_x,) * x.size)
+            assert np.array_equal(y[t], ys), (i, t)
+            assert true_hyp[t] == np.ravel_multi_index(members, [len(m) for m in member_lists])
 
 
 def test_codebooks_of_one_command_match_the_reference_at_every_rate():
     """Codebooks from ``at_rate`` share the sequence table, the X-typical set,
     the hypotheses and the trial draw; at every rate, in any order and
     repeated, their trials equal the one-at-a-time replay of a codebook of
-    their own.  A draw of other trials replaces the shared one."""
+    their own, decoded by the oracle.  A draw of other trials replaces the
+    shared one."""
     rng = np.random.default_rng(7)
     cases = _reference_cases() + [  # the last one is the benchmark's model, batch
         (uniform_marginal_pair_model(), (1, 1), CodecConfig(3, 0.5, 0.0, seed=3), "sequential")]
@@ -428,10 +391,10 @@ def test_codebooks_of_one_command_match_the_reference_at_every_rate():
             assert book.config == replace(cfg, rate_bits=rate)
             assert book.injective == (rate == rates[2]) and (book.bins == 1) == (rate == 0)
             if rate not in expected:
-                expected[rate] = _replay_trials(model, groups, book.config, kind, 40, i)[0]
+                expected[rate] = _exact_replay(model, groups, book.config, kind, 40, i)[0]
             assert run_codec_trials(book, trials=40, seed=i) == expected[rate], (i, rate)
         assert (run_codec_trials(book, trials=30, seed=i)
-                == _replay_trials(model, groups, book.config, kind, 30, i)[0]), i
+                == _exact_replay(model, groups, book.config, kind, 30, i)[0]), i
 
 
 @pytest.mark.parametrize("cells", [1, 10**12])
@@ -441,7 +404,7 @@ def test_trials_independent_of_chunking(monkeypatch, cells):
     model = bsc_pair_model(0.1)
     cfg = CodecConfig(12, delta=0.5, rate_bits=6.0, seed=2)
     default = run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5)
-    assert default == _replay_trials(model, (1,), cfg, "batch", 200, 5)[0]
+    assert default == _exact_replay(model, (1,), cfg, "batch", 200, 5)[0]
     monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)
     assert run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5) == default
 
@@ -469,18 +432,67 @@ def test_typicality_adds_block_sums_in_order():
             break
     else:
         pytest.fail("no pair whose block-order and whole-width sums differ")
-    assert jointly_typical(x, y, entries, delta)
-    assert not jointly_typical(x, y, entries, np.nextafter(delta, 0))
+    law = Laws(entries)
+    for d, expected in ((delta, True), (np.nextafter(delta, 0), False)):
+        assert jointly_typical(x, y, entries, d) == expected
+        assert (typical(law.ll_x(x), law.h_x, d) & law.y_typical(y, d)
+                & typical(law.ll_xy(x, y), law.h_xy, d)) == expected  # the oracle agrees
 
 
-def test_decoder_index_and_scores_add_block_sums_in_order():
+def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     """The decoder's index and scores sum log-likelihoods as the encoder does,
     block by block: a sequence the encoder finds typical is a candidate, and an
-    injective batch codebook decodes it."""
+    injective batch codebook decodes it from y = x in a run of that one pair."""
     pmf = np.array([[0.41, 0.0], [0.0, 0.59]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
     book = Codebook(model, CodecConfig(8, 0.0800763843224229, 32.0), (1, 1))
-    x = np.array([[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]])
+    x = np.array([[[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]]])
     assert book.injective
-    assert is_typical(x, model.entries * 2, book.config.delta)
-    np.testing.assert_array_equal(decode(book, encode(book, x), x), x)
+    stages = book._space.typical_stages(x)
+    assert stages.all()
+    draw = (book._space.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages,
+            np.ones(1, dtype=bool))
+    monkeypatch.setattr(book._space, "draw", lambda trials, seed: draw)
+    assert run_codec_trials(book, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# exact error probabilities
+# ---------------------------------------------------------------------------
+
+def _small_cases():
+    """Codebooks of at most 2**8 X and Y sequences each, so that the oracle
+    sums over every pair: the binary symmetric pair at three hashed rates,
+    the benchmark's model, then random shared-marginal models."""
+    cases = [(bsc_pair_model(0.1), (1,), CodecConfig(8, 0.5, rate, seed=0), "batch")
+             for rate in (4.0, 6.0, 7.0)]
+    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(8, 0.5, 5.0, seed=3),
+                  "batch"))
+    rng = np.random.default_rng(31)
+    for i in range(8):
+        ax, ay = (int(a) for a in rng.choice([2, 3], 2))
+        K = 1 + i % 2
+        n = (8 if ax == 2 else 5) // K
+        model = _shared_marginal_model(rng, ax, ay, int(rng.integers(1, 3)),
+                                       int(rng.integers(1, 3)))
+        rate = float(rng.uniform(1, n * K * np.log2(ax)))
+        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), rate, seed=i)
+        groups = tuple(int(g) for g in rng.integers(1, model.m + 1, size=K))
+        cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
+    return cases
+
+
+def test_trials_lie_in_a_binomial_interval_of_the_exact_error():
+    """The oracle's exact error probability, the sum over every (x, y) and
+    hypothesis of p(x, y) 1[decode(sent(x), y) != x], and its eps split; each
+    count of 4000 trials lies in the central 1 - 1e-6 binomial interval."""
+    trials = 4000
+    for i, (model, groups, cfg, kind) in enumerate(_small_cases()):
+        book = Codebook(model, cfg, groups, kind)
+        exact = ExactCodec(model, groups, book).error_probability()
+        assert exact[1:].sum() == pytest.approx(exact[0], abs=1e-12)
+        report = run_codec_trials(book, trials=trials, seed=i)
+        counts = (report.errors, report.eps1, report.eps2, report.eps3)
+        for count, p in zip(counts, np.clip(exact, 0, 1)):
+            lo, hi = scipy.stats.binom.interval(1 - 1e-6, trials, p)
+            assert lo <= count <= hi, (i, counts, exact * trials)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from swdelay import rate as rate_mod
 from swdelay import (
@@ -198,6 +198,49 @@ def test_coarse_twin_is_conservative_by_at_most_a_cell_a_block(counts, epsilon):
             coarse.push_block(g)
     K, q = sum(counts), exact.rate_quantile(epsilon)
     assert q + K * 1e-7 <= coarse.rate_quantile(epsilon) <= q + K * (1e-3 + 1e-7)
+
+
+def _first_batch(acc: RateAccumulator, groups, c: float, epsilon: float) -> tuple[float, bool]:
+    """Size of a trace's first batch under the stop rule tail(K*c) <= epsilon,
+    its groups pushed one at a time (inf if it has not closed by the end of
+    ``groups``), and whether a tail tested was exactly epsilon."""
+    acc.reset()
+    tie = False
+    for K, g in enumerate(groups, start=1):
+        acc.push_block(int(g))
+        tie |= acc.tail_above(K * c) == epsilon
+        if not acc.tail_exceeds(K * c, epsilon):
+            return K, tie
+    return math.inf, tie
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       etas=st.lists(st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.4, 0.5]), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+       epsilons=st.lists(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.2]), min_size=2, max_size=2,
+                         unique=True).map(sorted))
+def test_first_batch_does_not_grow_with_c_or_epsilon(model_seed, seed, etas, epsilons):
+    """For a fixed count vector the tail above K*c falls as c rises, and
+    tail <= epsilon is weaker as epsilon rises, so the first batch of one
+    trace is no longer at a higher channel rate or a larger epsilon.  The
+    batch is cut through ``tail_exceeds`` as ``_segment`` cuts it, at most
+    200 blocks; a tail exactly at epsilon is reported as an event."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    groups = sample_trace(model, 200, seed).groups
+    acc = RateAccumulator(model)
+    e_h = compute_stats(model).e_h
+    K = {}
+    for eta in etas:
+        for eps in epsilons:
+            K[eta, eps], tie = _first_batch(acc, groups, e_h / (1 - eta), eps)
+            if tie:
+                event("a tail equal to epsilon")
+    (eta_lo, eta_hi), (eps_lo, eps_hi) = etas, epsilons  # c rises with eta
+    for eps in epsilons:
+        assert K[eta_hi, eps] <= K[eta_lo, eps], K
+    for eta in etas:
+        assert K[eta, eps_hi] <= K[eta, eps_lo], K
 
 
 def test_k_c_examples(six_cdf_model):
