@@ -57,11 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _write_csv(out_path, header, rows, timestamp: bool) -> None:
@@ -318,6 +314,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_example_fig4(args) -> int:
     """Bundled six-cdf model: bounds vs simulated delays, bracketing checked."""
+    if len(args.seeds) < 2:  # the bracket's slack is 3 standard errors over seeds
+        raise CliError(f"--seeds: the bracket test needs at least two seeds, got {len(args.seeds)}")
     model = demo_model()
     stats = compute_stats(model)
     epsilon = 0.01
@@ -339,7 +337,7 @@ def cmd_example_fig4(args) -> int:
                 if r.strategy == strategy and r.eta == row.eta
             ]
             mean = float(np.mean(sims))
-            se = float(np.std(sims, ddof=1) / math.sqrt(len(sims))) if len(sims) > 1 else 0.0
+            se = float(np.std(sims, ddof=1) / math.sqrt(len(sims)))
             lb = row.lb_we if which == "WE" else row.lb_wd
             ub = row.ub_we if which == "WE" else row.ub_wd
             ok = (lb - 3 * se) <= mean <= (ub + 3 * se)

@@ -78,10 +78,8 @@ class CodecConfig:
 # ---------------------------------------------------------------------------
 
 def _log2_pmf(pmf: np.ndarray) -> np.ndarray:
-    out = np.full(pmf.shape, -np.inf)
-    mask = pmf > 0
-    out[mask] = np.log2(pmf[mask])
-    return out
+    with np.errstate(divide="ignore"):  # log2(0) = -inf is the point
+        return np.log2(pmf)
 
 
 def _as_blocks(seq, K: int, n: int) -> np.ndarray:
@@ -116,22 +114,17 @@ class _Hypothesis:
         self.h_y = np.cumsum([entropy_bits(marginal_y(p)) for p in pmfs])
         self.h_xy = np.cumsum([entropy_bits(p) for p in pmfs])
 
-    def jointly_typical(self, x: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-        """X, Y and joint typicality of whole (..., K, n) sequence pairs."""
-        block = np.arange(len(self.h_x))[:, None]
-        return (_typical(self.log_x[block, x], self.h_x, delta)
-                & _typical(self.log_y[block, y], self.h_y, delta)
-                & _typical(self.log_xy[block, x, y], self.h_xy, delta))
-
 
 def jointly_typical(x_blocks, y_blocks, cdf_sequence, delta: float) -> bool:
     """X, Y and joint deviations all within delta under the hypothesis.  No
     caller in the package: the benchmark's tracer wraps it by name."""
     hyp = _Hypothesis(cdf_sequence)
-    K = len(hyp.h_x)
-    x = np.asarray(x_blocks, dtype=np.int64).reshape(K, -1)
-    y = np.asarray(y_blocks, dtype=np.int64).reshape(K, -1)
-    return bool(hyp.jointly_typical(x, y, delta))
+    block = np.arange(len(hyp.h_x))[:, None]
+    x = np.asarray(x_blocks, dtype=np.int64).reshape(len(block), -1)
+    y = np.asarray(y_blocks, dtype=np.int64).reshape(len(block), -1)
+    return bool(_typical(hyp.log_x[block, x], hyp.h_x, delta)
+                & _typical(hyp.log_y[block, y], hyp.h_y, delta)
+                & _typical(hyp.log_xy[block, x, y], hyp.h_xy, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +250,9 @@ class _SequenceSpace:
     def draw(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
         """The rate-free part of the trials of ``seed``: per trial, the
         sequence index of x, the received (K, n) blocks y, the hypothesis
-        that drew the pair, the X-typicality of each stage's prefix, and
-        whether the pair is jointly typical under that hypothesis with every
-        stage typical.  The last draw is kept for the next rate, as long as
-        this part lives: about 20 + K*n bytes per trial."""
+        that drew the pair and the X-typicality of each stage's prefix.  The
+        last draw is kept for the next rate, as long as this part lives:
+        about 20 + K*n bytes per trial."""
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
         return self._last_draw[1]
@@ -282,14 +274,8 @@ class _SequenceSpace:
                 flat[sel, k] = _inverse_cdf(pmf, u[sel, k, 1:])
         x, y = flat // self.alphabet_y, flat % self.alphabet_y
         true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
-        stages = self.typical_stages(x)
-        typical_pair = np.empty(trials, dtype=bool)
-        for h, (hyp, _) in enumerate(self.hypotheses):
-            sel = true_hyp == h
-            typical_pair[sel] = hyp.jointly_typical(x[sel], y[sel], self.delta)
-        typical_pair &= stages.all(-1)  # the encoder sends bin 1 for an atypical prefix
         # y kept as int8, as the sequence table is: symbols are below 4
-        return self.seq_index(x), y.astype(np.int8), true_hyp, stages, typical_pair
+        return self.seq_index(x), y.astype(np.int8), true_hyp, self.typical_stages(x)
 
 
 class Codebook:
@@ -439,7 +425,8 @@ def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
 class CodecTrialReport:
     trials: int
     errors: int
-    eps1: int  # source pair atypical under the true cdfs, or a stage prefix atypical
+    eps1: int  # X-atypical stage prefix under the groups' marginals (the encoder's and
+    # decoder's test, which every member shares), or Y-/XY-atypical pair under the true cdfs
     eps2: int  # bin collision with a sequence typical under the true cdfs
     eps3: int  # bin collision typical only under a false hypothesis
 
@@ -456,17 +443,18 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTrialReport:
-    """Encode/decode i.i.d. source pairs and classify every decoding error.
+    """Encode/decode i.i.d. source pairs and classify every decoding error;
+    the scoring pass decides every pair's typicality, the sent one's too.
     The draw of ``(trials, seed)`` is kept by the codebook's rate-free part,
     so codebooks of other rates from ``at_rate`` reuse it; it stays alive
     (about 20 + K*n bytes per trial) until the next draw or until the last
     codebook sharing that part is dropped."""
-    index, y, true_hyp, stages, typical_pair = codebook._space.draw(trials, seed)
+    index, y, true_hyp, stages = codebook._space.draw(trials, seed)
     K, n = codebook.blocks, codebook.config.n
     lo, hi = codebook._lookup(codebook._encode(index, stages))
     cells = np.cumsum((hi - lo) * (K * n))
     decoded = np.empty(trials, dtype=np.int64)
-    collided = np.empty(trials, dtype=bool)
+    collided, typical_pair = np.zeros((2, trials), dtype=bool)
     start = 0
     while start < trials:
         base = cells[start - 1] if start else 0
@@ -474,11 +462,14 @@ def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTria
         part = slice(start, stop)
         cand, trial, typical, best = codebook._score(lo[part], hi[part], y[part])
         decoded[part] = _winners(cand, trial, best, stop - start)
-        # another candidate jointly typical with y under the true hypothesis
-        other = (typical[np.arange(len(cand)), true_hyp[part][trial]]
-                 & (cand != index[part][trial]))
-        collided[part] = np.bincount(trial[other], minlength=stop - start) > 0
+        # Y and XY typicality under the true hypothesis: x's own row, or a collision
+        true = typical[np.arange(len(cand)), true_hyp[part][trial]]
+        hit = trial[true]
+        own = cand[true] == index[part][hit]
+        collided[start + hit[~own]] = True
+        typical_pair[start + hit[own]] = True
         start = stop
+    typical_pair &= stages.all(-1)  # an atypical stage prefix is eps1 whatever x's scores
 
     wrong = decoded != index
     collision = wrong & typical_pair

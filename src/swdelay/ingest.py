@@ -256,7 +256,7 @@ def quantize_model(
     *,
     representative: str = "midpoint",
     seed: int | None = None,
-    block_len_n: int | None = None,
+    block_len_n: int = 1,
     slot_seconds: float | None = None,
 ) -> IngestResult:
     """Quantize a (blocks, ax, ay) stack of block pmfs into a SourceModel.
@@ -335,9 +335,5 @@ def quantize_model(
     member = np.zeros(len(pmfs), dtype=np.int64)
     group[finite] = cell_group[cell_of] + 1
     member[finite] = cell_member[cell_of]
-    model = SourceModel(
-        entries,
-        block_len_n=block_len_n if block_len_n is not None else 1,
-        slot_seconds=slot_seconds,
-    )
+    model = SourceModel(entries, block_len_n=block_len_n, slot_seconds=slot_seconds)
     return IngestResult(model, group, member, d, distortion)

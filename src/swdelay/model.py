@@ -50,6 +50,12 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
 
 
+def check_channel_rate(c: float) -> None:
+    """Raises ValueError unless the channel rate is positive and finite."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"channel rate must be positive and finite, got c = {c}")
+
+
 def check_blocks(T: int) -> None:
     """Raises ValueError unless a block count is at least 1."""
     if T < 1:

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import k_c_chernoff
-from .model import ModelError, SourceModel, check_blocks, check_epsilon, compute_stats
+from .model import (ModelError, SourceModel, check_blocks, check_channel_rate, check_epsilon,
+                    compute_stats)
 
 H_RES_EXACT = 1e-9
 H_RES_COARSE = 1e-3
@@ -232,6 +233,7 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     holds for the model's entropies: a coarse-grid mean rounded up to c or
     above passes that cutoff and raises ModelError.
     """
+    check_channel_rate(c)
     check_epsilon(epsilon)
     stats = compute_stats(model)
     if c <= stats.e_h:

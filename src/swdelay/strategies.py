@@ -40,7 +40,7 @@ import numpy as np
 from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
 from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, check_blocks,
-                    check_epsilon, check_eta, compute_stats, sample_trace)
+                    check_channel_rate, check_epsilon, check_eta, compute_stats, sample_trace)
 from .rate import RateAccumulator
 
 # absorbs float accumulation noise when comparing realised entropy sums
@@ -106,8 +106,8 @@ def _check_channel(eta: float | None, c: float | None) -> None:
         raise ValueError("give exactly one of eta or c")
     if eta is not None:
         check_eta(eta)
-    if c is not None and not 0 < c < math.inf:
-        raise ValueError(f"channel rate must be positive and finite, got c = {c}")
+    if c is not None:
+        check_channel_rate(c)
 
 
 def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = None,

@@ -510,6 +510,20 @@ def test_example_fig4_smoke():
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_example_fig4_refuses_one_seed(monkeypatch, capsys):
+    """One seed has no standard error, so its bracket would have no slack:
+    the command exits 1 naming --seeds before it builds the model."""
+    def never(*args, **kwargs):
+        raise AssertionError("the model was built before the seeds were checked")
+
+    monkeypatch.setattr(cli, "demo_model", never)
+    argv = ["example-fig4", "--seeds", "1", "--eta-grid", "0.25", "--blocks", "2000",
+            "--no-timestamp"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --seeds: ") and err.count("\n") == 1
+
+
 def test_codec_cli_csv():
     code, out, _ = run_cli(
         "codec", "--bsc", "0.1", "--n", "8", "--delta", "0.5",

@@ -450,8 +450,7 @@ def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     assert book.injective
     stages = book._space.typical_stages(x)
     assert stages.all()
-    draw = (book._space.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages,
-            np.ones(1, dtype=bool))
+    draw = (book._space.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages)
     monkeypatch.setattr(book._space, "draw", lambda trials, seed: draw)
     assert run_codec_trials(book, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
 

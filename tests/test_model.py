@@ -19,7 +19,7 @@ from swdelay import (
 
 from swdelay import blockify, quantize_model
 from swdelay import model as model_mod
-from swdelay.model import check_blocks, check_epsilon, check_eta
+from swdelay.model import check_blocks, check_channel_rate, check_epsilon, check_eta
 
 from conftest import random_dyadic_model
 from test_ingest import PMF_A, PMF_B, synth_trace
@@ -286,15 +286,20 @@ def test_malformed_yaml_is_model_error(tmp_path):
 
 
 def test_run_quantity_checks():
-    """epsilon, eta and a block count are each checked by one helper."""
+    """epsilon, eta, a channel rate and a block count are each checked by one
+    helper."""
     check_epsilon(0.5)
     check_eta(0.5)
+    check_channel_rate(1e-300)
     check_blocks(1)
     for call, message in [
         (lambda: check_epsilon(1.0), "epsilon must be in (0, 1), got 1.0"),
         (lambda: check_epsilon(None), "epsilon must be in (0, 1), got None"),
         (lambda: check_epsilon(0.0), "epsilon must be in (0, 1), got 0.0"),
         (lambda: check_eta(float("nan")), "eta must be in (0, 1), got nan"),
+        (lambda: check_channel_rate(math.inf),
+         "channel rate must be positive and finite, got c = inf"),
+        (lambda: check_channel_rate(0.0), "channel rate must be positive and finite, got c = 0.0"),
         (lambda: check_blocks(0), "block count must be >= 1, got 0"),
     ]:
         with pytest.raises(ValueError) as info:

@@ -260,6 +260,16 @@ def test_k_c_rejects_overload(six_cdf_model):
         k_c(six_cdf_model, 4.0, 0.01)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+def test_k_c_checks_the_channel_rate(six_cdf_model, c):
+    """An infinite or NaN rate is refused by name, not by a float conversion,
+    and a rate of at most 0 by the same check rather than as an overload."""
+    with pytest.raises(ValueError) as info:
+        k_c(six_cdf_model, c, 0.01)
+    assert not isinstance(info.value, ModelError)
+    assert str(info.value) == f"channel rate must be positive and finite, got c = {c}"
+
+
 def test_k_c_is_the_simulated_batch_size_on_one_group_models():
     """On a one-group model every decoded we and wd batch has exactly k_c
     blocks, at c = h_max, just above it and below it: on the coarse grid,

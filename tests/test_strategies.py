@@ -17,9 +17,11 @@ from swdelay import (
     compute_stats,
     demo_model,
     k_c,
+    lb_delay,
     rate_unconditional,
     sample_trace,
     simulate,
+    ub_delay,
 )
 
 from swdelay.strategies import (OUTAGE_TOL, STRATEGIES, WAIT_TO_DECODE, WAIT_TO_ENCODE,
@@ -28,6 +30,7 @@ from swdelay import strategies as strategies_mod
 
 from conftest import (lindley_wc, random_dyadic_model, random_offlattice_model,
                       two_group_pmf_model)
+from oracles import exact_renewal
 
 
 def test_we_single_entry_hand_trace(single_cdf_model):
@@ -106,6 +109,95 @@ def test_one_group_runs_equal_their_closed_form():
     for column in zip(*(seen[eta] for eta in etas)):
         slope = np.polyfit(np.log(etas), np.log(column), 1)[0]
         assert -2.25 <= slope <= -1.75, (column, slope)
+
+
+# ---------------------------------------------------------------------------
+# the exact renewal-reward oracle (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+def _cheap_case(model_seed: int, eta: float, max_k: int = 8):
+    """A random dyadic model of at most 3 groups and its channel rate at eta,
+    or None when no eta defines a rate or the one-group batch size k_c is
+    above max_k: the oracle pushes every state's blocks from reset, and the
+    state count grows fast with the batch size (over 4 000 states, about 1 s,
+    for some k_c = 8 cases)."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    stats = compute_stats(model)
+    if stats.e_h == 0:
+        return None
+    c = stats.e_h / (1 - eta)
+    return (model, stats, c) if k_c(model, c, 0.01) <= max_k else None
+
+
+def _ratio_z(value: float, k: np.ndarray, reward: np.ndarray, exact: float,
+             outage: bool = False) -> float:
+    """(value - exact) in standard errors of value as a ratio estimator over
+    batches, sum reward / sum k, whose error is sqrt(sum (reward - value k)^2)
+    / sum k.  An outage seen in few batches has an error near 0, so its error
+    is at least that of batches in outage independently with the exact
+    probability."""
+    total = k.sum()
+    assert value == pytest.approx(reward.sum() / total, rel=1e-12)
+    se = np.sqrt(((reward - value * k) ** 2).sum()) / total
+    if outage:
+        se = max(se, np.sqrt(exact * (1 - exact) * (k * k).sum()) / total)
+    if not se:
+        return 0.0 if value == exact else math.inf
+    return (value - exact) / se
+
+
+def test_exact_oracle_reproduces_the_demo_value():
+    """The demo at epsilon = 0.01 and eta = 0.25: 58 count vectors, nothing
+    pruned, and the wd mean delay 3.0676 of the renewal-reward DP."""
+    model = demo_model()
+    exact = exact_renewal(model, compute_stats(model).e_h / 0.75, 0.01)
+    assert (exact.states, exact.pruned) == (58, 0.0)
+    assert exact.wd_delay == pytest.approx(3.0676, abs=5e-5)
+    assert exact.we_w_e == pytest.approx(exact.wd_delay - 1, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       eta=st.floats(0.2, 0.5))
+def test_simulated_delays_and_outage_match_the_exact_oracle(model_seed, seed, eta):
+    """simulate's wd mean delay, we W_E and both per-block outage rates lie
+    within 4 standard errors of the oracle's exact values, the errors taken
+    over the batches of batch_log (batches are the renewal cycles; blocks of
+    one batch share its fate)."""
+    case = _cheap_case(model_seed, eta)
+    if case is None:
+        return
+    model, _, c = case
+    exact = exact_renewal(model, c, 0.01)
+    assert exact.pruned < 1e-9
+    we, wd = simulate(model, ("we", "wd"), epsilon=0.01, T=20_000, seed=seed, c=c,
+                      collect_batches=True)
+    k_we, k_wd = we.batch_log.k.astype(float), wd.batch_log.k.astype(float)
+    z = [
+        _ratio_z(wd.mean_delay, k_wd, k_wd * (k_wd - 1) / 2 + 2 * k_wd, exact.wd_delay),
+        _ratio_z(we.mean_w_e, k_we, k_we * (k_we + 1) / 2, exact.we_w_e),
+        _ratio_z(we.outage_rate, k_we, k_we * we.batch_log.outage, exact.we_outage, True),
+        _ratio_z(wd.outage_rate, k_wd, k_wd * wd.batch_log.outage, exact.wd_outage, True),
+    ]
+    assert max(map(abs, z)) <= 4, (z, exact)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), eta=st.floats(0.2, 0.5))
+def test_bounds_bracket_the_exact_delay_below_h_max(model_seed, eta):
+    """Wherever c < h_max, lb_delay <= exact wd <= ub_delay (the genie lower
+    bound needs a group of several members).  Above h_max every batch is one
+    block and the bounds need not hold."""
+    case = _cheap_case(model_seed, eta)
+    if case is None:
+        return
+    model, stats, c = case
+    if c >= stats.h_max:
+        return
+    exact = exact_renewal(model, c, 0.01)
+    assert exact.wd_delay <= ub_delay(stats, eta, 0.01, "WD"), exact
+    if max(stats.group_sizes) > 1:
+        assert lb_delay(stats, eta, 0.01, "WD").value <= exact.wd_delay, exact
 
 
 def test_blind_run_on_multigroup_pmf_model():
