@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import cond_entropy_x_given_y_bits
+from .entropy import cond_entropies_bits, row_divergences_bits
 from .model import CdfEntry, SourceModel
 
 
@@ -187,23 +187,15 @@ def blockify(trace, n: int) -> np.ndarray:
 def _divergences_to_first(p: np.ndarray) -> np.ndarray:
     """D(p[t] || p[0]) in bits for every row of ``p``; 0 for row 0.
 
-    Rows with the same number k of positive cells are summed together as a
-    (rows, k) array, so each row's positive terms are added in the order a
-    1-D ``np.sum`` over them uses.  A positive cell where row 0 is zero makes
-    the divergence infinite.
+    Each row's positive terms are added in the order a 1-D ``np.sum`` over
+    them uses (``row_divergences_bits``).  A positive cell where row 0 is
+    zero makes the divergence infinite.
     """
     q = p[0]
     out = np.zeros(len(p))
-    pos = p > 0
-    out[np.any(pos & (q == 0), axis=1)] = np.inf
-    k = pos.sum(axis=1)
+    out[np.any((p > 0) & (q == 0), axis=1)] = np.inf
     rest = 1 + np.flatnonzero(np.isfinite(out[1:]))
-    for size in np.unique(k[rest]):
-        rows = rest[k[rest] == size]
-        mask = pos[rows]
-        pk = p[rows][mask].reshape(len(rows), size)
-        qk = np.broadcast_to(q, mask.shape)[mask].reshape(len(rows), size)
-        out[rows] = (pk * np.log2(pk / qk)).sum(axis=1)
+    out[rest] = row_divergences_bits(p[rest], q)
     return out
 
 
@@ -231,17 +223,19 @@ def _fit_marginals(pmfs: np.ndarray, tx: np.ndarray, ty: np.ndarray,
     q /= q.reshape(len(q), -1).sum(axis=1)[:, None, None]
     fitted = np.empty_like(q)
     active = np.arange(len(q))
+    rows = q.sum(axis=2)
     for _ in range(iters):
-        rows = q.sum(axis=2)
         q *= np.divide(tx, rows, out=np.zeros_like(tx), where=rows > 0)[:, :, None]
         cols = q.sum(axis=1)
         q *= np.divide(ty, cols, out=np.zeros_like(ty), where=cols > 0)[:, None, :]
-        done = ((np.abs(q.sum(axis=2) - tx).max(axis=1) < tol)
-                & (np.abs(q.sum(axis=1) - ty).max(axis=1) < tol))
+        rows = q.sum(axis=2)   # the row test's sums are the next sweep's
+        done = np.abs(rows - tx).max(axis=1) < tol
+        if done.any():   # the column test, only for the members that pass the row test
+            done[done] = np.abs(q[done].sum(axis=1) - ty[done]).max(axis=1) < tol
         if done.any():
             fitted[active[done]] = q[done]
             keep = ~done
-            active, q, tx, ty = active[keep], q[keep], tx[keep], ty[keep]
+            active, q, tx, ty, rows = active[keep], q[keep], tx[keep], ty[keep], rows[keep]
             if not active.size:
                 break
     else:
@@ -321,15 +315,9 @@ def quantize_model(
     fitted = _fit_marginals(raw, mx[rep[anchor]], my[rep[anchor]])
     distortion = float(np.abs(fitted - raw).sum(axis=(1, 2)).max()) / 2
     entries = tuple(
-        CdfEntry(
-            group=g + 1,
-            member=j,
-            prob=c / len(finite),
-            cond_entropy=cond_entropy_x_given_y_bits(f),
-            joint_pmf=f,
-        )
-        for g, j, c, f in zip(cell_group.tolist(), cell_member.tolist(),
-                              counts.tolist(), fitted)
+        CdfEntry(group=g + 1, member=j, prob=c / len(finite), cond_entropy=h, joint_pmf=f)
+        for g, j, c, h, f in zip(cell_group.tolist(), cell_member.tolist(), counts.tolist(),
+                                 cond_entropies_bits(fitted).tolist(), fitted)
     )
     group = np.zeros(len(pmfs), dtype=np.int64)
     member = np.zeros(len(pmfs), dtype=np.int64)

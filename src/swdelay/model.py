@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .entropy import cond_entropy_x_given_y_bits, marginal_x, marginal_y
+from .entropy import cond_entropies_bits, cond_entropy_x_given_y_bits
 
 PROB_TOL = 1e-12
 MARGINAL_TOL = 1e-12
@@ -190,9 +191,12 @@ def validate_model(model: SourceModel) -> list[str]:
     if not model.entries:
         return ["model has no cdf entries"]
 
+    tables = [(i, e.joint_pmf) for i, e in enumerate(model.entries) if e.joint_pmf is not None]
+    pmf_bad = _pmf_violations(model.entries, tables) if tables else {}
     total = 0.0
     seen: set[tuple[int, int]] = set()
-    for e in model.entries:
+    by_group: dict[int, list[CdfEntry]] = {}
+    for i, e in enumerate(model.entries):
         label = f"cdf ({e.group},{e.member})"
         if not 0 < e.prob < math.inf:
             bad.append(f"{label}: prob must be positive and finite, got {e.prob}")
@@ -202,56 +206,97 @@ def validate_model(model: SourceModel) -> list[str]:
             bad.append(f"{label}: duplicate index")
         seen.add((e.group, e.member))
         total += e.prob
-        if e.joint_pmf is not None:
-            pmf = e.joint_pmf
-            if not np.isfinite(pmf).all():
-                bad.append(f"{label}: joint_pmf has non-finite entries")
-            elif np.any(pmf < 0):
-                bad.append(f"{label}: joint_pmf has negative entries")
-            elif abs(float(pmf.sum()) - 1.0) > PROB_TOL:
-                bad.append(f"{label}: joint_pmf sums to {float(pmf.sum())!r}, not 1")
-            else:
-                h = cond_entropy_x_given_y_bits(pmf)
-                if abs(h - e.cond_entropy) > ENTROPY_TOL:
-                    bad.append(
-                        f"{label}: joint_pmf conditional entropy {h!r} does not "
-                        f"match declared cond_entropy {e.cond_entropy!r}"
-                    )
+        if i in pmf_bad:
+            bad.append(f"{label}: {pmf_bad[i]}")
+        by_group.setdefault(e.group, []).append(e)
     if abs(total - 1.0) > PROB_TOL:
         bad.append(f"prior does not sum to 1 (got {total!r})")
 
     # contiguous 1..m group indices, contiguous 1..l_i member indices
-    groups = sorted({e.group for e in model.entries})
+    groups = sorted(by_group)
     if groups != list(range(1, len(groups) + 1)):
         bad.append(f"group indices not contiguous from 1: {groups}")
     for g in groups:
-        members = sorted(e.member for e in model.entries if e.group == g)
+        members = sorted(e.member for e in by_group[g])
         if members != list(range(1, len(members) + 1)):
             bad.append(f"group {g}: member indices not contiguous from 1: {members}")
-
-    # members of a group must share both marginals (when pmfs are present)
-    for g in groups:
-        mem = [e for e in model.entries if e.group == g and e.joint_pmf is not None]
-        if len(mem) < 2:
-            continue
-        ref = mem[0]
-        for e in mem[1:]:
-            if e.joint_pmf.shape != ref.joint_pmf.shape:
-                bad.append(f"group {g}: members declare different alphabets")
-                continue
-            dx = np.max(np.abs(marginal_x(e.joint_pmf) - marginal_x(ref.joint_pmf)))
-            dy = np.max(np.abs(marginal_y(e.joint_pmf) - marginal_y(ref.joint_pmf)))
-            if dx > MARGINAL_TOL or dy > MARGINAL_TOL:
-                bad.append(
-                    f"group {g}: cdf ({e.group},{e.member}) marginals deviate from "
-                    f"member 1 by ({dx:.3g}, {dy:.3g})"
-                )
+    if tables:
+        bad += _marginal_violations([by_group[g] for g in groups])
 
     n = model.block_len_n
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         bad.append(f"block_len_n must be an integer >= 1, got {n!r}")
     if model.slot_seconds is not None and not 0 < model.slot_seconds < math.inf:
         bad.append(f"slot_seconds must be positive and finite, got {model.slot_seconds}")
+    return bad
+
+
+def _by_shape(tables) -> dict[tuple[int, ...], list[int]]:
+    """The keys of each table shape among ``(key, table)`` pairs, in order."""
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for key, table in tables:
+        shapes.setdefault(table.shape, []).append(key)
+    return shapes
+
+
+def _pmf_violations(entries, tables) -> dict[int, str]:
+    """The broken joint_pmf invariant of each entry that has one, by position:
+    non-finite, else negative, else not summing to 1, else a conditional
+    entropy other than the declared one.  ``tables`` holds the (position,
+    joint_pmf) pairs.  The tables of one shape are checked as one stack, each
+    summed in row-major order, and entropies are taken only of the tables
+    that pass the other checks."""
+    out: dict[int, str] = {}
+    for shape, pos in _by_shape(tables).items():
+        flat = np.array([entries[i].joint_pmf.ravel() for i in pos])
+        finite = np.isfinite(flat).all(axis=1)
+        negative = (flat < 0).any(axis=1)
+        for i, fin, neg in zip(pos, finite.tolist(), negative.tolist()):
+            if not fin:
+                out[i] = "joint_pmf has non-finite entries"
+            elif neg:
+                out[i] = "joint_pmf has negative entries"
+        pos = np.array(pos)
+        ok = np.flatnonzero(finite & ~negative)
+        sums = flat[ok].sum(axis=1)
+        fits = np.abs(sums - 1.0) <= PROB_TOL
+        for i, total in zip(pos[ok[~fits]].tolist(), sums[~fits].tolist()):
+            out[i] = f"joint_pmf sums to {total!r}, not 1"
+        rows = ok[fits]
+        h = cond_entropies_bits(flat[rows].reshape(len(rows), *shape))
+        for i, hi in zip(pos[rows].tolist(), h.tolist()):
+            if abs(hi - entries[i].cond_entropy) > ENTROPY_TOL:
+                out[i] = (f"joint_pmf conditional entropy {hi!r} does not "
+                          f"match declared cond_entropy {entries[i].cond_entropy!r}")
+    return out
+
+
+def _marginal_violations(groups: list[list[CdfEntry]]) -> list[str]:
+    """Every member of a group with a joint pmf must share both marginals with
+    the group's first such member.  The pairs of one shape are compared as
+    one stack."""
+    pairs: list[tuple[CdfEntry, CdfEntry]] = []
+    for mem in groups:
+        mem = [e for e in mem if e.joint_pmf is not None]
+        pairs += [(e, mem[0]) for e in mem[1:]]
+    dev: dict[int, tuple[float, float]] = {}
+    tables = ((k, e.joint_pmf) for k, (e, ref) in enumerate(pairs)
+              if e.joint_pmf.shape == ref.joint_pmf.shape)
+    for idx in _by_shape(tables).values():
+        a = np.array([pairs[k][0].joint_pmf for k in idx])
+        b = np.array([pairs[k][1].joint_pmf for k in idx])
+        dx = np.max(np.abs(a.sum(axis=2) - b.sum(axis=2)), axis=1)
+        dy = np.max(np.abs(a.sum(axis=1) - b.sum(axis=1)), axis=1)
+        dev.update(zip(idx, zip(dx.tolist(), dy.tolist())))
+    bad = []
+    for k, (e, _) in enumerate(pairs):
+        if k not in dev:
+            bad.append(f"group {e.group}: members declare different alphabets")
+            continue
+        dx, dy = dev[k]
+        if dx > MARGINAL_TOL or dy > MARGINAL_TOL:
+            bad.append(f"group {e.group}: cdf ({e.group},{e.member}) marginals deviate from "
+                       f"member 1 by ({dx:.3g}, {dy:.3g})")
     return bad
 
 
@@ -328,8 +373,7 @@ def bsc_pair_model(crossover: float) -> SourceModel:
 # model files
 # ---------------------------------------------------------------------------
 
-# libyaml when PyYAML was built with it (about 7x faster on learned models);
-# both loaders parse to the same documents
+# libyaml when PyYAML was built with it; both loaders parse to the same documents
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _TOP_KEYS = {"groups", "block_len_n", "slot_seconds"}
@@ -364,12 +408,22 @@ def _count(value, field: str, where: str) -> int:
 
 
 def load_model(path) -> SourceModel:
-    """Read a model config file (YAML tree; unknown keys are rejected)."""
+    """Read a model config file (YAML tree; unknown keys are rejected).
+
+    A file in the layout ``save_model`` writes is read by ``_read_saved``,
+    any other by PyYAML; both give the same document.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ModelError(f"malformed YAML: {exc}") from exc
+            doc = _read_saved(fh.read())
+        except UnicodeDecodeError:   # PyYAML reports it
+            doc = None
+        if doc is None:
+            fh.seek(0)   # PyYAML reads the stream, so its error marks name the file
+            try:
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
+            except yaml.YAMLError as exc:
+                raise ModelError(f"malformed YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a mapping at the top level")
     _reject_unknown(doc, _TOP_KEYS, "model file")
@@ -403,6 +457,10 @@ def load_model(path) -> SourceModel:
                     pmf = np.array(raw["table"], dtype=float).reshape(shape)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ModelError(f"{where}: bad joint_pmf: {exc}") from exc
+                # float() reads a YAML boolean as 1 or 0
+                if bool in map(type, np.array(raw["table"], dtype=object).ravel()):
+                    raise ModelError(f"{where}: joint_pmf table cells must be numbers, "
+                                     "got a boolean")
             entries.append(CdfEntry(gi, ji, _number(mem["prob"], "prob", where),
                                     _number(mem["cond_entropy"], "cond_entropy", where), pmf))
 
@@ -410,6 +468,55 @@ def load_model(path) -> SourceModel:
     slot = doc.get("slot_seconds")
     return SourceModel(tuple(entries), int(n) if n.is_integer() else n,
                        None if slot is None else _number(slot, "slot_seconds", "model file"))
+
+
+_FLOAT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+_COUNT = r"[1-9][0-9]{0,17}"   # int() refuses over 4300 digits
+# one member of save_model's layout; a table's cells are one group, "\n      - " apart
+_SAVED_MEMBER = re.compile(
+    rf"  - prob: ({_FLOAT})\n    cond_entropy: ({_FLOAT})\n"
+    rf"(?:    joint_pmf:\n      alphabet_x: ({_COUNT})\n      alphabet_y: ({_COUNT})\n"
+    rf"      table:\n      - ((?:{_FLOAT}\n      - )*{_FLOAT})\n)?")
+_SAVED_TAIL = re.compile(rf"block_len_n: ({_COUNT})\n(?:slot_seconds: ({_FLOAT})\n)?")
+
+
+def _read_saved(text: str) -> dict | None:
+    """The document ``yaml.load`` gives for ``text`` when the text is in the
+    layout ``save_model`` writes, with its keys in that order; None when the
+    text departs from it in any way.  Never raises.
+
+    Only number forms whose YAML 1.1 reading is certain are taken: floats
+    ``-?d+.d+`` with an optional ``e[-+]d+``, which PyYAML reads as
+    ``float(text)`` (-0.0 included), and integers of 1 to 18 digits with no
+    leading zero (PyYAML reads ``010`` as octal).  Every pattern
+    is anchored and each of its repeats ends at a newline it cannot match
+    inside, so the scan is linear in the text.
+    """
+    if not text.startswith("groups:\n"):
+        return None
+    pos = len("groups:\n")
+    groups = []
+    while text.startswith("- members:\n", pos):
+        pos += len("- members:\n")
+        members = []
+        while m := _SAVED_MEMBER.match(text, pos):
+            prob, h, ax, ay, table = m.groups()
+            mem = {"prob": float(prob), "cond_entropy": float(h)}
+            if table is not None:
+                mem["joint_pmf"] = {"alphabet_x": int(ax), "alphabet_y": int(ay),
+                                    "table": list(map(float, table.split("\n      - ")))}
+            members.append(mem)
+            pos = m.end()
+        if not members:
+            return None
+        groups.append({"members": members})
+    tail = _SAVED_TAIL.fullmatch(text, pos)
+    if not groups or tail is None:
+        return None
+    doc = {"groups": groups, "block_len_n": int(tail[1])}
+    if tail[2] is not None:
+        doc["slot_seconds"] = float(tail[2])
+    return doc
 
 
 def _yaml_floats(values) -> list[str]:

@@ -91,8 +91,11 @@ def _convolve_atoms(
     """np.convolve(dense, kernel) for a kernel of ``span`` cells given by its atoms."""
     n = len(dense)
     out = np.zeros(n + span - 1)
+    buf = np.empty(n)   # one product buffer; each cell still adds the atoms in order
     for j, p in atoms:
-        out[j:j + n] += p * dense
+        np.multiply(dense, p, out=buf)
+        seg = out[j:j + n]
+        np.add(seg, buf, out=seg)
     return out
 
 

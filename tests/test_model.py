@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import event, given, settings, strategies as st
 
 from swdelay import (
     CdfEntry,
@@ -18,6 +19,7 @@ from swdelay import (
 )
 
 from swdelay import blockify, quantize_model
+from swdelay.entropy import cond_entropies_bits, cond_entropy_x_given_y_bits
 from swdelay import model as model_mod
 from swdelay.model import check_blocks, check_channel_rate, check_epsilon, check_eta
 
@@ -76,6 +78,56 @@ def test_group_marginal_mismatch_reported():
     hb = 0.6896596952239758
     with pytest.raises(ModelError, match="marginals deviate"):
         SourceModel((CdfEntry(1, 1, 0.5, ha, a), CdfEntry(1, 2, 0.5, hb, b)))
+
+
+def test_pmf_violations_keep_their_order_and_text():
+    """The stacked pmf checks give each broken invariant on its own line, in
+    entry order, with the text of a table-by-table check: non-finite, else
+    negative, else the sum, else the entropy, then the group marginals."""
+    def table(*rows):
+        return np.array(rows, dtype=float)
+
+    entries = (
+        CdfEntry(1, 1, 0.2, 0.5, table([0.5, math.nan], [0.5, 0.0])),
+        CdfEntry(1, 2, 0.2, 0.5, table([0.6, -0.1], [0.25, 0.25])),
+        CdfEntry(1, 3, 0.2, 0.5, table([0.3, 0.2], [0.1, 0.1])),
+        CdfEntry(2, 1, 0.2, 2.0, table([0.4, 0.1], [0.1, 0.4])),
+        CdfEntry(2, 2, 0.1, 1.0, table([0.2, 0.1], [0.2, 0.1], [0.2, 0.2])),
+        CdfEntry(2, 3, 0.1, 0.6896596952239758, table([0.6, 0.1], [0.1, 0.2])),
+        CdfEntry(3, 1, -0.5, -1.0, table([0.5, 0.0], [0.0, 0.5])),
+        CdfEntry(3, 1, 0.5, 0.0, table([1.0, 0.0], [0.0, 0.0])),
+    )
+    with pytest.raises(ModelError) as info:
+        SourceModel(entries)
+    assert info.value.violations == [
+        "cdf (1,1): joint_pmf has non-finite entries",
+        "cdf (1,2): joint_pmf has negative entries",
+        "cdf (1,3): joint_pmf sums to 0.7, not 1",
+        "cdf (2,1): joint_pmf conditional entropy 0.7219280948873621 does not match "
+        "declared cond_entropy 2.0",
+        "cdf (2,2): joint_pmf conditional entropy 1.5509775004326938 does not match "
+        "declared cond_entropy 1.0",
+        "cdf (3,1): prob must be positive and finite, got -0.5",
+        "cdf (3,1): cond_entropy must be >= 0 and finite, got -1.0",
+        "cdf (3,1): joint_pmf conditional entropy 0.0 does not match declared cond_entropy -1.0",
+        "cdf (3,1): duplicate index",
+        "group 3: member indices not contiguous from 1: [1, 1]",
+        "group 2: members declare different alphabets",
+        "group 2: cdf (2,3) marginals deviate from member 1 by (0.2, 0.2)",
+        "group 3: cdf (3,1) marginals deviate from member 1 by (0.5, 0.5)",
+    ]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (8, 8), (16, 16), (5, 3)])
+def test_stacked_entropies_have_the_per_table_bits(shape):
+    """cond_entropies_bits of a 300-table stack, many cells empty, equals
+    cond_entropy_x_given_y_bits table by table, bit for bit."""
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    flat = rng.dirichlet(np.full(shape[0] * shape[1], 0.3), size=300)
+    flat[:, 1:][rng.random((300, flat.shape[1] - 1)) < 0.4] = 0.0
+    stack = (flat / flat.sum(axis=1, keepdims=True)).reshape(300, *shape)
+    assert cond_entropies_bits(stack).tolist() == [
+        cond_entropy_x_given_y_bits(t) for t in stack]
 
 
 def test_stats_match_hand_values(six_cdf_model):
@@ -257,25 +309,183 @@ def test_model_file_same_under_both_yaml_libraries(tmp_path, which):
     _assert_same_model(load_model(path), model)
 
 
-def test_save_model_writes_the_yaml_dump_bytes(tmp_path):
-    """Byte for byte the yaml.dump text, and an exact round trip, on the demo
-    and BSC models, random dyadic models, a learned model with slot_seconds
-    and floats whose repr has an exponent but no decimal point."""
+def _saved_models() -> list[SourceModel]:
+    """The demo and BSC models, a learned model with slot_seconds, floats whose
+    repr has an exponent but no decimal point, and 20 random dyadic models."""
     pmfs = blockify(synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=100, blocks=30, seed=4), n=100)
     learned = quantize_model(pmfs, joint_levels=2, marginal_levels=2,
                              block_len_n=100, slot_seconds=0.0025).model
     exponents = SourceModel((CdfEntry(1, 1, 1e-05, 1e16), CdfEntry(1, 2, 1 - 1e-05, 2.5e-07)),
                             block_len_n=7, slot_seconds=1e-05)
     rng = np.random.default_rng(7)
-    models = [demo_model(), bsc_pair_model(0.1), learned, exponents,
-              *(random_dyadic_model(rng) for _ in range(20))]
+    return [demo_model(), bsc_pair_model(0.1), learned, exponents,
+            *(random_dyadic_model(rng) for _ in range(20))]
+
+
+def test_save_model_writes_the_yaml_dump_bytes(tmp_path):
+    """Byte for byte the yaml.dump text, and an exact round trip, on every
+    ``_saved_models`` model."""
+    models = _saved_models()
     path = tmp_path / "model.yaml"
     for model in models:
         save_model(model, path)
         assert path.read_bytes() == _dumped(model, _C_DUMPER)
         _assert_same_model(load_model(path), model)
-    save_model(exponents, path)
+    save_model(models[3], path)
     assert "  - prob: 1.0e-05\n    cond_entropy: 1.0e+16\n" in path.read_text()
+
+
+def test_saved_files_never_touch_pyyaml(tmp_path, monkeypatch):
+    """Every file save_model writes is read without PyYAML, and gives the
+    document PyYAML gives, so an edit to save_model's layout cannot fall back
+    to the slower reader unseen."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML read a file in save_model's layout")
+
+    pyyaml_load = yaml.load
+    monkeypatch.setattr(yaml, "load", refuse)
+    path = tmp_path / "model.yaml"
+    for model in _saved_models():
+        save_model(model, path)
+        text = path.read_text()
+        assert repr(model_mod._read_saved(text)) == repr(
+            pyyaml_load(text, Loader=model_mod._YAML_LOADER))
+        _assert_same_model(load_model(path), model)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BIG_INT = 10**20   # above the reader's 18 digits: PyYAML reads such a file
+
+
+def _member(prob, h, pmf) -> dict:
+    mem = {"prob": prob, "cond_entropy": h}
+    if pmf is not None:
+        mem["joint_pmf"] = dict(zip(("alphabet_x", "alphabet_y", "table"), pmf))
+    return mem
+
+
+def _document(groups, n, slot) -> dict:
+    doc = {"groups": [{"members": members} for members in groups], "block_len_n": n}
+    if slot is not None:
+        doc["slot_seconds"] = slot
+    return doc
+
+
+# documents of the model-file schema, keys in save_model's order
+_DOCUMENTS = st.builds(
+    _document,
+    st.lists(st.lists(st.builds(_member, _FINITE, _FINITE, st.none() | st.tuples(
+        st.integers(1, _BIG_INT), st.integers(1, 4), st.lists(_FINITE, min_size=1, max_size=6))),
+        min_size=1, max_size=3), min_size=1, max_size=3),
+    st.integers(1, _BIG_INT), st.none() | _FINITE)
+
+
+def _yaml_text(doc: dict) -> str:
+    return yaml.dump(doc, Dumper=_C_DUMPER, sort_keys=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(doc=_DOCUMENTS)
+def test_reader_gives_the_yaml_document(doc):
+    """On yaml.dump's block text of any document of the schema, with any
+    finite floats (-0.0, subnormals and exponents included), the reader gives
+    PyYAML's document, same types and float bits (compared by repr); it
+    declines only integers of more than 18 digits."""
+    text = _yaml_text(doc)
+    got = model_mod._read_saved(text)
+    ints = [doc["block_len_n"], *(m["joint_pmf"]["alphabet_x"] for g in doc["groups"]
+                                  for m in g["members"] if "joint_pmf" in m)]
+    assert (got is None) == (max(ints) >= 10**18)
+    if got is not None:
+        assert repr(got) == repr(yaml.load(text, Loader=model_mod._YAML_LOADER)) == repr(doc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(doc=_DOCUMENTS, data=st.data())
+def test_reader_accepts_only_what_pyyaml_reads_alike(doc, data):
+    """One character inserted, deleted or replaced anywhere in a saved text:
+    the reader either declines (None, never an exception) or gives exactly
+    the document PyYAML reads from the edited text."""
+    text = _yaml_text(doc)
+    at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from(list(" \t\n#-+.:0123456789e'\"[]{}!&*?|>%@`,~\ufeff")))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+    got = model_mod._read_saved(text)
+    event("declined" if got is None else "read")
+    if got is not None:
+        assert repr(got) == repr(yaml.load(text, Loader=model_mod._YAML_LOADER))
+
+
+_NEAR_MISS_BASE = ("groups:\n- members:\n  - prob: 1.0e-05\n    cond_entropy: 0.46899559358928133\n"
+                   "    joint_pmf:\n      alphabet_x: 2\n      alphabet_y: 2\n      table:\n"
+                   "      - 0.45\n      - 0.05\n      - 0.05\n      - 0.45\n"
+                   "- members:\n  - prob: 0.99999\n    cond_entropy: 2.5e-07\n"
+                   "block_len_n: 10\nslot_seconds: 0.0025\n")
+_TABLE = "table:\n      - 0.45\n      - 0.05\n      - 0.05\n      - 0.45\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("block_len_n: 10\n", "block_len_n: 10  # symbols\n"),
+    lambda t: t.replace("block_len_n: 10\n", "block_len_n: 10 \n"),
+    lambda t: t.replace("cond_entropy: 2.5e-07", "cond_entropy:\t2.5e-07"),
+    lambda t: t.replace("1.0e-05", "1e-05"),
+    lambda t: t.replace("      - 0.45\n", '      - "0.45"\n', 1),
+    lambda t: t.replace("      - 0.45\n", "      - +0.45\n", 1),
+    lambda t: t.replace("block_len_n: 10", "block_len_n: 010"),
+    lambda t: t.replace("cond_entropy: 2.5e-07", "cond_entropy: .inf"),
+    lambda t: t.replace(_TABLE, "table: [0.45, 0.05, 0.05, 0.45]\n"),
+    lambda t: "---\n" + t,
+    lambda t: "\ufeff" + t,
+    lambda t: t[:-1],
+    lambda t: "block_len_n: 10\n" + t.replace("block_len_n: 10\n", ""),
+    lambda t: t.replace("  - prob: 0.99999\n    cond_entropy: 2.5e-07\n",
+                        "  - cond_entropy: 2.5e-07\n    prob: 0.99999\n"),
+], ids=["comment", "trailing-space", "tab", "exponent-no-dot", "quoted", "plus", "octal", "inf",
+        "flow-table", "doc-start", "bom", "no-final-newline", "top-keys-reordered",
+        "member-keys-reordered"])
+def test_near_misses_take_the_pyyaml_route(tmp_path, monkeypatch, edit):
+    """A text that departs from save_model's layout is declined by the reader,
+    and load_model gives PyYAML's model, or its exact message."""
+    path = tmp_path / "model.yaml"
+    path.write_text(_NEAR_MISS_BASE)
+    assert model_mod._read_saved(_NEAR_MISS_BASE) is not None
+    text = edit(_NEAR_MISS_BASE)
+    assert text != _NEAR_MISS_BASE and model_mod._read_saved(text) is None
+    path.write_text(text, encoding="utf-8")
+
+    def load():
+        try:
+            return load_model(path)
+        except ModelError as exc:
+            return str(exc)
+
+    got = load()
+    monkeypatch.setattr(model_mod, "_read_saved", lambda text: None)
+    expected = load()
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        _assert_same_model(got, expected)
+
+
+def test_reader_declines_a_long_near_miss():
+    """A 100 000-cell table whose last cell has no decimal point is declined:
+    no pattern backtracks more than a line."""
+    text = ("groups:\n- members:\n  - prob: 1.0\n    cond_entropy: 0.0\n    joint_pmf:\n"
+            "      alphabet_x: 1\n      alphabet_y: 100000\n      table:\n"
+            + "      - 1.0e-05\n" * 99_999 + "      - 1e-05\nblock_len_n: 1\n")
+    assert model_mod._read_saved(text) is None
+    assert model_mod._read_saved(text.replace("- 1e-05", "- 1.0e-05")) is not None
+
+
+def test_load_reports_a_pyyaml_error_with_the_file_name(tmp_path):
+    """The PyYAML route reads from the open file, so its marks name it."""
+    path = tmp_path / "bad.yaml"
+    path.write_text("groups:\n- members:\n  - prob: [1.0\n")
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert f'in "{path}"' in str(info.value)
 
 
 def test_malformed_yaml_is_model_error(tmp_path):
@@ -354,8 +564,11 @@ _ONE_PMF = ("groups:\n- members:\n  - {prob: 1.0, cond_entropy: 1.0, joint_pmf: 
      "model file: block_len_n must be a number, got True"),
     (_ONE_PMF % ("2.9", "2"), "cdf (1,1): alphabet_x must be an integer >= 1, got 2.9"),
     (_ONE_PMF % ("2", "-1"), "cdf (1,1): alphabet_y must be an integer >= 1, got -1"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "true, false, false, false") % ("2", "2"),
+     "cdf (1,1): joint_pmf table cells must be numbers, got a boolean"),
 ], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text",
-        "prob-bool", "entropy-bool", "n-bool", "alphabet-fraction", "alphabet-negative"])
+        "prob-bool", "entropy-bool", "n-bool", "alphabet-fraction", "alphabet-negative",
+        "table-bool"])
 def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message):
     """A non-numeric (boolean included) or non-integral field is a ModelError
     naming the field, never a traceback or a silent truncation, and `stats`

@@ -243,6 +243,33 @@ def test_first_batch_does_not_grow_with_c_or_epsilon(model_seed, seed, etas, eps
         assert K[eta, eps_hi] <= K[eta, eps_lo], K
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000),
+       eta=st.sampled_from([0.2, 0.3, 0.4, 0.5]), epsilon=st.sampled_from([0.01, 0.2]))
+def test_coarse_twin_first_batch_is_no_shorter(model_seed, seed, eta, epsilon):
+    """The coarse twin adds 1e-7 bit to every entropy and, on the round-up
+    grid, rounds each value up, so every sum of the twin lies above the same
+    sum of the exact model: on one trace and channel rate its tail above K*c
+    is no smaller, and its first batch no shorter.  Both batches are cut
+    through ``tail_exceeds`` from the first 100 blocks, the twin's only up to
+    where the exact batch closes; a tail exactly at epsilon is reported as an
+    event."""
+    model = random_dyadic_model(np.random.default_rng(model_seed))
+    twin = SourceModel(tuple(CdfEntry(e.group, e.member, e.prob, e.cond_entropy + 1e-7)
+                             for e in model.entries))
+    exact, coarse = RateAccumulator(model), RateAccumulator(twin)
+    if coarse.exact:   # one distinct value: the twin has a lattice of its own
+        event("the twin is on an exact lattice")
+    groups = sample_trace(model, 100, seed).groups
+    c = compute_stats(model).e_h / (1 - eta)
+    K, tie = _first_batch(exact, groups, c, epsilon)
+    K_twin, twin_tie = _first_batch(coarse, groups[:K] if K < math.inf else groups, c, epsilon)
+    if tie or twin_tie:
+        event("a tail equal to epsilon")
+    event("the twin's first batch is longer" if K_twin > K else "the first batches are equal")
+    assert K_twin >= K, (K, K_twin)
+
+
 def test_k_c_examples(six_cdf_model):
     s = compute_stats(six_cdf_model)
     # c >= h_max decodes every block alone
@@ -375,6 +402,29 @@ def test_atom_convolution_matches_dense_reference():
             assert (acc.tail_above(K * c) <= eps) == (ref_tail <= eps)
             assert acc.rate_quantile(eps) == support[np.argmax(tails <= eps)]
     assert paths == {True, False}  # both convolution paths were exercised
+
+
+def test_atom_push_matches_the_per_atom_loop_bytes():
+    """An atom push is the loop ``out[j:j + n] += p * dense`` over the kernel's
+    atoms, byte for byte: each cell adds the same products in the same order."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(6):
+        model = random_offlattice_model(rng)
+        acc = RateAccumulator(model)
+        for g in rng.integers(1, model.m + 1, size=40).tolist():
+            _, kernel, _, atoms = acc._gpmf[g]
+            dense = acc._dense
+            acc.push_block(g)
+            if atoms is None:
+                continue
+            n = len(dense)
+            expected = np.zeros(n + len(kernel) - 1)
+            for j, p in atoms:
+                expected[j:j + n] += p * dense
+            assert acc._dense.tobytes() == expected.tobytes()
+            checked += 1
+    assert checked > 50
 
 
 def test_atom_convolution_simulation_matches_dense(monkeypatch):
