@@ -394,7 +394,7 @@ def _number(value, field: str, where: str) -> float:
     if not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # OverflowError: an int past 1e308
             pass
     raise ModelError(f"{where}: {field} must be a number, got {value!r}")
 
@@ -415,9 +415,10 @@ def load_model(path) -> SourceModel:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = _read_saved(fh.read())
-        except UnicodeDecodeError:   # PyYAML reports it
-            doc = None
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path}: not UTF-8 text: {exc}") from exc
+        doc = _read_saved(text)
         if doc is None:
             fh.seek(0)   # PyYAML reads the stream, so its error marks name the file
             try:
@@ -440,27 +441,25 @@ def load_model(path) -> SourceModel:
         if not isinstance(members, list) or not members:
             raise ModelError(f"group {gi}: 'members' must be a non-empty list")
         for ji, mem in enumerate(members, start=1):
-            if not isinstance(mem, dict):
-                raise ModelError(f"cdf ({gi},{ji}): expected a mapping")
-            _reject_unknown(mem, _MEMBER_KEYS, f"cdf ({gi},{ji})")
-            if "prob" not in mem or "cond_entropy" not in mem:
-                raise ModelError(f"cdf ({gi},{ji}): prob and cond_entropy required")
             where = f"cdf ({gi},{ji})"
-            pmf = None
-            if mem.get("joint_pmf") is not None:
-                raw = mem["joint_pmf"]
+            if not isinstance(mem, dict):
+                raise ModelError(f"{where}: expected a mapping")
+            _reject_unknown(mem, _MEMBER_KEYS, where)
+            if "prob" not in mem or "cond_entropy" not in mem:
+                raise ModelError(f"{where}: prob and cond_entropy required")
+            pmf, raw = None, mem.get("joint_pmf")
+            if raw is not None:
                 if not isinstance(raw, dict):
                     raise ModelError(f"{where}: joint_pmf must be a mapping")
                 _reject_unknown(raw, _PMF_KEYS, f"{where} joint_pmf")
-                shape = [_count(raw.get(f), f, where) for f in ("alphabet_x", "alphabet_y")]
-                try:
-                    pmf = np.array(raw["table"], dtype=float).reshape(shape)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ModelError(f"{where}: bad joint_pmf: {exc}") from exc
-                # float() reads a YAML boolean as 1 or 0
-                if bool in map(type, np.array(raw["table"], dtype=object).ravel()):
-                    raise ModelError(f"{where}: joint_pmf table cells must be numbers, "
-                                     "got a boolean")
+                ax, ay = (_count(raw.get(f), f, where) for f in ("alphabet_x", "alphabet_y"))
+                table = raw.get("table")
+                if not isinstance(table, list):
+                    raise ModelError(f"{where}: bad joint_pmf: table must be a list, got {table!r}")
+                cells = [_number(v, "joint_pmf table cell", where) for v in table]
+                if len(cells) != ax * ay:
+                    raise ModelError(f"{where}: bad joint_pmf: {len(cells)} cells, not {ax} x {ay}")
+                pmf = np.array(cells).reshape(ax, ay)
             entries.append(CdfEntry(gi, ji, _number(mem["prob"], "prob", where),
                                     _number(mem["cond_entropy"], "cond_entropy", where), pmf))
 

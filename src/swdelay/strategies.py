@@ -17,13 +17,15 @@ tail(K*c) <= epsilon, so a run asking for both segments once; ``accumulate``
 closes every ``batch_size`` blocks.  ``known-joint`` and ``blockwise`` ship
 every block, on one table.
 Accounting charges the delays on one of two sides, following the closed-form
-cycle analysis so that the deterministic worst cases are exact:
+cycle analysis so that the deterministic worst cases are exact; every size is
+in bits per symbol, so no result depends on the block length n:
 
-* encoder side (deferred encoding, the baselines): the batch closing at t
-  ships as one message into the FIFO channel queue, W_E(tau) = t - tau + 1,
+* encoder side (deferred encoding, the baselines): the batch of K blocks
+  closing at t ships K*q bits per symbol (q its rate per block) as one message
+  into the FIFO channel queue, which drains c per block: W_E(tau) = t - tau + 1,
   W_C from the queue, W_D = 0;
-* decoder side (deferred decoding): n*c bits every block saturate the
-  channel, so W_E = W_C = 1, and W_D(tau) = t - tau at decode time t.
+* decoder side (deferred decoding): c bits per symbol every block saturate
+  the channel, so W_E = W_C = 1, and W_D(tau) = t - tau at decode time t.
 
 On request a result keeps its batch table, one row per decoded batch;
 ``block_delays`` derives the per-block delays from it.
@@ -254,9 +256,8 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
         elif strategy == BLOCKWISE:
             rates = np.full(T, stats.h_max)
         results.append(_account(
-            strategy, sizes, ents, rates, n=model.block_len_n, c=c, eta=eta,
-            epsilon=None if rule == "one-block" else epsilon, seed=seed, T=T,
-            proxy=proxy, collect_batches=collect_batches))
+            strategy, sizes, ents, rates, c=c, eta=eta, seed=seed, T=T, proxy=proxy,
+            epsilon=None if rule == "one-block" else epsilon, collect_batches=collect_batches))
     return tuple(results)
 
 
@@ -284,11 +285,12 @@ def _sum_in_order(x: np.ndarray) -> float:
 
 
 def _account(strategy: str, k: np.ndarray, ents: np.ndarray, rates: np.ndarray,
-             *, n: int, c: float, eta: float, epsilon: float | None, seed: int, T: int,
+             *, c: float, eta: float, epsilon: float | None, seed: int, T: int,
              proxy: float | None, collect_batches: bool) -> SimulationResult:
-    """The accounting pass of one strategy over its batch table (the columns K,
-    entropy sum and rate, shared between strategies and left unchanged); each
-    float sum adds its terms in batch order."""
+    """One strategy's accounting pass over its batch table (the columns K, entropy
+    sum and rate, in bits per symbol, shared and left unchanged): the encoder side
+    ships each batch as one message of K*q, its rate cell, into a queue draining c
+    per block, the decoder side c every block.  Float sums add in batch order."""
     ends = np.cumsum(k)  # t, the block that closes each batch
     d = int(k.sum())
     outage = ents > rates + OUTAGE_TOL
@@ -297,16 +299,15 @@ def _account(strategy: str, k: np.ndarray, ents: np.ndarray, rates: np.ndarray,
     if strategy == WAIT_TO_DECODE:
         sum_we = sum_wc = float(d)
         sum_wd = float((squares - d) // 2)
-        bits_emitted = n * c * T
+        bits_emitted = c * T
         unstable = False
     else:
-        queue = ChannelQueue(rate_bits_per_block=n * c)
-        bits = n * rates
-        wcs = queue.enqueue_many(bits, ends)
+        queue = ChannelQueue(rate_bits_per_block=c)
+        wcs = queue.enqueue_many(rates, ends)
         wcs -= ends  # departure - arrival
         sum_we = float((squares + d) // 2)
         sum_wc = _sum_in_order(wcs * k)
-        bits_emitted = _sum_in_order(bits)
+        bits_emitted = _sum_in_order(rates)
         sum_wd = 0.0
         # superlinear queue growth: the backlog at the end never drained
         unstable = (strategy != WAIT_TO_ENCODE
@@ -321,7 +322,7 @@ def _account(strategy: str, k: np.ndarray, ents: np.ndarray, rates: np.ndarray,
 
     mean_we, mean_wc, mean_wd = (s / d if d else math.nan
                                  for s in (sum_we, sum_wc, sum_wd))
-    mean_rate = bits_emitted / (n * T)
+    mean_rate = bits_emitted / T
     return SimulationResult(
         strategy=strategy,
         eta=eta,

@@ -86,6 +86,13 @@ def test_lb_rejects_trivial_model(single_cdf_model):
         lb_delay(s, 0.5, 0.01, "WD")
 
 
+def test_bounds_refuse_an_unknown_side(six_cdf_model):
+    s = compute_stats(six_cdf_model)
+    for bound in (ub_delay, lb_delay):
+        with pytest.raises(ValueError, match="^which must be 'WE' or 'WD', got 'we'$"):
+            bound(s, 0.5, 0.01, "we")
+
+
 def test_lb_zero_group_variance():
     # two members with the same entropy: the 1/eta^2 part of the bound vanishes
     model = SourceModel(

@@ -118,10 +118,9 @@ def test_sweep_validates_the_model_once(model_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_missing_model_is_usage_error():
-    code, _, err = run_cli("stats")
-    assert code == 1
-    assert "model file is required" in err
+def test_missing_model_is_usage_error(capsys):
+    assert cli.main(["stats"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: a model file is required (--model)"]
 
 
 def test_simulate_we_without_epsilon_is_error(model_file):

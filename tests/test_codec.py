@@ -77,6 +77,18 @@ def test_codebook_takes_k_and_alphabets_from_the_groups():
         Codebook(mixed, CodecConfig(2, 0.5, 2.0), (1, 2))
 
 
+def test_codebook_refuses_what_it_cannot_bin():
+    """A group without joint pmfs, an unknown kind and a sequence of the
+    wrong length are refused with their own messages."""
+    with pytest.raises(ModelError, match=r"^cdf \(1,1\) has no joint pmf$"):
+        Codebook(SourceModel((CdfEntry(1, 1, 1.0, 1.0),)), CodecConfig(2, 0.5, 2.0), (1,))
+    with pytest.raises(ValueError, match="^kind must be 'batch' or 'sequential'$"):
+        Codebook(bsc_pair_model(0.1), CodecConfig(2, 0.5, 2.0), (1,), "stream")
+    book = Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0), (1,))
+    with pytest.raises(ValueError, match=r"^sequence length 3 does not match K\*n = 4$"):
+        encode(book, [0, 1, 1])
+
+
 def _x_typical(x_blocks, entries, delta) -> bool:
     """X-typicality of x under the cdfs, one per block; the oracle and
     ``codec._typical`` must agree on it."""

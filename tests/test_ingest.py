@@ -207,6 +207,15 @@ def test_blockify_rejects_bad_input():
         blockify(np.array([0, 1]), n=1)
 
 
+def test_counts_below_their_range_are_refused(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("1,2\n")
+    with pytest.raises(IngestError, match="^skip_header must be >= 0, got -1$"):
+        read_trace(path, skip_header=-1)
+    with pytest.raises(IngestError, match="^block length must be >= 1, got 0$"):
+        blockify(np.zeros((4, 2), dtype=int), 0)
+
+
 def test_blockify_refuses_a_stack_too_large_for_memory():
     """Symbols up to 30 000 with n = 1 would need a 2 x 30001 x 30001 float64
     stack, about 14 GB: refused before anything of that size is allocated."""

@@ -565,18 +565,31 @@ _ONE_PMF = ("groups:\n- members:\n  - {prob: 1.0, cond_entropy: 1.0, joint_pmf: 
     (_ONE_PMF % ("2.9", "2"), "cdf (1,1): alphabet_x must be an integer >= 1, got 2.9"),
     (_ONE_PMF % ("2", "-1"), "cdf (1,1): alphabet_y must be an integer >= 1, got -1"),
     (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "true, false, false, false") % ("2", "2"),
-     "cdf (1,1): joint_pmf table cells must be numbers, got a boolean"),
+     "cdf (1,1): joint_pmf table cell must be a number, got True"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "[0.5, 0.0], [0.0, 0.5]") % ("2", "2"),
+     "cdf (1,1): joint_pmf table cell must be a number, got [0.5, 0.0]"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "0.5, null, 0.0, 0.5") % ("2", "2"),
+     "cdf (1,1): joint_pmf table cell must be a number, got None"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "0.5, {p: 0.0}, 0.0, 0.5") % ("2", "2"),
+     "cdf (1,1): joint_pmf table cell must be a number, got {'p': 0.0}"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "1" + "0" * 400 + ", 0, 0, 0") % ("2", "2"),
+     "cdf (1,1): joint_pmf table cell must be a number, got 1000"),
 ], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text",
         "prob-bool", "entropy-bool", "n-bool", "alphabet-fraction", "alphabet-negative",
-        "table-bool"])
+        "table-bool", "table-nested", "table-null", "table-mapping", "table-huge-int"])
 def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message):
     """A non-numeric (boolean included) or non-integral field is a ModelError
     naming the field, never a traceback or a silent truncation, and `stats`
     reports it on one line."""
+    _assert_load_refused(tmp_path / "model.yaml", text.encode(), message, capsys)
+
+
+def _assert_load_refused(path, data: bytes, message: str, capsys) -> None:
+    """load_model raises a ModelError holding ``message``, and `stats` exits 1
+    with it on one `cannot load model:` line."""
     from swdelay import cli
 
-    path = tmp_path / "model.yaml"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(ModelError) as info:
         load_model(path)
     assert message in str(info.value)
@@ -584,6 +597,60 @@ def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot load model:"), err
     assert message in err[0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("groups: []\n", "model file: 'groups' must be a non-empty list"),
+    ("block_len_n: 2\n", "model file: 'groups' must be a non-empty list"),
+    ("groups:\n- 3\n", "group 1: expected a mapping"),
+    ("groups:\n- members: []\n", "group 1: 'members' must be a non-empty list"),
+    ("groups:\n- members:\n  - 0.5\n", "cdf (1,1): expected a mapping"),
+    ("groups:\n- members:\n  - {prob: 1.0}\n", "cdf (1,1): prob and cond_entropy required"),
+    ("groups:\n- members:\n  - {prob: 1.0, cond_entropy: 1.0, joint_pmf: [0.5, 0.5]}\n",
+     "cdf (1,1): joint_pmf must be a mapping"),
+    (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "0.5, 0.5") % ("2", "2"),
+     "cdf (1,1): bad joint_pmf: 2 cells, not 2 x 2"),
+    (_ONE_PMF.replace(", table: [0.25, 0.25, 0.25, 0.25]", "") % ("2", "2"),
+     "cdf (1,1): bad joint_pmf: table must be a list, got None"),
+    (_ONE_PMF.replace("[0.25, 0.25, 0.25, 0.25]", "1.0") % ("1", "1"),
+     "cdf (1,1): bad joint_pmf: table must be a list, got 1.0"),
+], ids=["groups-empty", "groups-missing", "group-scalar", "members-empty", "member-scalar",
+        "entropy-missing", "pmf-list", "table-count", "table-missing", "table-scalar"])
+def test_model_file_structure_fails_as_model_errors(tmp_path, capsys, text, message):
+    """A file whose tree is not the schema's is a ModelError naming the part,
+    and `stats` reports it on one line."""
+    _assert_load_refused(tmp_path / "model.yaml", text.encode(), message, capsys)
+
+
+def test_model_file_that_is_not_utf8_fails_with_its_name(tmp_path, capsys):
+    """A file that is not UTF-8 is refused by load_model itself, naming the
+    file, and `stats` and `validate` report it on one `cannot load model:` line."""
+    from swdelay import cli
+
+    path = tmp_path / "latin.yaml"
+    _assert_load_refused(path, b"groups:\n\xff\n", f"{path}: not UTF-8 text", capsys)
+    assert cli.main(["validate", "--model", str(path)]) == 1  # no violations to list
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot load model: {path}:"), err
+
+
+def test_numeric_string_table_cells_are_numbers(tmp_path):
+    """A quoted number in a table is read as that number, as in every other
+    numeric field."""
+    quoted = tmp_path / "quoted.yaml"
+    quoted.write_text(_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25",
+                                       '"0.25", "2.5e-1", 0.25, "0.25"') % ("2", "2"))
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(_ONE_PMF % ("2", "2"))
+    _assert_same_model(load_model(quoted), load_model(plain))
+
+
+def test_models_that_cannot_be_built():
+    """A model needs an entry, and a joint pmf must be a 2-D table."""
+    with pytest.raises(ModelError, match="^invalid model: model has no cdf entries$"):
+        SourceModel(())
+    with pytest.raises(ModelError, match=r"^joint_pmf must be a 2-D table \(rows = x symbols\)$"):
+        CdfEntry(1, 1, 1.0, 1.0, np.full(4, 0.25))
 
 
 def test_block_len_n_must_be_an_integer():

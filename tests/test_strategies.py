@@ -379,6 +379,17 @@ def test_epsilon_required_and_bounded(six_cdf_model):
         == [None, None]
 
 
+def test_run_needs_known_strategies(six_cdf_model):
+    """check_run refuses an empty strategy list and an unknown name."""
+    kw = dict(epsilon=0.01, T=10, seed=1, eta=0.5)
+    with pytest.raises(ValueError, match="^a run needs at least one strategy$"):
+        simulate(six_cdf_model, (), **kw)
+    with pytest.raises(ValueError, match=r"^unknown strategy 'wait'; expected one of \("
+                                         r"'we', 'wd', 'known-joint', 'blockwise', "
+                                         r"'accumulate'\)$"):
+        simulate(six_cdf_model, ("we", "wait"), **kw)
+
+
 def test_determinism_same_seed(six_cdf_model):
     a, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
     b, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
@@ -400,11 +411,10 @@ def test_encoding_rate_matches_batch_log(six_cdf_model):
     T = 200
     we, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=T, seed=29, eta=0.25,
                    collect_batches=True)
-    # one message per batch, sized n * quantile
+    # one message per batch, sized by its quantile in bits per symbol
     assert len(we.batch_log) == we.batches
-    n = six_cdf_model.block_len_n
-    total_bits = sum(n * b.rate_total for b in we.batch_log)
-    assert we.mean_encoding_rate == pytest.approx(total_bits / (n * T), abs=1e-12)
+    total_bits = sum(b.rate_total for b in we.batch_log)
+    assert we.mean_encoding_rate == pytest.approx(total_bits / T, abs=1e-12)
 
     wd, = simulate(six_cdf_model, ("wd",), epsilon=0.05, T=T, seed=29, eta=0.25)
     # the saturated encoder ships one channel-rate message every block
@@ -468,7 +478,6 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
         batches = _reference_batches(model, trace, res.c, epsilon, quantile)
         assert _rows(res) == batches
         sizes = np.array([b.k for b in batches])
-        n = model.block_len_n
         block, w_e, w_c, w_d = block_delays(res)
         assert (res.batches, res.decoded_blocks) == (len(batches), int(sizes.sum()))
         assert block.tolist() == [tau for b in batches for tau in _covers(b)]
@@ -477,18 +486,18 @@ def _check_against_reference(model, *, epsilon, T, seed, eta):
         assert (res.mean_w_e, res.mean_w_c, res.mean_w_d) == pytest.approx(
             (w_e.mean(), w_c.mean(), w_d.mean()), rel=1e-12)
         if quantile:
-            bits = [n * b.rate_total for b in batches]
-            wc = lindley_wc(bits, [float(b.end) for b in batches], n * res.c)
+            bits = [b.rate_total for b in batches]
+            wc = lindley_wc(bits, [float(b.end) for b in batches], res.c)
             assert w_e.tolist() == [float(b.end - tau + 1) for b in batches for tau in _covers(b)]
             assert np.allclose(res.batch_log.w_c, wc, rtol=1e-12, atol=1e-9)
             assert np.allclose(w_c, np.repeat(wc, sizes), rtol=1e-12, atol=1e-9)
             assert not w_d.any()
-            assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T))
+            assert res.mean_encoding_rate == pytest.approx(sum(bits) / T)
         else:
             assert w_d.tolist() == [float(b.end - tau) for b in batches for tau in _covers(b)]
             assert (res.batch_log.w_c == 1.0).all()
             assert (w_e == 1.0).all() and (w_c == 1.0).all()
-            assert res.mean_encoding_rate == pytest.approx(res.c)  # n*c bits every block
+            assert res.mean_encoding_rate == pytest.approx(res.c)  # c bits every block
 
 
 def test_stopping_rule_matches_reference_dyadic():
@@ -558,11 +567,10 @@ def _replay_fixed_batches(trace, N, rate_of_batch):
 def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon, proxy=None):
     """A baseline run equals the replayed batches: W_E(tau) = t - tau + 1, W_C
     by the Lindley recursion on the batch messages, W_D = 0."""
-    n = model.block_len_n
     sizes = [b.k for b in batches]
     ends = [float(b.end) for b in batches]
-    bits = [n * b.rate_total for b in batches]
-    wc = lindley_wc(bits, ends, n * res.c)
+    bits = [b.rate_total for b in batches]
+    wc = lindley_wc(bits, ends, res.c)
     decoded = sum(sizes)
 
     assert _rows(res) == batches
@@ -577,7 +585,7 @@ def _check_encoder_side(res, model, batches, *, strategy, T, seed, epsilon, prox
     assert (res.batches, res.decoded_blocks) == (len(batches), decoded)
     busy = ends[-1] + wc[-1] if batches else 0.0
     assert res.unstable == ((busy - T) > max(5.0, 0.02 * T))
-    assert res.mean_encoding_rate == pytest.approx(sum(bits) / (n * T), rel=1e-12)
+    assert res.mean_encoding_rate == pytest.approx(sum(bits) / T, rel=1e-12)
     if proxy is None:
         assert res.compression_ratio is None
     else:
@@ -711,7 +719,7 @@ def test_segment_matches_memo_free_oracle():
 # the one-pass accounting against a per-batch queue replay
 # ---------------------------------------------------------------------------
 
-def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon, seed, T,
+def _account_per_batch(strategy, sizes, ents, batch_rates, *, c, eta, epsilon, seed, T,
                        proxy, collect_batches):
     """The accounting pass with one ChannelQueue.enqueue and one running float
     sum per batch, building the batch table row by row."""
@@ -723,19 +731,18 @@ def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon
     if strategy == WAIT_TO_DECODE:
         sum_we = sum_wc = float(d)
         sum_wd = float(sum(K * (K - 1) // 2 for K in sizes))
-        bits_emitted = n * c * T
+        bits_emitted = c * T
         unstable = False
         wcs = [1.0] * len(sizes)
     else:
-        queue = ChannelQueue(rate_bits_per_block=n * c)
+        queue = ChannelQueue(rate_bits_per_block=c)
         sum_we = float(sum(K * (K + 1) // 2 for K in sizes))
         sum_wc = sum_wd = bits_emitted = 0.0
         wcs = []
         for K, t, rate in zip(sizes, ends, batch_rates):
-            bits = n * rate
-            w_c = queue.enqueue(bits, float(t)) - t
+            w_c = queue.enqueue(rate, float(t)) - t
             sum_wc += w_c * K
-            bits_emitted += bits
+            bits_emitted += rate
             wcs.append(w_c)
         unstable = (strategy != WAIT_TO_ENCODE
                     and (queue.busy_until - T) > max(5.0, 0.02 * T))
@@ -744,7 +751,7 @@ def _account_per_batch(strategy, sizes, ents, batch_rates, *, n, c, eta, epsilon
         dtype=[("k", np.int64), ("end", np.int64), ("rate_total", float),
                ("entropy_total", float), ("outage", bool), ("w_c", float)])
     mean_we, mean_wc, mean_wd = (x / d if d else math.nan for x in (sum_we, sum_wc, sum_wd))
-    mean_rate = bits_emitted / (n * T)
+    mean_rate = bits_emitted / T
     return SimulationResult(
         strategy=strategy, eta=eta, epsilon=epsilon, seed=seed, blocks=T, decoded_blocks=d,
         batches=len(sizes), mean_delay=mean_we + mean_wc + mean_wd, mean_w_e=mean_we,
@@ -898,6 +905,25 @@ def test_doubled_entropies_keep_every_delay(model_seed, seed, eta):
         assert twice.c == 2 * res.c
         assert _bits([getattr(twice, f) for f in fields]) == _bits(
             [getattr(res, f) for f in fields]), res.strategy
+
+
+def test_block_length_changes_no_result():
+    """Every size is in bits per symbol, so the block length n never enters a
+    run: at n = 7, 180 and 500 every result field, the batch table included,
+    and the per-block delays equal the n = 1 run bit for bit."""
+    rng = np.random.default_rng(15)
+    models = (demo_model(), random_dyadic_model(rng), random_offlattice_model(rng))
+    for i, model in enumerate(models):
+        for eta in (0.5, 0.25, 0.1):
+            kw = dict(epsilon=0.01, T=600, seed=i, eta=eta, batch_size=4,
+                      collect_batches=True)
+            base = simulate(model, STRATEGIES, **kw)
+            for n in (7, 180, 500):
+                runs = simulate(SourceModel(model.entries, block_len_n=n), STRATEGIES, **kw)
+                for res, ref in zip(runs, base):
+                    assert _bits(res) == _bits(ref), (i, eta, n, res.strategy)
+                    assert _bits(block_delays(res)) == _bits(block_delays(ref)), \
+                        (i, eta, n, res.strategy)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
