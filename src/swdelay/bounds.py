@@ -13,16 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import EntropyStats, ModelError, check_epsilon, check_eta
+from .model import EntropyStats, ModelError, check_epsilon, check_eta, check_mean_entropy
 
 WE = "WE"
 WD = "WD"
 
 
 def _check_params(stats: EntropyStats, eta: float, epsilon: float) -> None:
-    if stats.e_h <= 0:
-        raise ModelError("the mean conditional entropy is 0: the channel rate "
-                         "E[H]/(1 - eta) is 0 and the bounds are undefined")
+    check_mean_entropy(stats.e_h)
     check_eta(eta)
     check_epsilon(epsilon)
 
@@ -143,9 +141,9 @@ def bounds_report(
 ) -> tuple[BoundsRow, ...]:
     """Evaluate both bounds over an eta grid (argmax column follows the WE bound).
 
-    The bounds need not bracket each other once the channel rate
-    c = E[H]/(1 - eta) reaches h_max, where every batch is one block: rows
-    are returned as computed, and ``swdelay bounds`` exits 2 on a crossed one.
+    Rows are returned as computed, and ``swdelay bounds`` exits 2 on a crossed
+    one; crossed rows have been seen only where c = E[H]/(1 - eta) reaches
+    h_max (a batch there closes alone only if the one-block test says so).
     """
     rows = []
     for eta in eta_grid:

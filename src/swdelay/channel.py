@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import check_channel_rate
+
 
 class ChannelQueue:
     def __init__(self, rate_bits_per_block: float):
-        if rate_bits_per_block <= 0:
-            raise ValueError(f"channel rate must be positive, got {rate_bits_per_block}")
+        check_channel_rate(rate_bits_per_block)
         self.rate_bits_per_block = float(rate_bits_per_block)
         self.busy_until = 0.0
         self._last_arrival = float("-inf")
@@ -37,9 +38,9 @@ class ChannelQueue:
         """
         bits = np.ascontiguousarray(bits, dtype=float)
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
-        if (bits < 0).any():
-            raise ValueError(f"message size must be nonnegative, got {bits.min()}")
-        late = np.flatnonzero(arrivals < np.append(self._last_arrival, arrivals[:-1]))
+        if not (bits >= 0).all():  # NaN fails this test and the order test below
+            raise ValueError(f"message size must be nonnegative, got {bits[~(bits >= 0)][0]}")
+        late = np.flatnonzero(~(arrivals >= np.append(self._last_arrival, arrivals[:-1])))
         if len(late):
             i = late[0]
             previous = arrivals[i - 1] if i else self._last_arrival

@@ -222,7 +222,7 @@ def cmd_bounds(args) -> int:
     _write_csv(args.out, ("eta", "ub_we", "ub_wd", "lb_we", "lb_wd", "gamma", "argmax_istar"),
                rows, not args.no_timestamp)
     crossed = [r for r in report if r.ub_we < r.lb_we or r.ub_wd < r.lb_wd]
-    for r in crossed:  # possible when c >= h_max (the batch size is then 1)
+    for r in crossed:  # seen only where c >= h_max
         print(f"error: bound bracketing violated at eta={_fmt(r.eta)}: "
               f"ub_we={_fmt(r.ub_we)} lb_we={_fmt(r.lb_we)} "
               f"ub_wd={_fmt(r.ub_wd)} lb_wd={_fmt(r.lb_wd)}", file=sys.stderr)

@@ -276,8 +276,6 @@ def quantize_model(
     d = _divergences_to_first(pmfs.reshape(len(pmfs), -1))
     dx, dy = _divergences_to_first(mx), _divergences_to_first(my)
     finite = np.flatnonzero(np.isfinite(d) & np.isfinite(dx) & np.isfinite(dy))
-    if not finite.size:
-        raise IngestError("every block has infinite divergence to the reference")
 
     jl, jmids = _levels(d[finite], joint_levels)
     xl, _ = _levels(dx[finite], marginal_levels)

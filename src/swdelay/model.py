@@ -57,6 +57,13 @@ def check_channel_rate(c: float) -> None:
         raise ValueError(f"channel rate must be positive and finite, got c = {c}")
 
 
+def check_mean_entropy(e_h: float) -> None:
+    """Raises ModelError unless E[H] > 0, which every channel rate c needs."""
+    if e_h <= 0:
+        raise ModelError("the mean conditional entropy is 0: c = E[H]/(1 - eta) is 0 at "
+                         "every eta, and eta = 1 - E[H]/c is 1 at every c")
+
+
 def check_blocks(T: int) -> None:
     """Raises ValueError unless a block count is at least 1."""
     if T < 1:
@@ -171,17 +178,12 @@ class EntropyStats:
         return len(self.phi)
 
 
+@dataclass(frozen=True, eq=False)
 class BlockTrace:
     """I.i.d. per-block joint-cdf draws: marginal group and H(X|Y) arrays."""
 
-    __slots__ = ("groups", "h")
-
-    def __init__(self, groups: np.ndarray, h: np.ndarray):
-        self.groups = groups
-        self.h = h
-
-    def __len__(self) -> int:
-        return len(self.groups)
+    groups: np.ndarray
+    h: np.ndarray
 
 
 def validate_model(model: SourceModel) -> list[str]:
@@ -425,6 +427,8 @@ def load_model(path) -> SourceModel:
                 doc = yaml.load(fh, Loader=_YAML_LOADER)
             except yaml.YAMLError as exc:
                 raise ModelError(f"malformed YAML: {exc}") from exc
+            except ValueError as exc:  # a constructor's: an int past Python's digit limit
+                raise ModelError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a mapping at the top level")
     _reject_unknown(doc, _TOP_KEYS, "model file")

@@ -41,8 +41,8 @@ import numpy as np
 
 from .channel import ChannelQueue
 from .entropy import entropy_bits, marginal_x
-from .model import (BlockTrace, EntropyStats, ModelError, SourceModel, check_blocks,
-                    check_channel_rate, check_epsilon, check_eta, compute_stats, sample_trace)
+from .model import (BlockTrace, EntropyStats, SourceModel, check_blocks, check_channel_rate,
+                    check_epsilon, check_eta, check_mean_entropy, compute_stats, sample_trace)
 from .rate import RateAccumulator
 
 # absorbs float accumulation noise when comparing realised entropy sums
@@ -91,9 +91,7 @@ def resolve_channel_rate(
 ) -> tuple[float, float]:
     """Returns (c, eta) from whichever parameter was given; eta is below 1."""
     _check_channel(eta, c)
-    if stats.e_h <= 0:
-        raise ModelError("the mean conditional entropy is 0: eta = 1 - E[H]/c is 1 "
-                         "at every channel rate c")
+    check_mean_entropy(stats.e_h)
     if eta is not None:
         return stats.e_h / (1.0 - eta), eta
     eta = 1.0 - stats.e_h / c

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,21 @@ def test_rejects_bad_inputs():
     q.enqueue(1.0, 5.0)
     with pytest.raises(ValueError):
         q.enqueue(1.0, 4.0)  # arrivals must be FIFO ordered
-    with pytest.raises(ValueError):
-        ChannelQueue(0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as info:
+            ChannelQueue(rate)
+        assert str(info.value) == f"channel rate must be positive and finite, got c = {rate}"
+    # NaN fails the size and the order test, and the queue is left as it was
+    q = ChannelQueue(4.0)
+    for bits, arrivals, message in (
+        ([math.nan, 1.0], [1.0, 2.0], "message size must be nonnegative, got nan"),
+        ([1.0, 1.0], [1.0, math.nan], "FIFO arrival order violated: nan after 1.0"),
+        ([1.0], [math.nan], "FIFO arrival order violated: nan after -inf"),
+    ):
+        with pytest.raises(ValueError) as info:
+            q.enqueue_many(bits, arrivals)
+        assert str(info.value) == message
+    assert q.busy_until == 0.0
 
 
 def test_work_conservation_under_backlog():

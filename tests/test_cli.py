@@ -1142,6 +1142,28 @@ def test_sweep_refuses_repeated_strategies_etas_and_seeds(model_file, capsys):
         assert out == "" and err.startswith("error: a sweep repeats a ") and err.count("\n") == 1
 
 
+def test_zero_mean_entropy_has_one_message(tmp_path, capsys):
+    """bounds, kc and simulate, with the channel given by eta or by c, refuse
+    E[H] = 0 with the same single error line."""
+    path = tmp_path / "zero-mean.yaml"
+    path.write_text(
+        "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 0.0}\n"
+        "  - {prob: 0.5, cond_entropy: 0.0}\n"
+    )
+    run = ["--model", path.as_posix(), "--epsilon", "0.01"]
+    errors = []
+    for argv in (["bounds", *run, "--eta-grid", "0.5"],
+                 ["kc", *run, "--eta", "0.5"],
+                 ["simulate", *run, "--strategy", "we", "--eta", "0.5", "--blocks", "20"],
+                 ["simulate", *run, "--strategy", "we", "--c", "5", "--blocks", "20"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors == ["error: the mean conditional entropy is 0: c = E[H]/(1 - eta) is 0 at "
+                      "every eta, and eta = 1 - E[H]/c is 1 at every c\n"] * 4
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_zero_mean_entropy_with_eta_is_rejected(tmp_path, capsys, recwarn, strategy):
     """E[H] = 0 makes the channel rate E[H]/(1 - eta) zero: every strategy

@@ -202,7 +202,7 @@ def test_sample_trace_rejects_zero_blocks(six_cdf_model):
 def test_trace_entropy_matches_entry(six_cdf_model):
     tr = sample_trace(six_cdf_model, 200, seed=9)
     declared = {(e.group, e.cond_entropy) for e in six_cdf_model.entries}
-    assert len(tr) == 200
+    assert len(tr.groups) == 200
     for g, h in zip(tr.groups.tolist(), tr.h.tolist()):
         assert (g, h) in declared
 
@@ -574,14 +574,19 @@ _ONE_PMF = ("groups:\n- members:\n  - {prob: 1.0, cond_entropy: 1.0, joint_pmf: 
      "cdf (1,1): joint_pmf table cell must be a number, got {'p': 0.0}"),
     (_ONE_PMF.replace("0.25, 0.25, 0.25, 0.25", "1" + "0" * 400 + ", 0, 0, 0") % ("2", "2"),
      "cdf (1,1): joint_pmf table cell must be a number, got 1000"),
+    (_ONE_MEMBER % ("1" + "0" * 5000, "0.5"),
+     "<path>: Exceeds the limit (4300 digits) for integer string conversion"),
 ], ids=["prob-list", "entropy-list", "n-list", "n-inf", "n-fraction", "n-nan", "slot-text",
         "prob-bool", "entropy-bool", "n-bool", "alphabet-fraction", "alphabet-negative",
-        "table-bool", "table-nested", "table-null", "table-mapping", "table-huge-int"])
+        "table-bool", "table-nested", "table-null", "table-mapping", "table-huge-int",
+        "prob-past-digit-limit"])
 def test_model_file_numbers_fail_as_model_errors(tmp_path, capsys, text, message):
     """A non-numeric (boolean included) or non-integral field is a ModelError
     naming the field, never a traceback or a silent truncation, and `stats`
-    reports it on one line."""
-    _assert_load_refused(tmp_path / "model.yaml", text.encode(), message, capsys)
+    reports it on one line.  An integer too long for PyYAML to build (Python's
+    int-string digit limit) is refused the same way, naming the file."""
+    path = tmp_path / "model.yaml"
+    _assert_load_refused(path, text.encode(), message.replace("<path>", str(path)), capsys)
 
 
 def _assert_load_refused(path, data: bytes, message: str, capsys) -> None:

@@ -1,8 +1,14 @@
 """The package namespace: what ``from swdelay import *`` binds."""
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import swdelay
+from swdelay import channel, codec, strategies
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_binds_no_submodule():
@@ -25,3 +31,34 @@ def test_codec_exports_only_the_batched_decoder():
     assert not hasattr(codec, "decode") and not hasattr(codec, "is_typical")
     assert not hasattr(codec.Codebook, "bin_of")
     assert callable(codec.encode) and callable(codec.jointly_typical)
+
+
+# public names kept only because the benchmark imports or wraps them
+BENCH_ONLY = [(strategies, "run_wait_to_encode"), (strategies, "run_wait_to_decode"),
+              (strategies, "run_strategy"), (codec, "encode"), (codec, "jointly_typical"),
+              (channel.ChannelQueue, "enqueue")]
+
+
+def test_bench_only_names_have_no_caller_in_src():
+    """Each name README lists as kept for the benchmark is named in bench/,
+    listed there, and neither called nor referenced in src/ apart from its own
+    definition (an import or a mention in a docstring is not a use)."""
+    names = [name for _, name in BENCH_ONLY]
+    bench = "".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text()
+    kept = readme.split("### Names kept without a caller in `src/`\n\n")[1].split("\n\n")[0]
+    mentioned = re.compile(r"\b(%s)\b" % "|".join(names))
+    used = set()
+    for path in sorted((ROOT / "src" / "swdelay").glob("*.py")):
+        text = path.read_text()
+        if mentioned.search(text):  # parse only the files that could use one
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    for owner, name in BENCH_ONLY:
+        assert callable(getattr(owner, name)), name
+        assert re.search(rf"\b{name}\b", bench), name
+        assert f"{name}`" in kept, name
+        assert name not in used, name
