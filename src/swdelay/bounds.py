@@ -19,10 +19,16 @@ WE = "WE"
 WD = "WD"
 
 
-def _check_params(stats: EntropyStats, eta: float, epsilon: float) -> None:
-    check_mean_entropy(stats.e_h)
+def _check_eta(eta: float) -> None:
     check_eta(eta)
+    if eta * eta == 0:  # every bound divides by eta**2
+        raise ValueError(f"eta = {eta!r} is too small for the bounds: eta**2 underflows to 0")
+
+
+def _check_params(stats: EntropyStats, eta: float, epsilon: float) -> None:
     check_epsilon(epsilon)
+    _check_eta(eta)
+    check_mean_entropy(stats.e_h)
 
 
 def _gamma(e: float, var: float, spread: float, eta: float, epsilon: float) -> float:
@@ -48,8 +54,8 @@ class ChernoffBatch(NamedTuple):
 
 def k_c_chernoff(stats: EntropyStats, eta: float, epsilon: float) -> ChernoffBatch:
     """Chernoff-bound batch size gamma/eta^2 for channel rate c = E[H] / (1 - eta)."""
-    check_eta(eta)
     check_epsilon(epsilon)
+    _check_eta(eta)
     if stats.var_h == 0:  # 0.0 also where var_h underflows to 0 and _gamma is tiny
         return ChernoffBatch(0.0, 1)
     value = _gamma(stats.e_h, stats.var_h, stats.m_h, eta, epsilon) / (eta * eta)

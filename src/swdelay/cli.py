@@ -32,8 +32,8 @@ from .model import (
     save_model,
 )
 from .rate import RateAccumulator, k_c, rate_unconditional
-from .strategies import (STRATEGIES, SimulationResult, block_delays, check_run,
-                         resolve_channel_rate, simulate)
+from .strategies import (STRATEGIES, WAIT_TO_ENCODE, SimulationResult, block_delays,
+                         check_run, simulate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -203,8 +203,9 @@ def cmd_rate(args) -> int:
 
 def cmd_kc(args) -> int:
     model = _load(args)
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, args.eta, args.c)
+    # the arguments of the one-block run whose batch size k_c gives
+    stats, c, eta = check_run(model, (WAIT_TO_ENCODE,), epsilon=args.epsilon, T=1,
+                              eta=args.eta, c=args.c)
     exact = k_c(model, c, args.epsilon)
     cher = bounds_mod.k_c_chernoff(stats, eta, args.epsilon)
     print(_fmt(exact))
@@ -283,7 +284,7 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
         if len(set(values)) < len(values):  # a repeat would count one run as two samples
             raise ValueError(f"a sweep repeats a {name}: {', '.join(map(str, values))}")
     for eta in eta_grid:
-        check_run(strategies, eta=eta, **run)
+        check_run(model, strategies, eta=eta, **run)
     tasks = [(eta, seed) for eta in eta_grid for seed in seeds]
     payloads = [(model, strategies, run, t) for t in tasks]
     workers = min(workers, len(tasks))  # a pool starts every worker at once

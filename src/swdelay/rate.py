@@ -236,8 +236,8 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     holds for the model's entropies: a coarse-grid mean rounded up to c or
     above passes that cutoff and raises ModelError.
     """
-    check_channel_rate(c)
     check_epsilon(epsilon)
+    check_channel_rate(c)
     stats = compute_stats(model)
     if c <= stats.e_h:
         raise ModelError(

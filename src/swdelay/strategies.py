@@ -86,33 +86,12 @@ class SimulationResult:
     batch_log: np.recarray | None = None
 
 
-def resolve_channel_rate(
-    stats: EntropyStats, eta: float | None, c: float | None
-) -> tuple[float, float]:
-    """Returns (c, eta) from whichever parameter was given; eta is below 1."""
-    _check_channel(eta, c)
-    check_mean_entropy(stats.e_h)
-    if eta is not None:
-        return stats.e_h / (1.0 - eta), eta
-    eta = 1.0 - stats.e_h / c
-    if eta >= 1:  # E[H]/c is below the float spacing just under 1
-        raise ValueError(f"channel rate c = {c!r} is too large for E[H] = {stats.e_h!r}: "
-                         f"eta = 1 - E[H]/c rounds to 1")
-    return float(c), eta
-
-
-def _check_channel(eta: float | None, c: float | None) -> None:
-    if (eta is None) == (c is None):
-        raise ValueError("give exactly one of eta or c")
-    if eta is not None:
-        check_eta(eta)
-    if c is not None:
-        check_channel_rate(c)
-
-
-def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = None,
-              c: float | None = None, batch_size: int | None = None) -> None:
-    """Raises ValueError for a bad run argument, before any work.
+def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
+              eta: float | None = None, c: float | None = None,
+              batch_size: int | None = None) -> tuple[EntropyStats, float, float]:
+    """The one check of a run's arguments, before any work: the strategies,
+    epsilon, T, the batch size, then eta or c, and only then the model's E[H].
+    Returns (stats, c, eta), with eta below 1.
 
     epsilon is checked whenever it is given; it may be omitted only when every
     strategy asked for is ``known-joint`` or ``blockwise``, which never outage.
@@ -127,7 +106,21 @@ def check_run(strategies, *, epsilon: float | None, T: int, eta: float | None = 
     check_blocks(T)
     if ACCUMULATE in strategies and (batch_size is None or batch_size < 1):
         raise ValueError(f"the accumulate baseline needs a batch size >= 1, got {batch_size}")
-    _check_channel(eta, c)
+    if (eta is None) == (c is None):
+        raise ValueError("give exactly one of eta or c")
+    if eta is not None:
+        check_eta(eta)
+    else:
+        check_channel_rate(c)
+    stats = compute_stats(model)
+    check_mean_entropy(stats.e_h)
+    if eta is not None:
+        return stats, stats.e_h / (1.0 - eta), eta
+    eta = 1.0 - stats.e_h / c
+    if eta >= 1:  # E[H]/c is below the float spacing just under 1
+        raise ValueError(f"channel rate c = {c!r} is too large for E[H] = {stats.e_h!r}: "
+                         f"eta = 1 - E[H]/c rounds to 1")
+    return stats, float(c), eta
 
 
 def _entropy_x_proxy(model: SourceModel) -> float | None:
@@ -225,10 +218,9 @@ def simulate(model: SourceModel, strategies, *, epsilon: float | None, T: int, s
     ``model.collapse_marginals()``.  ``collect_batches`` keeps each result's
     batch table, ``batch_log``.
     """
-    check_run(strategies, epsilon=epsilon, T=T, eta=eta, c=c, batch_size=batch_size)
+    stats, c, eta = check_run(model, strategies, epsilon=epsilon, T=T, eta=eta, c=c,
+                              batch_size=batch_size)
     epsilon = None if epsilon is None else float(epsilon)
-    stats = compute_stats(model)
-    c, eta = resolve_channel_rate(stats, eta, c)
     if c <= stats.e_h and set(strategies) != {BLOCKWISE}:  # blockwise reports `unstable`
         warnings.warn(
             f"channel rate {c!r} does not exceed the mean conditional entropy "

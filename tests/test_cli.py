@@ -1143,25 +1143,42 @@ def test_sweep_refuses_repeated_strategies_etas_and_seeds(model_file, capsys):
 
 
 def test_zero_mean_entropy_has_one_message(tmp_path, capsys):
-    """bounds, kc and simulate, with the channel given by eta or by c, refuse
-    E[H] = 0 with the same single error line."""
+    """bounds, kc, simulate and sweep check epsilon, then eta or c, then E[H]:
+    on the zero-mean model, for each pair of bad values, each prints the same
+    single error line, the first bad value's."""
     path = tmp_path / "zero-mean.yaml"
     path.write_text(
         "groups:\n- members:\n  - {prob: 0.5, cond_entropy: 0.0}\n"
         "  - {prob: 0.5, cond_entropy: 0.0}\n"
     )
-    run = ["--model", path.as_posix(), "--epsilon", "0.01"]
-    errors = []
-    for argv in (["bounds", *run, "--eta-grid", "0.5"],
-                 ["kc", *run, "--eta", "0.5"],
-                 ["simulate", *run, "--strategy", "we", "--eta", "0.5", "--blocks", "20"],
-                 ["simulate", *run, "--strategy", "we", "--c", "5", "--blocks", "20"]):
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        errors.append(err)
-    assert errors == ["error: the mean conditional entropy is 0: c = E[H]/(1 - eta) is 0 at "
-                      "every eta, and eta = 1 - E[H]/c is 1 at every c\n"] * 4
+    zero_mean = ("the mean conditional entropy is 0: c = E[H]/(1 - eta) is 0 at every eta, "
+                 "and eta = 1 - E[H]/c is 1 at every c")
+    for epsilon, eta, first in (("0.01", "0.5", zero_mean),
+                                ("0.01", "1.5", "eta must be in (0, 1), got 1.5"),
+                                ("2", "0.5", "epsilon must be in (0, 1), got 2.0"),
+                                ("2", "1.5", "epsilon must be in (0, 1), got 2.0")):
+        run = ["--model", path.as_posix(), "--epsilon", epsilon]
+        sim = ["simulate", *run, "--strategy", "we", "--blocks", "20"]
+        runs = [["bounds", *run, "--eta-grid", eta], ["kc", *run, "--eta", eta],
+                [*sim, "--eta", eta], ["sweep", *run, "--strategies", "we", "--eta-grid", eta,
+                                       "--blocks", "20", "--seeds", "1"]]
+        if eta == "0.5":  # a valid eta: the channel given by c gives the same line
+            runs += [["kc", *run, "--c", "5"], [*sim, "--c", "5"]]
+        for argv in runs:
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {first}\n"), argv
+
+
+def test_sweep_refuses_a_zero_mean_model_before_any_task(monkeypatch):
+    """Every eta's E[H] check comes before the pool is built or a task runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started work before checking the model")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(cli, "_sweep_task", never)
+    model = SourceModel((CdfEntry(1, 1, 0.5, 0.0), CdfEntry(1, 2, 0.5, 0.0)))
+    with pytest.raises(model_mod.ModelError, match="mean conditional entropy is 0"):
+        run_sweep(model, ("we", "wd"), (0.5, 0.25), (1, 2), workers=2, epsilon=0.01, T=20)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -91,7 +91,7 @@ def test_handler_reads_every_option(inputs, command):
 # no argument list ends in a traceback
 # ---------------------------------------------------------------------------
 
-_BAD = ("0", "-1", "nan", "inf", "-inf", "1e308", "", "text")
+_BAD = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "", "text")
 _FLAG = None  # a store_true option: present or absent
 
 # per subcommand, (options always given, options that may be left out), each
