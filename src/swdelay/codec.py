@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import entropy_bits, marginal_x, marginal_y
+from .entropy import row_divergences_bits
 from .model import ModelError, SourceModel
 
 MAX_SEQUENCES = 10_000_000
@@ -77,11 +77,6 @@ class CodecConfig:
 # typicality
 # ---------------------------------------------------------------------------
 
-def _log2_pmf(pmf: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):  # log2(0) = -inf is the point
-        return np.log2(pmf)
-
-
 def _as_blocks(seq, K: int, n: int) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.int64)
     if arr.size != K * n:
@@ -106,13 +101,12 @@ class _Hypothesis:
     """Log pmfs and cumulative entropies of one cdf per block, computed once."""
 
     def __init__(self, entries):
-        pmfs = [e.joint_pmf for e in entries]
-        self.log_x = np.array([_log2_pmf(marginal_x(p)) for p in pmfs])  # (K, ax)
-        self.log_y = np.array([_log2_pmf(marginal_y(p)) for p in pmfs])  # (K, ay)
-        self.log_xy = np.array([_log2_pmf(p) for p in pmfs])  # (K, ax, ay)
-        self.h_x = np.cumsum([entropy_bits(marginal_x(p)) for p in pmfs])
-        self.h_y = np.cumsum([entropy_bits(marginal_y(p)) for p in pmfs])
-        self.h_xy = np.cumsum([entropy_bits(p) for p in pmfs])
+        xy = np.stack([e.joint_pmf for e in entries])  # (K, ax, ay)
+        x, y = xy.sum(axis=2), xy.sum(axis=1)
+        with np.errstate(divide="ignore"):  # log2(0) = -inf is the point
+            self.log_x, self.log_y, self.log_xy = np.log2(x), np.log2(y), np.log2(xy)
+        self.h_x, self.h_y, self.h_xy = (
+            np.cumsum(-row_divergences_bits(p.reshape(len(xy), -1), 1.0)) for p in (x, y, xy))
 
 
 def jointly_typical(x_blocks, y_blocks, cdf_sequence, delta: float) -> bool:
@@ -211,10 +205,10 @@ class _SequenceSpace:
         """(total, K*n) table of every X sequence, in index order."""
         return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
 
-    @cached_property
+    @property
     def marginals(self) -> _Hypothesis:
-        """A representative entry per block (marginals are group properties)."""
-        return _Hypothesis([self.model.group_entries(g)[0] for g in self.groups])
+        """The first hypothesis (marginals are group properties)."""
+        return self.hypotheses[0][0]
 
     def _log_x(self, x: np.ndarray) -> np.ndarray:
         return self.marginals.log_x[np.arange(self.blocks)[:, None], x]

@@ -20,14 +20,9 @@ def marginal_x(joint: np.ndarray) -> np.ndarray:
     return np.asarray(joint, dtype=float).sum(axis=1)
 
 
-def marginal_y(joint: np.ndarray) -> np.ndarray:
-    return np.asarray(joint, dtype=float).sum(axis=0)
-
-
 def cond_entropy_x_given_y_bits(joint: np.ndarray) -> float:
     """H(X|Y) = H(X,Y) - H(Y) for a joint pmf over (x, y)."""
-    joint = np.asarray(joint, dtype=float)
-    return entropy_bits(joint) - entropy_bits(marginal_y(joint))
+    return float(cond_entropies_bits(np.asarray(joint, dtype=float)[None])[0])
 
 
 def row_divergences_bits(p: np.ndarray, q) -> np.ndarray:
@@ -52,8 +47,7 @@ def row_divergences_bits(p: np.ndarray, q) -> np.ndarray:
 
 
 def cond_entropies_bits(joints: np.ndarray) -> np.ndarray:
-    """H(X|Y) of every joint pmf of a (tables, ax, ay) stack, each with the
-    bits ``cond_entropy_x_given_y_bits`` gives that table."""
+    """H(X|Y) = H(X,Y) - H(Y) of every joint pmf of a (tables, ax, ay) stack."""
     tables, ax, ay = joints.shape
     h_xy = -row_divergences_bits(joints.reshape(tables, ax * ay), 1.0)
     h_y = -row_divergences_bits(joints.sum(axis=1), 1.0)

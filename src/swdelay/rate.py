@@ -169,14 +169,9 @@ class RateAccumulator:
 
     def tail_above(self, threshold: float) -> float:
         """P{accumulated sum > threshold} (strict exceedance)."""
-        dense = self._dense
-        i = self._tail_index(threshold)
-        # np.add.reduce is the reduction ndarray.sum runs, without its wrapper
-        if i <= 0:
-            return float(np.add.reduce(dense))
-        if i >= len(dense):
-            return 0.0
-        return float(np.add.reduce(dense[i:]))
+        # np.add.reduce is the reduction ndarray.sum runs, without its wrapper;
+        # it sums an empty slice, past the last cell, to 0.0
+        return float(np.add.reduce(self._dense[max(self._tail_index(threshold), 0):]))
 
     def tail_exceeds(self, threshold: float, epsilon: float) -> bool:
         """``tail_above(threshold) > epsilon``, bit for bit, mostly without the sum.

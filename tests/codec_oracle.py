@@ -28,7 +28,7 @@ import itertools
 import numpy as np
 
 from swdelay.codec import _TYP_TOL, CodecTrialReport
-from swdelay.entropy import entropy_bits, marginal_x, marginal_y
+from swdelay.entropy import entropy_bits
 
 
 def log2(pmf) -> np.ndarray:
@@ -70,11 +70,11 @@ class Laws:
     def __init__(self, entries):
         pmfs = [e.joint_pmf for e in entries]
         self.block = np.arange(len(pmfs))[:, None]
-        self.log_x = log2([marginal_x(p) for p in pmfs])
-        self.log_y = log2([marginal_y(p) for p in pmfs])
+        self.log_x = log2([p.sum(axis=1) for p in pmfs])
+        self.log_y = log2([p.sum(axis=0) for p in pmfs])
         self.log_xy = log2(pmfs)
-        self.h_x = np.cumsum([entropy_bits(marginal_x(p)) for p in pmfs])
-        self.h_y = np.cumsum([entropy_bits(marginal_y(p)) for p in pmfs])
+        self.h_x = np.cumsum([entropy_bits(p.sum(axis=1)) for p in pmfs])
+        self.h_y = np.cumsum([entropy_bits(p.sum(axis=0)) for p in pmfs])
         self.h_xy = np.cumsum([entropy_bits(p) for p in pmfs])
 
     def ll_x(self, x):

@@ -1,5 +1,6 @@
-"""The summary of the paired benchmark script, on fixed numbers (no git, no
-subprocess: the script's runs are not exercised here)."""
+"""The paired benchmark script's summary, on fixed numbers, and its pairing
+of runs, with a fake runner on two temporary trees (no git, no subprocess:
+bench/run.py is not run here)."""
 
 import importlib.util
 from pathlib import Path
@@ -81,3 +82,49 @@ def test_summary_claims_no_gain_when_the_change_fails_more():
     assert bench_pairs.summarize(base, clear, "lower", None, 0.01, 0.01)["gain_claimable"]
     assert bench_pairs.summarize(base, clear, "lower", None, 0.01, 0.0)["gain_claimable"]
     assert not bench_pairs.summarize(base, clear, "lower", None, 0.0, 0.001)["gain_claimable"]
+
+
+def _fake_trees(tmp_path):
+    trees = {side: tmp_path / side for side in ("base", "change")}
+    for side, tree in trees.items():
+        tree.mkdir()
+        (tree / "side.txt").write_text(side)
+    return trees, tmp_path / "run"
+
+
+def test_pairs_run_both_sides_from_one_path(tmp_path):
+    """Every run sees its own tree at the same path, the sides alternate
+    first, and both trees are back in place afterwards."""
+    trees, stage = _fake_trees(tmp_path)
+    seen = []
+
+    def run(tree, workload, seed, seconds):
+        seen.append((tree, (tree / "side.txt").read_text(), seed))
+        return {"metrics": {}, "digests": {"out": workload}}
+
+    runs = bench_pairs._pairs(trees, stage, "w", 7, 1, run=run)
+    assert {tree for tree, _, _ in seen} == {stage}
+    assert [(side, seed) for _, side, seed in seen[:4]] == [
+        ("base", 7), ("change", 7), ("change", 8), ("base", 8)]
+    assert len(runs) == bench_pairs.PAIRS and all(r["digests_equal"] for r in runs)
+    assert [r["first"] for r in runs[:2]] == ["base", "change"]
+    assert not stage.exists()
+    assert {side: (tree / "side.txt").read_text() for side, tree in trees.items()} == {
+        "base": "base", "change": "change"}
+
+
+def test_pairs_put_the_trees_back_after_a_failed_run(tmp_path):
+    trees, stage = _fake_trees(tmp_path)
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree / "side.txt").read_text())
+        if len(calls) == 2:
+            raise RuntimeError("bench/run.py exited 1")
+        return {"metrics": {}, "digests": {}}
+
+    with pytest.raises(RuntimeError, match="^change: bench/run.py exited 1$"):
+        bench_pairs._pairs(trees, stage, "w", 7, 1, run=run)
+    assert calls == ["base", "change"] and not stage.exists()
+    assert {side: (tree / "side.txt").read_text() for side, tree in trees.items()} == {
+        "base": "base", "change": "change"}

@@ -182,3 +182,78 @@ def test_report_rows_and_argmax(six_cdf_model):
         assert r.lb_we <= r.ub_we and r.lb_wd <= r.ub_wd
         assert r.gamma > 0
     assert rows[0].argmax_istar == 2
+
+
+def _tiny_group_model(h1: float, h2: float, lone: bool = True) -> SourceModel:
+    """A valid model whose group of two members has entropies h1 and h2; with
+    ``lone``, a first group of one member (prob 0.5, H 1.0) comes before it."""
+    tiny = (CdfEntry(2, 1, 0.25, h1), CdfEntry(2, 2, 0.25, h2)) if lone else (
+        CdfEntry(1, 1, 0.5, h1), CdfEntry(1, 2, 0.5, h2))
+    return SourceModel(((CdfEntry(1, 1, 0.5, 1.0),) if lone else ()) + tiny)
+
+
+@pytest.mark.parametrize("eta", [1e-160, 1e-155])
+def test_bounds_refuse_an_eta_whose_terms_overflow(six_cdf_model, eta):
+    """eta**2 is subnormal at 1e-160, not 0: every 1/eta**2 term overflows, so
+    each bound refuses eta with one ValueError instead of inf, a tie of
+    infinities or an OverflowError from ceil; at 1e-155 the upper ones do."""
+    s = compute_stats(six_cdf_model)
+    refused = [lambda: bounds_report(s, [0.5, eta], 0.01), lambda: k_c_chernoff(s, eta, 0.01),
+               lambda: ub_delay(s, eta, 0.01, "WE"), lambda: ub_delay(s, eta, 0.01, "WD")]
+    if eta == 1e-160:
+        refused += [lambda: lb_delay(s, eta, 0.01, "WE"), lambda: lb_delay(s, eta, 0.01, "WD")]
+    else:
+        assert math.isfinite(lb_delay(s, eta, 0.01, "WE").value)
+    for bound in refused:
+        with pytest.raises(ValueError, match=f"^eta = {eta!r} is too small for the bounds:") as e:
+            bound()
+        assert type(e.value) is ValueError
+    assert math.isfinite(gamma_coefficient(s, eta, 0.01))
+    row, = bounds_report(s, [1e-150], 0.01)  # the smallest eta of this test that fits
+    assert all(math.isfinite(v) for v in (row.ub_we, row.ub_wd, row.lb_we, row.lb_wd, row.gamma))
+    assert row.argmax_istar == 3
+
+
+@pytest.mark.parametrize("h1, h2", [(1e-200, 2e-200), (1e-160, 3e-160), (1e-154, 3e-154)])
+def test_bounds_refuse_a_group_of_tiny_entropies(h1, h2):
+    """Group 2's e * e underflows to 0, or 1/e**2 overflows, so its
+    coefficient is not finite: the genie bound refuses group 2 rather than
+    divide by zero, overflow in (1 + beta)**2 or return nan."""
+    s = compute_stats(_tiny_group_model(h1, h2))
+    for bound in (lambda: bounds_report(s, [0.5], 0.01), lambda: lb_delay(s, 0.5, 0.01, "WE"),
+                  lambda: lb_delay(s, 0.5, 0.01, "WD")):
+        with pytest.raises(ModelError, match="^group 2's probability or conditional "
+                                             "entropies are too small for the bounds"):
+            bound()
+    assert math.isfinite(ub_delay(s, 0.5, 0.01, "WE"))  # E[H] is about 0.5
+
+
+def test_bounds_refuse_a_model_of_tiny_entropies():
+    """One group of members with H 1e-200 and 2e-200: E[H] * E[H] underflows
+    to 0, and every bound refuses the model or its one group."""
+    s = compute_stats(_tiny_group_model(1e-200, 2e-200, lone=False))
+    with pytest.raises(ModelError, match="^group 1's probability or conditional entropies"):
+        lb_delay(s, 0.5, 0.01, "WE")
+    for bound in (lambda: bounds_report(s, [0.5], 0.01), lambda: gamma_coefficient(s, 0.5, 0.01),
+                  lambda: ub_delay(s, 0.5, 0.01, "WD")):
+        with pytest.raises(ModelError, match="^the model's conditional entropies are too small"):
+            bound()
+    assert k_c_chernoff(s, 0.5, 0.01) == (0.0, 1)  # var_h underflows to 0
+
+
+def test_bounds_refuse_the_larger_factor_of_a_term():
+    """Group 2 has prob 1e-300 (members H 0.5 and 1.5) beside a group of zero
+    entropy, so its genie scale is about 3e299.  At eta = 1e-5 its scale / eta**2
+    overflows although 1/eta**2 is only 1e10: lb_delay refuses group 2, not eta,
+    and at eta = 0.5 its term is finite.  E[H] = 1e-300 squares to 0, so
+    bounds_report, which takes the model's gamma first, refuses the model at
+    either eta, and k_c_chernoff does too."""
+    s = compute_stats(SourceModel((CdfEntry(1, 1, 1.0 - 1e-300, 0.0),
+                                   CdfEntry(2, 1, 5e-301, 0.5), CdfEntry(2, 2, 5e-301, 1.5))))
+    assert math.isfinite(lb_delay(s, 0.5, 0.01, "WE").value)
+    with pytest.raises(ModelError, match="^group 2's probability or conditional entropies"):
+        lb_delay(s, 1e-5, 0.01, "WE")
+    for eta in (0.5, 1e-5):
+        for bound in (lambda: bounds_report(s, [eta], 0.01), lambda: k_c_chernoff(s, eta, 0.01)):
+            with pytest.raises(ModelError, match="^the model's conditional entropies are too small"):
+                bound()

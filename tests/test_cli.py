@@ -210,6 +210,49 @@ def test_bounds_zero_entropy_group_and_zero_mean(tmp_path):
     assert "mean conditional entropy is 0" in err and "Traceback" not in err
 
 
+_TINY_ETA = "is too small for the bounds: a 1/eta**2 term is not finite"
+_TINY_GROUP = ("probability or conditional entropies are too small for the bounds: "
+               "a coefficient is not finite")
+_TINY_MODEL = ("the model's conditional entropies are too small for the bounds: "
+               "a coefficient is not finite")
+_LONE = "- members:\n  - {prob: 0.5, cond_entropy: 1.0}\n"
+
+
+def _pair(prob: float, h1: str, h2: str) -> str:
+    return (f"- members:\n  - {{prob: {prob}, cond_entropy: {h1}}}\n"
+            f"  - {{prob: {prob}, cond_entropy: {h2}}}\n")
+
+
+@pytest.mark.parametrize("groups, eta, message", [
+    (None, "1e-160", f"eta = 1e-160 {_TINY_ETA}"),  # the demo model
+    (None, "1e-155", f"eta = 1e-155 {_TINY_ETA}"),
+    (_LONE + _pair(0.25, "1e-200", "2e-200"), "0.5", f"group 2's {_TINY_GROUP}"),
+    (_LONE + _pair(0.25, "1e-160", "3e-160"), "0.5", f"group 2's {_TINY_GROUP}"),
+    (_LONE + _pair(0.25, "1e-154", "3e-154"), "0.5", f"group 2's {_TINY_GROUP}"),
+    (_pair(0.5, "1e-200", "2e-200"), "0.5", _TINY_MODEL),
+    ("- members:\n  - {prob: 1.0, cond_entropy: 0.0}\n" + _pair(5.0e-301, "0.5", "1.5"), "1e-5",
+     _TINY_MODEL),
+], ids=["eta-1e-160", "eta-1e-155", "zero-division", "overflow", "nan", "one-group",
+        "tiny-mean"])
+def test_bounds_refuse_what_is_not_finite(model_file, tmp_path, capsys, groups, eta, message):
+    """A bound that would be inf or nan, or raise a ZeroDivisionError or an
+    OverflowError, is one error line and exit 1, with nothing written; each
+    tiny-entropy model is valid.  example-fig4 refuses the demo's tiny eta
+    the same way, before any simulation."""
+    path = model_file
+    if groups:
+        path = tmp_path / "tiny.yaml"
+        path.write_text("groups:\n" + groups)
+        assert cli.main(["validate", "--model", str(path)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+    argvs = [["bounds", "--model", str(path), "--epsilon", "0.01", "--eta-grid", eta]]
+    if not groups:
+        argvs.append(["example-fig4", "--eta-grid", eta, "--blocks", "20"])
+    for argv in argvs:
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 def test_bounds_crossed_rows_exit_2(tmp_path, capsys):
     """Every entry has H = 2.5, so c >= h_max at every eta: the CSV keeps every
     row, each crossed eta gets one error line, and the exit code is 2."""

@@ -358,6 +358,38 @@ def test_trials_match_one_at_a_time_reference():
     assert np.all(totals > 0), totals  # every error event occurs somewhere
 
 
+def _same_bits(hyp, laws) -> bool:
+    return all(getattr(hyp, a).shape == getattr(laws, a).shape
+               and getattr(hyp, a).tobytes() == getattr(laws, a).tobytes()
+               for a in ("log_x", "log_y", "log_xy", "h_x", "h_y", "h_xy"))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_hypotheses_have_the_per_table_bits(K):
+    """A hypothesis, built on the stack of its blocks' pmfs, has the bits of
+    the oracle's table-by-table marginals, logs and cumulative entropies: on
+    random pmfs with empty cells of every shape from 1x1 to 4x4, and on every
+    hypothesis of the reference cases, whose X marginals are the first one."""
+    rng = np.random.default_rng(K)
+    for ax, ay in itertools.product(range(1, 5), repeat=2):
+        for _ in range(5):
+            flat = rng.dirichlet(np.full(ax * ay, 0.5), size=K)
+            flat[:, 1:][rng.random((K, ax * ay - 1)) < 0.4] = 0.0
+            pmfs = (flat / flat.sum(axis=1, keepdims=True)).reshape(K, ax, ay)
+            entries = [CdfEntry(k + 1, 1, 1 / K, cond_entropy_x_given_y_bits(p), p)
+                       for k, p in enumerate(pmfs)]
+            assert _same_bits(codec._Hypothesis(entries), Laws(entries)), (ax, ay)
+    for model, groups, cfg, kind in _reference_cases():
+        if len(groups) != K:
+            continue
+        space = Codebook(model, cfg, groups, kind)._space
+        assert space.marginals is space.hypotheses[0][0]
+        assert _same_bits(space.marginals, Laws([model.group_entries(g)[0] for g in groups]))
+        members = [model.group_entries(g) for g in groups]
+        for (hyp, _), combo in zip(space.hypotheses, itertools.product(*members), strict=True):
+            assert _same_bits(hyp, Laws(combo))
+
+
 def test_draw_is_a_choice_per_block():
     """``_space.draw`` gives each trial's x, y and true hypothesis as one
     ``Generator.choice`` call per block would: the member, then its n pairs."""

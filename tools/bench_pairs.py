@@ -10,6 +10,9 @@ both sides are measured by the same benchmark.  For every workload of
 at the benchmark's ``run_seconds``, for ten pairs, pair i on seed
 ``first-seed + i`` for both sides, BASE first in even pairs and CHANGE first
 in odd ones.  Pick seeds that were not used while the change was written.
+Each run moves its export to one path, ``run`` in the work directory, and
+back after it, because a tree's timings and peak RSS have been seen to move
+with the directory it runs from; the output records that path.
 
 The output holds, per workload, every run's metrics, correctness and output
 digests, whether each pair's digests are equal, and per metric of the runs'
@@ -125,6 +128,30 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def _pairs(trees: dict[str, Path], stage: Path, workload: str, first_seed: int,
+           seconds: int, run=_run) -> list[dict]:
+    """The runs of one workload, each side's tree moved to ``stage`` for its
+    run and back after it, also when the run raises."""
+    runs = []
+    for i in range(PAIRS):
+        seed = first_seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            trees[side].rename(stage)
+            try:
+                pair[side] = run(stage, workload, seed, seconds)
+            except RuntimeError as exc:  # the path no longer tells the sides apart
+                raise RuntimeError(f"{side}: {exc}") from exc
+            finally:
+                stage.rename(trees[side])
+            print(f"{workload} pair {i} {side}: {pair[side]['metrics']}",
+                  file=sys.stderr, flush=True)
+        pair["digests_equal"] = pair["base"]["digests"] == pair["change"]["digests"]
+        runs.append(pair)
+    return runs
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -160,25 +187,16 @@ def main(argv=None) -> int:
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+        stage = work / "run"
         out = {
             "base": revs["base"], "change": revs["change"], "pairs": PAIRS,
-            "seconds": seconds, "first_seed": args.first_seed,
+            "seconds": seconds, "first_seed": args.first_seed, "run_dir": str(stage),
             "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                         "python": platform.python_version()},
             "workloads": {},
         }
         for workload in (w["name"] for w in spec["workloads"]):
-            runs = []
-            for i in range(PAIRS):
-                seed = args.first_seed + i
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = _run(trees[side], workload, seed, seconds)
-                    print(f"{workload} pair {i} {side}: "
-                          f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
-                pair["digests_equal"] = pair["base"]["digests"] == pair["change"]["digests"]
-                runs.append(pair)
+            runs = _pairs(trees, stage, workload, args.first_seed, seconds)
             failed = {s: sum(r[s]["failed"] for r in runs) / sum(r[s]["attempted"] for r in runs)
                       for s in ("base", "change")}
             metrics = {}
