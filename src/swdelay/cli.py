@@ -323,6 +323,10 @@ def cmd_example_fig4(args) -> int:
     report = bounds_mod.bounds_report(stats, args.eta_grid, epsilon)
     results = run_sweep(model, ("we", "wd"), args.eta_grid, args.seeds,
                         workers=args.workers, epsilon=epsilon, T=args.blocks)
+    for r in results:  # a run that decoded nothing has no mean delay to bracket
+        if not r.decoded_blocks:
+            raise CliError(f"--blocks {args.blocks}: the {r.strategy} run at eta={_fmt(r.eta)} "
+                           f"seed={r.seed} decoded no block")
 
     print(f"model: m={model.m} cdfs={len(model.entries)} "
           f"e_h={_fmt(stats.e_h)} var_h={_fmt(stats.var_h)} "
@@ -365,18 +369,14 @@ def cmd_codec(args) -> int:
         groups = (1,) * (1 if args.k is None else args.k)
     elif args.k is not None and args.k != len(groups):
         raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
-    config = codec_mod.CodecConfig(n=args.n, delta=args.delta, rate_bits=args.rates[0],
-                                   seed=args.seed)
+    config = codec_mod.CodecConfig(n=args.n, delta=args.delta, seed=args.seed)
     book = codec_mod.Codebook(model, config, groups, args.kind)
-    # every rate is checked before any trial; the codebooks share one sequence
-    # table, X-typical set and trial draw
-    books = [book.at_rate(rate) for rate in args.rates]
+    for rate in args.rates:  # every rate is checked before any trial
+        book.bins(rate)
     rows = []
-    while books:
-        book = books.pop(0)  # a rate's own tables go with its codebook
-        report = codec_mod.run_codec_trials(book, trials=args.trials, seed=args.seed + 1)
-        rows.append((book.config.rate_bits, report.err_rate, report.eps1, report.eps2,
-                     report.eps3))
+    for rate in args.rates:  # one sequence table, X-typical set and draw for all
+        report = codec_mod.run_codec_trials(book, rate, trials=args.trials, seed=args.seed + 1)
+        rows.append((rate, report.err_rate, report.eps1, report.eps2, report.eps3))
     _write_csv(args.out, ("rate_bits", "err_rate", "eps1", "eps2", "eps3"),
                rows, not args.no_timestamp)
     return EXIT_OK

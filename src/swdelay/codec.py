@@ -21,18 +21,19 @@ reproducible at these sizes, so tests work with margins.  Encoding,
 candidate lookup and scoring work on arrays of trials: ``run_codec_trials``
 runs all its trials as one batched pass in chunks of bounded size.
 
-The rate sets only the bins and the bin-sorted candidate index.  The table of
-every X sequence, the X-typical set, the hypotheses and the last trial draw
-do not depend on it; ``Codebook.at_rate`` gives the codebook of another rate
-sharing them, so a sweep over rates builds each once, and they are freed with
-the last codebook that holds them (nothing is cached at module level).
+The rate sets only the bins and the bin-sorted candidate index, so it is an
+argument of ``encode`` and ``run_codec_trials``, not of the codebook.  The
+table of every X sequence, the X-typical set, the hypotheses and the last
+trial draw do not depend on it: a sweep over rates runs one codebook at every
+rate and builds each of them once, and they are freed with the codebook
+(nothing is cached at module level).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,21 +57,19 @@ _CHUNK_CELLS = 2 ** 16
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Block length, typicality slack, rate and seed of a codebook; the block
-    count K and the alphabets are those of the observed groups' joint pmfs."""
+    """Block length, typicality slack and seed of a codebook; the block count
+    K and the alphabets are those of the observed groups' joint pmfs, and the
+    rate is an argument of each run."""
 
     n: int
     delta: float
-    rate_bits: float
-    seed: int = 0
+    seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         if not 1 <= self.n <= 16:
             raise ValueError("block length n must be between 1 and 16")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not 0 <= self.rate_bits < math.inf:
-            raise ValueError(f"rate_bits must be nonnegative and finite, got {self.rate_bits}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +152,35 @@ def _sequence_table(total: int, alphabet: int, width: int) -> np.ndarray:
     return out
 
 
-class _SequenceSpace:
-    """The part of a codebook that its rate does not change: the observed
-    groups, the alphabets and stage ends, the table of every X sequence, the
-    X-typical ones, the hypotheses and the last trial draw.  The codebooks of
-    one model, groups, kind, n and delta at several rates share one
-    (``Codebook.at_rate``), so each is built at most once and lives no longer
-    than the last of them."""
+class Codebook:
+    """Seeded binning structure bound to a model and observed marginal groups.
 
-    def __init__(self, model: SourceModel, groups, n: int, delta: float, kind: str):
-        groups = tuple(int(g) for g in groups)
+    Stage s bins the prefix of the first ``ends[s]`` blocks with seed
+    ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
+    stage ``ends = (K,)``; ``sequential`` (the deferred-decoding message
+    stream, a tuple) has ``ends = (1, ..., K)``.  K is the number of observed
+    groups and the alphabets are the shape of their joint pmfs.  The rate
+    sets only the bins of a stage (``bins``); everything held here is shared
+    by the runs at every rate, built at most once and freed with the codebook.
+    """
+
+    def __init__(self, model: SourceModel, config: CodecConfig, groups: tuple[int, ...],
+                 kind: str = BATCH):
         K = len(groups)
         if not 1 <= K <= 2:
             raise ValueError("block count K must be 1 or 2")
+        self.members = [model.group_entries(int(g)) for g in groups]
         shapes = set()
-        for g in groups:
-            for e in model.group_entries(g):
-                if e.joint_pmf is None:
-                    raise ModelError(f"cdf ({e.group},{e.member}) has no joint pmf")
-                shapes.add(e.joint_pmf.shape)
+        for e in itertools.chain.from_iterable(self.members):
+            if e.joint_pmf is None:
+                raise ModelError(f"cdf ({e.group},{e.member}) has no joint pmf")
+            shapes.add(e.joint_pmf.shape)
         if len(shapes) > 1:
             raise ModelError(f"the observed groups' pmfs differ in shape: {sorted(shapes)}")
         (ax, ay), = shapes
         if not 1 <= ax <= 4 or not 1 <= ay <= 4:
             raise ValueError("alphabet sizes must be between 1 and 4")
-        self.total = ax ** (n * K)
+        self.total = ax ** (config.n * K)
         if self.total > MAX_SEQUENCES:
             raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
         if kind == BATCH:
@@ -186,16 +189,26 @@ class _SequenceSpace:
             self.ends = tuple(range(1, K + 1))
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
-        self.model, self.groups, self.kind = model, groups, kind
-        self.n, self.delta = n, delta
+        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
+            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
+        self.seeds = (config.seed,) if kind == BATCH else tuple(config.seed + k for k in self.ends)
+        self.config, self.kind = config, kind
         self.blocks, self.alphabet_x, self.alphabet_y = K, ax, ay
         self._last_draw = None  # (trials, seed) and what draw() returned
+
+    def bins(self, rate_bits: float) -> int:
+        """Bins of each stage at ``rate_bits`` bits a message: 2**rate_bits for
+        batch, 2**(rate_bits/K) for sequential."""
+        if not 0 <= rate_bits < math.inf:
+            raise ValueError(f"rate_bits must be nonnegative and finite, got {rate_bits}")
+        # capped where 2**63 bins already exceed every guarded prefix count
+        return max(1, round(2.0 ** min(rate_bits / len(self.ends), 63)))
 
     # -- sequence indexing (lexicographic, first symbol most significant) --
 
     def seq_index(self, x: np.ndarray) -> np.ndarray:
         """Index of each (..., K, n) sequence."""
-        width = self.n * self.blocks
+        width = self.config.n * self.blocks
         x = np.asarray(x, dtype=np.int64)
         powers = self.alphabet_x ** np.arange(width - 1, -1, -1, dtype=np.int64)
         return x.reshape(*x.shape[:-2], width) @ powers
@@ -203,7 +216,7 @@ class _SequenceSpace:
     @cached_property
     def all_sequences(self) -> np.ndarray:
         """(total, K*n) table of every X sequence, in index order."""
-        return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
+        return _sequence_table(self.total, self.alphabet_x, self.config.n * self.blocks)
 
     @property
     def marginals(self) -> _Hypothesis:
@@ -217,24 +230,23 @@ class _SequenceSpace:
         """X-typicality under the marginals of the prefix each stage bins, for
         (..., K, n) sequences, one per stage on a last axis."""
         ll = self._log_x(x)
-        return np.stack([_typical(ll, self.marginals.h_x, self.delta, end)
+        return np.stack([_typical(ll, self.marginals.h_x, self.config.delta, end)
                          for end in self.ends], axis=-1)
 
     @cached_property
     def typical(self) -> np.ndarray:
         """Indices of the X-typical sequences, in index order.  X marginals
         are shared within a group, so the set is hypothesis independent."""
-        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.n))
-        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.delta))
+        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.config.n))
+        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.config.delta))
 
     @cached_property
     def hypotheses(self) -> list[tuple[_Hypothesis, float]]:
         """Every choice of one member per block, in lexicographic member order,
         with its posterior given the observed groups."""
-        member_lists = [self.model.group_entries(g) for g in self.groups]
-        phis = [sum(e.prob for e in members) for members in member_lists]
+        phis = [sum(e.prob for e in members) for members in self.members]
         out = []
-        for combo in itertools.product(*member_lists):
+        for combo in itertools.product(*self.members):
             post = 1.0
             for e, phi in zip(combo, phis):
                 post = post * e.prob / phi
@@ -245,7 +257,7 @@ class _SequenceSpace:
         """The rate-free part of the trials of ``seed``: per trial, the
         sequence index of x, the received (K, n) blocks y, the hypothesis
         that drew the pair and the X-typicality of each stage's prefix.  The
-        last draw is kept for the next rate, as long as this part lives:
+        last draw is kept for the next rate, as long as the codebook lives:
         about 20 + K*n bytes per trial."""
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
@@ -254,8 +266,7 @@ class _SequenceSpace:
     def _sample(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
         # per trial and block: the member, then its n symbol pairs, drawn from
         # one uniform each in the order of a choice(p=...) call per block
-        K, n = self.blocks, self.n
-        member_lists = [self.model.group_entries(g) for g in self.groups]
+        K, n, member_lists = self.blocks, self.config.n, self.members
         u = np.random.default_rng(seed).random(trials * K * (1 + n)).reshape(trials, K, 1 + n)
         members = np.empty((trials, K), dtype=np.int64)
         flat = np.empty((trials, K, n), dtype=np.int64)
@@ -271,97 +282,42 @@ class _SequenceSpace:
         # y kept as int8, as the sequence table is: symbols are below 4
         return self.seq_index(x), y.astype(np.int8), true_hyp, self.typical_stages(x)
 
+    # -- binning at a number of bins a stage --
 
-class Codebook:
-    """Seeded binning structure bound to a model and observed marginal groups.
-
-    Stage s bins the first ``ends[s]`` blocks into ``bins`` bins with seed
-    ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
-    stage ``ends = (K,)`` with 2**rate_bits bins; ``sequential`` (the
-    deferred-decoding message stream, a tuple) has ``ends = (1, ..., K)`` with
-    2**(rate_bits/K) bins each.  K is the number of observed groups and the
-    alphabets are the shape of their joint pmfs.  Only the bins depend on the
-    rate; ``at_rate`` gives the codebook of another rate, which shares the
-    rest.  The shared part keeps the sequence table and the last trial draw
-    of ``run_codec_trials`` for as long as one of these codebooks is held.
-    """
-
-    def __init__(
-        self,
-        model: SourceModel,
-        config: CodecConfig,
-        groups: tuple[int, ...],
-        kind: str = BATCH,
-    ):
-        self._bind(_SequenceSpace(model, groups, config.n, config.delta, kind), config)
-
-    def _bind(self, space: _SequenceSpace, config: CodecConfig) -> None:
-        K = space.blocks
-        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
-            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
-        self._space = space
-        self.config = config
-        self.kind, self.blocks, self.total, self.ends = space.kind, K, space.total, space.ends
-        self.alphabet_x, self.alphabet_y = space.alphabet_x, space.alphabet_y
-        self.seeds = (config.seed,) if space.kind == BATCH else tuple(
-            config.seed + k for k in space.ends)
-        # capped where 2**63 bins already exceed every guarded prefix count
-        self.bins = max(1, round(2.0 ** min(config.rate_bits / len(self.ends), 63)))
-        self.injective = self.bins >= self.total  # the longest prefix has the most
-
-    def at_rate(self, rate_bits: float) -> Codebook:
-        """This codebook at another rate; both share the sequence table, the
-        X-typical set, the hypotheses and the last trial draw."""
-        book = Codebook.__new__(Codebook)
-        book._bind(self._space, replace(self.config, rate_bits=rate_bits))
-        return book
-
-    def _prefix_total(self, k: int) -> int:
-        return self.alphabet_x ** (self.config.n * k)
-
-    def _bins_of(self, index: np.ndarray) -> np.ndarray:
+    def _bins_of(self, index: np.ndarray, bins: int) -> np.ndarray:
         """Bins of each sequence index, one per stage on a last axis: the
         prefix's index plus one where the stage has at least as many bins as
         prefixes, else its seeded hash.  Only the prefixes asked for are
-        hashed: the X-typical set once per codebook, the trials once per run."""
-        stages = []
+        hashed: the X-typical set and the trials once per run."""
+        stages, n = [], self.config.n
         for end, seed in zip(self.ends, self.seeds):
-            prefix = index // self._prefix_total(self.blocks - end)
-            stages.append(prefix + 1 if self.bins >= self._prefix_total(end)
-                          else _hash_bins(prefix, self.bins, seed))
+            prefix = index // self.alphabet_x ** (n * (self.blocks - end))
+            stages.append(prefix + 1 if bins >= self.alphabet_x ** (n * end)
+                          else _hash_bins(prefix, bins, seed))
         return np.stack(stages, axis=-1)
 
-    def _encode(self, index: np.ndarray, typical: np.ndarray) -> np.ndarray:
+    def _encode(self, index: np.ndarray, typical: np.ndarray, bins: int) -> np.ndarray:
         """Per-stage bins of the sequences of ``index`` whose stage prefixes'
         typicality is ``typical``; an atypical prefix gets bin 1."""
-        return np.where(typical, self._bins_of(index), 1)
+        return np.where(typical, self._bins_of(index, bins), 1)
 
-    # -- decoding tables, built once per codebook --
-
-    def _keys(self, bins) -> np.ndarray:
+    def _keys(self, messages, bins: int) -> np.ndarray:
         """Sort key of (..., stages) messages whose bins are all in
         1..min(bins, total): the bins read as digits of one more than that."""
-        radix = min(self.bins, self.total) + 1
-        return np.asarray(bins, dtype=np.int64) @ radix ** np.arange(
+        radix = min(bins, self.total) + 1
+        return np.asarray(messages, dtype=np.int64) @ radix ** np.arange(
             len(self.ends) - 1, -1, -1, dtype=np.int64)
 
-    @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+    def _index(self, bins: int) -> tuple[np.ndarray, np.ndarray]:
         """The X-typical sequences stably sorted by the key of their message,
         and the sorted keys."""
-        typical = self._space.typical
-        keys = self._keys(self._bins_of(typical))
+        keys = self._keys(self._bins_of(self.typical, bins), bins)
         order = np.argsort(keys, kind="stable")
-        return keys[order], typical[order]
+        return keys[order], self.typical[order]
 
-    def _lookup(self, bins) -> tuple[np.ndarray, np.ndarray]:
-        """Range of each message's candidates in ``_index``."""
-        keys = self._keys(bins)
-        sorted_keys = self._index[0]
-        return sorted_keys.searchsorted(keys, "left"), sorted_keys.searchsorted(keys, "right")
-
-    def _score(self, lo: np.ndarray, hi: np.ndarray, y: np.ndarray):
-        """Score the candidates of T trials with received (T, K, n) blocks.
+    def _score(self, candidates: np.ndarray, lo: np.ndarray, hi: np.ndarray, y: np.ndarray):
+        """Score the candidates ``candidates[lo:hi]`` of T trials with
+        received (T, K, n) blocks.
 
         Returns the candidates' sequence indices, grouped by trial and in
         index order within one; each candidate's trial; whether each
@@ -370,19 +326,18 @@ class Codebook:
         """
         cfg = self.config
         width = cfg.n * self.blocks
-        hypotheses = self._space.hypotheses
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
-        cand = self._index[1][np.arange(len(trial)) - first[trial] + lo[trial]]
+        cand = candidates[np.arange(len(trial)) - first[trial] + lo[trial]]
         # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
         block = np.arange(width) // cfg.n
-        cell = ((block * self.alphabet_x + self._space.all_sequences[cand]) * self.alphabet_y
+        cell = ((block * self.alphabet_x + self.all_sequences[cand]) * self.alphabet_y
                 + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, cfg.n)
         y_block = np.arange(self.blocks)[:, None]
-        typical = np.empty((len(cand), len(hypotheses)), dtype=bool)
+        typical = np.empty((len(cand), len(self.hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
-        for h, (hyp, post) in enumerate(hypotheses):
+        for h, (hyp, post) in enumerate(self.hypotheses):
             y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, cfg.delta)
             typical[:, h] = (y_typical[trial]
                              & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, cfg.delta))
@@ -402,13 +357,14 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
     return out
 
 
-def encode(codebook: Codebook, x_blocks) -> int | tuple[int, ...]:
-    """Bin index (batch) or per-block bin tuple (sequential); atypical -> bin 1.
-    No caller in the package: the benchmark's tracer wraps it by name."""
+def encode(codebook: Codebook, x_blocks, rate_bits: float) -> int | tuple[int, ...]:
+    """Bin index (batch) or per-block bin tuple (sequential) at ``rate_bits``;
+    atypical -> bin 1.  No caller in the package: the benchmark's tracer wraps
+    it by name."""
+    bins = codebook.bins(rate_bits)
     x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
-    typical = codebook._space.typical_stages(x)
-    bins = codebook._encode(codebook._space.seq_index(x), typical)[0]
-    return int(bins[0]) if codebook.kind == BATCH else tuple(bins.tolist())
+    sent = codebook._encode(codebook.seq_index(x), codebook.typical_stages(x), bins)[0]
+    return int(sent[0]) if codebook.kind == BATCH else tuple(sent.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +392,19 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(u, side="right")
 
 
-def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTrialReport:
-    """Encode/decode i.i.d. source pairs and classify every decoding error;
-    the scoring pass decides every pair's typicality, the sent one's too.
-    The draw of ``(trials, seed)`` is kept by the codebook's rate-free part,
-    so codebooks of other rates from ``at_rate`` reuse it; it stays alive
-    (about 20 + K*n bytes per trial) until the next draw or until the last
-    codebook sharing that part is dropped."""
-    index, y, true_hyp, stages = codebook._space.draw(trials, seed)
+def run_codec_trials(codebook: Codebook, rate_bits: float, *, trials: int,
+                     seed: int) -> CodecTrialReport:
+    """Encode/decode i.i.d. source pairs at ``rate_bits`` and classify every
+    decoding error; the scoring pass decides every pair's typicality, the
+    sent one's too.  The draw of ``(trials, seed)`` is kept by the codebook,
+    so a run at another rate reuses it; it stays alive (about 20 + K*n bytes
+    per trial) until the next draw or until the codebook is dropped."""
+    bins = codebook.bins(rate_bits)
+    index, y, true_hyp, stages = codebook.draw(trials, seed)
     K, n = codebook.blocks, codebook.config.n
-    lo, hi = codebook._lookup(codebook._encode(index, stages))
+    keys, candidates = codebook._index(bins)
+    sent = codebook._keys(codebook._encode(index, stages, bins), bins)
+    lo, hi = keys.searchsorted(sent, "left"), keys.searchsorted(sent, "right")
     cells = np.cumsum((hi - lo) * (K * n))
     decoded = np.empty(trials, dtype=np.int64)
     collided, typical_pair = np.zeros((2, trials), dtype=bool)
@@ -454,7 +413,7 @@ def run_codec_trials(codebook: Codebook, *, trials: int, seed: int) -> CodecTria
         base = cells[start - 1] if start else 0
         stop = max(start + 1, int(cells.searchsorted(base + _CHUNK_CELLS, "right")))
         part = slice(start, stop)
-        cand, trial, typical, best = codebook._score(lo[part], hi[part], y[part])
+        cand, trial, typical, best = codebook._score(candidates, lo[part], hi[part], y[part])
         decoded[part] = _winners(cand, trial, best, stop - start)
         # Y and XY typicality under the true hypothesis: x's own row, or a collision
         true = typical[np.arange(len(cand)), true_hyp[part][trial]]

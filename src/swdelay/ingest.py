@@ -200,14 +200,13 @@ def _divergences_to_first(p: np.ndarray) -> np.ndarray:
 
 
 def _levels(values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width interval index per value, plus the interval midpoints."""
+    """Equal-width interval index per value, plus its interval's midpoint."""
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo or count == 1:
-        return np.zeros(len(values), dtype=np.int64), np.array([lo])
+        return np.zeros(len(values), dtype=np.int64), np.full(len(values), lo)
     width = (hi - lo) / count
     idx = np.minimum(((values - lo) / width).astype(np.int64), count - 1)
-    mids = lo + (np.arange(count) + 0.5) * width
-    return idx, mids
+    return idx, lo + (idx + 0.5) * width
 
 
 def _fit_marginals(pmfs: np.ndarray, tx: np.ndarray, ty: np.ndarray,
@@ -266,6 +265,9 @@ def quantize_model(
     """
     if joint_levels < 1 or marginal_levels < 1:
         raise IngestError("level counts must be >= 1")
+    if max(joint_levels, marginal_levels) > 2 ** 31:  # keeps the int64 cell keys below 2**63
+        raise IngestError(f"level counts must be at most 2**31, got "
+                          f"{max(joint_levels, marginal_levels)}")
     if representative not in ("midpoint", "random"):
         raise IngestError(f"unknown representative mode {representative!r}")
     pmfs = np.asarray(pmfs, dtype=float)
@@ -277,7 +279,7 @@ def quantize_model(
     dx, dy = _divergences_to_first(mx), _divergences_to_first(my)
     finite = np.flatnonzero(np.isfinite(d) & np.isfinite(dx) & np.isfinite(dy))
 
-    jl, jmids = _levels(d[finite], joint_levels)
+    jl, jmid = _levels(d[finite], joint_levels)
     xl, _ = _levels(dx[finite], marginal_levels)
     yl, _ = _levels(dy[finite], marginal_levels)
     occupied = len(np.unique(jl))
@@ -304,7 +306,7 @@ def quantize_model(
         order = np.argsort(cell_of, kind="stable")
         pick = start + np.array([rng.integers(c) for c in counts.tolist()])
     else:
-        order = np.lexsort((np.abs(d[finite] - jmids[jl]), cell_of))
+        order = np.lexsort((np.abs(d[finite] - jmid), cell_of))
         pick = start
     rep = finite[order[pick]]
     anchor = np.lexsort((-counts, cell_group))[first][cell_group]

@@ -91,7 +91,7 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
               batch_size: int | None = None) -> tuple[EntropyStats, float, float]:
     """The one check of a run's arguments, before any work: the strategies,
     epsilon, T, the batch size, then eta or c, and only then the model's E[H].
-    Returns (stats, c, eta), with eta below 1.
+    Returns (stats, c, eta), with eta below 1 and c above E[H].
 
     epsilon is checked whenever it is given; it may be omitted only when every
     strategy asked for is ``known-joint`` or ``blockwise``, which never outage.
@@ -115,7 +115,11 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
     stats = compute_stats(model)
     check_mean_entropy(stats.e_h)
     if eta is not None:
-        return stats, stats.e_h / (1.0 - eta), eta
+        c = stats.e_h / (1.0 - eta)
+        if c <= stats.e_h:  # eta is too small to move c off E[H] in floats
+            raise ValueError(f"eta = {eta!r} is too small: c = E[H]/(1 - eta) rounds to "
+                             f"E[H] = {stats.e_h!r}")
+        return stats, c, eta
     eta = 1.0 - stats.e_h / c
     if eta >= 1:  # E[H]/c is below the float spacing just under 1
         raise ValueError(f"channel rate c = {c!r} is too large for E[H] = {stats.e_h!r}: "

@@ -88,9 +88,10 @@ class Laws:
 
 
 class ExactCodec:
-    """The decoder and error classifier of one codebook, by enumeration."""
+    """The decoder and error classifier of one codebook at one rate, by
+    enumeration."""
 
-    def __init__(self, model, groups, book):
+    def __init__(self, model, groups, book, rate_bits):
         n, delta, K = book.config.n, book.config.delta, len(groups)
         self.book, self.delta = book, delta
         ends = (K,) if book.kind == "batch" else tuple(range(1, K + 1))
@@ -99,7 +100,7 @@ class ExactCodec:
         marginals = Laws([model.group_entries(g)[0] for g in groups])
         ll = marginals.ll_x(self.seqs)
         self.stages = np.stack([typical(ll, marginals.h_x, delta, end) for end in ends], -1)
-        raw = book._bins_of(np.arange(len(self.seqs)))
+        raw = book._bins_of(np.arange(len(self.seqs)), book.bins(rate_bits))
         self.sent = np.where(self.stages, raw, 1)
         self.in_bin = {}  # message -> its candidates, in index order
         for i in np.flatnonzero(self.stages[:, -1]):  # the last stage is the whole sequence
@@ -137,7 +138,7 @@ class ExactCodec:
         """Decode and classify each pair of the codebook's own draw of
         ``(trials, seed)``; also returns how many decodes found no candidate
         with a positive posterior."""
-        index, y, true_hyp = self.book._space.draw(trials, seed)[:3]
+        index, y, true_hyp = self.book.draw(trials, seed)[:3]
         errors = undecoded = eps1 = eps2 = eps3 = 0
         for i, yt, h in zip(index, y.astype(np.int64), true_hyp):
             won, cand, joint = self.decode(self.sent[i], yt)

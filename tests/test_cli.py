@@ -566,6 +566,20 @@ def test_example_fig4_refuses_one_seed(monkeypatch, capsys):
     assert out == "" and err.startswith("error: --seeds: ") and err.count("\n") == 1
 
 
+def test_example_fig4_refuses_a_run_that_decoded_nothing(tmp_path, capsys):
+    """Five blocks at eta = 0.05 decode none, so there is no mean delay to
+    bracket: the command exits 1 naming --blocks, the strategy, eta and the
+    seed, before the model line and the CSV, instead of reporting a FAIL."""
+    path = tmp_path / "fig4.csv"
+    argv = ["example-fig4", "--blocks", "5", "--eta-grid", "0.05", "--seeds", "1,2",
+            "--out", path.as_posix()]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --blocks 5: the we run at eta=0.05 seed=1 decoded no block\n"
+    assert not path.exists()
+
+
 def test_codec_cli_csv():
     code, out, _ = run_cli(
         "codec", "--bsc", "0.1", "--n", "8", "--delta", "0.5",
@@ -610,8 +624,8 @@ def test_codec_command_builds_its_rate_free_work_once(tmp_path, monkeypatch,
     monkeypatch.setattr(codec, "_sequence_table",
                         _counting(calls, "table", codec._sequence_table))
     monkeypatch.setattr(codec, "_typical", _counting(calls, "typical", codec._typical))
-    monkeypatch.setattr(codec._SequenceSpace, "_sample",
-                        _counting(calls, "draw", codec._SequenceSpace._sample))
+    monkeypatch.setattr(codec.Codebook, "_sample",
+                        _counting(calls, "draw", codec.Codebook._sample))
     monkeypatch.setattr(codec, "run_codec_trials",
                         _counting(calls, "trials", codec.run_codec_trials))
     assert cli.main(argv) == 0
@@ -638,6 +652,20 @@ def test_codec_command_keeps_no_sequence_table(tmp_path, monkeypatch):
                      "--rates", "2,8", "--trials", "50", "--out",
                      (tmp_path / "out.csv").as_posix()]) == 0
     assert len(refs) == 1 and refs[0]() is None
+
+
+@pytest.mark.parametrize("flag", ["--joint-levels", "--marginal-levels"])
+def test_ingest_refuses_a_level_count_above_2_31(tmp_path, capsys, flag):
+    """A count whose int64 cell keys could wrap exits 1 with one error line."""
+    trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=20, blocks=40, seed=5)
+    trace_path = tmp_path / "trace.csv"
+    np.savetxt(trace_path, trace, fmt="%d", delimiter=",")
+    model_out = tmp_path / "learned.yaml"
+    assert cli.main(["ingest", "--input", trace_path.as_posix(), "--n", "20",
+                     flag, "2147483649", "--out", model_out.as_posix()]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: level counts must be at most 2**31, got 2147483649\n"
+    assert not model_out.exists()
 
 
 def test_ingest_cli_roundtrip(tmp_path):
@@ -1275,3 +1303,22 @@ def test_channel_rate_whose_eta_rounds_to_1_is_rejected(tmp_path, capsys, argv):
     assert code == 1 and out == ""
     assert err == ("error: channel rate c = 1e+308 is too large for E[H] = 2.5: "
                    "eta = 1 - E[H]/c rounds to 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kc", "--eta", "1e-160"],
+    ["simulate", "--strategy", "we", "--blocks", "20", "--eta", "1e-160"],
+    ["sweep", "--strategies", "we", "--eta-grid", "0.5,1e-160", "--blocks", "20",
+     "--seeds", "1"],
+])
+def test_eta_whose_channel_rate_rounds_to_e_h_is_rejected(tmp_path, capsys, argv):
+    """With every H = 2.5, c = E[H]/(1 - eta) rounds to 2.5 at eta = 1e-160:
+    one error line naming eta, not a run made at eta = 0."""
+    path = tmp_path / "flat.yaml"
+    path.write_text("groups:\n- members:\n  - {prob: 0.5, cond_entropy: 2.5}\n"
+                    "  - {prob: 0.5, cond_entropy: 2.5}\n")
+    code = cli.main([*argv, "--model", path.as_posix(), "--epsilon", "0.01"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: eta = 1e-160 is too small: c = E[H]/(1 - eta) rounds to "
+                   "E[H] = 2.5\n")

@@ -1,6 +1,4 @@
 import itertools
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -40,53 +38,59 @@ def _uniform_model(ax, ay, groups=1) -> SourceModel:
 
 
 def test_config_guards():
-    CodecConfig(12, 0.5, 10.0)
+    CodecConfig(12, 0.5)
     with pytest.raises(ValueError):
-        Codebook(_uniform_model(5, 2), CodecConfig(4, 0.5, 2.0), (1,))
+        Codebook(_uniform_model(5, 2), CodecConfig(4, 0.5), (1,))
     with pytest.raises(ValueError):
-        CodecConfig(17, 0.5, 2.0)
+        CodecConfig(17, 0.5)
     with pytest.raises(ValueError):
-        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0), (1, 1, 1))
+        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1, 1, 1))
     with pytest.raises(ValueError):
-        CodecConfig(4, 0.0, 2.0)
+        CodecConfig(4, 0.0)
     with pytest.raises(ValueError):
-        CodecConfig(4, 0.5, -1.0)
+        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1,)).bins(-1.0)
     with pytest.raises(ValueError):
-        Codebook(_uniform_model(4, 4), CodecConfig(16, 0.5, 2.0), (1, 1))  # 4**32 sequences
+        Codebook(_uniform_model(4, 4), CodecConfig(16, 0.5), (1, 1))  # 4**32 sequences
     # every stage seed (seed + 1 .. seed + K when sequential) must fit a uint64
     for blocks, seed in ((1, -1), (2, 2 ** 64 - 2), (1, 2 ** 64)):
         with pytest.raises(ValueError, match="seed must be in"):
-            Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0, seed=seed), (1,) * blocks)
-    top = CodecConfig(4, 0.5, 2.0, seed=2 ** 64 - 2)
+            Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, seed=seed), (1,) * blocks)
+    top = CodecConfig(4, 0.5, seed=2 ** 64 - 2)
     for kind in ("batch", "sequential"):
         book = Codebook(bsc_pair_model(0.1), top, (1,), kind)
-        assert not book.injective
-        assert 1 <= np.min(encode(book, [0, 1, 1, 0])) <= book.bins  # X uniform: typical
+        assert book.bins(2.0) < book.total
+        assert 1 <= np.min(encode(book, [0, 1, 1, 0], 2.0)) <= book.bins(2.0)  # X uniform: typical
+
+
+def test_config_takes_the_seed_by_keyword():
+    """A rate given where the config once took it is refused, not read as a seed."""
+    with pytest.raises(TypeError):
+        CodecConfig(12, 0.5, 10.0)
 
 
 def test_codebook_takes_k_and_alphabets_from_the_groups():
     """K is the number of observed groups and the alphabets the shape of their
     pmfs; groups whose pmfs differ in shape are refused."""
-    book = Codebook(_uniform_model(3, 2, groups=2), CodecConfig(2, 0.5, 2.0), (2, 1))
+    book = Codebook(_uniform_model(3, 2, groups=2), CodecConfig(2, 0.5), (2, 1))
     assert (book.blocks, book.alphabet_x, book.alphabet_y, book.total) == (2, 3, 2, 3 ** 4)
     pmfs = (np.full((2, 2), 0.25), np.full((2, 3), 1 / 6))
     mixed = SourceModel(tuple(CdfEntry(g, 1, 0.5, cond_entropy_x_given_y_bits(p), p)
                               for g, p in enumerate(pmfs, start=1)))
-    Codebook(mixed, CodecConfig(2, 0.5, 2.0), (2, 2))
+    Codebook(mixed, CodecConfig(2, 0.5), (2, 2))
     with pytest.raises(ModelError, match="differ in shape"):
-        Codebook(mixed, CodecConfig(2, 0.5, 2.0), (1, 2))
+        Codebook(mixed, CodecConfig(2, 0.5), (1, 2))
 
 
 def test_codebook_refuses_what_it_cannot_bin():
     """A group without joint pmfs, an unknown kind and a sequence of the
     wrong length are refused with their own messages."""
     with pytest.raises(ModelError, match=r"^cdf \(1,1\) has no joint pmf$"):
-        Codebook(SourceModel((CdfEntry(1, 1, 1.0, 1.0),)), CodecConfig(2, 0.5, 2.0), (1,))
+        Codebook(SourceModel((CdfEntry(1, 1, 1.0, 1.0),)), CodecConfig(2, 0.5), (1,))
     with pytest.raises(ValueError, match="^kind must be 'batch' or 'sequential'$"):
-        Codebook(bsc_pair_model(0.1), CodecConfig(2, 0.5, 2.0), (1,), "stream")
-    book = Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, 2.0), (1,))
+        Codebook(bsc_pair_model(0.1), CodecConfig(2, 0.5), (1,), "stream")
+    book = Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1,))
     with pytest.raises(ValueError, match=r"^sequence length 3 does not match K\*n = 4$"):
-        encode(book, [0, 1, 1])
+        encode(book, [0, 1, 1], 2.0)
 
 
 def _x_typical(x_blocks, entries, delta) -> bool:
@@ -132,33 +136,34 @@ def test_jointly_typical_identity_pair():
 
 def test_encode_injective_and_deterministic():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=3.0, rate_bits=8.0, seed=7)
+    cfg = CodecConfig(8, delta=3.0, seed=7)
     book = Codebook(model, cfg, (1,))
-    assert book.injective
+    assert book.bins(8.0) >= book.total
     xs = [np.array([i >> k & 1 for k in range(8)]) for i in range(40)]
-    bins = [encode(book, x) for x in xs]
+    bins = [encode(book, x, 8.0) for x in xs]
     assert len(set(bins)) == len(bins)
     again = Codebook(model, cfg, (1,))
-    assert bins == [encode(again, x) for x in xs]
+    assert bins == [encode(again, x, 8.0) for x in xs]
 
 
 def test_encode_atypical_goes_to_bin_one():
     pmf = np.array([[0.5, 0.5], [0.0, 0.0]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, pmf),))
-    cfg = CodecConfig(4, delta=0.5, rate_bits=4.0, seed=1)
+    cfg = CodecConfig(4, delta=0.5, seed=1)
     book = Codebook(model, cfg, (1,))
-    assert encode(book, [0, 0, 0, 1]) == 1
-    assert book._bins_of(np.array([1]))[0, 0] == 2  # its raw bin: the rate is injective
-    assert encode(book, [0, 0, 0, 0]) == book._bins_of(np.array([0]))[0, 0]
+    bins = book.bins(4.0)
+    assert encode(book, [0, 0, 0, 1], 4.0) == 1
+    assert book._bins_of(np.array([1]), bins)[0, 0] == 2  # its raw bin: the rate is injective
+    assert encode(book, [0, 0, 0, 0], 4.0) == book._bins_of(np.array([0]), bins)[0, 0]
 
 
 def test_bin_uniformity_chi_square():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(12, delta=0.5, rate_bits=5.0, seed=3)
+    cfg = CodecConfig(12, delta=0.5, seed=3)
     book = Codebook(model, cfg, (1,))
-    assert not book.injective
-    bins = [encode(book, seq) for seq in itertools.product((0, 1), repeat=12)]  # all typical
-    counts = np.bincount(np.asarray(bins) - 1, minlength=book.bins)
+    assert book.bins(5.0) < book.total
+    bins = [encode(book, seq, 5.0) for seq in itertools.product((0, 1), repeat=12)]  # all typical
+    counts = np.bincount(np.asarray(bins) - 1, minlength=book.bins(5.0))
     assert counts.sum() == 4096
     _, pvalue = scipy.stats.chisquare(counts)
     assert pvalue > 0.001
@@ -167,11 +172,11 @@ def test_bin_uniformity_chi_square():
 def test_decode_exact_at_injective_rate_exhaustive():
     """An injective codebook at a delta wide enough that every pair is
     jointly typical decodes every trial; 2000 trials draw all 64 x."""
-    cfg = CodecConfig(6, delta=3.0, rate_bits=6.0, seed=5)
+    cfg = CodecConfig(6, delta=3.0, seed=5)
     book = Codebook(bsc_pair_model(0.1), cfg, (1,))
-    assert book.injective
-    assert run_codec_trials(book, trials=2000, seed=0) == CodecTrialReport(2000, 0, 0, 0, 0)
-    assert len(np.unique(book._space.draw(2000, 0)[0])) == 64
+    assert book.bins(6.0) >= book.total
+    assert run_codec_trials(book, 6.0, trials=2000, seed=0) == CodecTrialReport(2000, 0, 0, 0, 0)
+    assert len(np.unique(book.draw(2000, 0)[0])) == 64
 
 
 def test_decode_posterior_argmax_and_tiebreak():
@@ -179,10 +184,10 @@ def test_decode_posterior_argmax_and_tiebreak():
     wins (Y = X explains x = y, Y = NOT X explains x = 1 - y), and on an exact
     tie the smallest sequence index.  ``_reference_cases`` holds these three
     codebooks, so ``run_codec_trials`` decodes as the oracle does."""
-    cfg = CodecConfig(2, delta=1e-6, rate_bits=0.0, seed=2)
+    cfg = CodecConfig(2, delta=1e-6, seed=2)
     for prior, decoded in ((0.7, [0, 1]), (0.3, [1, 0]), (0.5, [0, 1])):
         model = _identity_pair_model(prior)
-        oracle = ExactCodec(model, (1,), Codebook(model, cfg, (1,)))
+        oracle = ExactCodec(model, (1,), Codebook(model, cfg, (1,)), 0.0)
         won = oracle.decode((1,), [[0, 1]])[0]
         assert oracle.seqs[won].ravel().tolist() == decoded, prior
 
@@ -192,16 +197,16 @@ def test_decode_failure_is_a_value():
     message has a candidate, and every trial counts as a source error."""
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    book = Codebook(model, CodecConfig(3, 0.01, 2.0, seed=1), (1,))
-    assert len(book._space.typical) == 0
-    assert run_codec_trials(book, trials=200, seed=4) == CodecTrialReport(200, 200, 200, 0, 0)
+    book = Codebook(model, CodecConfig(3, 0.01, seed=1), (1,))
+    assert len(book.typical) == 0
+    assert run_codec_trials(book, 2.0, trials=200, seed=4) == CodecTrialReport(200, 200, 200, 0, 0)
 
 
 def test_trials_identical_sources_never_err():
     x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
-    cfg = CodecConfig(8, delta=0.5, rate_bits=0.0, seed=4)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=9)
+    cfg = CodecConfig(8, delta=0.5, seed=4)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=200, seed=9)
     assert report.errors == 0
     assert (report.eps1, report.eps2, report.eps3) == (0, 0, 0)
 
@@ -209,8 +214,8 @@ def test_trials_identical_sources_never_err():
 def test_trials_false_hypothesis_collisions():
     """With ambiguous members the wrong-posterior pick shows up as eps3."""
     model = _identity_pair_model(0.7)
-    cfg = CodecConfig(6, delta=0.25, rate_bits=0.0, seed=4)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=400, seed=9)
+    cfg = CodecConfig(6, delta=0.25, seed=4)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=400, seed=9)
     # errors happen exactly when the low-prior member was the truth
     assert report.err_rate == pytest.approx(0.3, abs=0.08)
     assert report.eps1 == 0 and report.eps2 == 0
@@ -219,8 +224,8 @@ def test_trials_false_hypothesis_collisions():
 
 def test_trials_single_bin_collisions_dominate():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=0.6, rate_bits=0.0, seed=6)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=300, seed=1)
+    cfg = CodecConfig(8, delta=0.6, seed=6)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=300, seed=1)
     assert report.err_rate > 0.5
     assert report.eps2 > report.eps1
     assert report.eps2 + report.eps3 >= report.errors - report.eps1
@@ -228,8 +233,8 @@ def test_trials_single_bin_collisions_dominate():
 
 def test_trials_tiny_delta_atypicality_dominates():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=0.01, rate_bits=8.0, seed=6)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), trials=300, seed=1)
+    cfg = CodecConfig(8, delta=0.01, seed=6)
+    report = run_codec_trials(Codebook(model, cfg, (1,)), 8.0, trials=300, seed=1)
     assert report.eps1 == report.errors > 0
 
 
@@ -240,28 +245,27 @@ def test_error_monotone_in_rate():
     for rate in rates:
         errs = []
         for seed in range(10):
-            cfg = CodecConfig(10, delta=0.5, rate_bits=rate, seed=seed)
-            errs.append(
-                run_codec_trials(Codebook(model, cfg, (1,)), trials=60, seed=100 + seed).err_rate
-            )
+            cfg = CodecConfig(10, delta=0.5, seed=seed)
+            errs.append(run_codec_trials(Codebook(model, cfg, (1,)), rate, trials=60,
+                                         seed=100 + seed).err_rate)
         mean_err.append(float(np.mean(errs)))
     assert all(a >= b - 1e-12 for a, b in zip(mean_err, mean_err[1:]))
 
 
 def test_sequential_kind_roundtrip():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(4, delta=3.0, rate_bits=16.0, seed=8)
+    cfg = CodecConfig(4, delta=3.0, seed=8)
     book = Codebook(model, cfg, (1, 1), kind="sequential")
-    assert book.injective
-    bins = encode(book, [[0, 1, 1, 0], [1, 0, 0, 1]])
+    assert book.bins(16.0) >= book.total
+    bins = encode(book, [[0, 1, 1, 0], [1, 0, 0, 1]], 16.0)
     assert isinstance(bins, tuple) and len(bins) == 2
-    assert run_codec_trials(book, trials=500, seed=2) == CodecTrialReport(500, 0, 0, 0, 0)
+    assert run_codec_trials(book, 16.0, trials=500, seed=2) == CodecTrialReport(500, 0, 0, 0, 0)
 
 
 def test_sequential_hashed_trials():
     model = bsc_pair_model(0.05)
-    cfg = CodecConfig(5, delta=0.8, rate_bits=9.0, seed=8)
-    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), trials=150, seed=3)
+    cfg = CodecConfig(5, delta=0.8, seed=8)
+    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), 9.0, trials=150, seed=3)
     assert 0 <= report.err_rate < 1.0
     assert report.eps1 + report.eps2 + report.eps3 == report.errors
 
@@ -272,9 +276,10 @@ def test_trials_count_an_atypical_stage_prefix_as_eps1():
     the source's (eps1), even when the whole sequence is typical."""
     pmf = np.array([[0.6, 0.1], [0.05, 0.25]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    cfg = CodecConfig(4, 0.3, 16.0, seed=1)
-    assert Codebook(model, cfg, (1, 1), "sequential").injective
-    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), trials=2000, seed=3)
+    cfg = CodecConfig(4, 0.3, seed=1)
+    book = Codebook(model, cfg, (1, 1), "sequential")
+    assert book.bins(16.0) >= book.total
+    report = run_codec_trials(book, 16.0, trials=2000, seed=3)
     assert report == CodecTrialReport(2000, errors=987, eps1=987, eps2=0, eps3=0)
 
 
@@ -303,10 +308,12 @@ def _shared_marginal_model(rng, ax, ay, groups, members) -> SourceModel:
     return SourceModel(tuple(entries))
 
 
-def _exact_replay(model, groups, cfg, kind, trials, seed) -> tuple[CodecTrialReport, int]:
+def _exact_replay(model, groups, cfg, rate, kind, trials,
+                  seed) -> tuple[CodecTrialReport, int]:
     """The oracle's report on the draw of a codebook of its own, and how many
     of its decodes found no candidate with a positive posterior."""
-    return ExactCodec(model, groups, Codebook(model, cfg, groups, kind)).replay(trials, seed)
+    book = Codebook(model, cfg, groups, kind)
+    return ExactCodec(model, groups, book, rate).replay(trials, seed)
 
 
 def _reference_cases():
@@ -321,21 +328,20 @@ def _reference_cases():
         model = _shared_marginal_model(rng, ax, ay, G, M)
         full = n * K * np.log2(ax)
         rate = [0.0, full * K, float(rng.uniform(0, full))][i % 3]  # all, injective, hashed
-        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), rate,
-                          seed=int(rng.integers(0, 50)))
+        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), seed=int(rng.integers(0, 50)))
         groups = tuple(int(g) for g in rng.integers(1, G + 1, size=K))
-        cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
+        cases.append((model, groups, cfg, rate, ("batch", "sequential")[i // 2 % 2]))
     # no sequence is typical: P(x=1) = 0.7, n = 3 and delta 0.01
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    cases.append((model, (1,), CodecConfig(3, 0.01, 2.0, seed=1), "batch"))
+    cases.append((model, (1,), CodecConfig(3, 0.01, seed=1), 2.0, "batch"))
     # two uniform-marginal members the decoder tells apart by typicality alone:
     # some errors collide only under the false one (eps3)
-    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(6, 0.5, 4.0, seed=3),
+    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(6, 0.5, seed=3), 4.0,
                   "batch"))
     # Y = X and Y = NOT X at priors 0.7, 0.3 and 0.5, one bin: the posterior
     # argmax, and on the exact tie the smallest index
-    cases += [(_identity_pair_model(p), (1,), CodecConfig(2, 1e-6, 0.0, seed=2), "batch")
+    cases += [(_identity_pair_model(p), (1,), CodecConfig(2, 1e-6, seed=2), 0.0, "batch")
               for p in (0.7, 0.3, 0.5)]
     return cases
 
@@ -350,10 +356,10 @@ def uniform_marginal_pair_model() -> SourceModel:
 
 def test_trials_match_one_at_a_time_reference():
     totals = np.zeros(4, dtype=int)
-    for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
-        report = run_codec_trials(Codebook(model, cfg, groups, kind), trials=60, seed=i)
-        expected, undecoded = _exact_replay(model, groups, cfg, kind, 60, i)
-        assert report == expected, (i, cfg, kind)
+    for i, (model, groups, cfg, rate, kind) in enumerate(_reference_cases()):
+        report = run_codec_trials(Codebook(model, cfg, groups, kind), rate, trials=60, seed=i)
+        expected, undecoded = _exact_replay(model, groups, cfg, rate, kind, 60, i)
+        assert report == expected, (i, cfg, rate, kind)
         totals += (undecoded, report.eps1, report.eps2, report.eps3)
     assert np.all(totals > 0), totals  # every error event occurs somewhere
 
@@ -379,23 +385,23 @@ def test_hypotheses_have_the_per_table_bits(K):
             entries = [CdfEntry(k + 1, 1, 1 / K, cond_entropy_x_given_y_bits(p), p)
                        for k, p in enumerate(pmfs)]
             assert _same_bits(codec._Hypothesis(entries), Laws(entries)), (ax, ay)
-    for model, groups, cfg, kind in _reference_cases():
+    for model, groups, cfg, _, kind in _reference_cases():
         if len(groups) != K:
             continue
-        space = Codebook(model, cfg, groups, kind)._space
-        assert space.marginals is space.hypotheses[0][0]
-        assert _same_bits(space.marginals, Laws([model.group_entries(g)[0] for g in groups]))
+        book = Codebook(model, cfg, groups, kind)
+        assert book.marginals is book.hypotheses[0][0]
+        assert _same_bits(book.marginals, Laws([model.group_entries(g)[0] for g in groups]))
         members = [model.group_entries(g) for g in groups]
-        for (hyp, _), combo in zip(space.hypotheses, itertools.product(*members), strict=True):
+        for (hyp, _), combo in zip(book.hypotheses, itertools.product(*members), strict=True):
             assert _same_bits(hyp, Laws(combo))
 
 
 def test_draw_is_a_choice_per_block():
-    """``_space.draw`` gives each trial's x, y and true hypothesis as one
+    """``Codebook.draw`` gives each trial's x, y and true hypothesis as one
     ``Generator.choice`` call per block would: the member, then its n pairs."""
-    for i, (model, groups, cfg, kind) in enumerate(_reference_cases()):
+    for i, (model, groups, cfg, _, kind) in enumerate(_reference_cases()):
         book = Codebook(model, cfg, groups, kind)
-        index, y, true_hyp = book._space.draw(40, i)[:3]
+        index, y, true_hyp = book.draw(40, i)[:3]
         member_lists = [model.group_entries(g) for g in groups]
         rng = np.random.default_rng(i)
         for t in range(40):
@@ -414,31 +420,28 @@ def test_draw_is_a_choice_per_block():
 
 
 def test_codebooks_of_one_command_match_the_reference_at_every_rate():
-    """Codebooks from ``at_rate`` share the sequence table, the X-typical set,
-    the hypotheses and the trial draw; at every rate, in any order and
-    repeated, their trials equal the one-at-a-time replay of a codebook of
-    their own, decoded by the oracle.  A draw of other trials replaces the
-    shared one."""
+    """One codebook runs at every rate on one sequence table, X-typical set,
+    hypotheses and trial draw; at each rate, in any order and repeated, its
+    trials equal the one-at-a-time replay of a fresh codebook at that rate,
+    decoded by the oracle.  A draw of other trials replaces the kept one."""
     rng = np.random.default_rng(7)
     cases = _reference_cases() + [  # the last one is the benchmark's model, batch
-        (uniform_marginal_pair_model(), (1, 1), CodecConfig(3, 0.5, 0.0, seed=3), "sequential")]
-    for i, (model, groups, cfg, kind) in enumerate(cases):
-        first = Codebook(model, cfg, groups, kind)
-        K = len(first.ends)
+        (uniform_marginal_pair_model(), (1, 1), CodecConfig(3, 0.5, seed=3), 0.0, "sequential")]
+    for i, (model, groups, cfg, _, kind) in enumerate(cases):
+        book = Codebook(model, cfg, groups, kind)
+        K = len(book.ends)
         # two hashed rates of 2 .. total - 1 bins a stage, 0, an injective rate
-        hashed = [K * float(np.log2(b)) for b in rng.integers(2, first.total, 2)]
-        rates = [hashed[0], 0.0, K * float(np.log2(first.total)), hashed[1], hashed[0]]
+        hashed = [K * float(np.log2(b)) for b in rng.integers(2, book.total, 2)]
+        rates = [hashed[0], 0.0, K * float(np.log2(book.total)), hashed[1], hashed[0]]
         expected = {}
-        book = first
-        for rate in rates:
-            book = book.at_rate(rate)  # from a codebook that has run its trials
-            assert book.config == replace(cfg, rate_bits=rate)
-            assert book.injective == (rate == rates[2]) and (book.bins == 1) == (rate == 0)
+        for rate in rates:  # on a codebook that has run its trials at the rates before
+            bins = book.bins(rate)
+            assert (bins >= book.total) == (rate == rates[2]) and (bins == 1) == (rate == 0)
             if rate not in expected:
-                expected[rate] = _exact_replay(model, groups, book.config, kind, 40, i)[0]
-            assert run_codec_trials(book, trials=40, seed=i) == expected[rate], (i, rate)
-        assert (run_codec_trials(book, trials=30, seed=i)
-                == _exact_replay(model, groups, book.config, kind, 30, i)[0]), i
+                expected[rate] = _exact_replay(model, groups, cfg, rate, kind, 40, i)[0]
+            assert run_codec_trials(book, rate, trials=40, seed=i) == expected[rate], (i, rate)
+        assert (run_codec_trials(book, rate, trials=30, seed=i)
+                == _exact_replay(model, groups, cfg, rate, kind, 30, i)[0]), i
 
 
 @pytest.mark.parametrize("cells", [1, 10**12])
@@ -446,11 +449,11 @@ def test_trials_independent_of_chunking(monkeypatch, cells):
     """At 64 candidates of 12 cells per trial the default chunk holds about
     85 trials; one cell per chunk means one trial per chunk."""
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(12, delta=0.5, rate_bits=6.0, seed=2)
-    default = run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5)
-    assert default == _exact_replay(model, (1,), cfg, "batch", 200, 5)[0]
+    cfg = CodecConfig(12, delta=0.5, seed=2)
+    default = run_codec_trials(Codebook(model, cfg, (1,)), 6.0, trials=200, seed=5)
+    assert default == _exact_replay(model, (1,), cfg, 6.0, "batch", 200, 5)[0]
     monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)
-    assert run_codec_trials(Codebook(model, cfg, (1,)), trials=200, seed=5) == default
+    assert run_codec_trials(Codebook(model, cfg, (1,)), 6.0, trials=200, seed=5) == default
 
 
 def test_typicality_adds_block_sums_in_order():
@@ -489,14 +492,14 @@ def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     injective batch codebook decodes it from y = x in a run of that one pair."""
     pmf = np.array([[0.41, 0.0], [0.0, 0.59]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    book = Codebook(model, CodecConfig(8, 0.0800763843224229, 32.0), (1, 1))
+    book = Codebook(model, CodecConfig(8, 0.0800763843224229), (1, 1))
     x = np.array([[[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]]])
-    assert book.injective
-    stages = book._space.typical_stages(x)
+    assert book.bins(32.0) >= book.total
+    stages = book.typical_stages(x)
     assert stages.all()
-    draw = (book._space.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages)
-    monkeypatch.setattr(book._space, "draw", lambda trials, seed: draw)
-    assert run_codec_trials(book, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
+    draw = (book.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages)
+    monkeypatch.setattr(book, "draw", lambda trials, seed: draw)
+    assert run_codec_trials(book, 32.0, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +510,9 @@ def _small_cases():
     """Codebooks of at most 2**8 X and Y sequences each, so that the oracle
     sums over every pair: the binary symmetric pair at three hashed rates,
     the benchmark's model, then random shared-marginal models."""
-    cases = [(bsc_pair_model(0.1), (1,), CodecConfig(8, 0.5, rate, seed=0), "batch")
+    cases = [(bsc_pair_model(0.1), (1,), CodecConfig(8, 0.5, seed=0), rate, "batch")
              for rate in (4.0, 6.0, 7.0)]
-    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(8, 0.5, 5.0, seed=3),
+    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(8, 0.5, seed=3), 5.0,
                   "batch"))
     rng = np.random.default_rng(31)
     for i in range(8):
@@ -519,9 +522,9 @@ def _small_cases():
         model = _shared_marginal_model(rng, ax, ay, int(rng.integers(1, 3)),
                                        int(rng.integers(1, 3)))
         rate = float(rng.uniform(1, n * K * np.log2(ax)))
-        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), rate, seed=i)
+        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), seed=i)
         groups = tuple(int(g) for g in rng.integers(1, model.m + 1, size=K))
-        cases.append((model, groups, cfg, ("batch", "sequential")[i // 2 % 2]))
+        cases.append((model, groups, cfg, rate, ("batch", "sequential")[i // 2 % 2]))
     return cases
 
 
@@ -530,11 +533,11 @@ def test_trials_lie_in_a_binomial_interval_of_the_exact_error():
     hypothesis of p(x, y) 1[decode(sent(x), y) != x], and its eps split; each
     count of 4000 trials lies in the central 1 - 1e-6 binomial interval."""
     trials = 4000
-    for i, (model, groups, cfg, kind) in enumerate(_small_cases()):
+    for i, (model, groups, cfg, rate, kind) in enumerate(_small_cases()):
         book = Codebook(model, cfg, groups, kind)
-        exact = ExactCodec(model, groups, book).error_probability()
+        exact = ExactCodec(model, groups, book, rate).error_probability()
         assert exact[1:].sum() == pytest.approx(exact[0], abs=1e-12)
-        report = run_codec_trials(book, trials=trials, seed=i)
+        report = run_codec_trials(book, rate, trials=trials, seed=i)
         counts = (report.errors, report.eps1, report.eps2, report.eps3)
         for count, p in zip(counts, np.clip(exact, 0, 1)):
             lo, hi = scipy.stats.binom.interval(1 - 1e-6, trials, p)

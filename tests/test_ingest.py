@@ -361,6 +361,27 @@ def test_quantize_rejects_bad_params():
         quantize_model([], 1, 1)
 
 
+def test_quantize_allocates_nothing_per_level():
+    """Each block's midpoint is computed from its own level, so a count of
+    10**7 levels, which a table of midpoints would hold in 80 MB, stays small;
+    counts whose int64 cell keys could wrap are refused, and 2**31 is not."""
+    pmfs = blockify(synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=10, blocks=40, seed=3), 10)
+    tracemalloc.start()
+    try:
+        quantize_model(pmfs, 1, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    for joint, marginal in ((2 ** 31 + 1, 4), (4, 2 ** 31 + 1)):
+        with pytest.raises(IngestError, match=r"^level counts must be at most 2\*\*31, "
+                                              r"got 2147483649$"):
+            quantize_model(pmfs, joint, marginal)
+    with pytest.warns(RuntimeWarning, match="joint levels are occupied"):
+        capped = quantize_model(pmfs, 2 ** 31, 2 ** 31)
+    validate_model(capped.model)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), widest=st.integers(1, 18),
        ends=st.sampled_from(["\n", "\r\n", "mixed"]), last_newline=st.booleans(),

@@ -30,6 +30,7 @@ def test_codec_exports_only_the_batched_decoder():
         assert name not in swdelay.__all__ and not hasattr(swdelay, name), name
     assert not hasattr(codec, "decode") and not hasattr(codec, "is_typical")
     assert not hasattr(codec.Codebook, "bin_of")
+    assert not hasattr(codec, "_SequenceSpace") and not hasattr(codec.Codebook, "at_rate")
     assert callable(codec.encode) and callable(codec.jointly_typical)
 
 

@@ -390,6 +390,14 @@ def test_run_needs_known_strategies(six_cdf_model):
         simulate(six_cdf_model, ("we", "wait"), **kw)
 
 
+def test_run_refuses_an_eta_whose_channel_rate_rounds_to_e_h(six_cdf_model):
+    """Below about 1e-16, c = E[H]/(1 - eta) is E[H] itself: the run would be
+    made at eta = 0, so it is refused, naming eta."""
+    with pytest.raises(ValueError, match=r"^eta = 1e-160 is too small: c = E\[H\]/\(1 - eta\) "
+                                         r"rounds to E\[H\] = "):
+        simulate(six_cdf_model, ("we",), epsilon=0.01, T=10, seed=1, eta=1e-160)
+
+
 def test_determinism_same_seed(six_cdf_model):
     a, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
     b, = simulate(six_cdf_model, ("we",), epsilon=0.05, T=5000, seed=23, eta=0.2)
