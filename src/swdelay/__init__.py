@@ -12,7 +12,7 @@ from types import ModuleType as _ModuleType
 from .bounds import (ChernoffBatch, LowerBound, bounds_report, gamma_coefficient, k_c_chernoff,
                      lb_delay, ub_delay)
 from .channel import ChannelQueue
-from .codec import Codebook, CodecConfig, CodecTrialReport, run_codec_trials
+from .codec import Codebook, CodecTrialReport, run_codec_trials
 from .ingest import IngestResult, blockify, quantize_model
 from .model import (
     BlockTrace,

@@ -30,14 +30,17 @@ class ChannelQueue:
         """Accepts messages in order, given as two float sequences; returns
         their departure times (blocks).
 
-        The same as one ``enqueue`` per message: the sizes and the arrival
-        order are checked once, then the Lindley recursion runs in one loop.
+        The same as one ``enqueue`` per message: the shapes (1-D, one length),
+        sizes and arrival order are checked once, then the recursion runs in one loop.
         When every message finds the queue empty, each departs at its arrival
         plus its service time, the value the loop gives an idle message, and
         the departures are that sum on whole arrays.
         """
         bits = np.ascontiguousarray(bits, dtype=float)
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        if bits.ndim != 1 or bits.shape != arrivals.shape:
+            raise ValueError(f"bits and arrivals must be 1-D of one length, got shapes "
+                             f"{bits.shape} and {arrivals.shape}")
         if not (bits >= 0).all():  # NaN fails this test and the order test below
             raise ValueError(f"message size must be nonnegative, got {bits[~(bits >= 0)][0]}")
         late = np.flatnonzero(~(arrivals >= np.append(self._last_arrival, arrivals[:-1])))

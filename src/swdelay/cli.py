@@ -171,17 +171,11 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     model = _load(args)
     s = compute_stats(model)
-    rows = [
-        ("e_h", s.e_h), ("var_h", s.var_h), ("h_max", s.h_max), ("m_h", s.m_h),
-        ("m", s.m), ("m_star", s.m_star),
-    ]
+    rows = [("e_h", s.e_h), ("var_h", s.var_h), ("h_max", s.h_max), ("m_h", s.m_h),
+            ("m", s.m), ("m_star", s.m_star)]
     for i in range(s.m):
-        rows += [
-            (f"phi_{i + 1}", s.phi[i]),
-            (f"e_h_{i + 1}", s.e_hi[i]),
-            (f"var_h_{i + 1}", s.var_hi[i]),
-            (f"h_max_{i + 1}", s.h_maxi[i]),
-        ]
+        rows += [(f"{name}_{i + 1}", values[i]) for name, values in
+                 (("phi", s.phi), ("e_h", s.e_hi), ("var_h", s.var_hi), ("h_max", s.h_maxi))]
     _write_csv(args.out, ("quantity", "value"), rows, not args.no_timestamp)
     return EXIT_OK
 
@@ -369,8 +363,8 @@ def cmd_codec(args) -> int:
         groups = (1,) * (1 if args.k is None else args.k)
     elif args.k is not None and args.k != len(groups):
         raise CliError(f"--k {args.k} does not match the {len(groups)} groups of --groups")
-    config = codec_mod.CodecConfig(n=args.n, delta=args.delta, seed=args.seed)
-    book = codec_mod.Codebook(model, config, groups, args.kind)
+    book = codec_mod.Codebook(model, groups, n=args.n, delta=args.delta, seed=args.seed,
+                              kind=args.kind)
     for rate in args.rates:  # every rate is checked before any trial
         book.bins(rate)
     rows = []

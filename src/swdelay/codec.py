@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,33 +55,9 @@ _TYP_TOL = 1e-12  # absorbs float noise on the typicality boundary
 _CHUNK_CELLS = 2 ** 16
 
 
-@dataclass(frozen=True)
-class CodecConfig:
-    """Block length, typicality slack and seed of a codebook; the block count
-    K and the alphabets are those of the observed groups' joint pmfs, and the
-    rate is an argument of each run."""
-
-    n: int
-    delta: float
-    seed: int = field(default=0, kw_only=True)
-
-    def __post_init__(self):
-        if not 1 <= self.n <= 16:
-            raise ValueError("block length n must be between 1 and 16")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-
-
 # ---------------------------------------------------------------------------
 # typicality
 # ---------------------------------------------------------------------------
-
-def _as_blocks(seq, K: int, n: int) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.size != K * n:
-        raise ValueError(f"sequence length {arr.size} does not match K*n = {K * n}")
-    return arr.reshape(K, n)
-
 
 def _typical(ll: np.ndarray, h: np.ndarray, delta: float, k: int | None = None) -> np.ndarray:
     """Typicality of the first k blocks of per-symbol log-likelihoods shaped
@@ -159,13 +135,19 @@ class Codebook:
     ``seeds[s]``.  ``batch`` (the deferred-encoding message, an int) is the one
     stage ``ends = (K,)``; ``sequential`` (the deferred-decoding message
     stream, a tuple) has ``ends = (1, ..., K)``.  K is the number of observed
-    groups and the alphabets are the shape of their joint pmfs.  The rate
-    sets only the bins of a stage (``bins``); everything held here is shared
-    by the runs at every rate, built at most once and freed with the codebook.
+    groups and the alphabets are the shape of their joint pmfs; ``n`` is the
+    block length and ``delta`` the typicality slack.  The constructor checks
+    every setting, n and delta first.  The rate sets only the bins of a stage
+    (``bins``); everything held here is shared by the runs at every rate,
+    built at most once and freed with the codebook.
     """
 
-    def __init__(self, model: SourceModel, config: CodecConfig, groups: tuple[int, ...],
-                 kind: str = BATCH):
+    def __init__(self, model: SourceModel, groups: tuple[int, ...], *, n: int, delta: float,
+                 seed: int = 0, kind: str = BATCH):
+        if not 1 <= n <= 16:
+            raise ValueError("block length n must be between 1 and 16")
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         K = len(groups)
         if not 1 <= K <= 2:
             raise ValueError("block count K must be 1 or 2")
@@ -180,7 +162,7 @@ class Codebook:
         (ax, ay), = shapes
         if not 1 <= ax <= 4 or not 1 <= ay <= 4:
             raise ValueError("alphabet sizes must be between 1 and 4")
-        self.total = ax ** (config.n * K)
+        self.total = ax ** (n * K)
         if self.total > MAX_SEQUENCES:
             raise ValueError("alphabet_x ** (n*K) exceeds the exhaustive-decoding guard")
         if kind == BATCH:
@@ -189,10 +171,10 @@ class Codebook:
             self.ends = tuple(range(1, K + 1))
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
-        if not 0 <= config.seed < 2 ** 64 - K:  # every stage seed is a uint64
-            raise ValueError(f"seed must be in [0, 2**64 - K), got {config.seed}")
-        self.seeds = (config.seed,) if kind == BATCH else tuple(config.seed + k for k in self.ends)
-        self.config, self.kind = config, kind
+        if not 0 <= seed < 2 ** 64 - K:  # every stage seed is a uint64
+            raise ValueError(f"seed must be in [0, 2**64 - K), got {seed}")
+        self.seeds = (seed,) if kind == BATCH else tuple(seed + k for k in self.ends)
+        self.n, self.delta, self.kind = n, delta, kind
         self.blocks, self.alphabet_x, self.alphabet_y = K, ax, ay
         self._last_draw = None  # (trials, seed) and what draw() returned
 
@@ -208,7 +190,7 @@ class Codebook:
 
     def seq_index(self, x: np.ndarray) -> np.ndarray:
         """Index of each (..., K, n) sequence."""
-        width = self.config.n * self.blocks
+        width = self.n * self.blocks
         x = np.asarray(x, dtype=np.int64)
         powers = self.alphabet_x ** np.arange(width - 1, -1, -1, dtype=np.int64)
         return x.reshape(*x.shape[:-2], width) @ powers
@@ -216,7 +198,7 @@ class Codebook:
     @cached_property
     def all_sequences(self) -> np.ndarray:
         """(total, K*n) table of every X sequence, in index order."""
-        return _sequence_table(self.total, self.alphabet_x, self.config.n * self.blocks)
+        return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
 
     @property
     def marginals(self) -> _Hypothesis:
@@ -230,15 +212,15 @@ class Codebook:
         """X-typicality under the marginals of the prefix each stage bins, for
         (..., K, n) sequences, one per stage on a last axis."""
         ll = self._log_x(x)
-        return np.stack([_typical(ll, self.marginals.h_x, self.config.delta, end)
+        return np.stack([_typical(ll, self.marginals.h_x, self.delta, end)
                          for end in self.ends], axis=-1)
 
     @cached_property
     def typical(self) -> np.ndarray:
         """Indices of the X-typical sequences, in index order.  X marginals
         are shared within a group, so the set is hypothesis independent."""
-        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.config.n))
-        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.config.delta))
+        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.n))
+        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.delta))
 
     @cached_property
     def hypotheses(self) -> list[tuple[_Hypothesis, float]]:
@@ -266,7 +248,7 @@ class Codebook:
     def _sample(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
         # per trial and block: the member, then its n symbol pairs, drawn from
         # one uniform each in the order of a choice(p=...) call per block
-        K, n, member_lists = self.blocks, self.config.n, self.members
+        K, n, member_lists = self.blocks, self.n, self.members
         u = np.random.default_rng(seed).random(trials * K * (1 + n)).reshape(trials, K, 1 + n)
         members = np.empty((trials, K), dtype=np.int64)
         flat = np.empty((trials, K, n), dtype=np.int64)
@@ -289,7 +271,7 @@ class Codebook:
         prefix's index plus one where the stage has at least as many bins as
         prefixes, else its seeded hash.  Only the prefixes asked for are
         hashed: the X-typical set and the trials once per run."""
-        stages, n = [], self.config.n
+        stages, n = [], self.n
         for end, seed in zip(self.ends, self.seeds):
             prefix = index // self.alphabet_x ** (n * (self.blocks - end))
             stages.append(prefix + 1 if bins >= self.alphabet_x ** (n * end)
@@ -324,23 +306,23 @@ class Codebook:
         hypothesis is jointly typical with it under the trial's y, shape
         (candidates, hypotheses); and its highest such posterior (0 if none).
         """
-        cfg = self.config
-        width = cfg.n * self.blocks
+        n, delta = self.n, self.delta
+        width = n * self.blocks
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         cand = candidates[np.arange(len(trial)) - first[trial] + lo[trial]]
         # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
-        block = np.arange(width) // cfg.n
+        block = np.arange(width) // n
         cell = ((block * self.alphabet_x + self.all_sequences[cand]) * self.alphabet_y
-                + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, cfg.n)
+                + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, n)
         y_block = np.arange(self.blocks)[:, None]
         typical = np.empty((len(cand), len(self.hypotheses)), dtype=bool)
         best = np.zeros(len(cand))
         for h, (hyp, post) in enumerate(self.hypotheses):
-            y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, cfg.delta)
+            y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, delta)
             typical[:, h] = (y_typical[trial]
-                             & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, cfg.delta))
+                             & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, delta))
             best = np.maximum(best, np.where(typical[:, h], post, 0.0))
         return cand, trial, typical, best
 
@@ -362,7 +344,11 @@ def encode(codebook: Codebook, x_blocks, rate_bits: float) -> int | tuple[int, .
     atypical -> bin 1.  No caller in the package: the benchmark's tracer wraps
     it by name."""
     bins = codebook.bins(rate_bits)
-    x = _as_blocks(x_blocks, codebook.blocks, codebook.config.n)[None]
+    K, n = codebook.blocks, codebook.n
+    x = np.asarray(x_blocks, dtype=np.int64)
+    if x.size != K * n:
+        raise ValueError(f"sequence length {x.size} does not match K*n = {K * n}")
+    x = x.reshape(1, K, n)
     sent = codebook._encode(codebook.seq_index(x), codebook.typical_stages(x), bins)[0]
     return int(sent[0]) if codebook.kind == BATCH else tuple(sent.tolist())
 
@@ -401,7 +387,7 @@ def run_codec_trials(codebook: Codebook, rate_bits: float, *, trials: int,
     per trial) until the next draw or until the codebook is dropped."""
     bins = codebook.bins(rate_bits)
     index, y, true_hyp, stages = codebook.draw(trials, seed)
-    K, n = codebook.blocks, codebook.config.n
+    K, n = codebook.blocks, codebook.n
     keys, candidates = codebook._index(bins)
     sent = codebook._keys(codebook._encode(index, stages, bins), bins)
     lo, hi = keys.searchsorted(sent, "left"), keys.searchsorted(sent, "right")

@@ -9,17 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def entropy_bits(pmf: np.ndarray) -> float:
-    """Shannon entropy of a pmf (any shape; zeros contribute nothing)."""
-    p = np.asarray(pmf, dtype=float).ravel()
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
-
-
-def marginal_x(joint: np.ndarray) -> np.ndarray:
-    return np.asarray(joint, dtype=float).sum(axis=1)
-
-
 def cond_entropy_x_given_y_bits(joint: np.ndarray) -> float:
     """H(X|Y) = H(X,Y) - H(Y) for a joint pmf over (x, y)."""
     return float(cond_entropies_bits(np.asarray(joint, dtype=float)[None])[0])

@@ -378,6 +378,22 @@ def bsc_pair_model(crossover: float) -> SourceModel:
 # libyaml when PyYAML was built with it; both loaders parse to the same documents
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
+class _UniqueKeyLoader(_YAML_LOADER):
+    """Refuses a key repeated in one mapping, where PyYAML keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()  # a merge key (<<) may bring in keys the mapping's own keys override
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 _TOP_KEYS = {"groups", "block_len_n", "slot_seconds"}
 _MEMBER_KEYS = {"prob", "cond_entropy", "joint_pmf"}
 _PMF_KEYS = {"alphabet_x", "alphabet_y", "table"}
@@ -424,7 +440,7 @@ def load_model(path) -> SourceModel:
         if doc is None:
             fh.seek(0)   # PyYAML reads the stream, so its error marks name the file
             try:
-                doc = yaml.load(fh, Loader=_YAML_LOADER)
+                doc = yaml.load(fh, Loader=_UniqueKeyLoader)
             except yaml.YAMLError as exc:
                 raise ModelError(f"malformed YAML: {exc}") from exc
             except ValueError as exc:  # a constructor's: an int past Python's digit limit
@@ -535,7 +551,12 @@ def save_model(model: SourceModel, path) -> None:
     The text is the block layout ``yaml.dump(..., sort_keys=False)`` gives the
     model's document, byte for byte, built as one string: every number of a
     valid model is finite, so each is one plain scalar on its own line.
+    Entries out of (group, member) order are refused: they would load reordered.
     """
+    for prev, e in zip(model.entries, model.entries[1:]):
+        if (e.group, e.member) < (prev.group, prev.member):
+            raise ModelError(f"cdf ({e.group},{e.member}) comes after cdf ({prev.group},"
+                             f"{prev.member}): save_model writes entries in (group, member) order")
     parts = ["groups:\n"]
     for g in range(1, model.m + 1):
         parts.append("- members:\n")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelQueue
-from .entropy import entropy_bits, marginal_x
+from .entropy import row_divergences_bits
 from .model import (BlockTrace, EntropyStats, SourceModel, check_blocks, check_channel_rate,
                     check_epsilon, check_eta, check_mean_entropy, compute_stats, sample_trace)
 from .rate import RateAccumulator
@@ -91,7 +91,8 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
               batch_size: int | None = None) -> tuple[EntropyStats, float, float]:
     """The one check of a run's arguments, before any work: the strategies,
     epsilon, T, the batch size, then eta or c, and only then the model's E[H].
-    Returns (stats, c, eta), with eta below 1 and c above E[H].
+    Returns (stats, c, eta), eta below 1.  From eta, c is above E[H]; a given
+    c <= E[H] returns eta <= 0, which ``simulate`` runs with its warning.
 
     epsilon is checked whenever it is given; it may be omitted only when every
     strategy asked for is ``known-joint`` or ``blockwise``, which never outage.
@@ -128,10 +129,14 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
 
 
 def _entropy_x_proxy(model: SourceModel) -> float | None:
-    """Mean marginal entropy of X, available only when pmfs are present."""
+    """Mean marginal entropy of X, available only when pmfs are present; one
+    ``row_divergences_bits`` call over the zero-padded X marginals."""
     if any(e.joint_pmf is None for e in model.entries):
         return None
-    return sum(e.prob * entropy_bits(marginal_x(e.joint_pmf)) for e in model.entries)
+    x = np.zeros((len(model.entries), max(len(e.joint_pmf) for e in model.entries)))
+    for row, e in zip(x, model.entries):
+        row[:len(e.joint_pmf)] = e.joint_pmf.sum(axis=1)
+    return sum(e.prob * -h for e, h in zip(model.entries, row_divergences_bits(x, 1.0).tolist()))
 
 
 _MISS = object()  # memo sentinel: stored values are None or a rate, which can be 0.0

@@ -28,7 +28,14 @@ import itertools
 import numpy as np
 
 from swdelay.codec import _TYP_TOL, CodecTrialReport
-from swdelay.entropy import entropy_bits
+
+
+def entropy_bits(pmf) -> float:
+    """Shannon entropy of a pmf of any shape, by a plain 1-D sum over its
+    positive cells."""
+    p = np.asarray(pmf, dtype=float).ravel()
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def log2(pmf) -> np.ndarray:
@@ -92,7 +99,7 @@ class ExactCodec:
     enumeration."""
 
     def __init__(self, model, groups, book, rate_bits):
-        n, delta, K = book.config.n, book.config.delta, len(groups)
+        n, delta, K = book.n, book.delta, len(groups)
         self.book, self.delta = book, delta
         ends = (K,) if book.kind == "batch" else tuple(range(1, K + 1))
         self.alphabet_y = model.group_entries(groups[0])[0].joint_pmf.shape[1]

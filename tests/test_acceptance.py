@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import swdelay as sw
-from swdelay.codec import Codebook, CodecConfig, run_codec_trials
+from swdelay.codec import Codebook, run_codec_trials
 
 from conftest import (child_env, enum_quantile, enum_tail, group_pmf, prior_pmf,
                       random_dyadic_model)
@@ -294,23 +294,23 @@ def test_criterion_08_codec_properties():
     for rate in rates:
         errs = []
         for seed in range(10):
-            cfg = CodecConfig(n, delta=0.5, seed=seed)
-            errs.append(run_codec_trials(Codebook(model, cfg, (1,)), rate, trials=300,
+            cfg = dict(n=n, delta=0.5, seed=seed)
+            errs.append(run_codec_trials(Codebook(model, (1,), **cfg), rate, trials=300,
                                          seed=500 + seed).err_rate)
         mean_err.append(float(np.mean(errs)))
     assert all(a >= b - 1e-12 for a, b in zip(mean_err, mean_err[1:])), mean_err
 
     # (b) injective rate decodes perfectly
-    cfg = CodecConfig(n, delta=3.0, seed=0)
-    inj = run_codec_trials(Codebook(model, cfg, (1,)), float(n), trials=10_000, seed=42)
+    cfg = dict(n=n, delta=3.0, seed=0)
+    inj = run_codec_trials(Codebook(model, (1,), **cfg), float(n), trials=10_000, seed=42)
     assert inj.errors == 0
 
     # (c) rate = quantile + n*delta margin keeps the error within 2*eps
     eps = 0.1
     delta = 0.5
     q = sw.RateAccumulator(model).push_block(1).rate_quantile(eps)
-    cfg = CodecConfig(n, delta=delta, seed=0)
-    margin = run_codec_trials(Codebook(model, cfg, (1,)), n * (q + delta), trials=10_000, seed=42)
+    cfg = dict(n=n, delta=delta, seed=0)
+    margin = run_codec_trials(Codebook(model, (1,), **cfg), n * (q + delta), trials=10_000, seed=42)
     assert margin.err_rate <= 2 * eps, margin
 
     elapsed = time.perf_counter() - t0

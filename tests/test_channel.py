@@ -49,6 +49,23 @@ def test_rejects_bad_inputs():
     assert q.busy_until == 0.0
 
 
+def test_enqueue_many_refuses_inputs_of_different_shapes():
+    """Sizes and arrivals must be 1-D and of one length; the shape test comes
+    before the size and order tests, and the queue is left as it was."""
+    q = ChannelQueue(1.0)
+    for bits, arrivals, shapes in (
+        ([1.0, 2.0], [0.0], "(2,) and (1,)"),
+        ([5, 2, 1], [0, 1], "(3,) and (2,)"),
+        ([-1.0], [2.0, 1.0], "(1,) and (2,)"),
+        ([[1.0]], [[0.0]], "(1, 1) and (1, 1)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            q.enqueue_many(bits, arrivals)
+        assert str(info.value) == ("bits and arrivals must be 1-D of one length, got shapes "
+                                   + shapes)
+    assert (q.busy_until, q.enqueue_many([], []).tolist()) == (0.0, [])
+
+
 def test_work_conservation_under_backlog():
     q = ChannelQueue(2.0)
     deps = [q.enqueue(6.0, arrival=float(i)) for i in range(5)]

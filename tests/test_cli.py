@@ -811,6 +811,26 @@ def test_malformed_yaml_is_usage_error(tmp_path):
     assert "malformed YAML" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("groups:\n- members:\n  - prob: 1.0\n    cond_entropy: 1.0\n"
+     "groups:\n- members:\n  - prob: 0.5\n    cond_entropy: 2.0\n"
+     "  - prob: 0.5\n    cond_entropy: 3.0\n", "groups", 5),
+    ("groups:\n- members:\n  - prob: 1.0\n    prob: 0.5\n    cond_entropy: 1.0\n"
+     "  - prob: 0.5\n    cond_entropy: 1.0\n", "prob", 4),
+])
+def test_repeated_key_is_malformed_yaml(tmp_path, capsys, text, key, line):
+    """A key given twice in one mapping is refused, naming it and its line,
+    not read as its last value."""
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    code = cli.main(["stats", "--model", path.as_posix()])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert [x for x in err.splitlines() if x.startswith("error:")] == [
+        f"error: cannot load model: malformed YAML: found duplicate key '{key}'"]
+    assert f'in "{path.as_posix()}", line {line},' in err and "Traceback" not in err
+
+
 def test_unwritable_out_is_usage_error(model_file, tmp_path):
     missing = tmp_path / "missing" / "x.csv"
     code, _, err = run_cli(

@@ -7,7 +7,6 @@ from codec_oracle import ExactCodec, Laws, typical
 from swdelay import (
     CdfEntry,
     Codebook,
-    CodecConfig,
     ModelError,
     SourceModel,
     bsc_pair_model,
@@ -37,58 +36,84 @@ def _uniform_model(ax, ay, groups=1) -> SourceModel:
                              for g in range(1, groups + 1)))
 
 
-def test_config_guards():
-    CodecConfig(12, 0.5)
+def test_codebook_guards():
+    Codebook(bsc_pair_model(0.1), (1,), n=12, delta=0.5)
     with pytest.raises(ValueError):
-        Codebook(_uniform_model(5, 2), CodecConfig(4, 0.5), (1,))
+        Codebook(_uniform_model(5, 2), (1,), n=4, delta=0.5)
     with pytest.raises(ValueError):
-        CodecConfig(17, 0.5)
+        Codebook(bsc_pair_model(0.1), (1,), n=17, delta=0.5)
     with pytest.raises(ValueError):
-        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1, 1, 1))
+        Codebook(bsc_pair_model(0.1), (1, 1, 1), n=4, delta=0.5)
     with pytest.raises(ValueError):
-        CodecConfig(4, 0.0)
+        Codebook(bsc_pair_model(0.1), (1,), n=4, delta=0.0)
     with pytest.raises(ValueError):
-        Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1,)).bins(-1.0)
+        Codebook(bsc_pair_model(0.1), (1,), n=4, delta=0.5).bins(-1.0)
     with pytest.raises(ValueError):
-        Codebook(_uniform_model(4, 4), CodecConfig(16, 0.5), (1, 1))  # 4**32 sequences
+        Codebook(_uniform_model(4, 4), (1, 1), n=16, delta=0.5)  # 4**32 sequences
     # every stage seed (seed + 1 .. seed + K when sequential) must fit a uint64
     for blocks, seed in ((1, -1), (2, 2 ** 64 - 2), (1, 2 ** 64)):
         with pytest.raises(ValueError, match="seed must be in"):
-            Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5, seed=seed), (1,) * blocks)
-    top = CodecConfig(4, 0.5, seed=2 ** 64 - 2)
+            Codebook(bsc_pair_model(0.1), (1,) * blocks, n=4, delta=0.5, seed=seed)
+    top = dict(n=4, delta=0.5, seed=2 ** 64 - 2)
     for kind in ("batch", "sequential"):
-        book = Codebook(bsc_pair_model(0.1), top, (1,), kind)
+        book = Codebook(bsc_pair_model(0.1), (1,), **top, kind=kind)
         assert book.bins(2.0) < book.total
         assert 1 <= np.min(encode(book, [0, 1, 1, 0], 2.0)) <= book.bins(2.0)  # X uniform: typical
 
 
-def test_config_takes_the_seed_by_keyword():
-    """A rate given where the config once took it is refused, not read as a seed."""
+def test_codebook_checks_n_and_delta_first():
+    """n, then delta, are refused before K, the groups, the alphabets, the
+    sequence guard, the kind and the seed, each with its own message."""
+    no_pmf = SourceModel((CdfEntry(1, 1, 1.0, 1.0),))
+    bad = dict(kind="stream", seed=-1)
+    with pytest.raises(ValueError, match="^block length n must be between 1 and 16$"):
+        Codebook(no_pmf, (1, 1, 1), n=17, delta=0.0, **bad)
+    with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
+        Codebook(no_pmf, (1, 1, 1), n=16, delta=float("inf"), **bad)
+    with pytest.raises(ValueError, match="^block count K must be 1 or 2$"):
+        Codebook(no_pmf, (1, 1, 1), n=16, delta=0.5, **bad)
+    with pytest.raises(ModelError, match=r"^cdf \(1,1\) has no joint pmf$"):
+        Codebook(no_pmf, (1, 1), n=16, delta=0.5, **bad)
+    with pytest.raises(ValueError, match="exceeds the exhaustive-decoding guard"):
+        Codebook(bsc_pair_model(0.1), (1, 1), n=16, delta=0.5, **bad)
+    with pytest.raises(ValueError, match="^kind must be"):
+        Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, **bad)
+    with pytest.raises(ValueError, match="^seed must be in"):
+        Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, seed=-1)
+
+
+def test_codebook_takes_its_settings_by_keyword():
+    """n, delta, the seed and the kind are keywords: settings given by
+    position, or a config object in the groups' place, are refused."""
     with pytest.raises(TypeError):
-        CodecConfig(12, 0.5, 10.0)
+        Codebook(bsc_pair_model(0.1), (1,), 12, 0.5)
+    with pytest.raises(TypeError):
+        Codebook(bsc_pair_model(0.1), (1,), n=12, delta=0.5, seed=0, kind="batch", rate=10.0)
+    with pytest.raises(TypeError):
+        Codebook(bsc_pair_model(0.1), (1,))
 
 
 def test_codebook_takes_k_and_alphabets_from_the_groups():
     """K is the number of observed groups and the alphabets the shape of their
     pmfs; groups whose pmfs differ in shape are refused."""
-    book = Codebook(_uniform_model(3, 2, groups=2), CodecConfig(2, 0.5), (2, 1))
+    book = Codebook(_uniform_model(3, 2, groups=2), (2, 1), n=2, delta=0.5)
     assert (book.blocks, book.alphabet_x, book.alphabet_y, book.total) == (2, 3, 2, 3 ** 4)
     pmfs = (np.full((2, 2), 0.25), np.full((2, 3), 1 / 6))
     mixed = SourceModel(tuple(CdfEntry(g, 1, 0.5, cond_entropy_x_given_y_bits(p), p)
                               for g, p in enumerate(pmfs, start=1)))
-    Codebook(mixed, CodecConfig(2, 0.5), (2, 2))
+    Codebook(mixed, (2, 2), n=2, delta=0.5)
     with pytest.raises(ModelError, match="differ in shape"):
-        Codebook(mixed, CodecConfig(2, 0.5), (1, 2))
+        Codebook(mixed, (1, 2), n=2, delta=0.5)
 
 
 def test_codebook_refuses_what_it_cannot_bin():
     """A group without joint pmfs, an unknown kind and a sequence of the
     wrong length are refused with their own messages."""
     with pytest.raises(ModelError, match=r"^cdf \(1,1\) has no joint pmf$"):
-        Codebook(SourceModel((CdfEntry(1, 1, 1.0, 1.0),)), CodecConfig(2, 0.5), (1,))
+        Codebook(SourceModel((CdfEntry(1, 1, 1.0, 1.0),)), (1,), n=2, delta=0.5)
     with pytest.raises(ValueError, match="^kind must be 'batch' or 'sequential'$"):
-        Codebook(bsc_pair_model(0.1), CodecConfig(2, 0.5), (1,), "stream")
-    book = Codebook(bsc_pair_model(0.1), CodecConfig(4, 0.5), (1,))
+        Codebook(bsc_pair_model(0.1), (1,), n=2, delta=0.5, kind="stream")
+    book = Codebook(bsc_pair_model(0.1), (1,), n=4, delta=0.5)
     with pytest.raises(ValueError, match=r"^sequence length 3 does not match K\*n = 4$"):
         encode(book, [0, 1, 1], 2.0)
 
@@ -136,21 +161,21 @@ def test_jointly_typical_identity_pair():
 
 def test_encode_injective_and_deterministic():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=3.0, seed=7)
-    book = Codebook(model, cfg, (1,))
+    cfg = dict(n=8, delta=3.0, seed=7)
+    book = Codebook(model, (1,), **cfg)
     assert book.bins(8.0) >= book.total
     xs = [np.array([i >> k & 1 for k in range(8)]) for i in range(40)]
     bins = [encode(book, x, 8.0) for x in xs]
     assert len(set(bins)) == len(bins)
-    again = Codebook(model, cfg, (1,))
+    again = Codebook(model, (1,), **cfg)
     assert bins == [encode(again, x, 8.0) for x in xs]
 
 
 def test_encode_atypical_goes_to_bin_one():
     pmf = np.array([[0.5, 0.5], [0.0, 0.0]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, pmf),))
-    cfg = CodecConfig(4, delta=0.5, seed=1)
-    book = Codebook(model, cfg, (1,))
+    cfg = dict(n=4, delta=0.5, seed=1)
+    book = Codebook(model, (1,), **cfg)
     bins = book.bins(4.0)
     assert encode(book, [0, 0, 0, 1], 4.0) == 1
     assert book._bins_of(np.array([1]), bins)[0, 0] == 2  # its raw bin: the rate is injective
@@ -159,8 +184,8 @@ def test_encode_atypical_goes_to_bin_one():
 
 def test_bin_uniformity_chi_square():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(12, delta=0.5, seed=3)
-    book = Codebook(model, cfg, (1,))
+    cfg = dict(n=12, delta=0.5, seed=3)
+    book = Codebook(model, (1,), **cfg)
     assert book.bins(5.0) < book.total
     bins = [encode(book, seq, 5.0) for seq in itertools.product((0, 1), repeat=12)]  # all typical
     counts = np.bincount(np.asarray(bins) - 1, minlength=book.bins(5.0))
@@ -172,8 +197,8 @@ def test_bin_uniformity_chi_square():
 def test_decode_exact_at_injective_rate_exhaustive():
     """An injective codebook at a delta wide enough that every pair is
     jointly typical decodes every trial; 2000 trials draw all 64 x."""
-    cfg = CodecConfig(6, delta=3.0, seed=5)
-    book = Codebook(bsc_pair_model(0.1), cfg, (1,))
+    cfg = dict(n=6, delta=3.0, seed=5)
+    book = Codebook(bsc_pair_model(0.1), (1,), **cfg)
     assert book.bins(6.0) >= book.total
     assert run_codec_trials(book, 6.0, trials=2000, seed=0) == CodecTrialReport(2000, 0, 0, 0, 0)
     assert len(np.unique(book.draw(2000, 0)[0])) == 64
@@ -184,10 +209,10 @@ def test_decode_posterior_argmax_and_tiebreak():
     wins (Y = X explains x = y, Y = NOT X explains x = 1 - y), and on an exact
     tie the smallest sequence index.  ``_reference_cases`` holds these three
     codebooks, so ``run_codec_trials`` decodes as the oracle does."""
-    cfg = CodecConfig(2, delta=1e-6, seed=2)
+    cfg = dict(n=2, delta=1e-6, seed=2)
     for prior, decoded in ((0.7, [0, 1]), (0.3, [1, 0]), (0.5, [0, 1])):
         model = _identity_pair_model(prior)
-        oracle = ExactCodec(model, (1,), Codebook(model, cfg, (1,)), 0.0)
+        oracle = ExactCodec(model, (1,), Codebook(model, (1,), **cfg), 0.0)
         won = oracle.decode((1,), [[0, 1]])[0]
         assert oracle.seqs[won].ravel().tolist() == decoded, prior
 
@@ -197,7 +222,7 @@ def test_decode_failure_is_a_value():
     message has a candidate, and every trial counts as a source error."""
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    book = Codebook(model, CodecConfig(3, 0.01, seed=1), (1,))
+    book = Codebook(model, (1,), n=3, delta=0.01, seed=1)
     assert len(book.typical) == 0
     assert run_codec_trials(book, 2.0, trials=200, seed=4) == CodecTrialReport(200, 200, 200, 0, 0)
 
@@ -205,8 +230,8 @@ def test_decode_failure_is_a_value():
 def test_trials_identical_sources_never_err():
     x_is_y = np.array([[0.5, 0.0], [0.0, 0.5]])
     model = SourceModel((CdfEntry(1, 1, 1.0, 0.0, x_is_y),))
-    cfg = CodecConfig(8, delta=0.5, seed=4)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=200, seed=9)
+    cfg = dict(n=8, delta=0.5, seed=4)
+    report = run_codec_trials(Codebook(model, (1,), **cfg), 0.0, trials=200, seed=9)
     assert report.errors == 0
     assert (report.eps1, report.eps2, report.eps3) == (0, 0, 0)
 
@@ -214,8 +239,8 @@ def test_trials_identical_sources_never_err():
 def test_trials_false_hypothesis_collisions():
     """With ambiguous members the wrong-posterior pick shows up as eps3."""
     model = _identity_pair_model(0.7)
-    cfg = CodecConfig(6, delta=0.25, seed=4)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=400, seed=9)
+    cfg = dict(n=6, delta=0.25, seed=4)
+    report = run_codec_trials(Codebook(model, (1,), **cfg), 0.0, trials=400, seed=9)
     # errors happen exactly when the low-prior member was the truth
     assert report.err_rate == pytest.approx(0.3, abs=0.08)
     assert report.eps1 == 0 and report.eps2 == 0
@@ -224,8 +249,8 @@ def test_trials_false_hypothesis_collisions():
 
 def test_trials_single_bin_collisions_dominate():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=0.6, seed=6)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), 0.0, trials=300, seed=1)
+    cfg = dict(n=8, delta=0.6, seed=6)
+    report = run_codec_trials(Codebook(model, (1,), **cfg), 0.0, trials=300, seed=1)
     assert report.err_rate > 0.5
     assert report.eps2 > report.eps1
     assert report.eps2 + report.eps3 >= report.errors - report.eps1
@@ -233,8 +258,8 @@ def test_trials_single_bin_collisions_dominate():
 
 def test_trials_tiny_delta_atypicality_dominates():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(8, delta=0.01, seed=6)
-    report = run_codec_trials(Codebook(model, cfg, (1,)), 8.0, trials=300, seed=1)
+    cfg = dict(n=8, delta=0.01, seed=6)
+    report = run_codec_trials(Codebook(model, (1,), **cfg), 8.0, trials=300, seed=1)
     assert report.eps1 == report.errors > 0
 
 
@@ -245,8 +270,8 @@ def test_error_monotone_in_rate():
     for rate in rates:
         errs = []
         for seed in range(10):
-            cfg = CodecConfig(10, delta=0.5, seed=seed)
-            errs.append(run_codec_trials(Codebook(model, cfg, (1,)), rate, trials=60,
+            cfg = dict(n=10, delta=0.5, seed=seed)
+            errs.append(run_codec_trials(Codebook(model, (1,), **cfg), rate, trials=60,
                                          seed=100 + seed).err_rate)
         mean_err.append(float(np.mean(errs)))
     assert all(a >= b - 1e-12 for a, b in zip(mean_err, mean_err[1:]))
@@ -254,8 +279,8 @@ def test_error_monotone_in_rate():
 
 def test_sequential_kind_roundtrip():
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(4, delta=3.0, seed=8)
-    book = Codebook(model, cfg, (1, 1), kind="sequential")
+    cfg = dict(n=4, delta=3.0, seed=8)
+    book = Codebook(model, (1, 1), **cfg, kind="sequential")
     assert book.bins(16.0) >= book.total
     bins = encode(book, [[0, 1, 1, 0], [1, 0, 0, 1]], 16.0)
     assert isinstance(bins, tuple) and len(bins) == 2
@@ -264,8 +289,9 @@ def test_sequential_kind_roundtrip():
 
 def test_sequential_hashed_trials():
     model = bsc_pair_model(0.05)
-    cfg = CodecConfig(5, delta=0.8, seed=8)
-    report = run_codec_trials(Codebook(model, cfg, (1, 1), "sequential"), 9.0, trials=150, seed=3)
+    cfg = dict(n=5, delta=0.8, seed=8)
+    report = run_codec_trials(Codebook(model, (1, 1), **cfg, kind="sequential"), 9.0,
+                              trials=150, seed=3)
     assert 0 <= report.err_rate < 1.0
     assert report.eps1 + report.eps2 + report.eps3 == report.errors
 
@@ -276,8 +302,8 @@ def test_trials_count_an_atypical_stage_prefix_as_eps1():
     the source's (eps1), even when the whole sequence is typical."""
     pmf = np.array([[0.6, 0.1], [0.05, 0.25]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    cfg = CodecConfig(4, 0.3, seed=1)
-    book = Codebook(model, cfg, (1, 1), "sequential")
+    cfg = dict(n=4, delta=0.3, seed=1)
+    book = Codebook(model, (1, 1), **cfg, kind="sequential")
     assert book.bins(16.0) >= book.total
     report = run_codec_trials(book, 16.0, trials=2000, seed=3)
     assert report == CodecTrialReport(2000, errors=987, eps1=987, eps2=0, eps3=0)
@@ -312,7 +338,7 @@ def _exact_replay(model, groups, cfg, rate, kind, trials,
                   seed) -> tuple[CodecTrialReport, int]:
     """The oracle's report on the draw of a codebook of its own, and how many
     of its decodes found no candidate with a positive posterior."""
-    book = Codebook(model, cfg, groups, kind)
+    book = Codebook(model, groups, **cfg, kind=kind)
     return ExactCodec(model, groups, book, rate).replay(trials, seed)
 
 
@@ -328,20 +354,20 @@ def _reference_cases():
         model = _shared_marginal_model(rng, ax, ay, G, M)
         full = n * K * np.log2(ax)
         rate = [0.0, full * K, float(rng.uniform(0, full))][i % 3]  # all, injective, hashed
-        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), seed=int(rng.integers(0, 50)))
+        cfg = dict(n=n, delta=float(rng.choice([0.4, 0.8, 1.5])), seed=int(rng.integers(0, 50)))
         groups = tuple(int(g) for g in rng.integers(1, G + 1, size=K))
         cases.append((model, groups, cfg, rate, ("batch", "sequential")[i // 2 % 2]))
     # no sequence is typical: P(x=1) = 0.7, n = 3 and delta 0.01
     pmf = np.array([[0.15, 0.15], [0.35, 0.35]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    cases.append((model, (1,), CodecConfig(3, 0.01, seed=1), 2.0, "batch"))
+    cases.append((model, (1,), dict(n=3, delta=0.01, seed=1), 2.0, "batch"))
     # two uniform-marginal members the decoder tells apart by typicality alone:
     # some errors collide only under the false one (eps3)
-    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(6, 0.5, seed=3), 4.0,
+    cases.append((uniform_marginal_pair_model(), (1,), dict(n=6, delta=0.5, seed=3), 4.0,
                   "batch"))
     # Y = X and Y = NOT X at priors 0.7, 0.3 and 0.5, one bin: the posterior
     # argmax, and on the exact tie the smallest index
-    cases += [(_identity_pair_model(p), (1,), CodecConfig(2, 1e-6, seed=2), 0.0, "batch")
+    cases += [(_identity_pair_model(p), (1,), dict(n=2, delta=1e-6, seed=2), 0.0, "batch")
               for p in (0.7, 0.3, 0.5)]
     return cases
 
@@ -357,7 +383,8 @@ def uniform_marginal_pair_model() -> SourceModel:
 def test_trials_match_one_at_a_time_reference():
     totals = np.zeros(4, dtype=int)
     for i, (model, groups, cfg, rate, kind) in enumerate(_reference_cases()):
-        report = run_codec_trials(Codebook(model, cfg, groups, kind), rate, trials=60, seed=i)
+        report = run_codec_trials(Codebook(model, groups, **cfg, kind=kind), rate,
+                                  trials=60, seed=i)
         expected, undecoded = _exact_replay(model, groups, cfg, rate, kind, 60, i)
         assert report == expected, (i, cfg, rate, kind)
         totals += (undecoded, report.eps1, report.eps2, report.eps3)
@@ -388,7 +415,7 @@ def test_hypotheses_have_the_per_table_bits(K):
     for model, groups, cfg, _, kind in _reference_cases():
         if len(groups) != K:
             continue
-        book = Codebook(model, cfg, groups, kind)
+        book = Codebook(model, groups, **cfg, kind=kind)
         assert book.marginals is book.hypotheses[0][0]
         assert _same_bits(book.marginals, Laws([model.group_entries(g)[0] for g in groups]))
         members = [model.group_entries(g) for g in groups]
@@ -400,7 +427,7 @@ def test_draw_is_a_choice_per_block():
     """``Codebook.draw`` gives each trial's x, y and true hypothesis as one
     ``Generator.choice`` call per block would: the member, then its n pairs."""
     for i, (model, groups, cfg, _, kind) in enumerate(_reference_cases()):
-        book = Codebook(model, cfg, groups, kind)
+        book = Codebook(model, groups, **cfg, kind=kind)
         index, y, true_hyp = book.draw(40, i)[:3]
         member_lists = [model.group_entries(g) for g in groups]
         rng = np.random.default_rng(i)
@@ -410,7 +437,7 @@ def test_draw_is_a_choice_per_block():
                 probs = np.array([e.prob for e in mem])
                 members.append(rng.choice(len(mem), p=probs / probs.sum()))
                 pmf = mem[members[-1]].joint_pmf
-                flat = rng.choice(pmf.size, size=cfg.n, p=pmf.ravel() / pmf.sum())
+                flat = rng.choice(pmf.size, size=cfg["n"], p=pmf.ravel() / pmf.sum())
                 xs.append(flat // book.alphabet_y)
                 ys.append(flat % book.alphabet_y)
             x = np.ravel(xs)
@@ -426,9 +453,9 @@ def test_codebooks_of_one_command_match_the_reference_at_every_rate():
     decoded by the oracle.  A draw of other trials replaces the kept one."""
     rng = np.random.default_rng(7)
     cases = _reference_cases() + [  # the last one is the benchmark's model, batch
-        (uniform_marginal_pair_model(), (1, 1), CodecConfig(3, 0.5, seed=3), 0.0, "sequential")]
+        (uniform_marginal_pair_model(), (1, 1), dict(n=3, delta=0.5, seed=3), 0.0, "sequential")]
     for i, (model, groups, cfg, _, kind) in enumerate(cases):
-        book = Codebook(model, cfg, groups, kind)
+        book = Codebook(model, groups, **cfg, kind=kind)
         K = len(book.ends)
         # two hashed rates of 2 .. total - 1 bins a stage, 0, an injective rate
         hashed = [K * float(np.log2(b)) for b in rng.integers(2, book.total, 2)]
@@ -449,11 +476,11 @@ def test_trials_independent_of_chunking(monkeypatch, cells):
     """At 64 candidates of 12 cells per trial the default chunk holds about
     85 trials; one cell per chunk means one trial per chunk."""
     model = bsc_pair_model(0.1)
-    cfg = CodecConfig(12, delta=0.5, seed=2)
-    default = run_codec_trials(Codebook(model, cfg, (1,)), 6.0, trials=200, seed=5)
+    cfg = dict(n=12, delta=0.5, seed=2)
+    default = run_codec_trials(Codebook(model, (1,), **cfg), 6.0, trials=200, seed=5)
     assert default == _exact_replay(model, (1,), cfg, 6.0, "batch", 200, 5)[0]
     monkeypatch.setattr(codec, "_CHUNK_CELLS", cells)
-    assert run_codec_trials(Codebook(model, cfg, (1,)), 6.0, trials=200, seed=5) == default
+    assert run_codec_trials(Codebook(model, (1,), **cfg), 6.0, trials=200, seed=5) == default
 
 
 def test_typicality_adds_block_sums_in_order():
@@ -492,7 +519,7 @@ def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     injective batch codebook decodes it from y = x in a run of that one pair."""
     pmf = np.array([[0.41, 0.0], [0.0, 0.59]])
     model = SourceModel((CdfEntry(1, 1, 1.0, cond_entropy_x_given_y_bits(pmf), pmf),))
-    book = Codebook(model, CodecConfig(8, 0.0800763843224229), (1, 1))
+    book = Codebook(model, (1, 1), n=8, delta=0.0800763843224229)
     x = np.array([[[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]]])
     assert book.bins(32.0) >= book.total
     stages = book.typical_stages(x)
@@ -510,9 +537,9 @@ def _small_cases():
     """Codebooks of at most 2**8 X and Y sequences each, so that the oracle
     sums over every pair: the binary symmetric pair at three hashed rates,
     the benchmark's model, then random shared-marginal models."""
-    cases = [(bsc_pair_model(0.1), (1,), CodecConfig(8, 0.5, seed=0), rate, "batch")
+    cases = [(bsc_pair_model(0.1), (1,), dict(n=8, delta=0.5, seed=0), rate, "batch")
              for rate in (4.0, 6.0, 7.0)]
-    cases.append((uniform_marginal_pair_model(), (1,), CodecConfig(8, 0.5, seed=3), 5.0,
+    cases.append((uniform_marginal_pair_model(), (1,), dict(n=8, delta=0.5, seed=3), 5.0,
                   "batch"))
     rng = np.random.default_rng(31)
     for i in range(8):
@@ -522,7 +549,7 @@ def _small_cases():
         model = _shared_marginal_model(rng, ax, ay, int(rng.integers(1, 3)),
                                        int(rng.integers(1, 3)))
         rate = float(rng.uniform(1, n * K * np.log2(ax)))
-        cfg = CodecConfig(n, float(rng.choice([0.4, 0.8, 1.5])), seed=i)
+        cfg = dict(n=n, delta=float(rng.choice([0.4, 0.8, 1.5])), seed=i)
         groups = tuple(int(g) for g in rng.integers(1, model.m + 1, size=K))
         cases.append((model, groups, cfg, rate, ("batch", "sequential")[i // 2 % 2]))
     return cases
@@ -534,7 +561,7 @@ def test_trials_lie_in_a_binomial_interval_of_the_exact_error():
     count of 4000 trials lies in the central 1 - 1e-6 binomial interval."""
     trials = 4000
     for i, (model, groups, cfg, rate, kind) in enumerate(_small_cases()):
-        book = Codebook(model, cfg, groups, kind)
+        book = Codebook(model, groups, **cfg, kind=kind)
         exact = ExactCodec(model, groups, book, rate).error_probability()
         assert exact[1:].sum() == pytest.approx(exact[0], abs=1e-12)
         report = run_codec_trials(book, rate, trials=trials, seed=i)

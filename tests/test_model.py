@@ -19,12 +19,20 @@ from swdelay import (
 )
 
 from swdelay import blockify, quantize_model
-from swdelay.entropy import cond_entropies_bits, entropy_bits
+from swdelay.entropy import cond_entropies_bits
 from swdelay import model as model_mod
 from swdelay.model import check_blocks, check_channel_rate, check_epsilon, check_eta
 
 from conftest import random_dyadic_model
 from test_ingest import PMF_A, PMF_B, synth_trace
+
+
+def entropy_bits(pmf: np.ndarray) -> float:
+    """Shannon entropy of a pmf of any shape, by a plain 1-D sum over its
+    positive cells."""
+    p = np.asarray(pmf, dtype=float).ravel()
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def test_demo_model_valid(six_cdf_model):
@@ -333,6 +341,22 @@ def test_save_model_writes_the_yaml_dump_bytes(tmp_path):
         _assert_same_model(load_model(path), model)
     save_model(models[3], path)
     assert "  - prob: 1.0e-05\n    cond_entropy: 1.0e+16\n" in path.read_text()
+
+
+def test_save_model_refuses_entries_out_of_order(tmp_path):
+    """Its layout lists each group's members in order, so a model whose
+    entries are in another order would load as another model: it is refused,
+    naming the first entry out of order, and no file is written."""
+    path = tmp_path / "model.yaml"
+    entries = (CdfEntry(2, 1, 0.5, 1.0), CdfEntry(1, 2, 0.25, 2.0), CdfEntry(1, 1, 0.25, 3.0))
+    with pytest.raises(ModelError, match=r"^cdf \(1,2\) comes after cdf \(2,1\): "):
+        save_model(SourceModel(entries), path)
+    with pytest.raises(ModelError, match=r"^cdf \(1,1\) comes after cdf \(1,2\): "):
+        save_model(SourceModel(entries[1:] + entries[:1]), path)
+    assert not path.exists()
+    ordered = SourceModel((entries[2], entries[1], entries[0]))
+    save_model(ordered, path)
+    _assert_same_model(load_model(path), ordered)
 
 
 def test_saved_files_never_touch_pyyaml(tmp_path, monkeypatch):

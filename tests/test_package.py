@@ -31,6 +31,9 @@ def test_codec_exports_only_the_batched_decoder():
     assert not hasattr(codec, "decode") and not hasattr(codec, "is_typical")
     assert not hasattr(codec.Codebook, "bin_of")
     assert not hasattr(codec, "_SequenceSpace") and not hasattr(codec.Codebook, "at_rate")
+    assert "CodecConfig" not in swdelay.__all__ and not hasattr(swdelay, "CodecConfig")
+    assert not hasattr(codec, "CodecConfig")
+    assert "CodecConfig" not in (ROOT / "README.md").read_text()
     assert callable(codec.encode) and callable(codec.jointly_typical)
 
 
