@@ -12,8 +12,9 @@ Ties break to the lexicographically smallest candidate.
 
 Typicality is the empirical log-likelihood kind: a sequence is typical when
 its per-symbol log-likelihood deviates from the per-symbol entropy average
-by at most ``delta`` bits.  One function, ``_typical``, decides it for the
-encoder, the decoder's candidate index and scores, and the error classifier.
+by at most ``delta`` bits.  One function, ``_typical``, decides it from the
+positional sums; the decoder's scores screen pairs by joint type and send
+those near the boundary back to it, so it takes every decision (``_score``).
 
 Everything here is exhaustive by design and guarded to small alphabets and
 short blocks; the asymptotic guarantees of the rate oracle are *not*
@@ -23,10 +24,10 @@ runs all its trials as one batched pass in chunks of bounded size.
 
 The rate sets only the bins and the bin-sorted candidate index, so it is an
 argument of ``encode`` and ``run_codec_trials``, not of the codebook.  The
-table of every X sequence, the X-typical set, the hypotheses and the last
-trial draw do not depend on it: a sweep over rates runs one codebook at every
-rate and builds each of them once, and they are freed with the codebook
-(nothing is cached at module level).
+table of every X sequence and its symbol masks, the X-typical set, the
+hypotheses and the last trial draw do not depend on it: a sweep over rates
+runs one codebook at every rate and builds each of them once, and they are
+freed with the codebook (nothing is cached at module level).
 """
 
 from __future__ import annotations
@@ -46,13 +47,27 @@ _TYP_TOL = 1e-12  # absorbs float noise on the typicality boundary
 
 # run_codec_trials scores the candidates of consecutive trials together while
 # their cells (candidates x K*n symbols) fit in this many, and always at least
-# one trial.  Each cell holds a few 8-byte temporaries.  Measured on a 2-core
-# Xeon (numpy 2.4.6) on the benchmark's codec workload (2^12 and 2^14
-# sequences, 500 trials per rate, one 8 s run per size): peak RSS is
-# 45.5-46.3 MiB at 2^14-2^16 cells, against 45.6 MiB scoring one trial at a
-# time and 54.7 MiB scoring all at once; smaller chunks cost time (1.8x at
-# 2^12, 3.9x at 2^10).
+# one trial.  On a 2-core Xeon (numpy 2.4.6), a round of the benchmark's codec
+# commands (2^12 and 2^14 sequences, 500 trials a rate) takes 29.5, 32.3 and
+# 36.3 ms at 2^16, 2^15 and 2^14 cells (45.2-45.5 MiB peak RSS), 354 ms one
+# trial at a time (43.6 MiB), 30.2 ms all at once (50.3 MiB), 61 ms at 2^12.
 _CHUNK_CELLS = 2 ** 16
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount_bytes(v: np.ndarray) -> np.ndarray:
+    """Set bits of each uint16 of ``v``, from a table of byte counts."""
+    return _BYTE_BITS[v & 0xFF] + _BYTE_BITS[v >> 8]
+
+
+_popcount = getattr(np, "bitwise_count", _popcount_bytes)  # numpy >= 2.0 has it
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +133,13 @@ BATCH = "batch"
 SEQUENTIAL = "sequential"
 
 
+def _symbol_masks(rows: np.ndarray, alphabet: int) -> np.ndarray:
+    """(K, alphabet, N) uint16 masks of N (K, n) symbol rows, n <= 16: bit j
+    of mask (k, a, i) is set where symbol j of block k of row i is a."""
+    bits = (1 << np.arange(rows.shape[-1])).astype(np.uint16)
+    return np.stack([((rows == a) @ bits).T for a in range(alphabet)], axis=1)
+
+
 def _sequence_table(total: int, alphabet: int, width: int) -> np.ndarray:
     """(total, width) table of every sequence, in index order."""
     idx = np.arange(total, dtype=np.int64)
@@ -144,6 +166,7 @@ class Codebook:
 
     def __init__(self, model: SourceModel, groups: tuple[int, ...], *, n: int, delta: float,
                  seed: int = 0, kind: str = BATCH):
+        n = _integer("block length n", n)
         if not 1 <= n <= 16:
             raise ValueError("block length n must be between 1 and 16")
         if not 0 < delta < math.inf:
@@ -151,7 +174,7 @@ class Codebook:
         K = len(groups)
         if not 1 <= K <= 2:
             raise ValueError("block count K must be 1 or 2")
-        self.members = [model.group_entries(int(g)) for g in groups]
+        self.members = [model.group_entries(_integer("group index", g)) for g in groups]
         shapes = set()
         for e in itertools.chain.from_iterable(self.members):
             if e.joint_pmf is None:
@@ -171,6 +194,7 @@ class Codebook:
             self.ends = tuple(range(1, K + 1))
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
+        seed = _integer("seed", seed)
         if not 0 <= seed < 2 ** 64 - K:  # every stage seed is a uint64
             raise ValueError(f"seed must be in [0, 2**64 - K), got {seed}")
         self.seeds = (seed,) if kind == BATCH else tuple(seed + k for k in self.ends)
@@ -241,6 +265,9 @@ class Codebook:
         that drew the pair and the X-typicality of each stage's prefix.  The
         last draw is kept for the next rate, as long as the codebook lives:
         about 20 + K*n bytes per trial."""
+        for name, value in (("trials", trials), ("trial seed", seed)):
+            if _integer(name, value) < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
         return self._last_draw[1]
@@ -297,34 +324,67 @@ class Codebook:
         order = np.argsort(keys, kind="stable")
         return keys[order], self.typical[order]
 
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """(K, ax, total) symbol masks of every X sequence: 2*ax bytes a block
+        of a sequence, against n in the sequence table."""
+        seqs = self.all_sequences.reshape(self.total, self.blocks, self.n)
+        return _symbol_masks(seqs, self.alphabet_x)
+
+    @cached_property
+    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_score``'s (2H, K*ax*ay) weights of the (block, x, y) pair counts,
+        row h (-log p - g) / (K*n) under hypothesis h, g = h_xy[K-1] / K and
+        log 0 read as 0, row H + h 1 where p is 0; and its (H,) guard bands."""
+        K = self.blocks
+        logs = np.stack([hyp.log_xy.ravel() for hyp, _ in self.hypotheses])
+        g = np.array([[hyp.h_xy[K - 1] / K] for hyp, _ in self.hypotheses])
+        dead = np.isneginf(logs)
+        logs[dead] = 0.0
+        band = 70 * 2.0 ** -53 * (np.abs(logs).max(axis=1) + np.abs(g[:, 0]))
+        return np.vstack([(-logs - g) / (K * self.n), dead]), band
+
     def _score(self, candidates: np.ndarray, lo: np.ndarray, hi: np.ndarray, y: np.ndarray):
         """Score the candidates ``candidates[lo:hi]`` of T trials with
         received (T, K, n) blocks.
+
+        XY deviations come from joint types: per block, the count of each (x,
+        y) pair (popcount of ``masks[k, x] & ymask[k, y]``) times the
+        ``_screen`` weights, one matrix product; a count where p is 0 makes the
+        pair atypical, as the -inf sum does.  A sum of m terms errs by at most
+        (m-1)u/(1-(m-1)u) times its absolute sum, u = 2**-53 (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2002, sec. 4.2).  Both sums have
+        at most 32 terms (K*ax*ay counts, K*n log pmfs), and scaling, division
+        and subtraction add u each, so either deviation errs by at most
+        35u(L + g), L the largest finite |log p|.  The guard band is twice
+        that: pairs within it of delta + _TYP_TOL go to ``_typical``.
 
         Returns the candidates' sequence indices, grouped by trial and in
         index order within one; each candidate's trial; whether each
         hypothesis is jointly typical with it under the trial's y, shape
         (candidates, hypotheses); and its highest such posterior (0 if none).
         """
-        n, delta = self.n, self.delta
-        width = n * self.blocks
+        K, n, delta, hyps = self.blocks, self.n, self.delta, self.hypotheses
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
         cand = candidates[np.arange(len(trial)) - first[trial] + lo[trial]]
-        # flat offset of (block, x symbol, y symbol) in a (K, ax, ay) table
-        block = np.arange(width) // n
-        cell = ((block * self.alphabet_x + self.all_sequences[cand]) * self.alphabet_y
-                + y.reshape(len(y), width)[trial]).reshape(-1, self.blocks, n)
-        y_block = np.arange(self.blocks)[:, None]
-        typical = np.empty((len(cand), len(self.hypotheses)), dtype=bool)
-        best = np.zeros(len(cand))
-        for h, (hyp, post) in enumerate(self.hypotheses):
-            y_typical = _typical(hyp.log_y[y_block, y], hyp.h_y, delta)
-            typical[:, h] = (y_typical[trial]
-                             & _typical(hyp.log_xy.ravel()[cell], hyp.h_xy, delta))
-            best = np.maximum(best, np.where(typical[:, h], post, 0.0))
-        return cand, trial, typical, best
+        pairs = (self.masks.take(cand, axis=-1)[:, :, None]
+                 & _symbol_masks(y, self.alphabet_y).take(trial, axis=-1)[:, None])
+        weights, band = self._screen
+        screened = weights @ _popcount(pairs).reshape(weights.shape[1], -1).astype(float)
+        dead, dev = screened[len(hyps):] > 0, np.abs(screened[:len(hyps)])
+        typical = (dev <= delta + _TYP_TOL) & ~dead
+        rows = np.flatnonzero((np.abs(dev - (delta + _TYP_TOL)) <= band[:, None]).any(axis=0))
+        block = np.arange(K)[:, None]
+        if rows.size:  # the positional sums decide the pairs near the boundary
+            x, y_rows = self.all_sequences[cand[rows]].reshape(-1, K, n), y[trial[rows]]
+            for h, (hyp, _) in enumerate(hyps):
+                typical[h, rows] = _typical(hyp.log_xy[block, x, y_rows], hyp.h_xy, delta)
+        typical &= np.stack([_typical(hyp.log_y[block, y], hyp.h_y, delta)
+                             for hyp, _ in hyps]).take(trial, axis=1)
+        best = np.where(typical, [[post] for _, post in hyps], 0.0).max(axis=0)
+        return cand, trial, typical.T, best
 
 
 def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int) -> np.ndarray:

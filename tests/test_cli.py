@@ -638,20 +638,22 @@ def test_codec_command_builds_its_rate_free_work_once(tmp_path, monkeypatch,
 
 
 def test_codec_command_keeps_no_sequence_table(tmp_path, monkeypatch):
-    """The tables die with the command's codebooks: no cache outlives it."""
+    """The tables die with the command's codebooks, the sequence table and
+    the symbol masks of every sequence alike: no cache outlives it."""
     refs = []
-    table = cli.codec_mod._sequence_table
+    for name in ("_sequence_table", "_symbol_masks"):
+        def kept(*args, made=getattr(cli.codec_mod, name), name=name):
+            out = made(*args)
+            refs.append((name, out.shape, weakref.ref(out)))
+            return out
 
-    def kept(*args):
-        out = table(*args)
-        refs.append(weakref.ref(out))
-        return out
-
-    monkeypatch.setattr(cli.codec_mod, "_sequence_table", kept)
+        monkeypatch.setattr(cli.codec_mod, name, kept)
     assert cli.main(["codec", "--bsc", "0.1", "--n", "8", "--delta", "0.5",
                      "--rates", "2,8", "--trials", "50", "--out",
                      (tmp_path / "out.csv").as_posix()]) == 0
-    assert len(refs) == 1 and refs[0]() is None
+    tables = [(name, shape) for name, shape, _ in refs if 2 ** 8 in shape]
+    assert tables == [("_sequence_table", (2 ** 8, 8)), ("_symbol_masks", (1, 2, 2 ** 8))]
+    assert all(ref() is None for _, _, ref in refs)
 
 
 @pytest.mark.parametrize("flag", ["--joint-levels", "--marginal-levels"])

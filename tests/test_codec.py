@@ -2,6 +2,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings, strategies as st
 
 from codec_oracle import ExactCodec, Laws, typical
 from swdelay import (
@@ -80,6 +81,35 @@ def test_codebook_checks_n_and_delta_first():
         Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, **bad)
     with pytest.raises(ValueError, match="^seed must be in"):
         Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, seed=-1)
+
+
+def test_codebook_and_trials_refuse_counts_that_are_not_integers():
+    """n, the seed, the group indices, the trial count and the trial seed
+    are Python or numpy integers, not bools or floats; each refusal names the
+    argument."""
+    model = bsc_pair_model(0.1)
+    for bad, message in ((dict(n=2.5), "block length n must be an integer, got 2.5"),
+                         (dict(n=True), "block length n must be an integer, got True"),
+                         (dict(seed=1.5), "seed must be an integer, got 1.5"),
+                         (dict(seed=True), "seed must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Codebook(model, (1,), **{"n": 4, "delta": 0.5, **bad})
+    for groups in ((1.5,), (True,)):
+        with pytest.raises(ValueError, match=f"^group index must be an integer, got {groups[0]}$"):
+            Codebook(model, groups, n=4, delta=0.5)
+    book = Codebook(model, (1,), n=4, delta=0.5)
+    for bad, message in ((dict(trials=2.5), "trials must be an integer, got 2.5"),
+                         (dict(trials=True), "trials must be an integer, got True"),
+                         (dict(trials=-1), "trials must be >= 0, got -1"),
+                         (dict(seed=1.5), "trial seed must be an integer, got 1.5"),
+                         (dict(seed=True), "trial seed must be an integer, got True"),
+                         (dict(seed=-1), "trial seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_codec_trials(book, 2.0, **{"trials": 10, "seed": 0, **bad})
+    numpy = Codebook(model, (np.int64(1),), n=np.int64(4), delta=0.5, seed=np.uint64(3))
+    assert (run_codec_trials(numpy, 2.0, trials=np.int32(50), seed=np.int64(7))
+            == run_codec_trials(Codebook(model, (1,), n=4, delta=0.5, seed=3), 2.0,
+                                trials=50, seed=7))
 
 
 def test_codebook_takes_its_settings_by_keyword():
@@ -527,6 +557,97 @@ def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     draw = (book.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages)
     monkeypatch.setattr(book, "draw", lambda trials, seed: draw)
     assert run_codec_trials(book, 32.0, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
+
+
+def test_popcount_paths_agree():
+    """The byte-table popcount, used where numpy has no ``bitwise_count``,
+    counts the set bits of uint16 masks as numpy's does."""
+    masks = np.random.default_rng(5).integers(0, 2 ** 16, 20_000).astype(np.uint16)
+    masks[:2] = 0, 0xFFFF
+    expected = np.array([bin(int(m)).count("1") for m in masks])
+    assert np.array_equal(codec._popcount_bytes(masks), expected)
+    if hasattr(np, "bitwise_count"):
+        assert codec._popcount is np.bitwise_count
+        assert np.array_equal(np.bitwise_count(masks), expected)
+
+
+def _positional(book, cand, trial, y, delta):
+    """(candidates, hypotheses) joint typicality of each candidate with its
+    trial's y, from ``_typical`` on the positional log-likelihoods, and the XY
+    deviations those sums give."""
+    K, n = book.blocks, book.n
+    block = np.arange(K)[:, None]
+    x, ys = book.all_sequences[cand].reshape(-1, K, n), y[trial]
+    typical, devs = [], []
+    for hyp, _ in book.hypotheses:
+        ll = hyp.log_xy[block, x, ys]
+        typical.append(codec._typical(hyp.log_y[block, ys], hyp.h_y, delta)
+                       & codec._typical(ll, hyp.h_xy, delta))
+        total = sum(ll.sum(axis=-1)[:, k] for k in range(K))
+        devs.append(np.abs(-total / (K * n) - hyp.h_xy[K - 1] / K))
+    return np.stack(typical, axis=-1), np.stack(devs, axis=-1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ax=st.integers(1, 4), ay=st.integers(1, 4),
+       K=st.integers(1, 2), n=st.integers(1, 16), members=st.integers(1, 3))
+def test_score_screen_decides_as_typical(seed, ax, ay, K, n, members):
+    """The decoder's joint-type screen decides every candidate x hypothesis
+    pair as ``_typical`` does on the positional sums, on random models with
+    zero cells, alphabets of 1-4, K of 1-2 and n of 1-16 (cut to at most
+    2**16 sequences): at a delta that puts one pair exactly on its float
+    boundary, typical, and one ulp below it, atypical.  A spy shows that the
+    boundary pair went back to ``_typical``."""
+    while ax ** (n * K) > 2 ** 16:
+        n -= 1
+    rng = np.random.default_rng(seed)
+    if min(ax, ay) > 1:
+        model = _shared_marginal_model(rng, ax, ay, 2, members)
+    else:  # one member per group: a one-symbol marginal pins the other
+        flat = rng.dirichlet(np.ones(ax * ay), size=2)
+        flat[:, 1:][rng.random((2, ax * ay - 1)) < 0.3] = 0.0
+        pmfs = (flat / flat.sum(axis=1, keepdims=True)).reshape(2, ax, ay)
+        model = SourceModel(tuple(CdfEntry(g + 1, 1, 0.5, cond_entropy_x_given_y_bits(p), p)
+                                  for g, p in enumerate(pmfs)))
+    groups = (1, 1 + int(rng.integers(2)))[:K]
+    book = Codebook(model, groups, n=n, delta=0.5)
+    trials = 6
+    y = rng.integers(0, ay, (trials, K, n)).astype(np.int8)
+    candidates = np.sort(rng.choice(book.total, min(book.total, 200), replace=False))
+    lo = rng.integers(0, len(candidates), trials)
+    hi = np.minimum(len(candidates), lo + rng.integers(1, 60, trials))
+    cand, trial = book._score(candidates, lo, hi, y)[:2]
+    devs = _positional(book, cand, trial, y, 0.5)[1]
+    row, h = np.nonzero(np.isfinite(devs) & (devs > 1e-6))
+    assume(len(row) > 0)
+    pick = rng.integers(len(row))
+    row, h, dev = row[pick], h[pick], devs[row[pick], h[pick]]
+    delta = dev - codec._TYP_TOL  # the smallest delta with delta + _TYP_TOL >= dev
+    while np.nextafter(delta, 0) + codec._TYP_TOL >= dev:
+        delta = np.nextafter(delta, 0)
+    while delta + codec._TYP_TOL < dev:
+        delta = np.nextafter(delta, 1)
+    for d in (delta, np.nextafter(delta, 0)):
+        book = Codebook(model, groups, n=n, delta=float(d))
+        expected = _positional(book, cand, trial, y, d)[0]
+        calls = []
+
+        def spy(ll, hs, dd, k=None, real=codec._typical):
+            calls.append((ll, hs))
+            return real(ll, hs, dd, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_typical", spy)
+            typical, best = book._score(candidates, lo, hi, y)[2:]
+        assert np.array_equal(typical, expected)
+        posts = np.array([post for _, post in book.hypotheses])
+        assert np.array_equal(best, np.where(expected, posts, 0.0).max(axis=1))
+        hyp = book.hypotheses[h][0]
+        x = book.all_sequences[cand[row]].reshape(K, n)
+        boundary = hyp.log_xy[np.arange(K)[:, None], x, y[trial[row]]]
+        assert bool(codec._typical(boundary, hyp.h_xy, d)) == (d == delta)
+        assert any(hs is hyp.h_xy and (ll == boundary).all(axis=(-2, -1)).any()
+                   for ll, hs in calls)
 
 
 # ---------------------------------------------------------------------------
