@@ -26,6 +26,7 @@ from .model import (
     ModelError,
     SourceModel,
     bsc_pair_model,
+    check_count,
     compute_stats,
     demo_model,
     load_model,
@@ -269,7 +270,7 @@ def _sweep_task(payload) -> tuple[SimulationResult, ...]:
 
 def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int = 1,
               **run) -> list[SimulationResult]:
-    """One Monte Carlo sweep, every eta checked before any task starts: one
+    """One Monte Carlo sweep, every argument checked before any task starts: one
     ``simulate`` task per (eta, seed) runs every strategy, with ``run`` holding
     epsilon, T and batch_size.  Results come in (strategy, eta, seed) order."""
     if not (strategies and eta_grid and seeds):
@@ -279,9 +280,11 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
             raise ValueError(f"a sweep repeats a {name}: {', '.join(map(str, values))}")
     for eta in eta_grid:
         check_run(model, strategies, eta=eta, **run)
+    for seed in seeds:
+        check_count("seed", seed, 0)
     tasks = [(eta, seed) for eta in eta_grid for seed in seeds]
     payloads = [(model, strategies, run, t) for t in tasks]
-    workers = min(workers, len(tasks))  # a pool starts every worker at once
+    workers = min(check_count("workers", workers), len(tasks))  # a pool starts every worker at once
     if workers <= 1:
         done = map(_sweep_task, payloads)
     else:

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import row_divergences_bits
-from .model import ModelError, SourceModel
+from .model import ModelError, SourceModel, check_count, is_real
 
 MAX_SEQUENCES = 10_000_000
 _TYP_TOL = 1e-12  # absorbs float noise on the typicality boundary
@@ -61,13 +61,6 @@ def _popcount_bytes(v: np.ndarray) -> np.ndarray:
 
 
 _popcount = getattr(np, "bitwise_count", _popcount_bytes)  # numpy >= 2.0 has it
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +159,13 @@ class Codebook:
 
     def __init__(self, model: SourceModel, groups: tuple[int, ...], *, n: int, delta: float,
                  seed: int = 0, kind: str = BATCH):
-        n = _integer("block length n", n)
-        if not 1 <= n <= 16:
-            raise ValueError("block length n must be between 1 and 16")
-        if not 0 < delta < math.inf:
+        n = check_count("block length n", n, 1, 16)
+        if not (is_real(delta) and 0 < delta < math.inf):
             raise ValueError(f"delta must be positive and finite, got {delta}")
         K = len(groups)
         if not 1 <= K <= 2:
             raise ValueError("block count K must be 1 or 2")
-        self.members = [model.group_entries(_integer("group index", g)) for g in groups]
+        self.members = [model.group_entries(check_count("group index", g)) for g in groups]
         shapes = set()
         for e in itertools.chain.from_iterable(self.members):
             if e.joint_pmf is None:
@@ -194,9 +185,7 @@ class Codebook:
             self.ends = tuple(range(1, K + 1))
         else:
             raise ValueError(f"kind must be {BATCH!r} or {SEQUENTIAL!r}")
-        seed = _integer("seed", seed)
-        if not 0 <= seed < 2 ** 64 - K:  # every stage seed is a uint64
-            raise ValueError(f"seed must be in [0, 2**64 - K), got {seed}")
+        seed = check_count("seed", seed, 0, 2 ** 64 - 1 - K)  # every stage seed is a uint64
         self.seeds = (seed,) if kind == BATCH else tuple(seed + k for k in self.ends)
         self.n, self.delta, self.kind = n, delta, kind
         self.blocks, self.alphabet_x, self.alphabet_y = K, ax, ay
@@ -205,7 +194,7 @@ class Codebook:
     def bins(self, rate_bits: float) -> int:
         """Bins of each stage at ``rate_bits`` bits a message: 2**rate_bits for
         batch, 2**(rate_bits/K) for sequential."""
-        if not 0 <= rate_bits < math.inf:
+        if not (is_real(rate_bits) and 0 <= rate_bits < math.inf):
             raise ValueError(f"rate_bits must be nonnegative and finite, got {rate_bits}")
         # capped where 2**63 bins already exceed every guarded prefix count
         return max(1, round(2.0 ** min(rate_bits / len(self.ends), 63)))
@@ -265,9 +254,7 @@ class Codebook:
         that drew the pair and the X-typicality of each stage's prefix.  The
         last draw is kept for the next rate, as long as the codebook lives:
         about 20 + K*n bytes per trial."""
-        for name, value in (("trials", trials), ("trial seed", seed)):
-            if _integer(name, value) < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        trials, seed = check_count("trials", trials, 0), check_count("trial seed", seed, 0)
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
         return self._last_draw[1]

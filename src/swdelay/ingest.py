@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import cond_entropies_bits, row_divergences_bits
-from .model import CdfEntry, SourceModel
+from .model import CdfEntry, SourceModel, check_count
 
 
 class IngestError(ValueError):
@@ -65,8 +65,7 @@ def read_trace(path, skip_header: int = 0) -> np.ndarray:
     The bytes are parsed with numpy about 256 KiB of whole lines at a time,
     so no temporary grows with the file beyond the bytes and the result.
     """
-    if skip_header < 0:
-        raise IngestError(f"skip_header must be >= 0, got {skip_header}")
+    skip_header = check_count("skip_header", skip_header, 0, error=IngestError)
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -160,8 +159,7 @@ def blockify(trace, n: int) -> np.ndarray:
     arr = np.asarray(trace, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise IngestError("trace must be a non-empty sequence of (x, y) pairs")
-    if n < 1:
-        raise IngestError(f"block length must be >= 1, got {n}")
+    n = check_count("block length", n, error=IngestError)
     if arr.shape[0] < n:
         raise IngestError(f"trace shorter than one block ({arr.shape[0]} < {n})")
     if arr.min() < 0:
@@ -263,11 +261,11 @@ def quantize_model(
     every member of the group is repaired to, is its member with the most
     blocks (ties: the lowest level).
     """
-    if joint_levels < 1 or marginal_levels < 1:
-        raise IngestError("level counts must be >= 1")
-    if max(joint_levels, marginal_levels) > 2 ** 31:  # keeps the int64 cell keys below 2**63
-        raise IngestError(f"level counts must be at most 2**31, got "
-                          f"{max(joint_levels, marginal_levels)}")
+    # at most 2**31 levels keeps the int64 cell keys below 2**63
+    joint_levels = check_count("joint_levels", joint_levels, 1, 2 ** 31, IngestError)
+    marginal_levels = check_count("marginal_levels", marginal_levels, 1, 2 ** 31, IngestError)
+    if seed is not None:
+        check_count("seed", seed, 0, error=IngestError)
     if representative not in ("midpoint", "random"):
         raise IngestError(f"unknown representative mode {representative!r}")
     pmfs = np.asarray(pmfs, dtype=float)

@@ -15,7 +15,6 @@ built: an invalid ``SourceModel`` cannot be constructed.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -39,21 +38,43 @@ class ModelError(ValueError):
 
 # each run quantity is checked here, so every caller gives the same message
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def check_count(name: str, value, low: int = 1, high: int | None = None,
+                error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int if it is a Python or numpy integer (not a bool) from
+    ``low`` to ``high`` (None: no bound), else raises ``error`` naming it."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"between {low} and {high}"
+        raise error(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def check_epsilon(epsilon: float | None) -> None:
-    """Raises ValueError unless the outage target is in (0, 1)."""
-    if epsilon is None or not 0 < epsilon < 1:
+    """Raises ValueError unless the outage target is a number in (0, 1)."""
+    if not (is_real(epsilon) and 0 < epsilon < 1):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def check_eta(eta: float) -> None:
-    """Raises ValueError unless the heavy-traffic parameter is in (0, 1)."""
-    if not 0 < eta < 1:
+    """Raises ValueError unless the heavy-traffic parameter is a number in (0, 1)."""
+    if not (is_real(eta) and 0 < eta < 1):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
 
 
 def check_channel_rate(c: float) -> None:
-    """Raises ValueError unless the channel rate is positive and finite."""
-    if not 0 < c < math.inf:
+    """Raises ValueError unless the channel rate is a positive, finite number."""
+    if not (is_real(c) and 0 < c < math.inf):
         raise ValueError(f"channel rate must be positive and finite, got c = {c}")
 
 
@@ -62,12 +83,6 @@ def check_mean_entropy(e_h: float) -> None:
     if e_h <= 0:
         raise ModelError("the mean conditional entropy is 0: c = E[H]/(1 - eta) is 0 at "
                          "every eta, and eta = 1 - E[H]/c is 1 at every c")
-
-
-def check_blocks(T: int) -> None:
-    """Raises ValueError unless a block count is at least 1."""
-    if T < 1:
-        raise ValueError(f"block count must be >= 1, got {T}")
 
 
 @dataclass(frozen=True)
@@ -193,24 +208,28 @@ def validate_model(model: SourceModel) -> list[str]:
     if not model.entries:
         return ["model has no cdf entries"]
 
-    tables = [(i, e.joint_pmf) for i, e in enumerate(model.entries) if e.joint_pmf is not None]
+    tables = [(i, e.joint_pmf) for i, e in enumerate(model.entries)
+              if e.joint_pmf is not None and is_real(e.cond_entropy)]
     pmf_bad = _pmf_violations(model.entries, tables) if tables else {}
     total = 0.0
     seen: set[tuple[int, int]] = set()
     by_group: dict[int, list[CdfEntry]] = {}
     for i, e in enumerate(model.entries):
         label = f"cdf ({e.group},{e.member})"
-        if not 0 < e.prob < math.inf:
+        if not (is_real(e.prob) and 0 < e.prob < math.inf):
             bad.append(f"{label}: prob must be positive and finite, got {e.prob}")
-        if not 0 <= e.cond_entropy < math.inf:
+        if not (is_real(e.cond_entropy) and 0 <= e.cond_entropy < math.inf):
             bad.append(f"{label}: cond_entropy must be >= 0 and finite, got {e.cond_entropy}")
-        if (e.group, e.member) in seen:
-            bad.append(f"{label}: duplicate index")
-        seen.add((e.group, e.member))
-        total += e.prob
+        if not (_is_integer(e.group) and _is_integer(e.member)):
+            bad.append(f"{label}: group and member indices must be integers")
+        else:  # an index of another type might not sort, or hash, with the others
+            if (e.group, e.member) in seen:
+                bad.append(f"{label}: duplicate index")
+            seen.add((e.group, e.member))
+            by_group.setdefault(e.group, []).append(e)
+        total += e.prob if is_real(e.prob) else math.nan  # a non-number fails the sum too
         if i in pmf_bad:
             bad.append(f"{label}: {pmf_bad[i]}")
-        by_group.setdefault(e.group, []).append(e)
     if abs(total - 1.0) > PROB_TOL:
         bad.append(f"prior does not sum to 1 (got {total!r})")
 
@@ -225,11 +244,11 @@ def validate_model(model: SourceModel) -> list[str]:
     if tables:
         bad += _marginal_violations([by_group[g] for g in groups])
 
-    n = model.block_len_n
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+    n, slot = model.block_len_n, model.slot_seconds
+    if not (_is_integer(n) and n >= 1):
         bad.append(f"block_len_n must be an integer >= 1, got {n!r}")
-    if model.slot_seconds is not None and not 0 < model.slot_seconds < math.inf:
-        bad.append(f"slot_seconds must be positive and finite, got {model.slot_seconds}")
+    if slot is not None and not (is_real(slot) and 0 < slot < math.inf):
+        bad.append(f"slot_seconds must be positive and finite, got {slot}")
     return bad
 
 
@@ -337,8 +356,8 @@ def compute_stats(model: SourceModel) -> EntropyStats:
 
 def sample_trace(model: SourceModel, T: int, seed: int) -> BlockTrace:
     """Draw T i.i.d. block cdfs from the prior; deterministic given seed."""
-    check_blocks(T)
-    rng = np.random.default_rng(seed)
+    T = check_count("block count", T)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     probs = np.array([e.prob for e in model.entries], dtype=float)
     probs = probs / probs.sum()
     idx = rng.choice(len(model.entries), size=T, p=probs)
@@ -363,7 +382,7 @@ def demo_model() -> SourceModel:
 
 def bsc_pair_model(crossover: float) -> SourceModel:
     """Single-cdf model of a uniform binary source observed through a BSC."""
-    if not 0 < crossover < 0.5:
+    if not (is_real(crossover) and 0 < crossover < 0.5):
         raise ValueError("crossover must be in (0, 0.5)")
     p = crossover
     joint = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import k_c_chernoff
-from .model import (ModelError, SourceModel, check_blocks, check_channel_rate, check_epsilon,
+from .model import (ModelError, SourceModel, check_channel_rate, check_count, check_epsilon,
                     compute_stats)
 
 H_RES_EXACT = 1e-9
@@ -146,6 +146,8 @@ class RateAccumulator:
 
     def push_block(self, group: int) -> "RateAccumulator":
         """Convolve in the conditional entropy pmf of the observed group."""
+        if type(group) is not int:  # the pushes of a run are ints: one type test
+            group = check_count("group index", group)
         try:
             off, kernel, rev, atoms = self._gpmf[group]
         except KeyError:
@@ -215,7 +217,7 @@ class RateAccumulator:
 
 def rate_unconditional(model: SourceModel, K: int, epsilon: float) -> float:
     """Quantile of the K-fold convolution of the full prior (no marginal info)."""
-    check_blocks(K)
+    K = check_count("block count", K)
     check_epsilon(epsilon)
     acc = RateAccumulator(model.collapse_marginals())
     for _ in range(K):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channel import ChannelQueue
 from .entropy import row_divergences_bits
-from .model import (BlockTrace, EntropyStats, SourceModel, check_blocks, check_channel_rate,
+from .model import (BlockTrace, EntropyStats, SourceModel, check_channel_rate, check_count,
                     check_epsilon, check_eta, check_mean_entropy, compute_stats, sample_trace)
 from .rate import RateAccumulator
 
@@ -94,8 +94,8 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
     Returns (stats, c, eta), eta below 1.  From eta, c is above E[H]; a given
     c <= E[H] returns eta <= 0, which ``simulate`` runs with its warning.
 
-    epsilon is checked whenever it is given; it may be omitted only when every
-    strategy asked for is ``known-joint`` or ``blockwise``, which never outage.
+    epsilon and the batch size are checked whenever given; epsilon may be omitted
+    only when every strategy is ``known-joint`` or ``blockwise``, which never outage.
     """
     if not strategies:
         raise ValueError("a run needs at least one strategy")
@@ -104,9 +104,11 @@ def check_run(model: SourceModel, strategies, *, epsilon: float | None, T: int,
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
     if epsilon is not None or any(_RULE[s] != "one-block" for s in strategies):
         check_epsilon(epsilon)
-    check_blocks(T)
-    if ACCUMULATE in strategies and (batch_size is None or batch_size < 1):
-        raise ValueError(f"the accumulate baseline needs a batch size >= 1, got {batch_size}")
+    check_count("block count", T)
+    if batch_size is not None:
+        check_count("batch_size", batch_size)
+    elif ACCUMULATE in strategies:
+        raise ValueError("the accumulate baseline needs a batch size >= 1, got None")
     if (eta is None) == (c is None):
         raise ValueError("give exactly one of eta or c")
     if eta is not None:

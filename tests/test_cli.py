@@ -666,7 +666,9 @@ def test_ingest_refuses_a_level_count_above_2_31(tmp_path, capsys, flag):
     assert cli.main(["ingest", "--input", trace_path.as_posix(), "--n", "20",
                      flag, "2147483649", "--out", model_out.as_posix()]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: level counts must be at most 2**31, got 2147483649\n"
+    name = flag[2:].replace("-", "_")
+    assert out == "" and err == (f"error: {name} must be between 1 and 2147483648, "
+                                 "got 2147483649\n")
     assert not model_out.exists()
 
 
@@ -1052,6 +1054,7 @@ _SIM = ["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
         "--blocks", "20"]
 _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
           "--seeds", "1"]
+_SEED_RULE = "seed must be in [0, 2**64 - K)"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1091,12 +1094,19 @@ _SWEEP = ["sweep", "--eta-grid", "0.5", "--epsilon", "0.01", "--blocks", "20",
     (["rate", "--blocks", "100000", "--epsilon", "1.5"], "epsilon must be in (0, 1)"),
     (["simulate", "--strategy", "known-joint", "--epsilon", "2", "--eta", "0.5",
       "--blocks", "20"], "epsilon must be in (0, 1)"),
-    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
-      "--trials", "5", "--seed", "-1"], "seed must be in [0, 2**64 - K)"),
-    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
-      "--trials", "5", "--seed", "18446744073709551616"], "seed must be in [0, 2**64 - K)"),
-    (["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "9",
-      "--trials", "5", "--seed", "-1"], "seed must be in [0, 2**64 - K)"),
+    # the codec's seed must be in [0, 2**64 - K); these cases keep that rule as their id
+    pytest.param(["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+                  "--trials", "5", "--seed", "-1"],
+                 "seed must be between 0 and 18446744073709551614, got -1",
+                 id=f"argv22-{_SEED_RULE}"),
+    pytest.param(["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "2",
+                  "--trials", "5", "--seed", "18446744073709551616"],
+                 "seed must be between 0 and 18446744073709551614, got 18446744073709551616",
+                 id=f"argv23-{_SEED_RULE}"),
+    pytest.param(["codec", "--bsc", "0.1", "--n", "4", "--delta", "0.5", "--rates", "9",
+                  "--trials", "5", "--seed", "-1"],
+                 "seed must be between 0 and 18446744073709551614, got -1",
+                 id=f"argv24-{_SEED_RULE}"),
     # a NaN or an infinity names the quantity, not the float conversion
     ([*_SIM[:5], "--c", "inf", "--blocks", "20"],
      "channel rate must be positive and finite, got c = inf"),

@@ -53,7 +53,8 @@ def test_codebook_guards():
         Codebook(_uniform_model(4, 4), (1, 1), n=16, delta=0.5)  # 4**32 sequences
     # every stage seed (seed + 1 .. seed + K when sequential) must fit a uint64
     for blocks, seed in ((1, -1), (2, 2 ** 64 - 2), (1, 2 ** 64)):
-        with pytest.raises(ValueError, match="seed must be in"):
+        with pytest.raises(ValueError, match=f"^seed must be between 0 and {2 ** 64 - 1 - blocks}, "
+                                             f"got {seed}$"):
             Codebook(bsc_pair_model(0.1), (1,) * blocks, n=4, delta=0.5, seed=seed)
     top = dict(n=4, delta=0.5, seed=2 ** 64 - 2)
     for kind in ("batch", "sequential"):
@@ -67,7 +68,7 @@ def test_codebook_checks_n_and_delta_first():
     sequence guard, the kind and the seed, each with its own message."""
     no_pmf = SourceModel((CdfEntry(1, 1, 1.0, 1.0),))
     bad = dict(kind="stream", seed=-1)
-    with pytest.raises(ValueError, match="^block length n must be between 1 and 16$"):
+    with pytest.raises(ValueError, match="^block length n must be between 1 and 16, got 17$"):
         Codebook(no_pmf, (1, 1, 1), n=17, delta=0.0, **bad)
     with pytest.raises(ValueError, match="^delta must be positive and finite, got inf$"):
         Codebook(no_pmf, (1, 1, 1), n=16, delta=float("inf"), **bad)
@@ -79,7 +80,7 @@ def test_codebook_checks_n_and_delta_first():
         Codebook(bsc_pair_model(0.1), (1, 1), n=16, delta=0.5, **bad)
     with pytest.raises(ValueError, match="^kind must be"):
         Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, **bad)
-    with pytest.raises(ValueError, match="^seed must be in"):
+    with pytest.raises(ValueError, match=f"^seed must be between 0 and {2 ** 64 - 3}, got -1$"):
         Codebook(bsc_pair_model(0.1), (1, 1), n=8, delta=0.5, seed=-1)
 
 

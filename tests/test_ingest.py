@@ -373,9 +373,10 @@ def test_quantize_allocates_nothing_per_level():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
-    for joint, marginal in ((2 ** 31 + 1, 4), (4, 2 ** 31 + 1)):
-        with pytest.raises(IngestError, match=r"^level counts must be at most 2\*\*31, "
-                                              r"got 2147483649$"):
+    for joint, marginal, name in ((2 ** 31 + 1, 4, "joint_levels"),
+                                  (4, 2 ** 31 + 1, "marginal_levels")):
+        with pytest.raises(IngestError, match=f"^{name} must be between 1 and 2147483648, "
+                                              f"got 2147483649$"):
             quantize_model(pmfs, joint, marginal)
     with pytest.warns(RuntimeWarning, match="joint levels are occupied"):
         capped = quantize_model(pmfs, 2 ** 31, 2 ** 31)

@@ -21,7 +21,7 @@ from swdelay import (
 from swdelay import blockify, quantize_model
 from swdelay.entropy import cond_entropies_bits
 from swdelay import model as model_mod
-from swdelay.model import check_blocks, check_channel_rate, check_epsilon, check_eta
+from swdelay.model import check_channel_rate, check_count, check_epsilon, check_eta
 
 from conftest import random_dyadic_model
 from test_ingest import PMF_A, PMF_B, synth_trace
@@ -525,7 +525,7 @@ def test_run_quantity_checks():
     check_epsilon(0.5)
     check_eta(0.5)
     check_channel_rate(1e-300)
-    check_blocks(1)
+    assert check_count("block count", np.int64(1)) == 1
     for call, message in [
         (lambda: check_epsilon(1.0), "epsilon must be in (0, 1), got 1.0"),
         (lambda: check_epsilon(None), "epsilon must be in (0, 1), got None"),
@@ -534,7 +534,7 @@ def test_run_quantity_checks():
         (lambda: check_channel_rate(math.inf),
          "channel rate must be positive and finite, got c = inf"),
         (lambda: check_channel_rate(0.0), "channel rate must be positive and finite, got c = 0.0"),
-        (lambda: check_blocks(0), "block count must be >= 1, got 0"),
+        (lambda: check_count("block count", 0), "block count must be >= 1, got 0"),
     ]:
         with pytest.raises(ValueError) as info:
             call()

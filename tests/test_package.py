@@ -66,3 +66,21 @@ def test_bench_only_names_have_no_caller_in_src():
         assert re.search(rf"\b{name}\b", bench), name
         assert f"{name}`" in kept, name
         assert name not in used, name
+
+
+def test_model_check_count_is_the_one_count_check():
+    """``model.check_count`` replaced ``model.check_blocks`` and
+    ``codec._integer``, and only model.py asks whether a value is a bool."""
+    from swdelay import model
+
+    assert callable(model.check_count) and callable(model.is_real)
+    assert not hasattr(model, "check_blocks") and not hasattr(codec, "_integer")
+    asks = set()
+    for path in sorted((ROOT / "src" / "swdelay").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                asks.add(path.name)
+    assert asks == {"model.py"}
