@@ -390,8 +390,7 @@ def cmd_ingest(args) -> int:
         blockify(trace, args.n),
         joint_levels=args.joint_levels,
         marginal_levels=args.marginal_levels,
-        representative="random" if args.random_representative else "midpoint",
-        seed=args.seed,
+        representative_seed=args.random_representative,
         block_len_n=args.n,
         slot_seconds=args.slot_seconds,
     )
@@ -518,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_codec)
 
     p = sub.add_parser("ingest", help="build a model from a paired symbol trace")
-    common(p, model=False, seed=_seed)
+    common(p, model=False)
     p.add_argument("--input", required=True,
                    help="trace file: one x,y line of decimal digits per symbol pair")
     p.add_argument("--n", type=_positive_int, required=True, help="symbols per block")
@@ -528,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lines to skip before the first x,y line")
     p.add_argument("--slot-seconds", type=_positive_float, default=None,
                    help="seconds per symbol, written to the model for --seconds")
-    p.add_argument("--random-representative", action="store_true",
-                   help="draw level representatives at random (seeded)")
+    p.add_argument("--random-representative", type=_seed, default=None, metavar="SEED",
+                   help="draw level representatives at random with this seed")
     p.add_argument("--assign-out", default=None,
                    help="optional per-block assignment CSV")
     p.set_defaults(func=cmd_ingest)

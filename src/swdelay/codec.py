@@ -161,11 +161,11 @@ class Codebook:
                  seed: int = 0, kind: str = BATCH):
         n = check_count("block length n", n, 1, 16)
         if not (is_real(delta) and 0 < delta < math.inf):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+            raise ValueError(f"delta must be positive and finite, got {delta!r}")
         K = len(groups)
         if not 1 <= K <= 2:
             raise ValueError("block count K must be 1 or 2")
-        self.members = [model.group_entries(check_count("group index", g)) for g in groups]
+        self.members = [model.group_entries(g) for g in groups]
         shapes = set()
         for e in itertools.chain.from_iterable(self.members):
             if e.joint_pmf is None:
@@ -195,7 +195,7 @@ class Codebook:
         """Bins of each stage at ``rate_bits`` bits a message: 2**rate_bits for
         batch, 2**(rate_bits/K) for sequential."""
         if not (is_real(rate_bits) and 0 <= rate_bits < math.inf):
-            raise ValueError(f"rate_bits must be nonnegative and finite, got {rate_bits}")
+            raise ValueError(f"rate_bits must be nonnegative and finite, got {rate_bits!r}")
         # capped where 2**63 bins already exceed every guarded prefix count
         return max(1, round(2.0 ** min(rate_bits / len(self.ends), 63)))
 

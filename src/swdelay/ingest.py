@@ -245,8 +245,7 @@ def quantize_model(
     joint_levels: int,
     marginal_levels: int,
     *,
-    representative: str = "midpoint",
-    seed: int | None = None,
+    representative_seed: int | None = None,
     block_len_n: int = 1,
     slot_seconds: float | None = None,
 ) -> IngestResult:
@@ -254,20 +253,18 @@ def quantize_model(
 
     Groups are the occupied (x-level, y-level) pairs in sorted order, members
     the occupied joint levels of a group in sorted order.
-    ``representative="midpoint"`` represents a member by the block whose
-    divergence is closest to its interval midpoint (ties: the lowest block);
-    ``"random"`` draws it uniformly from the member's blocks, one draw per
-    member in (group, level) order.  Each group's anchor, whose marginals
-    every member of the group is repaired to, is its member with the most
-    blocks (ties: the lowest level).
+    With ``representative_seed`` None a member is represented by the block
+    whose divergence is closest to its interval midpoint (ties: the lowest
+    block); with an integer seed it is drawn uniformly from the member's
+    blocks, one draw per member in (group, level) order.  Each group's
+    anchor, whose marginals every member of the group is repaired to, is its
+    member with the most blocks (ties: the lowest level).
     """
     # at most 2**31 levels keeps the int64 cell keys below 2**63
     joint_levels = check_count("joint_levels", joint_levels, 1, 2 ** 31, IngestError)
     marginal_levels = check_count("marginal_levels", marginal_levels, 1, 2 ** 31, IngestError)
-    if seed is not None:
-        check_count("seed", seed, 0, error=IngestError)
-    if representative not in ("midpoint", "random"):
-        raise IngestError(f"unknown representative mode {representative!r}")
+    if representative_seed is not None:
+        check_count("representative_seed", representative_seed, 0, error=IngestError)
     pmfs = np.asarray(pmfs, dtype=float)
     if pmfs.ndim != 3 or not len(pmfs):
         raise IngestError("no blocks to quantize: expected a (blocks, ax, ay) pmf stack")
@@ -299,8 +296,8 @@ def quantize_model(
     cell_member = np.arange(len(cells)) - first[cell_group] + 1
 
     start = np.cumsum(counts) - counts
-    if representative == "random":
-        rng = np.random.default_rng(seed)
+    if representative_seed is not None:
+        rng = np.random.default_rng(representative_seed)
         order = np.argsort(cell_of, kind="stable")
         pick = start + np.array([rng.integers(c) for c in counts.tolist()])
     else:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 import yaml
@@ -63,19 +65,19 @@ def check_count(name: str, value, low: int = 1, high: int | None = None,
 def check_epsilon(epsilon: float | None) -> None:
     """Raises ValueError unless the outage target is a number in (0, 1)."""
     if not (is_real(epsilon) and 0 < epsilon < 1):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
 
 
 def check_eta(eta: float) -> None:
     """Raises ValueError unless the heavy-traffic parameter is a number in (0, 1)."""
     if not (is_real(eta) and 0 < eta < 1):
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+        raise ValueError(f"eta must be in (0, 1), got {eta!r}")
 
 
 def check_channel_rate(c: float) -> None:
     """Raises ValueError unless the channel rate is a positive, finite number."""
     if not (is_real(c) and 0 < c < math.inf):
-        raise ValueError(f"channel rate must be positive and finite, got c = {c}")
+        raise ValueError(f"channel rate must be positive and finite, got c = {c!r}")
 
 
 def check_mean_entropy(e_h: float) -> None:
@@ -120,17 +122,20 @@ class SourceModel:
         if bad := validate_model(self):
             raise ModelError("invalid model: " + "; ".join(bad), bad)
 
+    @cached_property
+    def groups(self) -> tuple[tuple[CdfEntry, ...], ...]:
+        """Each group's entries, in entry order: group g is ``groups[g - 1]``."""
+        by_group = sorted(self.entries, key=lambda e: e.group)  # stable: keeps entry order
+        return tuple(tuple(mem) for _, mem in groupby(by_group, key=lambda e: e.group))
+
     @property
     def m(self) -> int:
         """Number of marginal groups."""
-        return max((e.group for e in self.entries), default=0)
+        return len(self.groups)
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.m
-        for e in self.entries:
-            sizes[e.group - 1] += 1
-        return tuple(sizes)
+        return tuple(map(len, self.groups))
 
     @property
     def m_star(self) -> int:
@@ -138,10 +143,7 @@ class SourceModel:
         return sum(1 for l in self.group_sizes if l == 1)
 
     def group_entries(self, group: int) -> tuple[CdfEntry, ...]:
-        found = tuple(e for e in self.entries if e.group == group)
-        if not found:
-            raise ModelError(f"unknown group index {group}")
-        return found
+        return self.groups[check_count("group index", group, 1, self.m, ModelError) - 1]
 
     def conditional_pmf(self, group: int) -> tuple[np.ndarray, np.ndarray]:
         """Entropy values and probabilities of the group, normalised to 1."""
@@ -217,9 +219,9 @@ def validate_model(model: SourceModel) -> list[str]:
     for i, e in enumerate(model.entries):
         label = f"cdf ({e.group},{e.member})"
         if not (is_real(e.prob) and 0 < e.prob < math.inf):
-            bad.append(f"{label}: prob must be positive and finite, got {e.prob}")
+            bad.append(f"{label}: prob must be positive and finite, got {e.prob!r}")
         if not (is_real(e.cond_entropy) and 0 <= e.cond_entropy < math.inf):
-            bad.append(f"{label}: cond_entropy must be >= 0 and finite, got {e.cond_entropy}")
+            bad.append(f"{label}: cond_entropy must be >= 0 and finite, got {e.cond_entropy!r}")
         if not (_is_integer(e.group) and _is_integer(e.member)):
             bad.append(f"{label}: group and member indices must be integers")
         else:  # an index of another type might not sort, or hash, with the others
@@ -248,7 +250,7 @@ def validate_model(model: SourceModel) -> list[str]:
     if not (_is_integer(n) and n >= 1):
         bad.append(f"block_len_n must be an integer >= 1, got {n!r}")
     if slot is not None and not (is_real(slot) and 0 < slot < math.inf):
-        bad.append(f"slot_seconds must be positive and finite, got {slot}")
+        bad.append(f"slot_seconds must be positive and finite, got {slot!r}")
     return bad
 
 
@@ -329,11 +331,10 @@ def compute_stats(model: SourceModel) -> EntropyStats:
     h_max = float(vals.max())
 
     phi, e_hi, var_hi, h_maxi, m_hi = [], [], [], [], []
-    for g in range(1, model.m + 1):
+    for g, mem in enumerate(model.groups, 1):
         gv, gp = model.conditional_pmf(g)
-        w = sum(e.prob for e in model.group_entries(g))
         mu = float(np.dot(gp, gv))
-        phi.append(w)
+        phi.append(sum(e.prob for e in mem))
         e_hi.append(mu)
         var_hi.append(float(np.dot(gp, (gv - mu) ** 2)))
         h_maxi.append(float(gv.max()))
@@ -383,7 +384,7 @@ def demo_model() -> SourceModel:
 def bsc_pair_model(crossover: float) -> SourceModel:
     """Single-cdf model of a uniform binary source observed through a BSC."""
     if not (is_real(crossover) and 0 < crossover < 0.5):
-        raise ValueError("crossover must be in (0, 0.5)")
+        raise ValueError(f"crossover must be in (0, 0.5), got {crossover!r}")
     p = crossover
     joint = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
     h = cond_entropy_x_given_y_bits(joint)
@@ -577,9 +578,9 @@ def save_model(model: SourceModel, path) -> None:
             raise ModelError(f"cdf ({e.group},{e.member}) comes after cdf ({prev.group},"
                              f"{prev.member}): save_model writes entries in (group, member) order")
     parts = ["groups:\n"]
-    for g in range(1, model.m + 1):
+    for mem in model.groups:
         parts.append("- members:\n")
-        for e in model.group_entries(g):
+        for e in mem:
             prob, h = _yaml_floats((e.prob, e.cond_entropy))
             parts.append(f"  - prob: {prob}\n    cond_entropy: {h}\n")
             if e.joint_pmf is not None:

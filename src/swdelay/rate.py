@@ -112,9 +112,9 @@ class RateAccumulator:
         self.exact = step is not None
         self._step = step if self.exact else H_RES_COARSE
 
+        self._model = model  # owns the group-index check
         # per-group kernels; on the coarse grid entry values are rounded up, never down
-        self._gpmf = {g: self._densify(*model.conditional_pmf(g))
-                      for g in range(1, model.m + 1)}
+        self._gpmf = {g: self._densify(*model.conditional_pmf(g)) for g in range(1, model.m + 1)}
 
         self._dense = np.ones(1)
         self._off = 0
@@ -146,12 +146,11 @@ class RateAccumulator:
 
     def push_block(self, group: int) -> "RateAccumulator":
         """Convolve in the conditional entropy pmf of the observed group."""
-        if type(group) is not int:  # the pushes of a run are ints: one type test
-            group = check_count("group index", group)
-        try:
-            off, kernel, rev, atoms = self._gpmf[group]
-        except KeyError:
-            raise ModelError(f"unknown group index {group}") from None
+        try:  # the pushes of a run are in-range Python ints: one type test, one lookup
+            off, kernel, rev, atoms = self._gpmf[group if type(group) is int else None]
+        except KeyError:  # the model's group-index check raises, or passes a numpy int
+            self._model.group_entries(group)
+            off, kernel, rev, atoms = self._gpmf[int(group)]
         dense = self._dense
         if atoms is not None:
             self._dense = _convolve_atoms(dense, atoms, len(kernel))

@@ -85,8 +85,9 @@ TABLE = [
         dict(trace=None, n=Count("block length", 4))),
     Row("quantize_model", quantize_model, lambda **kw: quantize_model(PMFS, **kw),
         dict(pmfs=None, joint_levels=Count("joint_levels", 2),
-             marginal_levels=Count("marginal_levels", 2), representative=None,
-             seed=Count("seed", 3, 0), block_len_n=Count("block_len_n", 8),
+             marginal_levels=Count("marginal_levels", 2),
+             representative_seed=Count("representative_seed", 3, 0),
+             block_len_n=Count("block_len_n", 8),
              slot_seconds=Real("slot_seconds", 0.5, 0.0))),
     Row("CdfEntry", CdfEntry, lambda **kw: SourceModel((CdfEntry(**kw),)),
         dict(group=Count("group", 1), member=Count("member", 1),
@@ -158,6 +159,8 @@ def test_a_bad_argument_is_refused_by_name(name, param, bad):
         with pytest.raises(ValueError) as info:
             row.call(**{**_valid(row), param: bad})
     assert label in str(info.value), (param, bad, str(info.value))
+    if bad == "0.5":  # a refused string is shown as one, not as the number it spells
+        assert "'0.5'" in str(info.value), (param, str(info.value))
 
 
 @pytest.mark.parametrize("name", [row.name for row in TABLE if row.call is not None])

@@ -128,3 +128,20 @@ def test_pairs_put_the_trees_back_after_a_failed_run(tmp_path):
     assert calls == ["base", "change"] and not stage.exists()
     assert {side: (tree / "side.txt").read_text() for side, tree in trees.items()} == {
         "base": "base", "change": "change"}
+
+
+def test_src_lines_counts_as_the_benchmark_does(tmp_path):
+    """Each side's size is the newline count of its ``src/swdelay/*.py``, the
+    rule of ``bench/run.py``'s ``src_swdelay_lines``: other files, nested
+    folders and a last line without its newline do not count."""
+    trees, _ = _fake_trees(tmp_path)
+    for tree, texts in ((trees["base"], ("a\nb\n", "c\n")), (trees["change"], ("a\nb",))):
+        pkg = tree / "src" / "swdelay"
+        (pkg / "sub").mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (pkg / f"m{i}.py").write_text(text)
+        (pkg / "notes.txt").write_text("x\ny\n")
+        (pkg / "sub" / "deep.py").write_text("x\n")
+    assert {side: bench_pairs.src_lines(tree) for side, tree in trees.items()} == {
+        "base": 3, "change": 1}
+    assert bench_pairs.src_lines(tmp_path / "empty") == 0

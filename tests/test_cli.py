@@ -884,8 +884,8 @@ def test_unwritable_trace_out_is_usage_error(model_file, tmp_path):
      "--slot-seconds: invalid float value"),
     (["simulate", "--strategy", "wd", "--epsilon", "0.01", "--eta", "0.5",
       "--blocks", "20", "--seed", "-5"], "--seed: must be >= 0, got -5"),
-    (["ingest", "--input", "x.csv", "--n", "4", "--random-representative", "--seed", "-1"],
-     "--seed: must be >= 0, got -1"),
+    (["ingest", "--input", "x.csv", "--n", "4", "--random-representative", "-1"],
+     "--random-representative: must be >= 0, got -1"),
     (["sweep", "--strategies", "wd", "--eta-grid", "0.5", "--epsilon", "0.01",
       "--blocks", "20", "--seeds", "1,-1", "--workers", "2"], "--seeds: must be >= 0, got -1"),
     (["example-fig4", "--blocks", "20", "--seeds", "-1"], "--seeds: must be >= 0, got -1"),
@@ -1023,7 +1023,7 @@ FROZEN_INGEST = {
         "model written to MODEL (marginal repair distortion 0.268757051538, "
         "1 blocks quarantined)",
     ),
-    ("--random-representative", "--seed", "5"): (
+    ("--random-representative", "5"): (
         "481ed04da3bceefeef175aad3fa7658a6a9da05948f1ba0db171d6866019efca",
         "39b6ac2eb3edc2ca5acf6a3c77cef7e5cd43eb70fdc6cf97f67f7f4af22d016f",
         "model written to MODEL (marginal repair distortion 0.214940679923, "

@@ -124,8 +124,8 @@ _GRAMMAR = {
                "--no-timestamp": _FLAG}),
     "ingest": ({"--input": "{trace}", "--n": "4", "--out": "m.yaml"},
                {"--joint-levels": "4", "--marginal-levels": "2", "--skip-header": "1",
-                "--slot-seconds": "0.001", "--random-representative": _FLAG,
-                "--seed": "3", "--assign-out": "a.csv", "--no-timestamp": _FLAG}),
+                "--slot-seconds": "0.001", "--random-representative": "3",
+                "--assign-out": "a.csv", "--no-timestamp": _FLAG}),
 }
 
 

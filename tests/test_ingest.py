@@ -320,9 +320,9 @@ def test_quantize_deterministic():
 def test_quantize_random_representative_seeded():
     trace = synth_trace([PMF_A, PMF_B], [0.5, 0.5], n=200, blocks=80, seed=3)
     pmfs = blockify(trace, n=200)
-    a = quantize_model(pmfs, 2, 1, representative="random", seed=11)
-    b = quantize_model(pmfs, 2, 1, representative="random", seed=11)
-    c = quantize_model(pmfs, 2, 1, representative="random", seed=12)
+    a = quantize_model(pmfs, 2, 1, representative_seed=11)
+    b = quantize_model(pmfs, 2, 1, representative_seed=11)
+    c = quantize_model(pmfs, 2, 1, representative_seed=12)
     assert all(
         np.array_equal(x.joint_pmf, y.joint_pmf)
         for x, y in zip(a.model.entries, b.model.entries)
@@ -356,7 +356,7 @@ def test_quantize_rejects_bad_params():
     with pytest.raises(IngestError):
         quantize_model(pmfs, 0, 1)
     with pytest.raises(IngestError):
-        quantize_model(pmfs, 1, 1, representative="bogus")
+        quantize_model(pmfs, 1, 1, representative_seed=-1)
     with pytest.raises(IngestError):
         quantize_model([], 1, 1)
 

@@ -688,3 +688,60 @@ def test_block_len_n_must_be_an_integer():
     for bad in (2.7, 0, "3", True):
         with pytest.raises(ModelError, match="block_len_n must be an integer >= 1"):
             SourceModel(entries, block_len_n=bad)
+
+
+def _group_index_routes(model, path, group):
+    """Each way a group index reaches the library, with ``group``: the
+    library calls raise, the commands print ``error: MESSAGE`` and exit 1.
+    A command is run only on an integer, the one kind its ``--groups`` parses."""
+    from swdelay import cli
+    from swdelay.codec import Codebook
+    from swdelay.rate import RateAccumulator
+
+    yield lambda: model.group_entries(group)
+    yield lambda: RateAccumulator(model).push_block(group)
+    yield lambda: Codebook(model, (group,), n=2, delta=0.5)
+    if not isinstance(group, (bool, float)):
+        for argv in (["rate", "--model", path, "--epsilon", "0.01", "--groups", f"2,{group}"],
+                     ["codec", "--model", path, "--n", "2", "--delta", "0.5", "--rates", "1",
+                      "--trials", "1", "--groups", str(group)]):
+            yield lambda argv=argv: cli.main(argv)
+
+
+@pytest.mark.parametrize("group, message", [
+    (0, "group index must be between 1 and 3, got 0"),
+    (4, "group index must be between 1 and 3, got 4"),
+    (np.int64(0), "group index must be between 1 and 3, got 0"),
+    (True, "group index must be an integer, got True"),
+    (1.0, "group index must be an integer, got 1.0"),
+])
+def test_every_bad_group_index_gets_one_message(tmp_path, capsys, group, message):
+    """``SourceModel.group_entries`` owns the group-index check: the
+    accumulator, the codebook and the commands that take ``--groups`` all
+    refuse a bad index with its message."""
+    path = tmp_path / "demo.yaml"
+    save_model(demo_model(), path)
+    for route in _group_index_routes(demo_model(), str(path), group):
+        try:
+            code = route()
+        except ModelError as exc:
+            assert str(exc) == message
+        else:
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_groups_keep_entry_order():
+    """``groups`` lists each group's entries in entry order, not member order,
+    so every per-group pmf keeps the bits a scan of the entries gives."""
+    entries = (CdfEntry(2, 2, 0.3, 1.5), CdfEntry(1, 1, 0.1, 0.25), CdfEntry(2, 1, 0.2, 3.0),
+               CdfEntry(2, 3, 0.4, 0.75))
+    model = SourceModel(entries)
+    assert model.groups == ((entries[1],), (entries[0], entries[2], entries[3]))
+    assert model.m == 2 and model.group_sizes == (1, 3)
+    for g in (1, 2):
+        scan = [e for e in entries if e.group == g]
+        phi = sum(e.prob for e in scan)
+        vals, probs = model.conditional_pmf(g)
+        assert vals.tolist() == [e.cond_entropy for e in scan]
+        assert probs.tolist() == [e.prob / phi for e in scan]

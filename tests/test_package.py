@@ -20,6 +20,13 @@ def test_star_import_binds_no_submodule():
     assert "simulate" in ns and "SourceModel" in ns
 
 
+def test_one_message_for_a_bad_group_index():
+    """Every bad group index is refused by ``SourceModel.group_entries``'s
+    count check; no module keeps a message of its own."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        assert "unknown group index" not in path.read_text(), path
+
+
 def test_codec_exports_only_the_batched_decoder():
     """The codec's one decoder is ``run_codec_trials``; ``encode`` and
     ``jointly_typical`` stay in ``swdelay.codec`` only because the benchmark's

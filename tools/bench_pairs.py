@@ -14,9 +14,10 @@ Each run moves its export to one path, ``run`` in the work directory, and
 back after it, because a tree's timings and peak RSS have been seen to move
 with the directory it runs from; the output records that path.
 
-The output holds, per workload, every run's metrics, correctness and output
-digests, whether each pair's digests are equal, and per metric of the runs'
-final JSON line: both sides' median and quartiles, the pairs the change won,
+The output holds each export's line count of ``src/swdelay``, so that a
+change reports its size beside its speed, and, per workload, every run's
+metrics, correctness and output digests, whether each pair's digests are
+equal, and per metric of the runs' final JSON line: both sides' median and quartiles, the pairs the change won,
 lost and tied (a tie counts for neither side), and whether a gain can be
 claimed: the change wins at least nine tenths of the pairs, the medians
 differ, in its favour, by more than the base runs' interquartile range, and
@@ -109,6 +110,13 @@ def _bench_files(root: Path) -> dict[str, str]:
             for p in files if p.is_file()}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/swdelay/*.py`` in a tree, counted as ``bench/run.py``
+    counts its ``src_swdelay_lines``: the newline bytes of every file."""
+    files = sorted((tree / "src" / "swdelay").glob("*.py"))
+    return sum(p.read_bytes().count(b"\n") for p in files)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -191,6 +199,7 @@ def main(argv=None) -> int:
         out = {
             "base": revs["base"], "change": revs["change"], "pairs": PAIRS,
             "seconds": seconds, "first_seed": args.first_seed, "run_dir": str(stage),
+            "src_swdelay_lines": {side: src_lines(tree) for side, tree in trees.items()},
             "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                         "python": platform.python_version()},
             "workloads": {},
