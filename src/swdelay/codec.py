@@ -15,6 +15,7 @@ its per-symbol log-likelihood deviates from the per-symbol entropy average
 by at most ``delta`` bits.  One function, ``_typical``, decides it from the
 positional sums; the decoder's scores screen pairs by joint type and send
 those near the boundary back to it, so it takes every decision (``_score``).
+The encoder and decoder read X-typicality from one table per codebook.
 
 Everything here is exhaustive by design and guarded to small alphabets and
 short blocks; the asymptotic guarantees of the rate oracle are *not*
@@ -24,7 +25,7 @@ runs all its trials as one batched pass in chunks of bounded size.
 
 The rate sets only the bins and the bin-sorted candidate index, so it is an
 argument of ``encode`` and ``run_codec_trials``, not of the codebook.  The
-table of every X sequence and its symbol masks, the X-typical set, the
+table of every X sequence, its symbol masks and stage typicality, the
 hypotheses and the last trial draw do not depend on it: a sweep over rates
 runs one codebook at every rate and builds each of them once, and they are
 freed with the codebook (nothing is cached at module level).
@@ -213,27 +214,19 @@ class Codebook:
         """(total, K*n) table of every X sequence, in index order."""
         return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
 
-    @property
-    def marginals(self) -> _Hypothesis:
-        """The first hypothesis (marginals are group properties)."""
-        return self.hypotheses[0][0]
-
-    def _log_x(self, x: np.ndarray) -> np.ndarray:
-        return self.marginals.log_x[np.arange(self.blocks)[:, None], x]
-
-    def typical_stages(self, x: np.ndarray) -> np.ndarray:
-        """X-typicality under the marginals of the prefix each stage bins, for
-        (..., K, n) sequences, one per stage on a last axis."""
-        ll = self._log_x(x)
-        return np.stack([_typical(ll, self.marginals.h_x, self.delta, end)
-                         for end in self.ends], axis=-1)
+    @cached_property
+    def stage_typical(self) -> np.ndarray:
+        """(total, stages) X-typicality of every sequence's stage prefixes under
+        the X marginals, which all members of a group share."""
+        marginals = self.hypotheses[0][0]
+        seqs = self.all_sequences.reshape(self.total, self.blocks, self.n)
+        ll = marginals.log_x[np.arange(self.blocks)[:, None], seqs]
+        return np.stack([_typical(ll, marginals.h_x, self.delta, end) for end in self.ends], -1)
 
     @cached_property
     def typical(self) -> np.ndarray:
-        """Indices of the X-typical sequences, in index order.  X marginals
-        are shared within a group, so the set is hypothesis independent."""
-        ll = self._log_x(self.all_sequences.reshape(self.total, self.blocks, self.n))
-        return np.flatnonzero(_typical(ll, self.marginals.h_x, self.delta))
+        """Indices of the X-typical sequences (the last stage), in index order."""
+        return np.flatnonzero(self.stage_typical[:, -1])
 
     @cached_property
     def hypotheses(self) -> list[tuple[_Hypothesis, float]]:
@@ -250,10 +243,9 @@ class Codebook:
 
     def draw(self, trials: int, seed: int) -> tuple[np.ndarray, ...]:
         """The rate-free part of the trials of ``seed``: per trial, the
-        sequence index of x, the received (K, n) blocks y, the hypothesis
-        that drew the pair and the X-typicality of each stage's prefix.  The
-        last draw is kept for the next rate, as long as the codebook lives:
-        about 20 + K*n bytes per trial."""
+        sequence index of x, the received (K, n) blocks y and the hypothesis
+        that drew the pair.  The last draw is kept for the next rate, as long
+        as the codebook lives: about 16 + K*n bytes per trial."""
         trials, seed = check_count("trials", trials, 0), check_count("trial seed", seed, 0)
         if self._last_draw is None or self._last_draw[0] != (trials, seed):
             self._last_draw = (trials, seed), self._sample(trials, seed)
@@ -276,7 +268,7 @@ class Codebook:
         x, y = flat // self.alphabet_y, flat % self.alphabet_y
         true_hyp = np.ravel_multi_index(tuple(members.T), [len(m) for m in member_lists])
         # y kept as int8, as the sequence table is: symbols are below 4
-        return self.seq_index(x), y.astype(np.int8), true_hyp, self.typical_stages(x)
+        return self.seq_index(x), y.astype(np.int8), true_hyp
 
     # -- binning at a number of bins a stage --
 
@@ -292,10 +284,9 @@ class Codebook:
                           else _hash_bins(prefix, bins, seed))
         return np.stack(stages, axis=-1)
 
-    def _encode(self, index: np.ndarray, typical: np.ndarray, bins: int) -> np.ndarray:
-        """Per-stage bins of the sequences of ``index`` whose stage prefixes'
-        typicality is ``typical``; an atypical prefix gets bin 1."""
-        return np.where(typical, self._bins_of(index, bins), 1)
+    def _encode(self, index: np.ndarray, bins: int) -> np.ndarray:
+        """Per-stage bins of the sequences of ``index``; an X-atypical prefix gets bin 1."""
+        return np.where(self.stage_typical[index], self._bins_of(index, bins), 1)
 
     def _keys(self, messages, bins: int) -> np.ndarray:
         """Sort key of (..., stages) messages whose bins are all in
@@ -388,15 +379,14 @@ def _winners(cand: np.ndarray, trial: np.ndarray, best: np.ndarray, trials: int)
 
 def encode(codebook: Codebook, x_blocks, rate_bits: float) -> int | tuple[int, ...]:
     """Bin index (batch) or per-block bin tuple (sequential) at ``rate_bits``;
-    atypical -> bin 1.  No caller in the package: the benchmark's tracer wraps
-    it by name."""
+    atypical -> bin 1, by the codebook's table, which the first call builds.
+    No caller in the package: the benchmark's tracer wraps it by name."""
     bins = codebook.bins(rate_bits)
     K, n = codebook.blocks, codebook.n
     x = np.asarray(x_blocks, dtype=np.int64)
     if x.size != K * n:
         raise ValueError(f"sequence length {x.size} does not match K*n = {K * n}")
-    x = x.reshape(1, K, n)
-    sent = codebook._encode(codebook.seq_index(x), codebook.typical_stages(x), bins)[0]
+    sent = codebook._encode(codebook.seq_index(x.reshape(1, K, n)), bins)[0]
     return int(sent[0]) if codebook.kind == BATCH else tuple(sent.tolist())
 
 
@@ -430,13 +420,13 @@ def run_codec_trials(codebook: Codebook, rate_bits: float, *, trials: int,
     """Encode/decode i.i.d. source pairs at ``rate_bits`` and classify every
     decoding error; the scoring pass decides every pair's typicality, the
     sent one's too.  The draw of ``(trials, seed)`` is kept by the codebook,
-    so a run at another rate reuses it; it stays alive (about 20 + K*n bytes
+    so a run at another rate reuses it; it stays alive (about 16 + K*n bytes
     per trial) until the next draw or until the codebook is dropped."""
     bins = codebook.bins(rate_bits)
-    index, y, true_hyp, stages = codebook.draw(trials, seed)
+    index, y, true_hyp = codebook.draw(trials, seed)
     K, n = codebook.blocks, codebook.n
     keys, candidates = codebook._index(bins)
-    sent = codebook._keys(codebook._encode(index, stages, bins), bins)
+    sent = codebook._keys(codebook._encode(index, bins), bins)
     lo, hi = keys.searchsorted(sent, "left"), keys.searchsorted(sent, "right")
     cells = np.cumsum((hi - lo) * (K * n))
     decoded = np.empty(trials, dtype=np.int64)
@@ -455,7 +445,7 @@ def run_codec_trials(codebook: Codebook, rate_bits: float, *, trials: int,
         collided[start + hit[~own]] = True
         typical_pair[start + hit[own]] = True
         start = stop
-    typical_pair &= stages.all(-1)  # an atypical stage prefix is eps1 whatever x's scores
+    typical_pair &= codebook.stage_typical[index].all(-1)  # an atypical stage prefix is eps1
 
     wrong = decoded != index
     collision = wrong & typical_pair

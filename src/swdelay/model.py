@@ -124,8 +124,10 @@ class SourceModel:
 
     @cached_property
     def groups(self) -> tuple[tuple[CdfEntry, ...], ...]:
-        """Each group's entries, in entry order: group g is ``groups[g - 1]``."""
-        by_group = sorted(self.entries, key=lambda e: e.group)  # stable: keeps entry order
+        """Each group's entries, in entry order: group g is ``groups[g - 1]``.
+        Entries with a non-integer index (``validate_model`` reports them) are left out."""
+        ints = (e for e in self.entries if _is_integer(e.group) and _is_integer(e.member))
+        by_group = sorted(ints, key=lambda e: e.group)  # stable: keeps entry order
         return tuple(tuple(mem) for _, mem in groupby(by_group, key=lambda e: e.group))
 
     @property
@@ -215,7 +217,6 @@ def validate_model(model: SourceModel) -> list[str]:
     pmf_bad = _pmf_violations(model.entries, tables) if tables else {}
     total = 0.0
     seen: set[tuple[int, int]] = set()
-    by_group: dict[int, list[CdfEntry]] = {}
     for i, e in enumerate(model.entries):
         label = f"cdf ({e.group},{e.member})"
         if not (is_real(e.prob) and 0 < e.prob < math.inf):
@@ -224,11 +225,10 @@ def validate_model(model: SourceModel) -> list[str]:
             bad.append(f"{label}: cond_entropy must be >= 0 and finite, got {e.cond_entropy!r}")
         if not (_is_integer(e.group) and _is_integer(e.member)):
             bad.append(f"{label}: group and member indices must be integers")
-        else:  # an index of another type might not sort, or hash, with the others
-            if (e.group, e.member) in seen:
-                bad.append(f"{label}: duplicate index")
+        elif (e.group, e.member) in seen:
+            bad.append(f"{label}: duplicate index")
+        else:
             seen.add((e.group, e.member))
-            by_group.setdefault(e.group, []).append(e)
         total += e.prob if is_real(e.prob) else math.nan  # a non-number fails the sum too
         if i in pmf_bad:
             bad.append(f"{label}: {pmf_bad[i]}")
@@ -236,15 +236,15 @@ def validate_model(model: SourceModel) -> list[str]:
         bad.append(f"prior does not sum to 1 (got {total!r})")
 
     # contiguous 1..m group indices, contiguous 1..l_i member indices
-    groups = sorted(by_group)
+    groups = [mem[0].group for mem in model.groups]
     if groups != list(range(1, len(groups) + 1)):
         bad.append(f"group indices not contiguous from 1: {groups}")
-    for g in groups:
-        members = sorted(e.member for e in by_group[g])
+    for g, mem in zip(groups, model.groups):
+        members = sorted(e.member for e in mem)
         if members != list(range(1, len(members) + 1)):
             bad.append(f"group {g}: member indices not contiguous from 1: {members}")
     if tables:
-        bad += _marginal_violations([by_group[g] for g in groups])
+        bad += _marginal_violations(model.groups)
 
     n, slot = model.block_len_n, model.slot_seconds
     if not (_is_integer(n) and n >= 1):
@@ -294,7 +294,7 @@ def _pmf_violations(entries, tables) -> dict[int, str]:
     return out
 
 
-def _marginal_violations(groups: list[list[CdfEntry]]) -> list[str]:
+def _marginal_violations(groups: tuple[tuple[CdfEntry, ...], ...]) -> list[str]:
     """Every member of a group with a joint pmf must share both marginals with
     the group's first such member.  The pairs of one shape are compared as
     one stack."""

@@ -132,8 +132,9 @@ def test_pairs_put_the_trees_back_after_a_failed_run(tmp_path):
 
 def test_src_lines_counts_as_the_benchmark_does(tmp_path):
     """Each side's size is the newline count of its ``src/swdelay/*.py``, the
-    rule of ``bench/run.py``'s ``src_swdelay_lines``: other files, nested
-    folders and a last line without its newline do not count."""
+    rule of ``bench/run.py``'s ``src_swdelay_lines``, in all and per module:
+    other files, nested folders and a last line without its newline do not
+    count."""
     trees, _ = _fake_trees(tmp_path)
     for tree, texts in ((trees["base"], ("a\nb\n", "c\n")), (trees["change"], ("a\nb",))):
         pkg = tree / "src" / "swdelay"
@@ -144,4 +145,7 @@ def test_src_lines_counts_as_the_benchmark_does(tmp_path):
         (pkg / "sub" / "deep.py").write_text("x\n")
     assert {side: bench_pairs.src_lines(tree) for side, tree in trees.items()} == {
         "base": 3, "change": 1}
+    assert {side: bench_pairs.module_lines(tree) for side, tree in trees.items()} == {
+        "base": {"m0.py": 2, "m1.py": 1}, "change": {"m0.py": 1}}
     assert bench_pairs.src_lines(tmp_path / "empty") == 0
+    assert bench_pairs.module_lines(tmp_path / "empty") == {}

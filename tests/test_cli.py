@@ -609,9 +609,9 @@ def _counting(calls, key, fn):
 def test_codec_command_builds_its_rate_free_work_once(tmp_path, monkeypatch,
                                                      kind, n, k, rates, total):
     """A codec command builds the sequence table, runs the X-typicality of the
-    whole table and draws the trials once for all its rates, and calls
-    ``codec.run_codec_trials`` once per rate with ``trials`` by keyword, the
-    boundary the benchmark's tracer wraps."""
+    whole table (once per stage) and draws the trials once for all its rates,
+    and calls ``codec.run_codec_trials`` once per rate with ``trials`` by
+    keyword, the boundary the benchmark's tracer wraps."""
     path = tmp_path / "codec.yaml"
     save_model(uniform_marginal_pair_model(), path)
     argv = ["codec", "--model", path.as_posix(), "--kind", kind, "--n", n, "--k", k,
@@ -632,7 +632,8 @@ def test_codec_command_builds_its_rate_free_work_once(tmp_path, monkeypatch,
     assert (tmp_path / "out.csv").read_bytes() == expected
     count = {key: sum(c[0] == key for c in calls) for key in ("table", "draw", "trials")}
     assert count == {"table": 1, "draw": 1, "trials": 3}
-    assert sum(c[0] == "typical" and c[1][0].shape[0] == total for c in calls) == 1
+    stages = int(k) if kind == "sequential" else 1
+    assert sum(c[0] == "typical" and c[1][0].shape[0] == total for c in calls) == stages
     assert all(c[2].keys() == {"trials", "seed"} and c[2]["trials"] == 20
                for c in calls if c[0] == "trials")
 

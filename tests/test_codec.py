@@ -433,7 +433,8 @@ def test_hypotheses_have_the_per_table_bits(K):
     """A hypothesis, built on the stack of its blocks' pmfs, has the bits of
     the oracle's table-by-table marginals, logs and cumulative entropies: on
     random pmfs with empty cells of every shape from 1x1 to 4x4, and on every
-    hypothesis of the reference cases, whose X marginals are the first one."""
+    hypothesis of the reference cases, whose X marginals are the first one.
+    The codebook's stage typicality table and X-typical set are the oracle's."""
     rng = np.random.default_rng(K)
     for ax, ay in itertools.product(range(1, 5), repeat=2):
         for _ in range(5):
@@ -443,12 +444,15 @@ def test_hypotheses_have_the_per_table_bits(K):
             entries = [CdfEntry(k + 1, 1, 1 / K, cond_entropy_x_given_y_bits(p), p)
                        for k, p in enumerate(pmfs)]
             assert _same_bits(codec._Hypothesis(entries), Laws(entries)), (ax, ay)
-    for model, groups, cfg, _, kind in _reference_cases():
+    for model, groups, cfg, rate, kind in _reference_cases():
         if len(groups) != K:
             continue
         book = Codebook(model, groups, **cfg, kind=kind)
-        assert book.marginals is book.hypotheses[0][0]
-        assert _same_bits(book.marginals, Laws([model.group_entries(g)[0] for g in groups]))
+        assert _same_bits(book.hypotheses[0][0],
+                          Laws([model.group_entries(g)[0] for g in groups]))
+        stages = ExactCodec(model, groups, book, rate).stages
+        assert np.array_equal(book.stage_typical, stages)
+        assert np.array_equal(book.typical, np.flatnonzero(stages[:, -1]))
         members = [model.group_entries(g) for g in groups]
         for (hyp, _), combo in zip(book.hypotheses, itertools.product(*members), strict=True):
             assert _same_bits(hyp, Laws(combo))
@@ -553,9 +557,8 @@ def test_decoder_index_and_scores_add_block_sums_in_order(monkeypatch):
     book = Codebook(model, (1, 1), n=8, delta=0.0800763843224229)
     x = np.array([[[1, 0, 1, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 1, 0, 0]]])
     assert book.bins(32.0) >= book.total
-    stages = book.typical_stages(x)
-    assert stages.all()
-    draw = (book.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int), stages)
+    assert book.stage_typical[book.seq_index(x)].all()
+    draw = (book.seq_index(x), x.astype(np.int8), np.zeros(1, dtype=int))
     monkeypatch.setattr(book, "draw", lambda trials, seed: draw)
     assert run_codec_trials(book, 32.0, trials=1, seed=0) == CodecTrialReport(1, 0, 0, 0, 0)
 

@@ -41,6 +41,8 @@ def test_codec_exports_only_the_batched_decoder():
     assert "CodecConfig" not in swdelay.__all__ and not hasattr(swdelay, "CodecConfig")
     assert not hasattr(codec, "CodecConfig")
     assert "CodecConfig" not in (ROOT / "README.md").read_text()
+    for name in ("typical_stages", "marginals", "_log_x"):  # one X-typicality table
+        assert not hasattr(codec.Codebook, name), name
     assert callable(codec.encode) and callable(codec.jointly_typical)
 
 

@@ -14,18 +14,19 @@ Each run moves its export to one path, ``run`` in the work directory, and
 back after it, because a tree's timings and peak RSS have been seen to move
 with the directory it runs from; the output records that path.
 
-The output holds each export's line count of ``src/swdelay``, so that a
-change reports its size beside its speed, and, per workload, every run's
-metrics, correctness and output digests, whether each pair's digests are
-equal, and per metric of the runs' final JSON line: both sides' median and quartiles, the pairs the change won,
-lost and tied (a tie counts for neither side), and whether a gain can be
-claimed: the change wins at least nine tenths of the pairs, the medians
-differ, in its favour, by more than the base runs' interquartile range, and
-the change fails no larger share of its operations than the base.  A metric
-with a bound in ``BENCHMARK.json`` also says whether the change's median is
-within it, and is marked unresolved when the base runs spread wider than the
-bound, so that the pairs cannot tell, unless every change run is better than
-every base run.  Only the standard library is used.
+The output holds each export's line count of ``src/swdelay``, in all and per
+module, so that a change reports its size beside its speed, and, per
+workload, every run's metrics, correctness and output digests, whether each
+pair's digests are equal, and per metric of the runs' final JSON line: both
+sides' median and quartiles, the pairs the change won, lost and tied (a tie
+counts for neither side), and whether a gain can be claimed: the change wins
+at least nine tenths of the pairs, the medians differ, in its favour, by
+more than the base runs' interquartile range, and the change fails no larger
+share of its operations than the base.  A metric with a bound in
+``BENCHMARK.json`` also says whether the change's median is within it, and
+is marked unresolved when the base runs spread wider than the bound, so that
+the pairs cannot tell, unless every change run is better than every base
+run.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -110,11 +111,16 @@ def _bench_files(root: Path) -> dict[str, str]:
             for p in files if p.is_file()}
 
 
-def src_lines(tree: Path) -> int:
-    """Lines of ``src/swdelay/*.py`` in a tree, counted as ``bench/run.py``
-    counts its ``src_swdelay_lines``: the newline bytes of every file."""
+def module_lines(tree: Path) -> dict[str, int]:
+    """Lines of each ``src/swdelay/*.py`` in a tree, by file name, counted as
+    ``bench/run.py`` counts its ``src_swdelay_lines``: the newline bytes."""
     files = sorted((tree / "src" / "swdelay").glob("*.py"))
-    return sum(p.read_bytes().count(b"\n") for p in files)
+    return {p.name: p.read_bytes().count(b"\n") for p in files}
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/swdelay/*.py`` in a tree, the sum of ``module_lines``."""
+    return sum(module_lines(tree).values())
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -200,6 +206,8 @@ def main(argv=None) -> int:
             "base": revs["base"], "change": revs["change"], "pairs": PAIRS,
             "seconds": seconds, "first_seed": args.first_seed, "run_dir": str(stage),
             "src_swdelay_lines": {side: src_lines(tree) for side, tree in trees.items()},
+            "src_swdelay_module_lines": {side: module_lines(tree)
+                                         for side, tree in trees.items()},
             "machine": {"nproc": os.cpu_count(), "cpu": _cpu_model(),
                         "python": platform.python_version()},
             "workloads": {},
