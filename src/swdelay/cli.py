@@ -271,8 +271,8 @@ def _sweep_task(payload) -> tuple[SimulationResult, ...]:
 def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int = 1,
               **run) -> list[SimulationResult]:
     """One Monte Carlo sweep, every argument checked before any task starts: one
-    ``simulate`` task per (eta, seed) runs every strategy, with ``run`` holding
-    epsilon, T and batch_size.  Results come in (strategy, eta, seed) order."""
+    ``simulate`` task per (eta, seed) runs every strategy, with ``run`` holding epsilon,
+    T and batch_size.  Transposing the tasks' results gives (strategy, eta, seed) order."""
     if not (strategies and eta_grid and seeds):
         raise ValueError("a sweep needs at least one strategy, eta and seed")
     for name, values in (("strategy", strategies), ("eta", eta_grid), ("seed", seeds)):
@@ -290,10 +290,7 @@ def run_sweep(model: SourceModel, strategies, eta_grid, seeds, *, workers: int =
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_task, payloads))
-    by_run = {(res.strategy, eta, seed): res
-              for (eta, seed), results in zip(tasks, done) for res in results}
-    return [by_run[strategy, eta, seed] for strategy in strategies
-            for eta in eta_grid for seed in seeds]
+    return [res for per_strategy in zip(*done) for res in per_strategy]
 
 
 def cmd_sweep(args) -> int:
@@ -330,20 +327,14 @@ def cmd_example_fig4(args) -> int:
           f"h_max={_fmt(stats.h_max)} epsilon={_fmt(epsilon)}",
           file=sys.stderr)
 
+    delays = np.array([r.mean_delay for r in results]).reshape(2, len(report), -1)
     rows = []
-    all_ok = True
-    for strategy, which in (("we", "WE"), ("wd", "WD")):
-        for row in report:
-            sims = [
-                r.mean_delay for r in results
-                if r.strategy == strategy and r.eta == row.eta
-            ]
+    for strategy, by_eta in zip(("we", "wd"), delays):  # run_sweep's (strategy, eta, seed) order
+        for row, sims in zip(report, by_eta):
             mean = float(np.mean(sims))
             se = float(np.std(sims, ddof=1) / math.sqrt(len(sims)))
-            lb = row.lb_we if which == "WE" else row.lb_wd
-            ub = row.ub_we if which == "WE" else row.ub_wd
+            lb, ub = getattr(row, f"lb_{strategy}"), getattr(row, f"ub_{strategy}")
             ok = (lb - 3 * se) <= mean <= (ub + 3 * se)
-            all_ok &= ok
             rows.append((row.eta, strategy, mean, se, lb, ub, "pass" if ok else "fail"))
             print(f"eta={_fmt(row.eta)} {strategy}: lb={_fmt(lb)} "
                   f"sim={_fmt(mean)} ub={_fmt(ub)} -> {'pass' if ok else 'FAIL'}",
@@ -354,7 +345,7 @@ def cmd_example_fig4(args) -> int:
         rows,
         not args.no_timestamp,
     )
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(bracket == "pass" for *_, bracket in rows) else EXIT_CHECK_FAILED
 
 
 def cmd_codec(args) -> int:

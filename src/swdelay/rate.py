@@ -228,9 +228,11 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     """Smallest K with P{sum of K entropies > K*c} <= epsilon (exact DP).
 
     K = 1 is the simulator's one-block test on the rate grid (the coarse grid
-    rounds h_max up).  The search beyond stops at 10x the Chernoff size, which
-    holds for the model's entropies: a coarse-grid mean rounded up to c or
-    above passes that cutoff and raises ModelError.
+    rounds h_max up).  Beyond it the search runs on the grid's one-block law:
+    when its mean lies below c, Hoeffding's bound ends the search at K_c, with
+    no cutoff.  Otherwise (the coarse grid rounded the mean up to c or above)
+    it stops at 10x the Chernoff size of the model's entropies and raises
+    ModelError there: a skewed law can still close at small K when eps >= 1/4.
     """
     check_epsilon(epsilon)
     check_channel_rate(c)
@@ -244,15 +246,19 @@ def k_c(model: SourceModel, c: float, epsilon: float) -> int:
     acc.push_block(1)
     if not acc.tail_exceeds(c, epsilon):
         return 1
-    # eta only now: where every block closes alone it can round to 1 (c >> E[H])
-    eta = 1.0 - stats.e_h / c
-    cutoff = max(8, 10 * k_c_chernoff(stats, eta, epsilon).k_int)
-    for K in range(2, cutoff + 1):
+    support, probs = acc.distribution()
+    mean = float(probs @ support)  # the one-block mean on the rate grid
+    # below c no cutoff is needed: by Hoeffding a tail at K*c is at most
+    # exp(-2K (c - mean)^2 / R^2) for a law of span R
+    cutoff = math.inf if mean < c - _IDX_EPS * acc._step else max(
+        8, 10 * k_c_chernoff(stats, 1.0 - stats.e_h / c, epsilon).k_int)
+    K = 1
+    while K < cutoff:
+        K += 1
         acc.push_block(1)
         if not acc.tail_exceeds(K * c, epsilon):
             return K
-    support, probs = acc.distribution()
     raise ModelError(
         f"batch-size search passed its cutoff of {cutoff} blocks: the rate grid "
         f"rounds each entropy up to a multiple of {acc._step} bit, to a mean of "
-        f"{float(probs @ support) / acc.k:.6g} against the channel rate {c:.6g}")
+        f"{mean:.6g} against the channel rate {c:.6g}")

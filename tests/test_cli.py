@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -293,6 +294,19 @@ def test_kc_cutoff_is_model_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_kc_searches_past_the_cutoff_when_the_grid_mean_is_below_c(tmp_path, capsys):
+    """The model of the test above at c = 1.00158, above the grid's mean
+    1.0015: K_c is 200 blocks, past 10x the Chernoff size of the true
+    entropies (140 blocks), and the command prints it with the surrogate."""
+    path = tmp_path / "coarse.yaml"
+    path.write_text("groups:\n- members:\n  - {prob: 0.5, cond_entropy: 1.0004}\n"
+                    "  - {prob: 0.5, cond_entropy: 1.0016}\n")
+    code = cli.main(["kc", "--model", path.as_posix(), "--epsilon", "0.01", "--c", "1.00158"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == "200\n13.0324673515\n14\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["rate", "--epsilon", "0.01", "--blocks", "4", "--out", "x.csv"], "--out x.csv"),
     (["kc", "--epsilon", "0.01", "--eta", "0.25", "--no-timestamp"], "--no-timestamp"),
@@ -550,6 +564,27 @@ def test_example_fig4_smoke():
     lines = out.strip().splitlines()
     assert lines[0].startswith("eta,strategy,sim_mean_delay")
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+def test_example_fig4_exits_2_on_a_failed_bracket(monkeypatch, capsys):
+    """A row whose simulated delay lies outside its bounds by more than 3
+    standard errors is written as "fail", shown as FAIL, and makes the exit
+    code 2; the other rows still pass."""
+    report = cli.bounds_mod.bounds_report
+
+    def narrow(stats, eta_grid, epsilon):  # wd's upper bound at eta = 0.25 cut tenfold
+        return tuple(dataclasses.replace(r, ub_wd=r.ub_wd / 10) if r.eta == 0.25 else r
+                     for r in report(stats, eta_grid, epsilon))
+
+    monkeypatch.setattr(cli.bounds_mod, "bounds_report", narrow)
+    argv = ["example-fig4", "--blocks", "300", "--seeds", "1,2", "--eta-grid", "0.5,0.25",
+            "--no-timestamp"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    brackets = [(line.split(",")[:2], line.split(",")[-1]) for line in out.splitlines()[1:]]
+    assert brackets == [(["0.5", "we"], "pass"), (["0.25", "we"], "pass"),
+                        (["0.5", "wd"], "pass"), (["0.25", "wd"], "fail")]
+    assert err.count("-> FAIL") == 1 and "eta=0.25 wd: " in err.splitlines()[-1]
 
 
 def test_example_fig4_refuses_one_seed(monkeypatch, capsys):
@@ -941,6 +976,9 @@ FROZEN_CODEC = {
 # sha256 of `example-fig4 --no-timestamp`, recorded while every we and wd run
 # still segmented its own trace
 FROZEN_FIG4 = "98ea9b1326af72f8fb46c06a4e80d855ee25642a728ad4991eaa23956ab2c55e"
+# and of its stderr (the model line and one bracket line per row), recorded
+# while the rows still scanned every sweep result for their strategy and eta
+FROZEN_FIG4_STDERR = "b89f0191fb0741dfbd6e24d339cc279be106a5a42804c6fd74b8cca4a8b9f827"
 
 # sha256 of the FROZEN_SWEEP sweep with --no-marginals, recorded while every
 # strategy of one (eta, seed) still ran as its own task: blind we/wd run on the
@@ -984,10 +1022,12 @@ def test_frozen_outputs(model_file, tmp_path):
         )
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
-    code, out, err = run_cli("example-fig4", "--blocks", "2000", "--seeds", "1,2",
-                             "--eta-grid", "0.5,0.25,0.1", "--no-timestamp")
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FIG4
+    for workers in ((), ("--workers", "2")):
+        code, out, err = run_cli("example-fig4", "--blocks", "2000", "--seeds", "1,2",
+                                 "--eta-grid", "0.5,0.25,0.1", "--no-timestamp", *workers)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_FIG4, workers
+        assert hashlib.sha256(err.encode()).hexdigest() == FROZEN_FIG4_STDERR, workers
 
 
 def _frozen_ingest_trace() -> np.ndarray:

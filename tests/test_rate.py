@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import event, given, settings, strategies as st
 
 from swdelay import rate as rate_mod
@@ -276,6 +278,20 @@ def test_k_c_examples(six_cdf_model):
     assert k_c(six_cdf_model, s.e_h / 0.5, 0.01) == 1
     assert k_c(six_cdf_model, 7.0, 0.3) == 1
     assert k_c(six_cdf_model, s.e_h / 0.75, 0.01) == 4
+
+
+@pytest.mark.parametrize("c", ["1.00158", "1.00156", "1.00154", "1.00153"])
+def test_k_c_searches_past_the_cutoff_when_the_grid_mean_is_below_c(c):
+    """Members 1.0004 and 1.0016 (prob 1/2 each) lie on the 1e-3 grid at 1.001
+    and 1.002, whose mean 1.0015 is below c, so a batch of K closes once
+    P{Binomial(K, 1/2) > K (1000c - 1001)} <= eps.  That K lies beyond 10x the
+    Chernoff size of the true entropies, the search's cutoff where the grid's
+    mean is c or above."""
+    model = SourceModel((CdfEntry(1, 1, 0.5, 1.0004), CdfEntry(1, 2, 0.5, 1.0016)))
+    sizes = np.arange(1, 3000)
+    above = [math.floor(K * (1000 * Fraction(c) - 1001)) for K in sizes.tolist()]
+    closes = scipy.stats.binom.sf(above, sizes, 0.5) <= 0.01
+    assert k_c(model, float(c), 0.01) == sizes[closes.argmax()]
 
 
 def test_k_c_single_entry(single_cdf_model):
