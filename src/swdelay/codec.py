@@ -211,16 +211,16 @@ class Codebook:
 
     @cached_property
     def all_sequences(self) -> np.ndarray:
-        """(total, K*n) table of every X sequence, in index order."""
-        return _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
+        """(total, K, n) table of every X sequence, in index order."""
+        seqs = _sequence_table(self.total, self.alphabet_x, self.n * self.blocks)
+        return seqs.reshape(self.total, self.blocks, self.n)
 
     @cached_property
     def stage_typical(self) -> np.ndarray:
         """(total, stages) X-typicality of every sequence's stage prefixes under
         the X marginals, which all members of a group share."""
         marginals = self.hypotheses[0][0]
-        seqs = self.all_sequences.reshape(self.total, self.blocks, self.n)
-        ll = marginals.log_x[np.arange(self.blocks)[:, None], seqs]
+        ll = marginals.log_x[np.arange(self.blocks)[:, None], self.all_sequences]
         return np.stack([_typical(ll, marginals.h_x, self.delta, end) for end in self.ends], -1)
 
     @cached_property
@@ -306,8 +306,7 @@ class Codebook:
     def masks(self) -> np.ndarray:
         """(K, ax, total) symbol masks of every X sequence: 2*ax bytes a block
         of a sequence, against n in the sequence table."""
-        seqs = self.all_sequences.reshape(self.total, self.blocks, self.n)
-        return _symbol_masks(seqs, self.alphabet_x)
+        return _symbol_masks(self.all_sequences, self.alphabet_x)
 
     @cached_property
     def _screen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +341,7 @@ class Codebook:
         hypothesis is jointly typical with it under the trial's y, shape
         (candidates, hypotheses); and its highest such posterior (0 if none).
         """
-        K, n, delta, hyps = self.blocks, self.n, self.delta, self.hypotheses
+        K, delta, hyps = self.blocks, self.delta, self.hypotheses
         counts = hi - lo
         trial = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
@@ -356,7 +355,7 @@ class Codebook:
         rows = np.flatnonzero((np.abs(dev - (delta + _TYP_TOL)) <= band[:, None]).any(axis=0))
         block = np.arange(K)[:, None]
         if rows.size:  # the positional sums decide the pairs near the boundary
-            x, y_rows = self.all_sequences[cand[rows]].reshape(-1, K, n), y[trial[rows]]
+            x, y_rows = self.all_sequences[cand[rows]], y[trial[rows]]
             for h, (hyp, _) in enumerate(hyps):
                 typical[h, rows] = _typical(hyp.log_xy[block, x, y_rows], hyp.h_xy, delta)
         typical &= np.stack([_typical(hyp.log_y[block, y], hyp.h_y, delta)

@@ -254,14 +254,6 @@ def validate_model(model: SourceModel) -> list[str]:
     return bad
 
 
-def _by_shape(tables) -> dict[tuple[int, ...], list[int]]:
-    """The keys of each table shape among ``(key, table)`` pairs, in order."""
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for key, table in tables:
-        shapes.setdefault(table.shape, []).append(key)
-    return shapes
-
-
 def _pmf_violations(entries, tables) -> dict[int, str]:
     """The broken joint_pmf invariant of each entry that has one, by position:
     non-finite, else negative, else not summing to 1, else a conditional
@@ -269,8 +261,11 @@ def _pmf_violations(entries, tables) -> dict[int, str]:
     joint_pmf) pairs.  The tables of one shape are checked as one stack, each
     summed in row-major order, and entropies are taken only of the tables
     that pass the other checks."""
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for i, table in tables:
+        shapes.setdefault(table.shape, []).append(i)
     out: dict[int, str] = {}
-    for shape, pos in _by_shape(tables).items():
+    for shape, pos in shapes.items():
         flat = np.array([entries[i].joint_pmf.ravel() for i in pos])
         finite = np.isfinite(flat).all(axis=1)
         negative = (flat < 0).any(axis=1)
@@ -296,30 +291,26 @@ def _pmf_violations(entries, tables) -> dict[int, str]:
 
 def _marginal_violations(groups: tuple[tuple[CdfEntry, ...], ...]) -> list[str]:
     """Every member of a group with a joint pmf must share both marginals with
-    the group's first such member.  The pairs of one shape are compared as
-    one stack."""
-    pairs: list[tuple[CdfEntry, CdfEntry]] = []
+    the group's first such member.  Each group's tables of that member's
+    shape are compared as one stack; an empty marginal deviates by 0."""
+    bad = []
     for mem in groups:
         mem = [e for e in mem if e.joint_pmf is not None]
-        pairs += [(e, mem[0]) for e in mem[1:]]
-    dev: dict[int, tuple[float, float]] = {}
-    tables = ((k, e.joint_pmf) for k, (e, ref) in enumerate(pairs)
-              if e.joint_pmf.shape == ref.joint_pmf.shape)
-    for idx in _by_shape(tables).values():
-        a = np.array([pairs[k][0].joint_pmf for k in idx])
-        b = np.array([pairs[k][1].joint_pmf for k in idx])
-        dx = np.max(np.abs(a.sum(axis=2) - b.sum(axis=2)), axis=1)
-        dy = np.max(np.abs(a.sum(axis=1) - b.sum(axis=1)), axis=1)
-        dev.update(zip(idx, zip(dx.tolist(), dy.tolist())))
-    bad = []
-    for k, (e, _) in enumerate(pairs):
-        if k not in dev:
-            bad.append(f"group {e.group}: members declare different alphabets")
+        if len(mem) < 2:
             continue
-        dx, dy = dev[k]
-        if dx > MARGINAL_TOL or dy > MARGINAL_TOL:
-            bad.append(f"group {e.group}: cdf ({e.group},{e.member}) marginals deviate from "
-                       f"member 1 by ({dx:.3g}, {dy:.3g})")
+        shape = mem[0].joint_pmf.shape
+        stack = np.array([e.joint_pmf for e in mem if e.joint_pmf.shape == shape])
+        sx, sy = stack.sum(axis=2), stack.sum(axis=1)
+        dev = zip(np.max(np.abs(sx[1:] - sx[0]), axis=1, initial=0.0).tolist(),
+                  np.max(np.abs(sy[1:] - sy[0]), axis=1, initial=0.0).tolist())
+        for e in mem[1:]:
+            if e.joint_pmf.shape != shape:
+                bad.append(f"group {e.group}: members declare different alphabets")
+                continue
+            dx, dy = next(dev)
+            if dx > MARGINAL_TOL or dy > MARGINAL_TOL:
+                bad.append(f"group {e.group}: cdf ({e.group},{e.member}) marginals deviate from "
+                           f"member 1 by ({dx:.3g}, {dy:.3g})")
     return bad
 
 
@@ -359,12 +350,10 @@ def sample_trace(model: SourceModel, T: int, seed: int) -> BlockTrace:
     """Draw T i.i.d. block cdfs from the prior; deterministic given seed."""
     T = check_count("block count", T)
     rng = np.random.default_rng(check_count("seed", seed, 0))
-    probs = np.array([e.prob for e in model.entries], dtype=float)
-    probs = probs / probs.sum()
-    idx = rng.choice(len(model.entries), size=T, p=probs)
+    vals, probs = model.prior_pmf()
+    idx = rng.choice(len(vals), size=T, p=probs / probs.sum())
     groups = np.array([e.group for e in model.entries], dtype=np.int64)[idx]
-    h = np.array([e.cond_entropy for e in model.entries], dtype=float)[idx]
-    return BlockTrace(groups, h)
+    return BlockTrace(groups, vals[idx])
 
 
 def demo_model() -> SourceModel:

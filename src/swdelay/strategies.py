@@ -154,9 +154,9 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
 
     Convolution commutes, so the decision and the quantile depend only on the
     group-count vector, memoized under one integer key (a count field of
-    ``T.bit_length() + 1`` bits per group: no collisions for K <= T).  A hit
-    queues the block unpushed; a miss pushes the queue and then the block, in
-    arrival order, as pushing every block would.  The memo holds <= T entries.
+    ``T.bit_length() + 1`` bits per group: no collisions for K <= T).  Every
+    block is queued, and a miss pushes the queue in arrival order, as pushing
+    every block would.  The memo holds <= T entries.
 
     The one-block decision of each group in the trace is taken first, as the
     loop would take it at K = 1, and seeds the memo.  When every such group
@@ -199,15 +199,13 @@ def _segment(trace: BlockTrace, model: SourceModel, *, c: float, epsilon: float,
         K += 1
         ent += h
         key += bit[group]
+        pending.append(group)
         rate = memo.get(key, _MISS)
         if rate is _MISS:
             for g in pending:
                 push(g)
             pending.clear()
-            push(group)
             rate = memo[key] = close_rate(K)
-        else:
-            pending.append(group)
         if rate is not None:
             sizes.append(K)
             ents.append(ent)

@@ -126,6 +126,44 @@ def test_pmf_violations_keep_their_order_and_text():
     ]
 
 
+def test_marginal_violations_at_group_edges():
+    """Each group's tables are compared with its first table: a member with no
+    table is passed over, a table of another shape breaks the alphabets, a
+    later table of the first's shape is still compared, and a group with one
+    table has nothing to compare."""
+    a = np.array([[.25, .25], [.25, .25]])
+    b = np.array([[.4, .1], [.1, .4]])
+    c = np.array([[.5, .2], [0, .3]])
+    t3 = np.array([[.2, .1], [.2, .1], [.2, .2]])
+    t3b = np.array([[.3, 0], [.1, .2], [.1, .3]])
+    groups = [(None, a, b, c), (t3, a, t3b, t3), (None, c), (c,)]
+    entries = tuple(
+        CdfEntry(g, j, 1 / 11, 1.0 if pmf is None else cond_entropies_bits(pmf[None])[0], pmf)
+        for g, mem in enumerate(groups, 1) for j, pmf in enumerate(mem, 1))
+    assert len(entries) == 11
+    with pytest.raises(ModelError) as info:
+        SourceModel(entries)
+    assert info.value.violations == [
+        "group 1: cdf (1,4) marginals deviate from member 1 by (0.2, 0)",
+        "group 2: members declare different alphabets",
+        "group 2: cdf (2,3) marginals deviate from member 1 by (5.55e-17, 0.1)",
+    ]
+
+
+def test_empty_tables_are_model_errors():
+    """Tables with no rows are refused with ModelError, not numpy's empty
+    reduction error: their empty marginals agree, and a table of another
+    shape breaks the alphabets."""
+    for shapes, last in ((((0, 2), (0, 2)), []),
+                         (((0, 2), (2, 2)), ["group 1: members declare different alphabets"])):
+        entries = tuple(CdfEntry(1, j, 0.5, 0.0, np.zeros(shape))
+                        for j, shape in enumerate(shapes, 1))
+        with pytest.raises(ModelError) as info:
+            SourceModel(entries)
+        assert info.value.violations == ["cdf (1,1): joint_pmf sums to 0.0, not 1",
+                                         "cdf (1,2): joint_pmf sums to 0.0, not 1", *last]
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (8, 8), (16, 16), (5, 3)])
 def test_stacked_entropies_have_the_per_table_bits(shape):
     """cond_entropies_bits of a 300-table stack, many cells empty, equals

@@ -723,6 +723,34 @@ def test_segment_matches_memo_free_oracle():
     assert batched > 0  # some runs batched blocks, so the memo was exercised
 
 
+def test_segment_pushes_batch_prefixes_in_order(six_cdf_model, monkeypatch):
+    """On the demo at eta = 0.05, T = 10 000, seed 11, _segment makes 8 932
+    pushes.  After the probe's one push per drawn group, each run of pushes
+    between resets is a prefix of one batch's groups, in batch order; the open
+    tail after the last close counts as a batch."""
+    log = []
+    push, reset = RateAccumulator.push_block, RateAccumulator.reset
+    monkeypatch.setattr(RateAccumulator, "push_block",
+                        lambda self, group: log.append(group) or push(self, group))
+    monkeypatch.setattr(RateAccumulator, "reset", lambda self: log.append(None) or reset(self))
+    trace = sample_trace(six_cdf_model, 10_000, 11)
+    c = compute_stats(six_cdf_model).e_h / (1 - 0.05)
+    sizes = _segment(trace, six_cdf_model, c=c, epsilon=0.01)[0]
+    assert sum(g is not None for g in log) == 8932
+
+    groups = trace.groups.tolist()
+    drawn = sorted(set(groups))
+    assert log[:2 * len(drawn)] == [x for g in drawn for x in (g, None)]
+    ends = np.cumsum(sizes).tolist()
+    batches = iter([groups[lo:hi] for lo, hi in zip([0, *ends], ends)] + [groups[ends[-1]:]])
+    runs = [list(run) for pushed, run in itertools.groupby(log[2 * len(drawn):],
+                                                           key=lambda g: g is not None)
+            if pushed]
+    assert len(runs) > 1
+    for run in runs:  # each run matches a later batch than the run before it
+        assert any(batch[:len(run)] == run for batch in batches)
+
+
 # ---------------------------------------------------------------------------
 # the one-pass accounting against a per-batch queue replay
 # ---------------------------------------------------------------------------
